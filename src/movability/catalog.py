@@ -1,15 +1,13 @@
 """The 21 maximal constant-distance closures and named example graphs.
 
-Every graph here is stored as an explicit edge list and shipped as a .g6
-data file; the loader re-checks vertex and edge counts.  Each catalog entry
-is its own constant distance closure with no degree-two vertex, which the
-test suite re-verifies.
+Every graph here is stored as an explicit edge list in this module; there
+are no data files.  Each catalog entry is its own constant distance closure
+with no degree-two vertex, which the test suite re-verifies.
 """
 
 from __future__ import annotations
 
-import importlib.resources
-from .graphs import Edge, Graph, parse_graph6
+from .graphs import Edge, Graph
 
 CATALOG_EDGE_LISTS: dict[str, tuple[int, tuple[Edge, ...]]] = {
     "K33": (6, tuple((a, b) for a in range(3) for b in range(3, 6))),
@@ -44,17 +42,8 @@ def catalog_graph(name: str) -> Graph:
 
 
 def load_catalog() -> dict[str, Graph]:
-    """Load the shipped .g6 files and validate them against the edge lists."""
-    out: dict[str, Graph] = {}
-    root = importlib.resources.files("movability").joinpath("data/catalog")
-    for name in CATALOG_NAMES:
-        text = root.joinpath(f"{name}.g6").read_text().strip()
-        g = parse_graph6(text)
-        expected = catalog_graph(name)
-        if g != expected:
-            raise ValueError(f"catalog file for {name} does not match the edge list")
-        out[name] = g
-    return out
+    """Every catalog entry by name, in catalog order."""
+    return {name: catalog_graph(name) for name in CATALOG_NAMES}
 
 
 # -- named example graphs -----------------------------------------------------

@@ -8,24 +8,29 @@ take no tolerance flags; numeric ones expose the tracker defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import pathlib
 import sys
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
+
+import numpy as np
 
 from .catalog import load_catalog
 from .constructions import (
     ConstructionInapplicable,
-    deltoid_motion,
+    axes_parameters,
     dixon_one,
-    grid_construction,
-    motion_from_embedding,
+    grid_search,
     s5_motion,
-    two_nac_embedding,
+    two_nac_search,
 )
 from .decide import census, classify
 from .graphs import Graph, Graph6Error, encode_graph6, graph_from_json, parse_graph6
 from .motion import (
+    MotionError,
     active_nac_colorings,
     all_valuation_tables,
     labeling_from_json,
@@ -44,6 +49,7 @@ from .nac import (
     enumerate_nac,
     is_nac,
 )
+from .track import TrackerError, track_motion
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -72,22 +78,39 @@ def _read_graph(spec: str) -> Graph:
         raise CliParseError(f"cannot read graph from {spec!r}: {exc}") from exc
 
 
-def _read_coloring(g: Graph, path: str) -> NacColoring:
+def _load(path: str, parse, what: str):
+    """Parse the file at path, reporting any failure as malformed input."""
     try:
-        return NacColoring.from_json(g, pathlib.Path(path).read_text())
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliParseError(f"bad coloring file {path}: {exc}") from exc
+        return parse(pathlib.Path(path).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliParseError(f"bad {what} file {path}: {exc}") from exc
 
 
-def _coloring_rows(g: Graph, colorings) -> list[dict]:
-    return [
-        json.loads(c.to_json()) for c in colorings
-    ]
+def _read_coloring(g: Graph, path: str) -> NacColoring:
+    return _load(path, partial(NacColoring.from_json, g), "coloring")
+
+
+def _parse_edge(spec: str) -> tuple[int, int]:
+    """'u,v' with two distinct integer vertex labels."""
+    try:
+        u, v = (int(x) for x in spec.split(","))
+    except ValueError as exc:
+        raise CliParseError(f"expected an edge u,v, got {spec!r}") from exc
+    if u == v:
+        raise CliParseError(f"expected two distinct vertices, got {spec!r}")
+    return u, v
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliParseError(f"not a rational number: {text!r}") from exc
 
 
 def _print_colorings(g: Graph, colorings, fmt: str):
     if fmt == "json":
-        print(json.dumps(_coloring_rows(g, colorings), indent=2))
+        print(json.dumps([json.loads(c.to_json()) for c in colorings], indent=2))
     else:
         edges = g.sorted_edges()
         print("edge      " + "  ".join(f"d{k}" for k in range(len(colorings))))
@@ -174,13 +197,9 @@ def cmd_census(args) -> int:
 def cmd_gen(args) -> int:
     from .smallgraphs import connected_graphs_up_to
 
-    sink = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as sink:
         for g in connected_graphs_up_to(args.max_n):
             sink.write(encode_graph6(g) + "\n")
-    finally:
-        if args.out:
-            sink.close()
     return EXIT_OK
 
 
@@ -193,24 +212,23 @@ def _write_motion(args, motion, labeling) -> None:
     print(json.dumps({"out": str(outdir), "files": sorted(p.name for p in outdir.iterdir())}))
 
 
+def _override_parameters(defaults: dict[int, Fraction], spec: str | None) -> dict[int, Fraction]:
+    """Comma-separated values replacing the defaults, in their vertex order."""
+    if not spec:
+        return defaults
+    values = [_fraction(s) for s in spec.split(",")]
+    if len(values) != len(defaults):
+        raise CliParseError("parameter counts do not match the bipartition classes")
+    return dict(zip(defaults, values))
+
+
 def cmd_construct(args) -> int:
     if args.method == "dixon1":
         g = _read_graph(args.graph)
-        ok, parts = g.is_bipartite()
-        if not ok:
-            raise ConstructionInapplicable("graph is not bipartite")
-        a, b = parts
-        xs = [Fraction(s) for s in args.x.split(",")] if args.x else [
-            Fraction(i + 1) for i in range(len(a))
-        ]
-        ys = [Fraction(s) for s in args.y.split(",")] if args.y else [
-            Fraction(i + 1) for i in range(len(b))
-        ]
-        if len(xs) != len(a) or len(ys) != len(b):
-            raise CliParseError("parameter counts do not match the bipartition classes")
-        labeling, sampler = dixon_one(
-            g, dict(zip(sorted(a), xs)), dict(zip(sorted(b), ys))
-        )
+        x, y = axes_parameters(g)
+        x = _override_parameters(x, args.x)
+        y = _override_parameters(y, args.y)
+        labeling, _ = dixon_one(g, x, y)
         _write_motion(args, None, labeling)
         return EXIT_OK
     if args.method == "grid":
@@ -219,43 +237,23 @@ def cmd_construct(args) -> int:
             colorings = [_read_coloring(g, args.coloring)]
         else:
             colorings = enumerate_nac(g, non_conjugated=True, cap=args.cap)
-        last_error: Exception | None = None
-        for coloring in colorings:
-            try:
-                _, labeling, motion = grid_construction(g, coloring)
-            except ConstructionInapplicable as exc:
-                last_error = exc
-                continue
-            _write_motion(args, motion, labeling)
-            return EXIT_OK
-        raise last_error or ConstructionInapplicable("no NAC-coloring to try")
+        _, _, labeling, motion = grid_search(g, colorings)
+        _write_motion(args, motion, labeling)
+        return EXIT_OK
     if args.method == "two-nac":
         g = _read_graph(args.graph)
         if args.first and args.second:
             pairs = [(_read_coloring(g, args.first), _read_coloring(g, args.second))]
         else:
-            reps = enumerate_nac(g, non_conjugated=True, cap=args.cap)
-            pairs = [
-                (reps[i], reps[j])
-                for i in range(len(reps))
-                for j in range(i + 1, len(reps))
-            ]
-        last_error = None
-        for first, second in pairs:
-            try:
-                embedding = two_nac_embedding(g, first, second, seed=args.seed)
-                motion = motion_from_embedding(embedding, deltoid_motion())
-            except ConstructionInapplicable as exc:
-                last_error = exc
-                continue
-            outdir = pathlib.Path(args.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / "embedding.json").write_text(embedding.to_json())
-            _write_motion(args, motion, motion.induced_labeling())
-            return EXIT_OK
-        raise last_error or ConstructionInapplicable("no pair of NAC-colorings to try")
+            pairs = combinations(enumerate_nac(g, non_conjugated=True, cap=args.cap), 2)
+        _, _, embedding, motion = two_nac_search(g, pairs, seed=args.seed)
+        outdir = pathlib.Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "embedding.json").write_text(embedding.to_json())
+        _write_motion(args, motion, motion.induced_labeling())
+        return EXIT_OK
     if args.method == "s5":
-        labeling, motion = s5_motion(Fraction(args.a))
+        labeling, motion = s5_motion(_fraction(args.a))
         _write_motion(args, motion, labeling)
         return EXIT_OK
     if args.method == "glue":
@@ -270,7 +268,7 @@ def cmd_construct(args) -> int:
         outdir = pathlib.Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "labeling.json").write_text(
-            labeling_to_json(construction.result.labeling)
+            labeling_to_json(construction.labeling)
         )
         rows = ["sample," + ",".join(f"x{v},y{v}" for v in range(8))]
         for k, sample in enumerate(construction.result.merged_samples):
@@ -292,37 +290,28 @@ def cmd_construct(args) -> int:
     raise CliParseError(f"unknown construction {args.method}")
 
 
-def _load_motion(path: str):
-    try:
-        return motion_from_json(pathlib.Path(path).read_text())
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliParseError(f"bad motion file {path}: {exc}") from exc
-
-
 def cmd_motion(args) -> int:
     if args.action == "track":
-        import numpy as np
-
-        from .track import track_motion
-
-        labeling = labeling_from_json(pathlib.Path(args.labeling).read_text())
-        start = np.array(json.loads(pathlib.Path(args.start).read_text()), dtype=float)
-        u, v = (int(x) for x in args.fixed.split(","))
-        path = track_motion(
-            labeling,
-            start,
-            (u, v),
-            steps=args.steps,
-            step_size=args.step_size,
-            tol=args.tol,
-        )
+        labeling = _load(args.labeling, labeling_from_json, "labeling")
+        start = _load(args.start, lambda t: np.array(json.loads(t), dtype=float), "start")
+        try:
+            path = track_motion(
+                labeling,
+                start,
+                _parse_edge(args.fixed),
+                steps=args.steps,
+                step_size=args.step_size,
+                tol=args.tol,
+            )
+        except TrackerError as exc:
+            raise CliParseError(f"cannot track the labeling from the start: {exc}") from exc
         csv = path.to_csv()
         if args.out:
             pathlib.Path(args.out).write_text(csv)
         else:
             sys.stdout.write(csv)
         return EXIT_OK
-    motion = _load_motion(args.motion)
+    motion = _load(args.motion, motion_from_json, "motion")
     if args.action == "verify":
         labeling = verify_compatibility(motion)
         report = verify_injectivity(motion)
@@ -371,7 +360,7 @@ def cmd_motion(args) -> int:
             print("warning: unresolved places; active set is a lower bound", file=sys.stderr)
         return EXIT_OK
     if args.action == "refix":
-        u, v = (int(x) for x in args.edge.split(","))
+        u, v = _parse_edge(args.edge)
         refixed = refix_edge(motion, u, v)
         text = motion_to_json(refixed)
         if args.out:
@@ -485,10 +474,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except CliParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (Graph6Error, OSError, json.JSONDecodeError) as exc:
+    except (CliParseError, Graph6Error, MotionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except EnumerationCapExceeded as exc:

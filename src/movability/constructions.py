@@ -10,14 +10,13 @@ Subgraph gluing lives in the gluing module.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exact import GaussianRational, Poly
-from .graphs import Edge, Graph, edge
+from .graphs import Edge, Graph, components, edge
 from .nac import BLUE, RED, NacColoring, is_nac
 from .motion import Labeling, MotionError, ParametrizedMotion, verify_injectivity
 from .ratfunc import RationalFunction
@@ -87,14 +86,6 @@ class DixonSampler:
             out[v] = ("y", self.y_params[v] ** 2 + t * t, self.y_signs[v])
         return out
 
-    def realize_float(self, t: float) -> list[tuple[float, float]]:
-        pos = [(0.0, 0.0)] * self.graph.n
-        for u in self.x_part:
-            pos[u] = (self.x_signs[u] * math.sqrt(float(self.x_params[u]) ** 2 - t * t), 0.0)
-        for v in self.y_part:
-            pos[v] = (0.0, self.y_signs[v] * math.sqrt(float(self.y_params[v]) ** 2 + t * t))
-        return pos
-
 
 def dixon_one(
     g: Graph,
@@ -147,6 +138,18 @@ def dixon_one(
     return labeling, sampler
 
 
+def axes_parameters(g: Graph) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """Default dixon_one parameters 1, 2, ..., k per class in vertex order;
+    the class of vertex 0 goes on the x-axis."""
+    ok, parts = g.is_bipartite()
+    if not ok:
+        raise ConstructionInapplicable("graph is not bipartite")
+    a, b = parts
+    x = {v: Fraction(i + 1) for i, v in enumerate(sorted(a))}
+    y = {v: Fraction(i + 1) for i, v in enumerate(sorted(b))}
+    return x, y
+
+
 # -- grid construction from one NAC-coloring ---------------------------------
 
 
@@ -158,36 +161,6 @@ class GridEmbedding:
     coords: tuple[tuple[int, int], ...]
     red_components: tuple[tuple[int, ...], ...]
     blue_components: tuple[tuple[int, ...], ...]
-
-    def point(self, v: int) -> tuple[int, int]:
-        return self.coords[v]
-
-
-def _color_components(g: Graph, keep: frozenset[Edge]) -> list[list[int]]:
-    # discovery order from the lowest vertex; isolated vertices are
-    # singleton components and do get indices
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in keep:
-        adj[u].add(v)
-        adj[v].add(u)
-    comp_of = [-1] * g.n
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if comp_of[s] != -1:
-            continue
-        idx = len(comps)
-        stack = [s]
-        comp_of[s] = idx
-        members = [s]
-        while stack:
-            u = stack.pop()
-            for w in sorted(adj[u]):
-                if comp_of[w] == -1:
-                    comp_of[w] = idx
-                    members.append(w)
-                    stack.append(w)
-        comps.append(sorted(members))
-    return comps
 
 
 def grid_construction(
@@ -204,8 +177,9 @@ def grid_construction(
         raise ValueError("coloring belongs to a different graph")
     if not is_nac(g, coloring):
         raise ConstructionInapplicable("the supplied coloring is not a NAC-coloring")
-    red_comps = _color_components(g, coloring.red)
-    blue_comps = _color_components(g, coloring.blue)
+    # isolated vertices are singleton components and do get indices
+    red_comps = components(range(g.n), coloring.red)
+    blue_comps = components(range(g.n), coloring.blue)
     red_index = {v: i for i, comp in enumerate(red_comps) for v in comp}
     blue_index = {v: j for j, comp in enumerate(blue_comps) for v in comp}
     coords = [(red_index[v], blue_index[v]) for v in range(g.n)]
@@ -249,6 +223,20 @@ def _horizontal_pin(coloring: NacColoring, coords) -> tuple[int, int]:
         raise ConstructionInapplicable("coloring has no blue edge")
     u, v = min(coloring.blue)
     return (u, v) if coords[u][0] < coords[v][0] else (v, u)
+
+
+def grid_search(
+    g: Graph, colorings: Iterable[NacColoring]
+) -> tuple[NacColoring, GridEmbedding, Labeling, ParametrizedMotion]:
+    """The grid construction from the first coloring, in order, that admits
+    it; raises the last ConstructionInapplicable when none does."""
+    last_error = ConstructionInapplicable("no NAC-coloring to try")
+    for coloring in colorings:
+        try:
+            return (coloring, *grid_construction(g, coloring))
+        except ConstructionInapplicable as exc:
+            last_error = exc
+    raise last_error
 
 
 # -- R^3 embedding from two NAC-colorings ------------------------------------
@@ -534,6 +522,28 @@ def motion_from_embedding(
     bx, by = coords[pin[0]]
     shifted = tuple((x - bx, y - by) for x, y in coords)
     return ParametrizedMotion(g, pin, shifted)
+
+
+def two_nac_search(
+    g: Graph,
+    pairs: Iterable[tuple[NacColoring, NacColoring]],
+    *,
+    seed: int = 0,
+) -> tuple[NacColoring, NacColoring, EmbeddingR3, ParametrizedMotion]:
+    """The first pair, in order, whose embedding, driven by the deltoid
+    frame, gives an injective motion; raises the last
+    ConstructionInapplicable when no pair does."""
+    last_error = ConstructionInapplicable("no pair of NAC-colorings to try")
+    for first, second in pairs:
+        try:
+            embedding = two_nac_embedding(g, first, second, seed=seed)
+            motion = motion_from_embedding(embedding, deltoid_motion())
+            if not verify_injectivity(motion).proper:
+                raise ConstructionInapplicable("the driven motion is not injective")
+            return first, second, embedding, motion
+        except ConstructionInapplicable as exc:
+            last_error = exc
+    raise last_error
 
 
 def third_coloring(first: NacColoring, second: NacColoring) -> NacColoring:

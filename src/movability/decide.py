@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
 from typing import Callable, Iterable
 
 from .canon import canonical_form, find_spanning_embedding
@@ -19,14 +21,23 @@ from .catalog import CATALOG_NAMES, catalog_graph
 from .constructions import (
     ConstructionInapplicable,
     DixonSampler,
-    deltoid_motion,
+    axes_parameters,
     dixon_one,
-    grid_construction,
-    motion_from_embedding,
+    grid_search,
+    s5_graph_motion_labels,
     s5_motion,
-    two_nac_embedding,
+    two_nac_search,
 )
-from .graphs import Edge, Graph, ReductionCollapse, edge, encode_graph6, reduce_degree_two
+from .graphs import (
+    Edge,
+    Graph,
+    ReductionCollapse,
+    components,
+    edge,
+    encode_graph6,
+    parse_graph6,
+    reduce_degree_two,
+)
 from .motion import (
     Labeling,
     ParametrizedMotion,
@@ -170,13 +181,11 @@ class Verdict:
 
 
 def _dixon_certificate(g: Graph) -> MovabilityCertificate | None:
-    ok, parts = g.is_bipartite()
-    if not ok or g.n < 3:
+    try:
+        x, y = axes_parameters(g)
+        labeling, sampler = dixon_one(g, x, y)
+    except ConstructionInapplicable:
         return None
-    a, b = parts
-    x = {v: Fraction(i + 1) for i, v in enumerate(sorted(a))}
-    y = {v: Fraction(i + 1) for i, v in enumerate(sorted(b))}
-    labeling, sampler = dixon_one(g, x, y)
     return MovabilityCertificate(
         construction="dixon_one",
         labeling=labeling,
@@ -189,43 +198,35 @@ def _dixon_certificate(g: Graph) -> MovabilityCertificate | None:
 
 
 def _grid_certificate(g: Graph, colorings: list[NacColoring]) -> MovabilityCertificate | None:
-    for coloring in colorings:
-        try:
-            embedding, labeling, motion = grid_construction(g, coloring)
-        except ConstructionInapplicable:
-            continue
-        return MovabilityCertificate(
-            construction="grid",
-            labeling=labeling,
-            motion=motion,
-            details={
-                "coloring_red": sorted(coloring.red),
-                "grid_points": list(embedding.coords),
-            },
-        )
-    return None
+    try:
+        coloring, embedding, labeling, motion = grid_search(g, colorings)
+    except ConstructionInapplicable:
+        return None
+    return MovabilityCertificate(
+        construction="grid",
+        labeling=labeling,
+        motion=motion,
+        details={
+            "coloring_red": sorted(coloring.red),
+            "grid_points": list(embedding.coords),
+        },
+    )
 
 
 def _two_nac_certificate(g: Graph, colorings: list[NacColoring]) -> MovabilityCertificate | None:
-    for i in range(len(colorings)):
-        for j in range(i + 1, len(colorings)):
-            try:
-                emb = two_nac_embedding(g, colorings[i], colorings[j], seed=0)
-                motion = motion_from_embedding(emb, deltoid_motion())
-            except ConstructionInapplicable:
-                continue
-            if not verify_injectivity(motion).proper:
-                continue
-            return MovabilityCertificate(
-                construction="two_nac",
-                labeling=motion.induced_labeling(),
-                motion=motion,
-                details={
-                    "pair_red": [sorted(colorings[i].red), sorted(colorings[j].red)],
-                    "embedding": [[str(c) for c in p] for p in emb.points],
-                },
-            )
-    return None
+    try:
+        first, second, emb, motion = two_nac_search(g, combinations(colorings, 2))
+    except ConstructionInapplicable:
+        return None
+    return MovabilityCertificate(
+        construction="two_nac",
+        labeling=motion.induced_labeling(),
+        motion=motion,
+        details={
+            "pair_red": [sorted(first.red), sorted(second.red)],
+            "embedding": [[str(c) for c in p] for p in emb.points],
+        },
+    )
 
 
 def _catalog_certificates() -> dict[str, Callable[[], MovabilityCertificate]]:
@@ -252,7 +253,7 @@ def _catalog_certificates() -> dict[str, Callable[[], MovabilityCertificate]]:
                 construction.graph,
                 MovabilityCertificate(
                     construction=f"glue:{name}",
-                    labeling=result.labeling,
+                    labeling=construction.labeling,
                     path_stats=stats,
                 ),
             )
@@ -280,8 +281,6 @@ def _catalog_certificates() -> dict[str, Callable[[], MovabilityCertificate]]:
         )
 
     def closed_form_s5() -> MovabilityCertificate:
-        from .constructions import s5_graph_motion_labels
-
         labeling, motion = s5_motion(Fraction(2))
         return _relabeled_to_catalog(
             "S5",
@@ -303,23 +302,35 @@ def _catalog_certificates() -> dict[str, Callable[[], MovabilityCertificate]]:
 def _relabeled_to_catalog(
     name: str, source: Graph, cert: MovabilityCertificate
 ) -> MovabilityCertificate:
-    """Pull a certificate on a recipe labeling back to the catalog labeling.
-
-    The recipe's motion or path evidence stays attached to the recipe graph
-    and is reached through the parent chain during verification."""
+    """Pull a certificate on a recipe labeling back to the catalog labeling."""
     target = catalog_graph(name)
     phi = find_spanning_embedding(target, source)
     if phi is None:
         raise RuntimeError(f"recipe graph for {name} is not isomorphic to the catalog entry")
+    return _pullback(target, phi, source, cert, cert.construction, {"catalog_vertex_map": phi})
+
+
+def _pullback(
+    g: Graph,
+    phi: list[int],
+    host: Graph,
+    host_cert: MovabilityCertificate,
+    construction: str,
+    details: dict,
+) -> MovabilityCertificate:
+    """Restrict a host certificate to g along the spanning embedding phi.
+
+    The host's evidence stays attached to the host graph and is reached
+    through the parent chain during verification."""
     labeling = {
-        (u, v): cert.labeling[edge(phi[u], phi[v])] for u, v in target.sorted_edges()
+        (u, v): host_cert.labeling[edge(phi[u], phi[v])] for u, v in g.sorted_edges()
     }
     return MovabilityCertificate(
-        construction=cert.construction,
+        construction=construction,
         labeling=labeling,
-        parent=(source, cert),
+        parent=(host, host_cert),
         embedding=phi,
-        details={"catalog_vertex_map": phi},
+        details=details,
     )
 
 
@@ -355,21 +366,8 @@ def _catalog_lookup(g: Graph) -> MovabilityCertificate | None:
         entry_cert = catalog_certificate(name)
         if entry_cert is None:
             continue
-        labeling = {
-            (u, v): entry_cert.labeling[edge(phi[u], phi[v])]
-            for u, v in g.sorted_edges()
-        }
-        return MovabilityCertificate(
-            construction=f"catalog:{name}",
-            labeling=labeling,
-            parent=(entry, entry_cert),
-            embedding=phi,
-            details={
-                "catalog_entry": name,
-                "embedding": phi,
-                "via": entry_cert.construction,
-            },
-        )
+        details = {"catalog_entry": name, "embedding": phi, "via": entry_cert.construction}
+        return _pullback(g, phi, entry, entry_cert, f"catalog:{name}", details)
     return None
 
 
@@ -390,28 +388,19 @@ def classify(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
     except ReductionCollapse:  # cannot happen after the rank gate
         return Verdict(kind=GENERICALLY_MOVABLE, reason="degree-two reduction collapsed")
     removed = tuple(v for v in range(g.n) if v not in kept)
+    reduced_verdict = partial(Verdict, reduced=reduced, removed_vertices=removed)
     try:
         reps = enumerate_nac(reduced, non_conjugated=True, cap=cap)
     except EnumerationCapExceeded:
-        return Verdict(
-            kind=UNDECIDED,
-            reason="too large; use certify_no_unicolor_pairs",
-            reduced=reduced,
-            removed_vertices=removed,
-        )
+        return reduced_verdict(UNDECIDED, reason="too large; use certify_no_unicolor_pairs")
     if not reps:
-        return Verdict(
-            kind=NOT_MOVABLE_NO_NAC, reduced=reduced, removed_vertices=removed
-        )
+        return reduced_verdict(NOT_MOVABLE_NO_NAC)
     closure = constant_distance_closure(reduced, cap=cap)
+    closure_verdict = partial(
+        reduced_verdict, closure_graph=closure.closure, closure_iterations=closure.iterations
+    )
     if closure.is_complete():
-        return Verdict(
-            kind=NOT_MOVABLE_CDC_COMPLETE,
-            reduced=reduced,
-            removed_vertices=removed,
-            closure_graph=closure.closure,
-            closure_iterations=closure.iterations,
-        )
+        return closure_verdict(NOT_MOVABLE_CDC_COMPLETE)
     cert = (
         _dixon_certificate(reduced)
         or _grid_certificate(reduced, reps)
@@ -419,26 +408,12 @@ def classify(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
         or _catalog_lookup(reduced)
     )
     if cert is None:
-        return Verdict(
-            kind=UNDECIDED,
-            reason="no construction applies",
-            reduced=reduced,
-            removed_vertices=removed,
-            closure_graph=closure.closure,
-            closure_iterations=closure.iterations,
-        )
+        return closure_verdict(UNDECIDED, reason="no construction applies")
     if not cert.verify(reduced):
         raise RuntimeError(
             f"certificate from {cert.construction} failed verification; refusing to emit it"
         )
-    return Verdict(
-        kind=MOVABLE,
-        certificate=cert,
-        reduced=reduced,
-        removed_vertices=removed,
-        closure_graph=closure.closure,
-        closure_iterations=closure.iterations,
-    )
+    return closure_verdict(MOVABLE, certificate=cert)
 
 
 # -- witness certification for graphs beyond the enumeration cap -------------
@@ -504,17 +479,9 @@ def is_tree_decomposable(g: Graph, _memo: dict | None = None) -> bool:
         return memo[key]
     memo[key] = False  # cycles cannot help
     adj = g.adjacency()
-    result = False
-    for u in range(g.n):
-        if result:
-            break
-        for v in range(u + 1, g.n):
-            if result:
-                break
-            for w in range(v + 1, g.n):
-                if _splits_at(g, adj, (u, v, w), memo):
-                    result = True
-                    break
+    result = any(
+        _splits_at(g, adj, triple, memo) for triple in combinations(range(g.n), 3)
+    )
     memo[key] = result
     return result
 
@@ -523,22 +490,10 @@ def _splits_at(g: Graph, adj, triple, memo) -> bool:
     u, v, w = triple
     hubs = {u, v, w}
     shared = ({u, w}, {u, v}, {v, w})  # vertex pairs of pieces 1, 2, 3
-    comp_of = {}
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if s in hubs or s in comp_of:
-            continue
-        members = [s]
-        comp_of[s] = len(comps)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in hubs and y not in comp_of:
-                    comp_of[y] = len(comps)
-                    members.append(y)
-                    stack.append(y)
-        comps.append(members)
+    comps = components(
+        (x for x in range(g.n) if x not in hubs),
+        (e for e in g.edges if e[0] not in hubs and e[1] not in hubs),
+    )
     allowed: list[list[int]] = []
     for members in comps:
         attach = set()
@@ -643,8 +598,6 @@ class CensusReport:
 
 
 def _census_worker(line: str) -> tuple[str, bool, str | None, int]:
-    from .graphs import parse_graph6
-
     g = parse_graph6(line)
     if g.n < 2 or not g.is_connected():
         return line, False, None, 0
@@ -745,8 +698,6 @@ _PARSE_CACHE: dict[str, Graph] = {}
 
 
 def parse_graph6_cached(line: str) -> Graph:
-    from .graphs import parse_graph6
-
     if line not in _PARSE_CACHE:
         _PARSE_CACHE[line] = parse_graph6(line)
     return _PARSE_CACHE[line]

@@ -84,9 +84,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -262,7 +259,6 @@ class Poly:
 
 P_ZERO = Poly(())
 P_ONE = Poly.of([1])
-P_T = Poly.variable()
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

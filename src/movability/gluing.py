@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import grid_construction
-from .graphs import Edge, Graph, edge
+from .graphs import Edge, Graph
 from .motion import Labeling
 from .nac import NacColoring
 from .track import TrackedPath, normalize_start, track_motion
@@ -53,32 +53,27 @@ class GlueResult:
     shared_vertices: tuple[int, ...]
     max_overlap_error: float
 
-    def pair_distances(self, u: int, v: int) -> list[float]:
-        return [
+    def distance_variation(self, u: int, v: int) -> float:
+        d = [
             math.hypot(s[u][0] - s[v][0], s[u][1] - s[v][1])
             for s in self.merged_samples
         ]
-
-    def distance_variation(self, u: int, v: int) -> float:
-        d = self.pair_distances(u, v)
         return max(d) - min(d)
 
     def max_labeling_residual(self) -> float:
         worst = 0.0
         for s in self.merged_samples:
-            for (u, v), lam_sq in self.labeling.items():
-                dx = s[u][0] - s[v][0]
-                dy = s[u][1] - s[v][1]
-                worst = max(worst, abs(dx * dx + dy * dy - float(lam_sq)))
+            worst = max(worst, _labeling_residual(self.labeling, s))
         return worst
 
 
-def _piece_residual(piece: GluePiece, sample) -> float:
+def _labeling_residual(labeling: Labeling, sample) -> float:
+    """Largest deviation of a sample's squared edge lengths from the labeling."""
     worst = 0.0
-    for (u, v), lam_sq in piece.labeling.items():
-        du = sample[u][0] - sample[v][0]
-        dv = sample[u][1] - sample[v][1]
-        worst = max(worst, abs(du * du + dv * dv - float(lam_sq)))
+    for (u, v), lam_sq in labeling.items():
+        dx = sample[u][0] - sample[v][0]
+        dy = sample[u][1] - sample[v][1]
+        worst = max(worst, abs(dx * dx + dy * dy - float(lam_sq)))
     return worst
 
 
@@ -124,7 +119,7 @@ def glue_labelings(
         )
     for piece in (piece1, piece2):
         for sample in piece.samples:
-            r = _piece_residual(piece, sample)
+            r = _labeling_residual(piece.labeling, sample)
             if r > tol:
                 raise GlueError(f"a piece sample violates its labeling by {r:.2e}")
     shared = tuple(sorted(v1 & v2))
@@ -195,20 +190,65 @@ def _labeling_from_points(
     return {e: _squared_distance(points[e[0]], points[e[1]]) for e in edges}
 
 
+def _tracked_piece(
+    g: Graph,
+    start_points: dict[int, tuple[Fraction, Fraction]],
+    vertices: tuple[int, ...],
+    fixed: tuple[int, int],
+    *,
+    steps: int,
+    step_size: float,
+) -> GluePiece:
+    """The subgraph induced on `vertices`, labeled by the squared distances
+    of its exact start and tracked from there; samples keep the labels of g."""
+    edges = frozenset(e for e in g.edges if e[0] in vertices and e[1] in vertices)
+    labeling = _labeling_from_points(start_points, edges)
+    local = {v: i for i, v in enumerate(vertices)}
+    local_lab = {
+        (min(local[u], local[v]), max(local[u], local[v])): lam
+        for (u, v), lam in labeling.items()
+    }
+    start_arr = np.array([[float(c) for c in start_points[v]] for v in vertices])
+    path = track_motion(
+        local_lab,
+        start_arr,
+        (local[fixed[0]], local[fixed[1]]),
+        steps=steps,
+        step_size=step_size,
+        tol=1e-12,
+    )
+    samples = [
+        {v: (float(s.coords[local[v]][0]), float(s.coords[local[v]][1])) for v in vertices}
+        for s in path.samples
+    ]
+    return GluePiece(vertices, edges, labeling, samples)
+
+
 @dataclass
 class GluedConstruction:
-    """A merged labeling plus everything needed to re-verify it."""
+    """A labeling combined from movable pieces plus everything needed to
+    re-verify it.
+
+    Glued recipes (S1-S3) carry the merge result, which holds their
+    labeling; the rigid extension (S4) has none, is evidenced by tracking
+    alone and holds its labeling in extension_labeling.
+    """
 
     graph: Graph
-    result: GlueResult
-    start: np.ndarray  # merged realization, row per vertex (generic sample)
+    start: np.ndarray  # realization, row per vertex (generic sample)
     watched_pair: tuple[int, int]
+    result: GlueResult | None = None
+    extension_labeling: Labeling | None = None
+
+    @property
+    def labeling(self) -> Labeling:
+        return self.extension_labeling if self.result is None else self.result.labeling
 
     def track(self, *, steps: int = 120, step_size: float = 0.03, tol: float = 1e-10) -> TrackedPath:
         # symmetric configurations (axes starts) carry extra infinitesimal
-        # flexes, so the stored start is a generic sample of the glue path
+        # flexes, so the stored start is a generic sample of the motion
         return track_motion(
-            self.result.labeling,
+            self.labeling,
             self.start,
             min(self.graph.edges),
             steps=steps,
@@ -216,6 +256,16 @@ class GluedConstruction:
             tol=tol,
             watched_pair=self.watched_pair,
         )
+
+
+def _glue(
+    g: Graph, piece1: GluePiece, piece2: GluePiece, *, watched_pair: tuple[int, int]
+) -> GluedConstruction:
+    """Glue the two pieces and start tracking from the middle sample."""
+    result = glue_labelings(g, piece1, piece2, tol=1e-7)
+    generic = result.merged_samples[len(result.merged_samples) // 2]
+    start = np.array([generic[v] for v in range(8)])
+    return GluedConstruction(g, start, watched_pair, result)
 
 
 # -- S1: triangular-prism part (grid motion) + bipartite part (tracked) ------
@@ -246,8 +296,6 @@ def glued_s1(*, samples: int = 60, step_size: float = 0.02) -> GluedConstruction
     coloring = NacColoring(prism, frozenset({(0, 1), (2, 5), (3, 4)}))
     _, grid_lab, grid_motion = grid_construction(prism, coloring)
 
-    k_vertices = (2, 3, 4, 5, 6, 7)
-    k_edges = frozenset(e for e in g.edges if e[0] >= 2 and e[1] >= 2)
     start_points: dict[int, tuple[Fraction, Fraction]] = {
         2: (Fraction(0), Fraction(-4, 5)),
         4: (Fraction(0), Fraction(4, 5)),
@@ -256,30 +304,14 @@ def glued_s1(*, samples: int = 60, step_size: float = 0.02) -> GluedConstruction
         5: (Fraction(3, 5), Fraction(0)),
         7: (Fraction(6, 5), Fraction(0)),
     }
-    k_lab = _labeling_from_points(start_points, k_edges)
-
-    local = {v: i for i, v in enumerate(k_vertices)}
-    local_lab = {
-        (min(local[u], local[v]), max(local[u], local[v])): lam
-        for (u, v), lam in k_lab.items()
-    }
-    start_arr = np.array([[float(c) for c in start_points[v]] for v in k_vertices])
-    path = track_motion(
-        local_lab,
-        start_arr,
-        (local[4], local[5]),
-        steps=samples - 1,
-        step_size=step_size,
-        tol=1e-12,
+    k_piece = _tracked_piece(
+        g, start_points, (2, 3, 4, 5, 6, 7), (4, 5), steps=samples - 1, step_size=step_size
     )
-    k_samples = []
-    for s in path.samples:
-        k_samples.append({v: (float(s.coords[local[v]][0]), float(s.coords[local[v]][1])) for v in k_vertices})
 
     # grid side evaluated at the hinge parameter of each tracked sample and
     # moved into the common frame (vertex 4 at the origin, 5 on +x)
     prism_samples = []
-    for sample in k_samples:
+    for sample in k_piece.samples:
         hx, hy = sample[3]  # unit hinge: position of vertex 3
         c, sθ = -hx, -hy
         if abs(1 + c) < 1e-12:
@@ -289,11 +321,7 @@ def glued_s1(*, samples: int = 60, step_size: float = 0.02) -> GluedConstruction
         prism_samples.append(_to_frame({v: tuple(pts[v]) for v in prism_vertices}, 4, 5))
 
     piece1 = GluePiece(prism_vertices, prism_edges, dict(grid_lab), prism_samples)
-    piece2 = GluePiece(k_vertices, k_edges, k_lab, k_samples)
-    result = glue_labelings(g, piece1, piece2, tol=1e-7)
-    generic = result.merged_samples[len(result.merged_samples) // 2]
-    start = np.array([generic[v] for v in range(8)])
-    return GluedConstruction(g, result, start, watched_pair=(0, 7))
+    return _glue(g, piece1, k_piece, watched_pair=(0, 7))
 
 
 # -- S2 and S3: embedded seven-vertex part driven by a tracked K33 frame -----
@@ -332,23 +360,12 @@ def _embedded_glue(
     its quadrilateral frame sample by sample, then glue."""
     emb_vertices = tuple(range(7))
     emb_edges = frozenset(e for e in g.edges if e[0] < 7 and e[1] < 7)
-    k_edges = frozenset(
-        e for e in g.edges if e[0] in k_vertices and e[1] in k_vertices
-    )
-    k_lab = _labeling_from_points(start_points, k_edges)
-
     c0, c1, c2, c3 = frame_cycle
-    f_start = [
-        (start_points[c1][0] - start_points[c0][0], start_points[c1][1] - start_points[c0][1]),
-        (start_points[c2][0] - start_points[c1][0], start_points[c2][1] - start_points[c1][1]),
-        (start_points[c3][0] - start_points[c2][0], start_points[c3][1] - start_points[c2][1]),
+    # squared lengths of the frame vectors f1, f2, f3 and of their sum
+    norms = [
+        _squared_distance(start_points[a], start_points[b])
+        for a, b in ((c0, c1), (c1, c2), (c2, c3), (c0, c3))
     ]
-    norms = [fx * fx + fy * fy for fx, fy in f_start]
-    total = (
-        start_points[c3][0] - start_points[c0][0],
-        start_points[c3][1] - start_points[c0][1],
-    )
-    norms.append(total[0] ** 2 + total[1] ** 2)
 
     emb_lab: Labeling = {}
     for u, v in emb_edges:
@@ -364,25 +381,11 @@ def _embedded_glue(
         else:
             raise GlueError(f"embedding direction {d} of edge ({u},{v}) unusable")
 
-    local = {v: i for i, v in enumerate(k_vertices)}
-    local_lab = {
-        (min(local[u], local[v]), max(local[u], local[v])): lam
-        for (u, v), lam in k_lab.items()
-    }
-    start_arr = np.array([[float(c) for c in start_points[v]] for v in k_vertices])
-    path = track_motion(
-        local_lab,
-        start_arr,
-        (local[c0], local[c1]),
-        steps=samples - 1,
-        step_size=step_size,
-        tol=1e-12,
+    k_piece = _tracked_piece(
+        g, start_points, k_vertices, (c0, c1), steps=samples - 1, step_size=step_size
     )
-    k_samples = []
     emb_samples = []
-    for s in path.samples:
-        pos = {v: (float(s.coords[local[v]][0]), float(s.coords[local[v]][1])) for v in k_vertices}
-        k_samples.append(pos)
+    for pos in k_piece.samples:
         base = np.array(pos[c0])
         f1 = np.array(pos[c1]) - base
         f2 = np.array(pos[c2]) - np.array(pos[c1])
@@ -395,11 +398,7 @@ def _embedded_glue(
         emb_samples.append(emb_pos)
 
     piece1 = GluePiece(emb_vertices, emb_edges, emb_lab, emb_samples)
-    piece2 = GluePiece(tuple(sorted(k_vertices)), k_edges, k_lab, k_samples)
-    result = glue_labelings(g, piece1, piece2, tol=1e-7)
-    generic = result.merged_samples[len(result.merged_samples) // 2]
-    start = np.array([generic[v] for v in range(8)])
-    return GluedConstruction(g, result, start, watched_pair=watched_pair)
+    return _glue(g, piece1, k_piece, watched_pair=watched_pair)
 
 
 def glued_s2(*, samples: int = 60, step_size: float = 0.02) -> GluedConstruction:
@@ -479,26 +478,7 @@ def s4_graph() -> Graph:
     return Graph.of(8, S4_EDGES)
 
 
-@dataclass
-class ExtendedConstruction:
-    graph: Graph
-    labeling: Labeling
-    start: np.ndarray
-    watched_pair: tuple[int, int]
-
-    def track(self, *, steps: int = 120, step_size: float = 0.03, tol: float = 1e-10) -> TrackedPath:
-        return track_motion(
-            self.labeling,
-            self.start,
-            min(self.graph.edges),
-            steps=steps,
-            step_size=step_size,
-            tol=tol,
-            watched_pair=self.watched_pair,
-        )
-
-
-def extended_s4() -> ExtendedConstruction:
+def extended_s4() -> GluedConstruction:
     """S4 = K33 on {0..5} plus the clique {3,4,6,7} riding rigidly on the
     edge (3,4); the axes motion of the bipartite part carries the clique
     along, so the start's exact squared distances give the labeling."""
@@ -517,10 +497,8 @@ def extended_s4() -> ExtendedConstruction:
     # the axes configuration itself is infinitesimally too flexible to seed
     # the tracker; walk the bipartite part to a generic nearby sample and
     # carry the clique rigidly on the (3,4) frame
-    k_lab = {e: labeling[e] for e in labeling if e[0] < 6 and e[1] < 6}
-    k_start = np.array([[float(c) for c in points[v]] for v in range(6)])
-    nudge = track_motion(k_lab, k_start, (3, 4), steps=12, step_size=0.02, tol=1e-12)
-    generic = nudge.samples[-1].coords
+    nudge = _tracked_piece(g, points, tuple(range(6)), (3, 4), steps=12, step_size=0.02)
+    generic = np.array([nudge.samples[-1][v] for v in range(6)])
     old_a, old_b = np.array([float(c) for c in points[3]]), np.array(
         [float(c) for c in points[4]]
     )
@@ -538,4 +516,4 @@ def extended_s4() -> ExtendedConstruction:
     for v in (6, 7):
         offset = np.array([float(c) for c in points[v]]) - old_a
         start[v] = new_a + rot @ offset
-    return ExtendedConstruction(g, labeling, start, watched_pair=(5, 6))
+    return GluedConstruction(g, start, watched_pair=(5, 6), extension_labeling=labeling)

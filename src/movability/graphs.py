@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -56,18 +56,6 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
-
-    def neighbors(self, u: int) -> set[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == u:
-                out.add(b)
-            elif b == u:
-                out.add(a)
-        return out
-
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for u, v in self.edges:
@@ -93,18 +81,7 @@ class Graph:
     # -- predicates ------------------------------------------------------
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return self.n > 0 and len(components(range(self.n), self.edges)) == 1
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
@@ -150,24 +127,34 @@ class Graph:
         """Apply vertex permutation: vertex v goes to position perm[v]."""
         return Graph(self.n, frozenset(edge(perm[u], perm[v]) for u, v in self.edges))
 
-    def complement_pairs(self) -> Iterator[Edge]:
-        yield from self.non_edges()
 
+def components(vertices: Iterable[int], edges: Iterable[Edge]) -> list[list[int]]:
+    """Connected components of the graph on `vertices` with `edges`.
 
-def _connected_on(vertices: list[int], edges: set[Edge]) -> bool:
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    Each component is sorted and components are ordered by their smallest
+    vertex; isolated vertices are singleton components.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in sorted(vertices)}
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
+        adj[u].append(v)
+        adj[v].append(u)
+    seen: set[int] = set()
+    out: list[list[int]] = []
+    for s in adj:
+        if s in seen:
+            continue
+        seen.add(s)
+        members = [s]
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    members.append(w)
+                    stack.append(w)
+        out.append(sorted(members))
+    return out
 
 
 def reduce_degree_two(g: Graph) -> tuple[Graph, list[int]]:
@@ -195,7 +182,7 @@ def reduce_degree_two(g: Graph) -> tuple[Graph, list[int]]:
             raise ReductionCollapse(
                 "degree-two reduction removed every edge; the graph flexes trivially"
             )
-        if not _connected_on(vertices, edges):
+        if len(components(vertices, edges)) != 1:
             # a degree-two cut vertex: cannot happen for graphs with a
             # spanning Laman subgraph, and the movability equivalence needs
             # connected graphs, so stop rather than continue per component

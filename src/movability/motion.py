@@ -17,9 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from .exact import (
     GR_I,
-    GR_ZERO,
     GaussianRational,
-    P_ONE,
     Poly,
     fraction_sqrt,
     gaussian_rational_roots,
@@ -122,9 +120,6 @@ class ParametrizedMotion:
             (pair[0].eval_float(t).real, pair[1].eval_float(t).real)
             for pair in self.coords
         ]
-
-    def translated(self, dx: RationalFunction, dy: RationalFunction) -> list:
-        return [(pair[0] + dx, pair[1] + dy) for pair in self.coords]
 
 
 def w_function(
@@ -417,10 +412,15 @@ def labeling_to_json(labeling: Labeling) -> str:
 
 def labeling_from_json(text: str) -> Labeling:
     data = json.loads(text)
+    edges, values = data["edges"], data["lambda_sq"]
+    if len(edges) != len(values):
+        raise ValueError(f"{len(edges)} edges but {len(values)} squared lengths")
     out: Labeling = {}
-    for (u, v), s in zip(data["edges"], data["lambda_sq"]):
+    for (u, v), s in zip(edges, values):
         val = Fraction(s)
         if val <= 0:
             raise ValueError(f"edge ({u},{v}) has non-positive squared length")
+        if edge(u, v) in out:
+            raise ValueError(f"edge ({u},{v}) is listed twice")
         out[edge(u, v)] = val
     return out

@@ -48,9 +48,6 @@ class NacColoring:
             raise ValueError(f"{e} is not an edge")
         return RED if e in self.red else BLUE
 
-    def is_surjective(self) -> bool:
-        return bool(self.red) and bool(self.blue)
-
     def conjugate(self) -> "NacColoring":
         return NacColoring(self.graph, self.blue)
 

@@ -123,10 +123,6 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
 
-RF_ZERO = RationalFunction(P_ZERO, P_ONE)
-RF_ONE = RationalFunction.of(P_ONE)
-
-
 def rf(num_coeffs, den_coeffs=(1,)) -> RationalFunction:
     return RationalFunction.of(Poly.of(num_coeffs), Poly.of(den_coeffs))
 

@@ -27,16 +27,6 @@ def _grow_layer(layer: set[str], size: int) -> set[str]:
     return grown
 
 
-def connected_graphs(n: int) -> list[Graph]:
-    """Canonical representatives of all connected graphs on exactly n vertices."""
-    if n < 1:
-        return []
-    layer = {canonical_form(Graph.of(1, []))}
-    for size in range(2, n + 1):
-        layer = _grow_layer(layer, size)
-    return [parse_graph6(code) for code in sorted(layer)]
-
-
 def connected_graphs_up_to(max_n: int) -> Iterator[Graph]:
     layer = {canonical_form(Graph.of(1, []))}
     for size in range(2, max_n + 1):

@@ -154,9 +154,8 @@ def track_motion(
     p = np.asarray(start, dtype=float)
     n = p.shape[0]
     edges = _edge_list(labeling)
-    for u, v in (fixed_edge,):
-        if edge(u, v) not in set(edges):
-            raise TrackerError(f"fixed pair {fixed_edge} is not an edge of the labeling")
+    if edge(*fixed_edge) not in set(edges):
+        raise TrackerError(f"fixed pair {fixed_edge} is not an edge of the labeling")
     lam_sq = np.array([float(labeling[e]) for e in edges])
     p = normalize_start(p, fixed_edge)
     pins = [(fixed_edge[0], 0, 0.0), (fixed_edge[0], 1, 0.0), (fixed_edge[1], 1, 0.0)]

@@ -297,6 +297,31 @@ def test_construct_two_nac_writes_embedding(tmp_path, capsys):
     assert all(len(p) == 3 for p in emb.values())
 
 
+def test_construct_two_nac_rejects_non_injective_pair(tmp_path, monkeypatch, capsys):
+    # an explicit pair goes through the same search as classify, so a
+    # driven motion that is not injective is refused with exit 5
+    from itertools import combinations
+
+    import movability.constructions as constructions
+    from movability.graphs import parse_graph6
+    from movability.motion import InjectivityReport
+    from movability.nac import enumerate_nac
+
+    g = parse_graph6(Q1)
+    pairs = combinations(enumerate_nac(g, non_conjugated=True), 2)
+    first, second, _, _ = constructions.two_nac_search(g, pairs)
+    (tmp_path / "first.json").write_text(first.to_json())
+    (tmp_path / "second.json").write_text(second.to_json())
+    argv = ["construct", "two-nac", Q1, "--first", str(tmp_path / "first.json"),
+            "--second", str(tmp_path / "second.json"), "--out", str(tmp_path / "out")]
+    assert run(argv, capsys)[0] == 0
+    monkeypatch.setattr(
+        constructions, "verify_injectivity", lambda m: InjectivityReport(False, ((0, 1),), ())
+    )
+    code, _, err = run(argv, capsys)
+    assert code == 5
+    assert "not injective" in err
+
 def test_nac_enum_table_format(capsys):
     code, out, _ = run(["nac", "enum", C4, "--format", "table"], capsys)
     assert code == 0
@@ -310,3 +335,66 @@ def test_adjacency_json_input(capsys):
     code, out, _ = run(["nac", "enum", spec], capsys)
     assert code == 0
     assert len(json.loads(out)) == 6
+
+
+@pytest.mark.parametrize(
+    "method, graph, construction",
+    [("dixon1", "EFz_", "dixon_one"), ("grid", "ElNG", "grid"), ("two-nac", "FLr@w", "two_nac")],
+)
+def test_construct_matches_classify(method, graph, construction, tmp_path, capsys):
+    # construct and classify share one construction search, so they settle
+    # on the same labeling
+    code, out, _ = run(["classify", graph, "--out", str(tmp_path / "cls")], capsys)
+    assert code == 0
+    assert json.loads(out)["certificate"]["construction"] == construction
+    code, _, _ = run(["construct", method, graph, "--out", str(tmp_path / "con")], capsys)
+    assert code == 0
+    assert (tmp_path / "con" / "labeling.json").read_text() == (
+        tmp_path / "cls" / "labeling.json"
+    ).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["motion", "track", "--labeling", "negative.json", "--start", "start.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "short.json", "--start", "start.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "twice.json", "--start", "start.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "zero"],
+        ["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,9"],
+        ["motion", "track", "--labeling", "lab.json", "--start", "words.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "lab.json", "--start", "far.json", "--fixed", "0,1"],
+        ["motion", "refix", "motion.json", "--edge", "0"],
+        ["motion", "refix", "motion.json", "--edge", "0,2"],
+        ["construct", "s5", "--a", "x", "--out", "out"],
+        ["construct", "dixon1", "EFz_", "--x", "a,b,c", "--out", "out"],
+    ],
+    ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
+         "start-words", "start-off-labeling", "refix-0", "refix-non-edge", "s5-a-x",
+         "dixon-x-abc"],
+)
+def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
+    from movability.constructions import deltoid_motion
+    from movability.motion import labeling_to_json, motion_to_json
+
+    motion = deltoid_motion().motion
+    lab = json.loads(labeling_to_json(motion.induced_labeling()))
+    files = {
+        "lab.json": lab,
+        "negative.json": {"edges": lab["edges"], "lambda_sq": ["-1"] + lab["lambda_sq"][1:]},
+        "short.json": {"edges": lab["edges"], "lambda_sq": lab["lambda_sq"][:-1]},
+        "twice.json": {
+            "edges": lab["edges"] + lab["edges"][:1],
+            "lambda_sq": lab["lambda_sq"] + lab["lambda_sq"][:1],
+        },
+        "start.json": motion.realize_float(1.0),
+        "words.json": [["a", "b"]] * len(motion.realize_float(1.0)),
+        "far.json": [[3 * x, 3 * y] for x, y in motion.realize_float(1.0)],
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    (tmp_path / "motion.json").write_text(motion_to_json(motion))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:")

@@ -6,6 +6,7 @@ from movability.graphs import (
     Graph,
     Graph6Error,
     ReductionCollapse,
+    components,
     encode_graph6,
     graph_from_json,
     graph_to_json,
@@ -98,6 +99,33 @@ def test_predicates():
     assert ok and {frozenset(p) for p in parts} == {frozenset({0, 2}), frozenset({1, 3})}
     ok, _ = Graph.of(3, [(0, 1), (1, 2), (0, 2)]).is_bipartite()
     assert not ok
+
+
+def reachable(edges, s) -> set[int]:
+    """Brute-force oracle: grow the set reached from s until no edge leaves it."""
+    reached = {s}
+    grown = True
+    while grown:
+        grown = False
+        for u, v in edges:
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                grown = True
+    return reached
+
+
+@given(graphs(), st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=3))
+@settings(max_examples=200)
+def test_components_match_reachability(g, offset, stride):
+    # labels offset + stride*v leave gaps, like the vertex lists that
+    # degree-two reduction passes in
+    label = [offset + stride * v for v in range(g.n)]
+    vertices = list(reversed(label))
+    edges = [(label[u], label[v]) for u, v in g.edges]
+    comps = components(vertices, edges)
+    expected = sorted({tuple(sorted(reachable(edges, v))) for v in vertices})
+    assert [tuple(c) for c in comps] == expected
+    assert g.is_connected() == (len(reachable(g.edges, 0)) == g.n)
 
 
 def test_induced_subgraph_relabels_in_order():

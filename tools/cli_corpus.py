@@ -1,0 +1,138 @@
+"""Run a fixed corpus of `movability` command lines against one source tree.
+
+    python3 tools/cli_corpus.py run SRC_DIR OUT.json
+    python3 tools/cli_corpus.py compare BEFORE.json AFTER.json
+
+`run` executes every case in a fresh temporary directory with
+PYTHONPATH=SRC_DIR and records, per command, the exit code, stdout, whether
+stderr holds a traceback, and the contents of every file the case wrote.
+The README's 8-vertex `gen` + `census --jobs 4` pair alone takes about a
+minute on 2 cores.  Malformed-input cases live in tests/test_cli.py, not
+here.  `compare` prints the cases whose records differ and exits nonzero
+when any does.  Comparing the runs of two commits shows whether a refactor
+kept the command-line output byte-identical.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+def cases() -> list[tuple[str, list[list[str]]]]:
+    from movability.catalog import (
+        CATALOG_NAMES,
+        catalog_graph,
+        graph_with_unicolor_path,
+        graph_without_nac,
+        movable_seven_vertex_graph,
+    )
+    from movability.graphs import encode_graph6
+
+    g6 = {name: encode_graph6(catalog_graph(name)) for name in CATALOG_NAMES}
+    for name, build in (("no-nac", graph_without_nac), ("unicolor", graph_with_unicolor_path),
+                        ("movable7", movable_seven_vertex_graph)):
+        g6[name] = encode_graph6(build())
+    readme = [
+        ["nac", "enum", "Cl"],
+        ["nac", "check", "Cl", "--coloring", "c.json"],
+        ["cdc", "FLr@w"],
+        ["classify", "FLr@w", "--out", "cert/"],
+        ["motion", "verify", "cert/motion.json"],
+        ["motion", "valuations", "cert/motion.json"],
+        ["motion", "active-nac", "cert/motion.json", "--format", "json"],
+        ["motion", "refix", "cert/motion.json", "--edge", "1,2"],
+        ["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1"],
+        ["construct", "dixon1", "EFz_", "--out", "out/"],
+        ["construct", "grid", "ElNG", "--out", "out/"],
+        ["construct", "two-nac", "FLr@w", "--seed", "0", "--out", "out/"],
+        ["construct", "s5", "--a", "2", "--out", "out/"],
+        ["construct", "glue", "--recipe", "s1", "--out", "out/"],
+    ]
+    out = [
+        ("readme", readme),
+        ("readme-census-8", [["gen", "--max-n", "8", "--out", "graphs.g6"],
+                             ["census", "--graphs", "graphs.g6", "--max-n", "8", "--jobs", "4"]]),
+    ]
+    for name, code in g6.items():
+        out.append((f"classify-{name}", [["classify", code]]))
+        out.append((f"classify-out-{name}", [["classify", code, "--out", "cert/"]]))
+    for seed in range(4):
+        out.append((f"two-nac-seed-{seed}", [["construct", "two-nac", "FLr@w", "--seed", str(seed), "--out", "out/"]]))
+    out += [
+        ("dixon-params", [["construct", "dixon1", "EFz_", "--x", "1,2,3", "--y", "3/2,5,7", "--out", "out/"]]),
+        ("dixon-bad-count", [["construct", "dixon1", "EFz_", "--x", "1,2", "--out", "out/"]]),
+        ("dixon-triangle", [["construct", "dixon1", "Bw", "--out", "out/"]]),
+        ("grid-inapplicable", [["construct", "grid", g6["unicolor"], "--out", "out/"]]),
+        ("two-nac-inapplicable", [["construct", "two-nac", "Cl", "--out", "out/"]]),
+        *((f"glue-{r}", [["construct", "glue", "--recipe", r, "--out", "out/"]]) for r in ("s1", "s2", "s3")),
+        *((f"s5-a-{a}", [["construct", "s5", "--a", a, "--out", "out/"]]) for a in ("1", "2", "3")),
+        ("census-6", [["gen", "--max-n", "6", "--out", "graphs.g6"],
+                      ["census", "--graphs", "graphs.g6", "--max-n", "6", "--out", "report.json"]]),
+    ]
+    return out
+
+
+def input_files() -> dict[str, str]:
+    from movability.constructions import deltoid_motion
+    from movability.motion import labeling_to_json
+
+    motion = deltoid_motion().motion
+    return {
+        "lab.json": labeling_to_json(motion.induced_labeling()),
+        "start.json": json.dumps(motion.realize_float(1.0)),
+    }
+
+
+def run_case(case, files: dict[str, str], env: dict) -> tuple[str, dict]:
+    name, steps = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        for fname, text in files.items():
+            (root / fname).write_text(text)
+        records = []
+        for argv in steps:
+            if argv[:2] == ["nac", "check"]:
+                enum = subprocess.run([sys.executable, "-m", "movability.cli", "nac", "enum", "Cl"],
+                                      cwd=tmp, env=env, capture_output=True, text=True)
+                (root / "c.json").write_text(json.dumps(json.loads(enum.stdout)[0]))
+            proc = subprocess.run([sys.executable, "-m", "movability.cli", *argv],
+                                  cwd=tmp, env=env, capture_output=True, text=True)
+            records.append({"argv": argv, "code": proc.returncode, "stdout": proc.stdout,
+                            "traceback": "Traceback" in proc.stderr})
+        written = {str(p.relative_to(root)): p.read_text() for p in sorted(root.rglob("*")) if p.is_file()}
+        return name, {"steps": records, "files": written}
+
+
+def run(src: str, out: str) -> None:
+    src = str(pathlib.Path(src).resolve())
+    sys.path.insert(0, src)
+    env = dict(os.environ, PYTHONPATH=src)
+    files = input_files()
+    with ThreadPoolExecutor(2) as pool:
+        results = dict(pool.map(lambda case: run_case(case, files, env), cases()))
+    pathlib.Path(out).write_text(json.dumps(results, indent=1, sort_keys=True))
+    print(f"{len(results)} cases written to {out}")
+
+
+def compare(before: str, after: str) -> int:
+    a = json.loads(pathlib.Path(before).read_text())
+    b = json.loads(pathlib.Path(after).read_text())
+    differ = sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(a.keys() | b.keys()) - len(differ)} identical, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "run":
+        run(sys.argv[2], sys.argv[3])
+    elif len(sys.argv) == 4 and sys.argv[1] == "compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
+    else:
+        sys.exit(__doc__)
