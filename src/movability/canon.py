@@ -1,10 +1,14 @@
 """Exact canonical labeling and subgraph embedding for small graphs.
 
-The canonical form is the lexicographically largest upper-triangle adjacency
-bit string over all vertex orderings, found by branch-and-bound: at each
-depth only orderings that maximize the next chunk of bits survive, ties are
-restricted by invariants (degree, neighbor degrees) and collapsed across
-interchangeable twin vertices.  Exact for every graph, practical for n <= 10.
+The canonical form is the upper-triangle adjacency bit string of a vertex
+ordering found by exhaustive search.  Orderings grow one vertex at a time;
+at each depth only the vertices that maximize the next chunk of bits (the
+adjacency to the vertices already placed) and then the invariant (degree,
+neighbor degrees) survive, and interchangeable twin vertices are collapsed.
+No bound prunes a branch: every surviving ordering is expanded to a leaf and
+the lexicographically largest bit string wins.  Both selection criteria are
+isomorphism invariant, so the form is exact for every graph; practical for
+n <= 10.
 """
 
 from __future__ import annotations

@@ -78,6 +78,13 @@ def _read_graph(spec: str) -> Graph:
         raise CliParseError(f"cannot read graph from {spec!r}: {exc}") from exc
 
 
+def _read_connected_graph(spec: str) -> Graph:
+    g = _read_graph(spec)
+    if not g.is_connected():
+        raise CliParseError(f"graph {spec!r} is not connected")
+    return g
+
+
 def _load(path: str, parse, what: str):
     """Parse the file at path, reporting any failure as malformed input."""
     try:
@@ -122,11 +129,12 @@ def _print_colorings(g: Graph, colorings, fmt: str):
 
 
 def cmd_nac(args) -> int:
-    g = _read_graph(args.graph)
     if args.action == "enum":
+        g = _read_connected_graph(args.graph)
         colorings = enumerate_nac(g, non_conjugated=args.non_conjugated, cap=args.cap)
         _print_colorings(g, colorings, args.format)
         return EXIT_OK
+    g = _read_graph(args.graph)
     coloring = _read_coloring(g, args.coloring)
     ok = is_nac(g, coloring)
     print(json.dumps({"is_nac": ok}))
@@ -134,7 +142,7 @@ def cmd_nac(args) -> int:
 
 
 def cmd_cdc(args) -> int:
-    g = _read_graph(args.graph)
+    g = _read_connected_graph(args.graph)
     report = constant_distance_closure(g, cap=args.cap)
     print(encode_graph6(report.closure))
     for k, added in enumerate(report.added, start=1):
@@ -144,7 +152,9 @@ def cmd_cdc(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    g = _read_graph(args.graph)
+    g = _read_connected_graph(args.graph)
+    if not g.edges:
+        raise CliParseError("classification needs a graph with an edge")
     verdict = classify(g, cap=args.cap)
     if verdict.kind == "UNDECIDED" and "too large" in (verdict.reason or ""):
         print(verdict.to_json())
@@ -401,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     cen = sub.add_parser("census", help="closure census over a graph6 stream")
     cen.add_argument("--graphs", required=True, help="graph6 file or - for stdin")
     cen.add_argument("--max-n", type=int, default=8)
-    cen.add_argument("--catalog", help="directory of .g6 files (default: bundled)")
+    cen.add_argument("--catalog", help="directory of .g6 files (default: the built-in catalog)")
     cen.add_argument("--jobs", type=int, default=1)
     cen.add_argument("--out")
     cen.add_argument("--progress", action="store_true")

@@ -7,15 +7,23 @@ blue edge closes a path inside one connected component of the red subgraph,
 so it suffices that every blue edge joins two distinct red components and
 every red edge joins two distinct blue components.  The brute-force cycle
 oracle in the test suite checks this equivalence.
+
+Every triangle is monochromatic in a NAC-coloring, so enumeration colors
+triangle-connected classes of edges, not single edges.  The constant
+distance closure enumerates once: by the closure lemma each added pair
+takes the color of the unicolor path it closes, so the NAC-colorings of
+the next round are the extensions of the current ones that stay NAC, and a
+round only filters.  The edge-by-edge enumerator and the re-enumerating
+closure live on in the test suite as oracles.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .graphs import Edge, Graph, edge
+from .graphs import Edge, Graph, components, edge
 
 DEFAULT_ENUMERATION_CAP = 40
 
@@ -78,32 +86,6 @@ def conjugate(coloring: NacColoring) -> NacColoring:
     return coloring.conjugate()
 
 
-class _DSU:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-    def copy(self) -> "_DSU":
-        out = _DSU.__new__(_DSU)
-        out.parent = self.parent[:]
-        return out
-
-
 def _as_red_set(g: Graph, coloring) -> frozenset[Edge]:
     if isinstance(coloring, NacColoring):
         if coloring.graph != g:
@@ -120,24 +102,39 @@ def _as_red_set(g: Graph, coloring) -> frozenset[Edge]:
 
 
 def is_nac(g: Graph, coloring) -> bool:
-    """Surjectivity plus the two-union-find component condition."""
-    red = _as_red_set(g, coloring)
+    """Surjectivity plus the component condition of the module docstring."""
+    return _is_nac_red(g, _as_red_set(g, coloring))
+
+
+def _is_nac_red(g: Graph, red: frozenset[Edge]) -> bool:
     blue = g.edges - red
     if not red or not blue:
         return False
-    red_comp = _DSU(g.n)
-    for u, v in red:
-        red_comp.union(u, v)
-    blue_comp = _DSU(g.n)
-    for u, v in blue:
-        blue_comp.union(u, v)
-    for u, v in blue:
-        if red_comp.find(u) == red_comp.find(v):
-            return False
-    for u, v in red:
-        if blue_comp.find(u) == blue_comp.find(v):
-            return False
-    return True
+    red_comp = _merge(list(range(g.n)), red)
+    if any(red_comp[u] == red_comp[v] for u, v in blue):
+        return False
+    blue_comp = _merge(list(range(g.n)), blue)
+    return not any(blue_comp[u] == blue_comp[v] for u, v in red)
+
+
+def _merge(labels: list[int], edges: Iterable[Edge]) -> list[int]:
+    """Component label of each vertex after joining `edges`.
+
+    The input list is never modified; it is returned as is when no edge
+    joins two components.
+    """
+    for u, v in edges:
+        a, b = labels[u], labels[v]
+        if a != b:
+            labels = [a if c == b else c for c in labels]
+    return labels
+
+
+def _check_cap(g: Graph, cap: int) -> None:
+    if len(g.edges) > cap:
+        raise EnumerationCapExceeded(
+            f"{len(g.edges)} edges exceed the enumeration cap {cap}"
+        )
 
 
 def _dfs_edge_order(g: Graph) -> list[Edge]:
@@ -162,64 +159,97 @@ def _dfs_edge_order(g: Graph) -> list[Edge]:
     return order
 
 
+def _triangle_classes(g: Graph, order: list[Edge]) -> list[list[Edge]]:
+    """The edges of `order` grouped into triangle-connected classes.
+
+    Two edges share a class when a chain of triangles, consecutive ones
+    sharing an edge, joins them.  Classes come in the order of their first
+    edge in `order`.
+    """
+    nbrs = [0] * g.n
+    for u, v in order:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    seen: set[Edge] = set()
+    classes: list[list[Edge]] = []
+    for first in order:
+        if first in seen:
+            continue
+        seen.add(first)
+        members = [first]
+        for u, v in members:  # the loop also visits the edges appended below
+            common = nbrs[u] & nbrs[v]
+            while common:
+                low = common & -common
+                common ^= low
+                w = low.bit_length() - 1
+                for e in (edge(u, w), edge(v, w)):
+                    if e not in seen:
+                        seen.add(e)
+                        members.append(e)
+        classes.append(members)
+    return classes
+
+
 def enumerate_nac(
     g: Graph,
     *,
     non_conjugated: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> list[NacColoring]:
-    """All NAC-colorings of a connected graph, duplicate free.
+    """All NAC-colorings of a connected graph, duplicate free, sorted by red class.
 
-    Backtracks over edges in DFS order keeping one union-find per color
-    class; a branch dies as soon as an almost cycle is unavoidable.  The
-    search pins the first edge blue (conjugation halves the tree) and the
-    full set is restored by mirroring unless ``non_conjugated`` is set.
+    A triangle is monochromatic in every NAC-coloring (a 2+1 split is an
+    almost cycle), so the search colors triangle-connected classes of edges
+    rather than single edges.  It backtracks over the classes in DFS edge
+    order keeping the vertex components of each color; a branch dies as
+    soon as an almost cycle is unavoidable.  The class of the first DFS edge
+    is pinned blue (conjugation halves the tree) and the full set is
+    restored by mirroring unless ``non_conjugated`` is set.  The cap counts
+    edges, not classes.
     """
     if len(g.edges) == 0:
         return []
-    if len(g.edges) > cap:
-        raise EnumerationCapExceeded(
-            f"{len(g.edges)} edges exceed the enumeration cap {cap}"
-        )
-    order = _dfs_edge_order(g)
-    m = len(order)
+    _check_cap(g, cap)
+    classes = _triangle_classes(g, _dfs_edge_order(g))
+    m = len(classes)
     results: list[frozenset[Edge]] = []
     red_acc: list[Edge] = []
     blue_acc: list[Edge] = []
 
-    def try_color(same: _DSU, other: _DSU, e: Edge, other_edges: list[Edge]) -> _DSU | None:
-        u, v = e
-        if other.find(u) == other.find(v):
-            return None  # e would close an almost cycle of the other color
-        merged = same.copy()
-        if merged.union(u, v):
+    def try_color(same: list[int], other: list[int], cls: list[Edge], other_edges: list[Edge]):
+        for u, v in cls:
+            if other[u] == other[v]:
+                return None  # the class would close an almost cycle of the other color
+        merged = _merge(same, cls)
+        if merged is not same:
             # merging may trap an existing other-colored edge inside one
             # component of this color
             for x, y in other_edges:
-                if merged.find(x) == merged.find(y):
+                if merged[x] == merged[y]:
                     return None
         return merged
 
-    def rec(k: int, red_dsu: _DSU, blue_dsu: _DSU):
+    def rec(k: int, red_comp: list[int], blue_comp: list[int]):
         if k == m:
             if red_acc:
                 results.append(frozenset(red_acc))
             return
-        e = order[k]
-        blue_next = try_color(blue_dsu, red_dsu, e, red_acc)
+        cls = classes[k]
+        blue_next = try_color(blue_comp, red_comp, cls, red_acc)
         if blue_next is not None:
-            blue_acc.append(e)
-            rec(k + 1, red_dsu, blue_next)
-            blue_acc.pop()
+            blue_acc.extend(cls)
+            rec(k + 1, red_comp, blue_next)
+            del blue_acc[-len(cls) :]
         if k == 0:
-            return  # first edge pinned blue; mirror restores conjugates
-        red_next = try_color(red_dsu, blue_dsu, e, blue_acc)
+            return  # first class pinned blue; mirror restores conjugates
+        red_next = try_color(red_comp, blue_comp, cls, blue_acc)
         if red_next is not None:
-            red_acc.append(e)
-            rec(k + 1, red_next, blue_dsu)
-            red_acc.pop()
+            red_acc.extend(cls)
+            rec(k + 1, red_next, blue_comp)
+            del red_acc[-len(cls) :]
 
-    rec(0, _DSU(g.n), _DSU(g.n))
+    rec(0, list(range(g.n)), list(range(g.n)))
     colorings = [NacColoring(g, red) for red in results]
     colorings.sort(key=lambda c: sorted(c.red))
     if non_conjugated:
@@ -244,6 +274,36 @@ def edge_signatures(
     }
 
 
+def _closing_pairs(g: Graph, reds: list[frozenset[Edge]]) -> dict[Edge, int]:
+    """Unicolor pairs of g, each mapped to the signature of a path it closes.
+
+    `reds` are the red classes of the non-conjugated NAC-colorings.  Bit i
+    of an edge's signature is set when coloring i paints the edge red.  A
+    non-edge joined by a path of edges with one signature is a unicolor
+    pair; in coloring i it must take bit i of that signature as its color.
+    With no coloring every non-edge qualifies.
+    """
+    if not reds:
+        return dict.fromkeys(g.non_edges(), 0)
+    classes: dict[int, list[Edge]] = {}
+    for e in g.edges:
+        sig = 0
+        for i, red in enumerate(reds):
+            if e in red:
+                sig |= 1 << i
+        classes.setdefault(sig, []).append(e)
+    found: dict[Edge, int] = {}
+    for sig, group in classes.items():
+        if len(group) < 2:
+            continue  # a single edge joins only its own endpoints
+        for members in components({v for e in group for v in e}, group):
+            for i, u in enumerate(members):
+                for v in members[i + 1 :]:
+                    if (u, v) not in g.edges:
+                        found.setdefault((u, v), sig)
+    return found
+
+
 def unicolor_pairs(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> set[Edge]:
     """Non-adjacent vertex pairs joined by a path unicolor in every NAC-coloring.
 
@@ -256,29 +316,8 @@ def unicolor_pairs(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> set[Edge]
     """
     if not g.is_connected():
         raise ValueError("unicolor pairs require a connected graph")
-    signatures = edge_signatures(g, cap=cap)
-    if signatures and len(next(iter(signatures.values()))) == 0:
-        return set(g.non_edges())
-    classes: dict[tuple[bool, ...], list[Edge]] = {}
-    for e, sig in signatures.items():
-        classes.setdefault(sig, []).append(e)
-    found: set[Edge] = set()
-    for group in classes.values():
-        dsu = _DSU(g.n)
-        touched: set[int] = set()
-        for u, v in group:
-            dsu.union(u, v)
-            touched.update((u, v))
-        comps: dict[int, list[int]] = {}
-        for v in touched:
-            comps.setdefault(dsu.find(v), []).append(v)
-        for members in comps.values():
-            members.sort()
-            for i, u in enumerate(members):
-                for v in members[i + 1 :]:
-                    if (u, v) not in g.edges:
-                        found.add((u, v))
-    return found
+    reps = enumerate_nac(g, non_conjugated=True, cap=cap)
+    return set(_closing_pairs(g, [rep.red for rep in reps]))
 
 
 @dataclass(frozen=True)
@@ -302,16 +341,32 @@ def constant_distance_closure(
 ) -> ClosureReport:
     """Iterate G <- G + U(G) until no unicolor pair remains.
 
-    The loop terminates because each round adds at least one of finitely
-    many non-edges; the report keeps the per-round additions so experiments
-    can see how many rounds graphs actually need.
+    NAC(G) is enumerated once.  By the closure lemma a unicolor pair uv must
+    take the color of the path it closes in every NAC-coloring, so NAC(G+U)
+    is exactly the set of extensions of NAC(G) that are still NAC; each
+    round filters the previous representatives instead of enumerating
+    again.  Once none is left, every non-edge is a unicolor pair and the
+    next round completes the graph.  The cap counts edges and raises where
+    enumerating each round's graph afresh would.  The loop terminates
+    because each round adds at least one of finitely many non-edges; the
+    report keeps the per-round additions so experiments can see how many
+    rounds graphs actually need.
     """
+    if not g.is_connected():
+        raise ValueError("unicolor pairs require a connected graph")
+    reds = [rep.red for rep in enumerate_nac(g, non_conjugated=True, cap=cap)]
     current = g
     rounds: list[tuple[Edge, ...]] = []
     while True:
-        pairs = unicolor_pairs(current, cap=cap)
-        if not pairs:
+        closing = _closing_pairs(current, reds)
+        if not closing:
             break
-        rounds.append(tuple(sorted(pairs)))
-        current = current.with_edges(pairs)
+        rounds.append(tuple(sorted(closing)))
+        current = current.with_edges(closing)
+        _check_cap(current, cap)
+        extended = (
+            red | {pair for pair, sig in closing.items() if sig >> i & 1}
+            for i, red in enumerate(reds)
+        )
+        reds = [red for red in extended if _is_nac_red(current, red)]
     return ClosureReport(graph=g, closure=current, added=tuple(rounds))

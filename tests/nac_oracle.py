@@ -1,0 +1,167 @@
+"""Reference NAC enumeration and closure: edge by edge, re-enumerating.
+
+The enumerator backtracks over single edges instead of triangle classes,
+and the closure enumerates NAC(G) afresh in every round instead of
+filtering extensions.  `tests/test_nac.py` asserts that `movability.nac`
+agrees with them, including where `EnumerationCapExceeded` is raised.
+"""
+
+from __future__ import annotations
+
+from movability.graphs import Edge, Graph, edge
+from movability.nac import (
+    DEFAULT_ENUMERATION_CAP,
+    ClosureReport,
+    EnumerationCapExceeded,
+    NacColoring,
+)
+
+
+class _DSU:
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+    def copy(self) -> "_DSU":
+        out = _DSU.__new__(_DSU)
+        out.parent = self.parent[:]
+        return out
+
+
+def _dfs_edge_order(g: Graph) -> list[Edge]:
+    adj = g.adjacency()
+    order: list[Edge] = []
+    seen_edges: set[Edge] = set()
+    visited = [False] * g.n
+    stack = [0]
+    visited[0] = True
+    while stack:
+        u = stack.pop()
+        for w in sorted(adj[u]):
+            e = edge(u, w)
+            if e not in seen_edges:
+                seen_edges.add(e)
+                order.append(e)
+            if not visited[w]:
+                visited[w] = True
+                stack.append(w)
+    if len(order) != len(g.edges):
+        raise ValueError("graph must be connected")
+    return order
+
+
+def oracle_enumerate_nac(
+    g: Graph,
+    *,
+    non_conjugated: bool = False,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> list[NacColoring]:
+    """Backtracking over single edges in DFS order, first edge pinned blue."""
+    if len(g.edges) == 0:
+        return []
+    if len(g.edges) > cap:
+        raise EnumerationCapExceeded(
+            f"{len(g.edges)} edges exceed the enumeration cap {cap}"
+        )
+    order = _dfs_edge_order(g)
+    m = len(order)
+    results: list[frozenset[Edge]] = []
+    red_acc: list[Edge] = []
+    blue_acc: list[Edge] = []
+
+    def try_color(same: _DSU, other: _DSU, e: Edge, other_edges: list[Edge]) -> _DSU | None:
+        u, v = e
+        if other.find(u) == other.find(v):
+            return None
+        merged = same.copy()
+        if merged.union(u, v):
+            for x, y in other_edges:
+                if merged.find(x) == merged.find(y):
+                    return None
+        return merged
+
+    def rec(k: int, red_dsu: _DSU, blue_dsu: _DSU):
+        if k == m:
+            if red_acc:
+                results.append(frozenset(red_acc))
+            return
+        e = order[k]
+        blue_next = try_color(blue_dsu, red_dsu, e, red_acc)
+        if blue_next is not None:
+            blue_acc.append(e)
+            rec(k + 1, red_dsu, blue_next)
+            blue_acc.pop()
+        if k == 0:
+            return
+        red_next = try_color(red_dsu, blue_dsu, e, blue_acc)
+        if red_next is not None:
+            red_acc.append(e)
+            rec(k + 1, red_next, blue_dsu)
+            red_acc.pop()
+
+    rec(0, _DSU(g.n), _DSU(g.n))
+    colorings = [NacColoring(g, red) for red in results]
+    colorings.sort(key=lambda c: sorted(c.red))
+    if non_conjugated:
+        return colorings
+    full = colorings + [c.conjugate() for c in colorings]
+    full.sort(key=lambda c: sorted(c.red))
+    return full
+
+
+def oracle_unicolor_pairs(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> set[Edge]:
+    """Pairs inside a connected component of one signature class."""
+    if not g.is_connected():
+        raise ValueError("unicolor pairs require a connected graph")
+    reps = oracle_enumerate_nac(g, non_conjugated=True, cap=cap)
+    signatures = {e: tuple(e in rep.red for rep in reps) for e in g.sorted_edges()}
+    if signatures and len(next(iter(signatures.values()))) == 0:
+        return set(g.non_edges())
+    classes: dict[tuple[bool, ...], list[Edge]] = {}
+    for e, sig in signatures.items():
+        classes.setdefault(sig, []).append(e)
+    found: set[Edge] = set()
+    for group in classes.values():
+        dsu = _DSU(g.n)
+        touched: set[int] = set()
+        for u, v in group:
+            dsu.union(u, v)
+            touched.update((u, v))
+        comps: dict[int, list[int]] = {}
+        for v in touched:
+            comps.setdefault(dsu.find(v), []).append(v)
+        for members in comps.values():
+            members.sort()
+            for i, u in enumerate(members):
+                for v in members[i + 1 :]:
+                    if (u, v) not in g.edges:
+                        found.add((u, v))
+    return found
+
+
+def oracle_closure(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> ClosureReport:
+    """G <- G + U(G), enumerating NAC(G) afresh in every round."""
+    current = g
+    rounds: list[tuple[Edge, ...]] = []
+    while True:
+        pairs = oracle_unicolor_pairs(current, cap=cap)
+        if not pairs:
+            break
+        rounds.append(tuple(sorted(pairs)))
+        current = current.with_edges(pairs)
+    return ClosureReport(graph=g, closure=current, added=tuple(rounds))

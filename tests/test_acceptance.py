@@ -175,6 +175,8 @@ def test_criterion_3_census(graph_stream_8):
     maximal = report.maximal_classes()
     assert len(maximal) == 21
     assert {c.matched_catalog for c in maximal} == set(load_catalog())
+    assert (report.graphs_seen, report.spanned_by_laman, report.survivors) == (12112, 6629, 83)
+    assert len(report.classes) == 32
     assert elapsed < 2 * 3600
     _ok(f"3 census over {report.graphs_seen} graphs = 21-entry catalog ({elapsed:.0f}s)")
 

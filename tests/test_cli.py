@@ -368,10 +368,15 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["motion", "refix", "motion.json", "--edge", "0,2"],
         ["construct", "s5", "--a", "x", "--out", "out"],
         ["construct", "dixon1", "EFz_", "--x", "a,b,c", "--out", "out"],
+        ["nac", "enum", "CB"],
+        ["cdc", "C?"],
+        ["classify", "C?"],
+        ["classify", '{"n": 1, "edges": []}'],
     ],
     ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
          "start-words", "start-off-labeling", "refix-0", "refix-non-edge", "s5-a-x",
-         "dixon-x-abc"],
+         "dixon-x-abc", "nac-enum-disconnected", "cdc-disconnected", "classify-disconnected",
+         "classify-one-vertex"],
 )
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     from movability.constructions import deltoid_motion

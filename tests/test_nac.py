@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from movability.catalog import (
     catalog_graph,
@@ -10,6 +12,8 @@ from movability.catalog import (
 )
 from movability.graphs import Graph, edge
 from movability.nac import (
+    DEFAULT_ENUMERATION_CAP,
+    ClosureReport,
     EnumerationCapExceeded,
     NacColoring,
     constant_distance_closure,
@@ -21,6 +25,7 @@ from movability.nac import (
 )
 
 from conftest import random_connected_graph
+from nac_oracle import oracle_closure, oracle_enumerate_nac, oracle_unicolor_pairs
 
 
 # -- the brute-force cycle oracle ---------------------------------------------
@@ -313,3 +318,70 @@ def test_cap_propagates_through_pairs_and_closure():
         unicolor_pairs(g25)
     with pytest.raises(EnumerationCapExceeded):
         constant_distance_closure(g25)
+
+
+# -- agreement with the edge-by-edge, re-enumerating oracle ----------------------
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except EnumerationCapExceeded as exc:
+        return ("raised", str(exc))
+
+
+def _assert_agrees_with_oracle(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP):
+    for non_conjugated in (False, True):
+        assert _outcome(enumerate_nac, g, non_conjugated=non_conjugated, cap=cap) == _outcome(
+            oracle_enumerate_nac, g, non_conjugated=non_conjugated, cap=cap
+        )
+    assert _outcome(unicolor_pairs, g, cap=cap) == _outcome(oracle_unicolor_pairs, g, cap=cap)
+    report = _outcome(constant_distance_closure, g, cap=cap)
+    expected = _outcome(oracle_closure, g, cap=cap)
+    if isinstance(expected, ClosureReport):
+        assert (report.closure, report.added) == (expected.closure, expected.added)
+    else:
+        assert report == expected
+
+
+def _assert_triangles_monochromatic(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP):
+    colorings = _outcome(enumerate_nac, g, cap=cap)
+    if not isinstance(colorings, list):
+        return
+    adj = g.adjacency()
+    triangles = [
+        (edge(u, v), edge(u, w), edge(v, w))
+        for u, v in g.edges
+        for w in adj[u] & adj[v]
+    ]
+    for c in colorings:
+        for tri in triangles:
+            assert len({e in c.red for e in tri}) == 1, (c, tri)
+
+
+def test_agrees_with_oracle_on_all_connected_graphs_up_to_7():
+    from movability.smallgraphs import connected_graphs_up_to
+
+    graphs = [Graph.of(1, []), *connected_graphs_up_to(7)]
+    assert len(graphs) == 996
+    for g in graphs:
+        _assert_agrees_with_oracle(g)
+        _assert_triangles_monochromatic(g)
+        # a cap at the edge count lets round one pass and stops any later one
+        _assert_agrees_with_oracle(g, cap=len(g.edges))
+
+
+@st.composite
+def connected_graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    tree = {edge(v, draw(st.integers(0, v - 1))) for v in range(1, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    return Graph.of(n, tree | set(extra))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(), st.integers(8, DEFAULT_ENUMERATION_CAP))
+def test_agrees_with_oracle_on_random_graphs(g, cap):
+    _assert_agrees_with_oracle(g, cap)
+    _assert_triangles_monochromatic(g, cap)

@@ -4,8 +4,9 @@
     python3 tools/cli_corpus.py compare BEFORE.json AFTER.json
 
 `run` executes every case in a fresh temporary directory with
-PYTHONPATH=SRC_DIR and records, per command, the exit code, stdout, whether
-stderr holds a traceback, and the contents of every file the case wrote.
+PYTHONPATH=SRC_DIR and records, per command, the exit code, stdout, stderr
+(or, when it holds a traceback, only that it does), and the contents of
+every file the case wrote.
 The README's 8-vertex `gen` + `census --jobs 4` pair alone takes about a
 minute on 2 cores.  Malformed-input cases live in tests/test_cli.py, not
 here.  `compare` prints the cases whose records differ and exits nonzero
@@ -30,6 +31,7 @@ def cases() -> list[tuple[str, list[list[str]]]]:
         graph_with_unicolor_path,
         graph_without_nac,
         movable_seven_vertex_graph,
+        ring_of_complete_bipartite,
     )
     from movability.graphs import encode_graph6
 
@@ -61,6 +63,9 @@ def cases() -> list[tuple[str, list[list[str]]]]:
     for name, code in g6.items():
         out.append((f"classify-{name}", [["classify", code]]))
         out.append((f"classify-out-{name}", [["classify", code, "--out", "cert/"]]))
+        out.append((f"nac-enum-{name}", [["nac", "enum", code], ["nac", "enum", code, "--non-conjugated"]]))
+        out.append((f"cdc-{name}", [["cdc", code]]))
+    out.append(("cdc-G25-cap", [["cdc", encode_graph6(ring_of_complete_bipartite())]]))
     for seed in range(4):
         out.append((f"two-nac-seed-{seed}", [["construct", "two-nac", "FLr@w", "--seed", str(seed), "--out", "out/"]]))
     out += [
@@ -102,8 +107,10 @@ def run_case(case, files: dict[str, str], env: dict) -> tuple[str, dict]:
                 (root / "c.json").write_text(json.dumps(json.loads(enum.stdout)[0]))
             proc = subprocess.run([sys.executable, "-m", "movability.cli", *argv],
                                   cwd=tmp, env=env, capture_output=True, text=True)
+            traceback = "Traceback" in proc.stderr
+            # a traceback names the source tree's paths, so only its presence is kept
             records.append({"argv": argv, "code": proc.returncode, "stdout": proc.stdout,
-                            "traceback": "Traceback" in proc.stderr})
+                            "stderr": None if traceback else proc.stderr, "traceback": traceback})
         written = {str(p.relative_to(root)): p.read_text() for p in sorted(root.rglob("*")) if p.is_file()}
         return name, {"steps": records, "files": written}
 
