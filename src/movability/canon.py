@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .graphs import Graph, encode_graph6
 
-_MAX_N = 10
+MAX_N = 10
 
 
 def _neighbor_degree_key(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
@@ -26,8 +26,8 @@ def _neighbor_degree_key(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
 
 def canonical_order(g: Graph) -> list[int]:
     """Vertex ordering realizing the canonical form (first = position 0)."""
-    if g.n > _MAX_N:
-        raise ValueError(f"canonical labeling supports n <= {_MAX_N}, got {g.n}")
+    if g.n > MAX_N:
+        raise ValueError(f"canonical labeling supports n <= {MAX_N}, got {g.n}")
     n = g.n
     masks = [0] * n
     for u, v in g.edges:

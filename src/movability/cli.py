@@ -18,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .canon import MAX_N
 from .catalog import load_catalog
 from .constructions import (
     ConstructionInapplicable,
@@ -175,6 +176,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.max_n > MAX_N:
+        raise CliParseError(f"--max-n must be at most {MAX_N}, got {args.max_n}")
     if args.graphs == "-":
         lines = sys.stdin.read().splitlines()
     else:
@@ -242,19 +245,21 @@ def cmd_construct(args) -> int:
         _write_motion(args, None, labeling)
         return EXIT_OK
     if args.method == "grid":
-        g = _read_graph(args.graph)
         if args.coloring:
+            g = _read_graph(args.graph)
             colorings = [_read_coloring(g, args.coloring)]
         else:
+            g = _read_connected_graph(args.graph)
             colorings = enumerate_nac(g, non_conjugated=True, cap=args.cap)
         _, _, labeling, motion = grid_search(g, colorings)
         _write_motion(args, motion, labeling)
         return EXIT_OK
     if args.method == "two-nac":
-        g = _read_graph(args.graph)
         if args.first and args.second:
+            g = _read_graph(args.graph)
             pairs = [(_read_coloring(g, args.first), _read_coloring(g, args.second))]
         else:
+            g = _read_connected_graph(args.graph)
             pairs = combinations(enumerate_nac(g, non_conjugated=True, cap=args.cap), 2)
         _, _, embedding, motion = two_nac_search(g, pairs, seed=args.seed)
         outdir = pathlib.Path(args.out)

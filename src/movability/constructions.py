@@ -33,6 +33,9 @@ DIRECTIONS: tuple[Triple, ...] = (
 
 _PAIR_INDEX = {(BLUE, BLUE): 0, (BLUE, RED): 1, (RED, BLUE): 2, (RED, RED): 3}
 
+# generic points two_nac_embedding samples before giving up
+_EMBEDDING_TRIES = 64
+
 
 class ConstructionInapplicable(ValueError):
     """The construction's precondition failed; says nothing about movability."""
@@ -260,12 +263,7 @@ class EmbeddingR3:
             raise ValueError(f"direction classes {missing} are empty")
 
     def direction_class(self, u: int, v: int) -> int:
-        d = tuple(a - b for a, b in zip(self.points[u], self.points[v]))
-        for k, ref in enumerate(DIRECTIONS):
-            cross_ok = _parallel(d, ref)
-            if cross_ok:
-                return k
-        raise ValueError(f"edge ({u},{v}) direction {d} matches no class")
+        return direction_class(tuple(a - b for a, b in zip(self.points[u], self.points[v])))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -274,6 +272,14 @@ class EmbeddingR3:
                 for v, p in enumerate(self.points)
             }
         )
+
+
+def direction_class(d: Sequence[Fraction]) -> int:
+    """Index of the DIRECTIONS entry that the nonzero vector d is parallel to."""
+    for k, ref in enumerate(DIRECTIONS):
+        if _parallel(d, ref):
+            return k
+    raise ValueError(f"direction {d} matches no class")
 
 
 def _parallel(d: Sequence[Fraction], ref: Sequence[Fraction]) -> bool:
@@ -379,7 +385,6 @@ def two_nac_embedding(
     second: NacColoring,
     *,
     seed: int = 0,
-    max_tries: int = 64,
 ) -> EmbeddingR3:
     """Injective embedding from a pair of NAC-colorings, or a precise failure.
 
@@ -404,7 +409,7 @@ def two_nac_embedding(
                     f"vertices {u} and {v} coincide on the whole solution space"
                 )
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_EMBEDDING_TRIES):
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
         if all(c == 0 for c in coeffs):
             continue
@@ -489,9 +494,7 @@ def deltoid_motion(scale: Fraction = Fraction(1)) -> QuadMotion:
     return QuadMotion(motion, (0, 1, 2, 3))
 
 
-def motion_from_embedding(
-    omega: EmbeddingR3, quad: QuadMotion, *, base_hint: int | None = None
-) -> ParametrizedMotion:
+def motion_from_embedding(omega: EmbeddingR3, quad: QuadMotion) -> ParametrizedMotion:
     """Drive the embedded graph by the quadrilateral frame.
 
     Vertex u moves as w1(u) f1 + w2(u) f2 + w3(u) f3; an edge parallel to a
@@ -500,7 +503,6 @@ def motion_from_embedding(
     result is pinned at an edge of the (1,0,0) class, which is horizontal.
     """
     g = omega.graph
-    n1, n2, n3, n_sum = quad.frame_norms_squared()
     f1, f2, f3 = quad.frames()
     coords = []
     for v in range(g.n):
@@ -509,10 +511,7 @@ def motion_from_embedding(
         y = _const(w1) * f1[1] + _const(w2) * f2[1] + _const(w3) * f3[1]
         coords.append((x, y))
     pin = None
-    candidates = sorted(g.edges)
-    if base_hint is not None:
-        candidates.sort(key=lambda e: (base_hint not in e,) + e)
-    for u, v in candidates:
+    for u, v in sorted(g.edges):
         if omega.direction_class(u, v) == 0:
             du = omega.points[v][0] - omega.points[u][0]
             pin = (u, v) if du > 0 else (v, u)

@@ -10,11 +10,12 @@ cheapest first and a verified labeling is returned as the certificate.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .canon import canonical_form, find_spanning_embedding
 from .catalog import CATALOG_NAMES, catalog_graph
@@ -180,129 +181,75 @@ class Verdict:
         return json.dumps(data, indent=2)
 
 
-def _dixon_certificate(g: Graph) -> MovabilityCertificate | None:
-    try:
+def _constructed_certificate(g: Graph, reps: list[NacColoring]) -> MovabilityCertificate | None:
+    """The first of the axes, grid and two-NAC constructions, cheapest first,
+    that applies to g; the grid and two-NAC searches try reps in order."""
+    with suppress(ConstructionInapplicable):
         x, y = axes_parameters(g)
         labeling, sampler = dixon_one(g, x, y)
-    except ConstructionInapplicable:
-        return None
-    return MovabilityCertificate(
-        construction="dixon_one",
-        labeling=labeling,
-        sampler=sampler,
-        details={
-            "x_params": {str(v): str(q) for v, q in x.items()},
-            "y_params": {str(v): str(q) for v, q in y.items()},
-        },
-    )
+        return MovabilityCertificate(
+            construction="dixon_one",
+            labeling=labeling,
+            sampler=sampler,
+            details={
+                "x_params": {str(v): str(q) for v, q in x.items()},
+                "y_params": {str(v): str(q) for v, q in y.items()},
+            },
+        )
+    with suppress(ConstructionInapplicable):
+        coloring, embedding, labeling, motion = grid_search(g, reps)
+        return MovabilityCertificate(
+            construction="grid",
+            labeling=labeling,
+            motion=motion,
+            details={
+                "coloring_red": sorted(coloring.red),
+                "grid_points": list(embedding.coords),
+            },
+        )
+    with suppress(ConstructionInapplicable):
+        first, second, emb, motion = two_nac_search(g, combinations(reps, 2))
+        return MovabilityCertificate(
+            construction="two_nac",
+            labeling=motion.induced_labeling(),
+            motion=motion,
+            details={
+                "pair_red": [sorted(first.red), sorted(second.red)],
+                "embedding": [[str(c) for c in p] for p in emb.points],
+            },
+        )
+    return None
 
 
-def _grid_certificate(g: Graph, colorings: list[NacColoring]) -> MovabilityCertificate | None:
-    try:
-        coloring, embedding, labeling, motion = grid_search(g, colorings)
-    except ConstructionInapplicable:
-        return None
-    return MovabilityCertificate(
-        construction="grid",
-        labeling=labeling,
-        motion=motion,
-        details={
-            "coloring_red": sorted(coloring.red),
-            "grid_points": list(embedding.coords),
-        },
-    )
+# the catalog entries no general construction reaches
+_RECIPE_ENTRIES = ("S1", "S2", "S3", "S4", "S5")
 
 
-def _two_nac_certificate(g: Graph, colorings: list[NacColoring]) -> MovabilityCertificate | None:
-    try:
-        first, second, emb, motion = two_nac_search(g, combinations(colorings, 2))
-    except ConstructionInapplicable:
-        return None
-    return MovabilityCertificate(
-        construction="two_nac",
-        labeling=motion.induced_labeling(),
-        motion=motion,
-        details={
-            "pair_red": [sorted(first.red), sorted(second.red)],
-            "embedding": [[str(c) for c in p] for p in emb.points],
-        },
-    )
-
-
-def _catalog_certificates() -> dict[str, Callable[[], MovabilityCertificate]]:
-    # S1..S5 need their bespoke routes; K/L/Q entries are reachable through
-    # the generic constructions, but registering them keeps the catalog
-    # lookup total for spanning subgraphs of any entry
+def _recipe_certificate(name: str) -> MovabilityCertificate:
+    """Certificate of S1..S5 from its bespoke route, pulled back from the
+    recipe's vertex labels to the catalog entry's."""
     from . import gluing
 
-    def glued(name: str, recipe) -> Callable[[], MovabilityCertificate]:
-        def build() -> MovabilityCertificate:
-            construction = recipe()
-            result = construction.result
-            stats = {
-                "samples": len(result.merged_samples),
-                "max_residual": result.max_labeling_residual(),
-                "tol": 1e-7,
-                "injectivity_margin": result.injectivity_margin,
-                "watched_variation": result.distance_variation(
-                    *construction.watched_pair
-                ),
-            }
-            return _relabeled_to_catalog(
-                name,
-                construction.graph,
-                MovabilityCertificate(
-                    construction=f"glue:{name}",
-                    labeling=construction.labeling,
-                    path_stats=stats,
-                ),
-            )
-
-        return build
-
-    def extended_s4() -> MovabilityCertificate:
-        construction = gluing.extended_s4()
-        path = construction.track(steps=110)
-        stats = {
-            "samples": len(path.samples),
-            "max_residual": max(s.residual for s in path.samples),
-            "tol": 1e-9,
-            "injectivity_margin": path.injectivity_margin,
-            "watched_variation": path.watched_variation,
-        }
-        return _relabeled_to_catalog(
-            "S4",
-            construction.graph,
-            MovabilityCertificate(
-                construction="rigid_extension:S4",
-                labeling=construction.labeling,
-                path_stats=stats,
-            ),
-        )
-
-    def closed_form_s5() -> MovabilityCertificate:
+    if name == "S5":
         labeling, motion = s5_motion(Fraction(2))
-        return _relabeled_to_catalog(
-            "S5",
-            s5_graph_motion_labels(),
-            MovabilityCertificate(
-                construction="closed_form:S5", labeling=labeling, motion=motion
-            ),
+        source = s5_graph_motion_labels()
+        cert = MovabilityCertificate(
+            construction="closed_form:S5", labeling=labeling, motion=motion
         )
-
-    return {
-        "S1": glued("S1", gluing.glued_s1),
-        "S2": glued("S2", gluing.glued_s2),
-        "S3": glued("S3", gluing.glued_s3),
-        "S4": extended_s4,
-        "S5": closed_form_s5,
-    }
-
-
-def _relabeled_to_catalog(
-    name: str, source: Graph, cert: MovabilityCertificate
-) -> MovabilityCertificate:
-    """Pull a certificate on a recipe labeling back to the catalog labeling."""
+    else:
+        kind, recipe = {
+            "S1": ("glue", gluing.glued_s1),
+            "S2": ("glue", gluing.glued_s2),
+            "S3": ("glue", gluing.glued_s3),
+            "S4": ("rigid_extension", gluing.extended_s4),
+        }[name]
+        construction = recipe()
+        source = construction.graph
+        cert = MovabilityCertificate(
+            construction=f"{kind}:{name}",
+            labeling=construction.labeling,
+            path_stats=construction.path_stats(),
+        )
     target = catalog_graph(name)
     phi = find_spanning_embedding(target, source)
     if phi is None:
@@ -341,15 +288,11 @@ def catalog_certificate(name: str) -> MovabilityCertificate | None:
     """Verified labeling for a catalog entry (cached)."""
     if name in _CATALOG_CERT_CACHE:
         return _CATALOG_CERT_CACHE[name]
-    g = catalog_graph(name)
-    cert: MovabilityCertificate | None
-    if name.startswith("K"):
-        cert = _dixon_certificate(g)
-    elif name.startswith("L") or name.startswith("Q"):
-        reps = enumerate_nac(g, non_conjugated=True)
-        cert = _grid_certificate(g, reps) or _two_nac_certificate(g, reps)
+    if name in _RECIPE_ENTRIES:
+        cert = _recipe_certificate(name)
     else:
-        cert = _catalog_certificates()[name]()
+        g = catalog_graph(name)
+        cert = _constructed_certificate(g, enumerate_nac(g, non_conjugated=True))
     if cert is not None:
         _CATALOG_CERT_CACHE[name] = cert
     return cert
@@ -401,12 +344,7 @@ def classify(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
     )
     if closure.is_complete():
         return closure_verdict(NOT_MOVABLE_CDC_COMPLETE)
-    cert = (
-        _dixon_certificate(reduced)
-        or _grid_certificate(reduced, reps)
-        or _two_nac_certificate(reduced, reps)
-        or _catalog_lookup(reduced)
-    )
+    cert = _constructed_certificate(reduced, reps) or _catalog_lookup(reduced)
     if cert is None:
         return closure_verdict(UNDECIDED, reason="no construction applies")
     if not cert.verify(reduced):
@@ -597,20 +535,16 @@ class CensusReport:
         )
 
 
-def _census_worker(line: str) -> tuple[str, bool, str | None, int]:
+def _census_worker(line: str) -> tuple[bool, Graph | None, int]:
+    """(spanned by a Laman graph, closure if kept, closure rounds)."""
     g = parse_graph6(line)
     if g.n < 2 or not g.is_connected():
-        return line, False, None, 0
+        return False, None, 0
     if spanning_laman_rank(g) != 2 * g.n - 3:
-        return line, False, None, 0
+        return False, None, 0
     closure = constant_distance_closure(g)
     keep = not closure.is_complete() and 2 not in closure.closure.degrees()
-    return (
-        line,
-        True,
-        encode_graph6(closure.closure) if keep else None,
-        closure.iterations,
-    )
+    return True, closure.closure if keep else None, closure.iterations
 
 
 def census(
@@ -640,16 +574,15 @@ def census(
             results = pool.map(_census_worker, lines, chunksize=64)
     else:
         results = map(_census_worker, lines)
-    for k, (line, ok, closure_g6, iters) in enumerate(results):
+    for k, (ok, closure, iters) in enumerate(results):
         seen += 1
         if progress and k % 500 == 0:
             print(f"census: {k}/{len(lines)}", file=progress, flush=True)
         if not ok:
             continue
         spanned += 1
-        if closure_g6 is None:
+        if closure is None:
             continue
-        closure = parse_graph6_cached(closure_g6)
         key = canonical_form(closure)
         entry = closures.get(key)
         if entry is None:
@@ -665,13 +598,14 @@ def census(
             entry.sources += 1
             entry.iterations_max = max(entry.iterations_max, iters)
     classes = sorted(closures.values(), key=lambda c: (c.n, -c.edges, c.canonical))
+    class_graphs = {c.canonical: parse_graph6(c.canonical) for c in classes}
     for c in classes:
-        rep = parse_graph6_cached(c.canonical)
+        rep = class_graphs[c.canonical]
         dominating = None
         for other in classes:
             if other is c or other.n != c.n or other.edges <= c.edges:
                 continue
-            host = parse_graph6_cached(other.canonical)
+            host = class_graphs[other.canonical]
             if find_spanning_embedding(rep, host) is not None:
                 dominating = other.canonical
                 break
@@ -692,12 +626,3 @@ def census(
         classes=classes,
         matches_catalog=matches,
     )
-
-
-_PARSE_CACHE: dict[str, Graph] = {}
-
-
-def parse_graph6_cached(line: str) -> Graph:
-    if line not in _PARSE_CACHE:
-        _PARSE_CACHE[line] = parse_graph6(line)
-    return _PARSE_CACHE[line]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import grid_construction
+from .constructions import DIRECTIONS, direction_class, grid_construction
 from .graphs import Edge, Graph
 from .motion import Labeling
 from .nac import NacColoring
@@ -28,6 +28,14 @@ Triple = tuple[Fraction, Fraction, Fraction]
 
 class GlueError(ValueError):
     """Gluing preconditions failed (labeling clash or unsynced motions)."""
+
+
+# a cross pair must separate by more than SEPARATION at some sample, and
+# the pieces must share at least MIN_SAMPLES corresponding samples; the
+# recipes glue with residual and overlap tolerance GLUE_TOL
+GLUE_TOL = 1e-7
+SEPARATION = 1e-4
+MIN_SAMPLES = 20
 
 
 @dataclass
@@ -82,9 +90,7 @@ def glue_labelings(
     piece1: GluePiece,
     piece2: GluePiece,
     *,
-    tol: float = 1e-7,
-    separation: float = 1e-4,
-    min_samples: int = 20,
+    tol: float = GLUE_TOL,
 ) -> GlueResult:
     """Merge two proper flexible labelings whose motions are in sync.
 
@@ -93,7 +99,7 @@ def glue_labelings(
     satisfy their labelings within tol; shared vertices coincide within tol
     at every corresponding sample; and for every v1 outside piece2 and v2
     outside piece1 the sampled trajectories differ somewhere by more than
-    the separation threshold.
+    SEPARATION.
     """
     v1, v2 = set(piece1.vertices), set(piece2.vertices)
     if v1 | v2 != set(range(g.n)):
@@ -113,9 +119,9 @@ def glue_labelings(
                 f"{piece1.labeling[e]} vs {piece2.labeling[e]}"
             )
     k = len(piece1.samples)
-    if k != len(piece2.samples) or k < min_samples:
+    if k != len(piece2.samples) or k < MIN_SAMPLES:
         raise GlueError(
-            f"need at least {min_samples} corresponding samples, got {k} and {len(piece2.samples)}"
+            f"need at least {MIN_SAMPLES} corresponding samples, got {k} and {len(piece2.samples)}"
         )
     for piece in (piece1, piece2):
         for sample in piece.samples:
@@ -141,7 +147,7 @@ def glue_labelings(
                 best = max(
                     best, math.hypot(s1[a][0] - s2[b][0], s1[a][1] - s2[b][1])
                 )
-            if best <= separation:
+            if best <= SEPARATION:
                 raise GlueError(
                     f"projections of vertices {a} and {b} coincide along the samples"
                 )
@@ -257,12 +263,32 @@ class GluedConstruction:
             watched_pair=self.watched_pair,
         )
 
+    def path_stats(self) -> dict:
+        """Numeric evidence for the labeling: the merged glue samples for
+        S1-S3 (tolerance GLUE_TOL), a path tracked over 110 steps for S4 (1e-9)."""
+        if self.result is not None:
+            return {
+                "samples": len(self.result.merged_samples),
+                "max_residual": self.result.max_labeling_residual(),
+                "tol": GLUE_TOL,
+                "injectivity_margin": self.result.injectivity_margin,
+                "watched_variation": self.result.distance_variation(*self.watched_pair),
+            }
+        path = self.track(steps=110)
+        return {
+            "samples": len(path.samples),
+            "max_residual": max(s.residual for s in path.samples),
+            "tol": 1e-9,
+            "injectivity_margin": path.injectivity_margin,
+            "watched_variation": path.watched_variation,
+        }
+
 
 def _glue(
     g: Graph, piece1: GluePiece, piece2: GluePiece, *, watched_pair: tuple[int, int]
 ) -> GluedConstruction:
     """Glue the two pieces and start tracking from the middle sample."""
-    result = glue_labelings(g, piece1, piece2, tol=1e-7)
+    result = glue_labelings(g, piece1, piece2)
     generic = result.merged_samples[len(result.merged_samples) // 2]
     start = np.array([generic[v] for v in range(8)])
     return GluedConstruction(g, start, watched_pair, result)
@@ -370,16 +396,14 @@ def _embedded_glue(
     emb_lab: Labeling = {}
     for u, v in emb_edges:
         d = tuple(omega[u][k] - omega[v][k] for k in range(3))
-        if d[1] == 0 and d[2] == 0:
-            emb_lab[(u, v)] = d[0] ** 2 * norms[0]
-        elif d[0] == 0 and d[2] == 0:
-            emb_lab[(u, v)] = d[1] ** 2 * norms[1]
-        elif d[0] == 0 and d[1] == 0:
-            emb_lab[(u, v)] = d[2] ** 2 * norms[2]
-        elif d[0] == d[1] == d[2]:
-            emb_lab[(u, v)] = d[0] ** 2 * norms[3]
-        else:
-            raise GlueError(f"embedding direction {d} of edge ({u},{v}) unusable")
+        try:
+            klass = direction_class(d)
+        except ValueError:
+            raise GlueError(f"embedding direction {d} of edge ({u},{v}) unusable") from None
+        # d = c * DIRECTIONS[klass]: the edge moves as c times the frame
+        # vector of squared length norms[klass]
+        c = sum(d) / sum(DIRECTIONS[klass])
+        emb_lab[(u, v)] = c**2 * norms[klass]
 
     k_piece = _tracked_piece(
         g, start_points, k_vertices, (c0, c1), steps=samples - 1, step_size=step_size

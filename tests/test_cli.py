@@ -372,11 +372,14 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["cdc", "C?"],
         ["classify", "C?"],
         ["classify", '{"n": 1, "edges": []}'],
+        ["construct", "grid", "CB", "--out", "out"],
+        ["construct", "two-nac", "CB", "--out", "out"],
+        ["census", "--graphs", "k38.g6", "--max-n", "11"],
     ],
     ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
          "start-words", "start-off-labeling", "refix-0", "refix-non-edge", "s5-a-x",
          "dixon-x-abc", "nac-enum-disconnected", "cdc-disconnected", "classify-disconnected",
-         "classify-one-vertex"],
+         "classify-one-vertex", "grid-disconnected", "two-nac-disconnected", "census-max-n-11"],
 )
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     from movability.constructions import deltoid_motion
@@ -399,6 +402,7 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     (tmp_path / "motion.json").write_text(motion_to_json(motion))
+    (tmp_path / "k38.g6").write_text("JFzfFB_wF??\n")  # K_{3,8}: its closure is kept
     monkeypatch.chdir(tmp_path)
     code, _, err = run(argv, capsys)
     assert code == 2

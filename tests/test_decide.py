@@ -18,6 +18,7 @@ from movability.decide import (
     NOT_MOVABLE_NO_NAC,
     GENERICALLY_MOVABLE,
     UNDECIDED,
+    catalog_certificate,
     census,
     certify_no_unicolor_pairs,
     classify,
@@ -88,6 +89,20 @@ def test_classify_catalog_entries():
             expected_route[name[0]]
         ), (name, verdict.certificate.construction)
         assert verdict.certificate.verify(verdict.reduced), name
+
+
+@pytest.mark.parametrize("name", ["K33", "L1", "Q1"])
+def test_catalog_certificate_matches_classify(name):
+    # the catalog and classify build K, L and Q certificates through one
+    # construction chain
+    g = catalog_graph(name)
+    verdict = classify(g)
+    assert verdict.reduced == g
+    cert = catalog_certificate(name)
+    assert cert.construction == verdict.certificate.construction
+    assert cert.labeling == verdict.certificate.labeling
+    assert cert.details == verdict.certificate.details
+    assert cert.verify(g)
 
 
 def test_classify_undecided_above_cap():
@@ -267,7 +282,7 @@ def test_census_empty_stream():
 def test_consistency_sweep_complete_closures(stream7, rng):
     """Closure-complete graphs are never construction-labelable: all of
     n <= 6 plus a 7-vertex sample (the constructions are the slow part)."""
-    from movability.decide import _dixon_certificate, _grid_certificate, _two_nac_certificate
+    from movability.decide import _constructed_certificate
     from movability.graphs import parse_graph6, reduce_degree_two, ReductionCollapse
     from movability.pebble import spanning_laman_rank
 
@@ -288,9 +303,7 @@ def test_consistency_sweep_complete_closures(stream7, rng):
         closure = constant_distance_closure(reduced)
         if not closure.is_complete():
             continue
-        assert _dixon_certificate(reduced) is None
-        assert _grid_certificate(reduced, reps) is None
-        assert _two_nac_certificate(reduced, reps) is None
+        assert _constructed_certificate(reduced, reps) is None
 
 
 def test_consistency_sweep_noncomplete_closures(stream7):

@@ -38,6 +38,18 @@ def test_s1_watched_distance_varies(s1):
     assert s1.result.distance_variation(*s1.watched_pair) > 1e-3
 
 
+def test_s1_path_stats(s1):
+    stats = s1.path_stats()
+    assert list(stats) == [
+        "samples", "max_residual", "tol", "injectivity_margin", "watched_variation"
+    ]
+    assert stats["tol"] == 1e-7
+    assert stats["samples"] == 40
+    assert stats["max_residual"] <= stats["tol"]
+    assert stats["injectivity_margin"] == s1.result.injectivity_margin
+    assert stats["watched_variation"] == s1.result.distance_variation(*s1.watched_pair)
+
+
 def test_s2_s3_glue_and_track():
     for recipe, name in ((glued_s2, "S2"), (glued_s3, "S3")):
         construction = recipe(samples=30)
