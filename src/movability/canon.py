@@ -13,7 +13,7 @@ n <= 10.
 
 from __future__ import annotations
 
-from .graphs import Graph, encode_graph6
+from .graphs import Graph
 
 MAX_N = 10
 
@@ -26,6 +26,12 @@ def _neighbor_degree_key(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
 
 def canonical_order(g: Graph) -> list[int]:
     """Vertex ordering realizing the canonical form (first = position 0)."""
+    return _canonical_search(g)[0]
+
+
+def _canonical_search(g: Graph) -> tuple[list[int], list[int]]:
+    """The canonical ordering and its chunks: chunk d holds the adjacency of
+    the vertex at position d to positions 0..d-1, position 0 the high bit."""
     if g.n > MAX_N:
         raise ValueError(f"canonical labeling supports n <= {MAX_N}, got {g.n}")
     n = g.n
@@ -73,17 +79,26 @@ def canonical_order(g: Graph) -> list[int]:
             chunks.pop()
 
     rec([], [])
-    assert best_order is not None
-    return best_order
+    assert best_order is not None and best_chunks is not None
+    return best_order, best_chunks
 
 
 def canonical_form(g: Graph) -> str:
-    """Canonical graph6 string: equal for two graphs iff they are isomorphic."""
-    order = canonical_order(g)
-    position = [0] * g.n
-    for i, v in enumerate(order):
-        position[v] = i
-    return encode_graph6(g.relabel(position))
+    """Canonical graph6 string: equal for two graphs iff they are isomorphic.
+
+    Chunk d, read from its high bit, is column d of the upper triangle of
+    the relabeled adjacency matrix, which is graph6's bit order, so the
+    chunks concatenated are the graph6 payload."""
+    _, chunks = _canonical_search(g)
+    bits = 0
+    for d, chunk in enumerate(chunks):
+        bits = (bits << d) | chunk
+    nbits = g.n * (g.n - 1) // 2
+    groups = (nbits + 5) // 6
+    bits <<= 6 * groups - nbits
+    return chr(63 + g.n) + "".join(
+        chr(63 + (bits >> 6 * k & 63)) for k in range(groups - 1, -1, -1)
+    )
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -175,9 +175,13 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _check_max_n(max_n: int) -> None:
+    if max_n > MAX_N:
+        raise CliParseError(f"--max-n must be at most {MAX_N}, got {max_n}")
+
+
 def cmd_census(args) -> int:
-    if args.max_n > MAX_N:
-        raise CliParseError(f"--max-n must be at most {MAX_N}, got {args.max_n}")
+    _check_max_n(args.max_n)
     if args.graphs == "-":
         lines = sys.stdin.read().splitlines()
     else:
@@ -210,6 +214,7 @@ def cmd_census(args) -> int:
 def cmd_gen(args) -> int:
     from .smallgraphs import connected_graphs_up_to
 
+    _check_max_n(args.max_n)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as sink:
         for g in connected_graphs_up_to(args.max_n):
             sink.write(encode_graph6(g) + "\n")

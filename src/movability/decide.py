@@ -338,7 +338,7 @@ def classify(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
         return reduced_verdict(UNDECIDED, reason="too large; use certify_no_unicolor_pairs")
     if not reps:
         return reduced_verdict(NOT_MOVABLE_NO_NAC)
-    closure = constant_distance_closure(reduced, cap=cap)
+    closure = constant_distance_closure(reduced, cap=cap, reps=reps)
     closure_verdict = partial(
         reduced_verdict, closure_graph=closure.closure, closure_iterations=closure.iterations
     )

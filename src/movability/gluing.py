@@ -31,11 +31,14 @@ class GlueError(ValueError):
 
 
 # a cross pair must separate by more than SEPARATION at some sample, and
-# the pieces must share at least MIN_SAMPLES corresponding samples; the
-# recipes glue with residual and overlap tolerance GLUE_TOL
+# the pieces must share at least MIN_SAMPLES corresponding samples; pieces
+# glue with residual and overlap tolerance GLUE_TOL, and a glued labeling is
+# tracked with step size TRACK_STEP_SIZE and corrector tolerance TRACK_TOL
 GLUE_TOL = 1e-7
 SEPARATION = 1e-4
 MIN_SAMPLES = 20
+TRACK_STEP_SIZE = 0.03
+TRACK_TOL = 1e-10
 
 
 @dataclass
@@ -89,17 +92,15 @@ def glue_labelings(
     g: Graph,
     piece1: GluePiece,
     piece2: GluePiece,
-    *,
-    tol: float = GLUE_TOL,
 ) -> GlueResult:
     """Merge two proper flexible labelings whose motions are in sync.
 
     Checks, in order: the pieces cover the graph with a nonempty edge
     overlap; the labelings agree exactly on shared edges; both sample paths
-    satisfy their labelings within tol; shared vertices coincide within tol
-    at every corresponding sample; and for every v1 outside piece2 and v2
-    outside piece1 the sampled trajectories differ somewhere by more than
-    SEPARATION.
+    satisfy their labelings within GLUE_TOL; shared vertices coincide
+    within GLUE_TOL at every corresponding sample; and for every v1 outside
+    piece2 and v2 outside piece1 the sampled trajectories differ somewhere
+    by more than SEPARATION.
     """
     v1, v2 = set(piece1.vertices), set(piece2.vertices)
     if v1 | v2 != set(range(g.n)):
@@ -126,7 +127,7 @@ def glue_labelings(
     for piece in (piece1, piece2):
         for sample in piece.samples:
             r = _labeling_residual(piece.labeling, sample)
-            if r > tol:
+            if r > GLUE_TOL:
                 raise GlueError(f"a piece sample violates its labeling by {r:.2e}")
     shared = tuple(sorted(v1 & v2))
     overlap_err = 0.0
@@ -134,9 +135,9 @@ def glue_labelings(
         for w in shared:
             err = math.hypot(s1[w][0] - s2[w][0], s1[w][1] - s2[w][1])
             overlap_err = max(overlap_err, err)
-    if overlap_err > tol:
+    if overlap_err > GLUE_TOL:
         raise GlueError(
-            f"shared-subgraph configurations differ by {overlap_err:.2e} (> {tol:.0e})"
+            f"shared-subgraph configurations differ by {overlap_err:.2e} (> {GLUE_TOL:.0e})"
         )
     only1 = sorted(v1 - v2)
     only2 = sorted(v2 - v1)
@@ -250,7 +251,7 @@ class GluedConstruction:
     def labeling(self) -> Labeling:
         return self.extension_labeling if self.result is None else self.result.labeling
 
-    def track(self, *, steps: int = 120, step_size: float = 0.03, tol: float = 1e-10) -> TrackedPath:
+    def track(self, *, steps: int = 120) -> TrackedPath:
         # symmetric configurations (axes starts) carry extra infinitesimal
         # flexes, so the stored start is a generic sample of the motion
         return track_motion(
@@ -258,8 +259,8 @@ class GluedConstruction:
             self.start,
             min(self.graph.edges),
             steps=steps,
-            step_size=step_size,
-            tol=tol,
+            step_size=TRACK_STEP_SIZE,
+            tol=TRACK_TOL,
             watched_pair=self.watched_pair,
         )
 

@@ -337,7 +337,10 @@ class ClosureReport:
 
 
 def constant_distance_closure(
-    g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP
+    g: Graph,
+    *,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    reps: list[NacColoring] | None = None,
 ) -> ClosureReport:
     """Iterate G <- G + U(G) until no unicolor pair remains.
 
@@ -351,10 +354,15 @@ def constant_distance_closure(
     because each round adds at least one of finitely many non-edges; the
     report keeps the per-round additions so experiments can see how many
     rounds graphs actually need.
+
+    A caller that already holds ``enumerate_nac(g, non_conjugated=True,
+    cap=cap)`` passes it as ``reps`` and the enumeration is skipped.
     """
     if not g.is_connected():
         raise ValueError("unicolor pairs require a connected graph")
-    reds = [rep.red for rep in enumerate_nac(g, non_conjugated=True, cap=cap)]
+    if reps is None:
+        reps = enumerate_nac(g, non_conjugated=True, cap=cap)
+    reds = [rep.red for rep in reps]
     current = g
     rounds: list[tuple[Edge, ...]] = []
     while True:

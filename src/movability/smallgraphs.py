@@ -1,29 +1,89 @@
 """Stream of all connected graphs up to isomorphism, for the census.
 
 Vertex augmentation: every connected graph on n vertices arises from a
-connected graph on n-1 vertices by adding one vertex joined to a nonempty
-subset (a DFS-tree leaf can always be removed), so growing layer by layer
-with canonical-form deduplication enumerates each isomorphism class once.
+connected graph on n-1 vertices by adding one vertex x joined to a nonempty
+subset, so growing layer by layer with canonical-form deduplication
+enumerates each isomorphism class once.
+
+Most children are rejected before they are canonized (canonical
+augmentation, McKay 1998).  A vertex's key is its degree, then its sorted
+neighbour degrees; a child is kept only when no non-cut vertex other than x
+has a strictly smaller key.  This loses no class: let m be a non-cut vertex
+of least key in a connected graph C.  Then C - m is connected, so its
+canonical representative is in the previous layer, and joining x to the
+vertices that play m's neighbours gives a child isomorphic to C in which x
+plays m.  The key is isomorphism invariant, so x has the least key among the
+non-cut vertices of that child and it is kept.  The test reads bitmasks
+only; the set of canonical forms still removes the remaining duplicates.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterator
 
 from .canon import canonical_form
 from .graphs import Graph, parse_graph6
 
 
+def _components_without(masks: list[int], v: int) -> list[int]:
+    """Components of the graph minus v, each as a vertex bitmask."""
+    rest = ((1 << len(masks)) - 1) & ~(1 << v)
+    out = []
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = masks[low.bit_length() - 1] & rest & ~seen
+            seen |= new
+            frontier |= new
+        out.append(seen)
+        rest &= ~seen
+    return out
+
+
+def _new_vertex_has_least_key(
+    masks: list[int], degrees: list[int], parts: list[list[int]], subset: int
+) -> bool:
+    """False when some non-cut vertex of parent + x (x joined to subset) other
+    than x has a smaller (degree, sorted neighbour degrees) key than x.
+
+    v is a non-cut vertex of the child exactly when the subset meets every
+    component of the parent minus v (parts[v])."""
+    dx = subset.bit_count()
+    deg = [d + (subset >> v & 1) for v, d in enumerate(degrees)]
+    x_key = None
+    for v, d in enumerate(deg):
+        if d > dx:
+            continue
+        if d == dx:
+            if x_key is None:
+                x_key = sorted(deg[w] for w in range(len(deg)) if subset >> w & 1)
+            v_key = [deg[w] for w in range(len(deg)) if masks[v] >> w & 1]
+            if subset >> v & 1:
+                v_key.append(dx)
+            if sorted(v_key) >= x_key:
+                continue
+        if all(part & subset for part in parts[v]):
+            return False
+    return True
+
+
 def _grow_layer(layer: set[str], size: int) -> set[str]:
+    x = size - 1
     grown: set[str] = set()
     for code in layer:
-        parent = parse_graph6(code)
-        base = parent.sorted_edges()
-        for k in range(1, size):
-            for subset in combinations(range(size - 1), k):
-                child = Graph.of(size, base + [(v, size - 1) for v in subset])
-                grown.add(canonical_form(child))
+        base = parse_graph6(code).sorted_edges()
+        masks = [0] * x
+        for u, v in base:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        degrees = [m.bit_count() for m in masks]
+        parts = [_components_without(masks, v) for v in range(x)]
+        for subset in range(1, 1 << x):
+            if _new_vertex_has_least_key(masks, degrees, parts, subset):
+                joined = [(v, x) for v in range(x) if subset >> v & 1]
+                grown.add(canonical_form(Graph(size, frozenset(base + joined))))
     return grown
 
 

@@ -162,6 +162,14 @@ def graph_stream_8():
     return [encode_graph6(g) for g in connected_graphs_up_to(8)]
 
 
+def test_criterion_3_stream_counts_per_n(graph_stream_8):
+    from collections import Counter
+
+    per_n = Counter(ord(code[0]) - 63 for code in graph_stream_8)
+    assert [per_n[n] for n in range(2, 9)] == [1, 2, 6, 21, 112, 853, 11117]
+    assert sum(per_n.values()) == len(set(graph_stream_8)) == 12112
+
+
 def test_criterion_3_census(graph_stream_8):
     import os
 

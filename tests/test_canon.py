@@ -81,3 +81,17 @@ def test_s1_contains_the_bipartite_part():
     s1 = catalog_graph("S1")
     k33_part = s1.induced_subgraph([1, 2, 4, 5, 6, 7])
     assert are_isomorphic(k33_part, catalog_graph("K33"))
+
+
+def test_matches_the_relabeling_form_on_small_graphs_and_the_catalog(rng):
+    from movability.catalog import load_catalog
+    from movability.smallgraphs import connected_graphs_up_to
+
+    from smallgraphs_oracle import relabel_canonical_form
+
+    graphs = [Graph.of(0, []), Graph.of(1, []), Graph.of(3, [(0, 1)])]
+    graphs += [*connected_graphs_up_to(7), *load_catalog().values()]
+    assert len(graphs) == 3 + 995 + 21
+    for g in graphs:
+        h = shuffled(g, rng)
+        assert canonical_form(h) == relabel_canonical_form(h), h

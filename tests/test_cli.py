@@ -375,11 +375,13 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["construct", "grid", "CB", "--out", "out"],
         ["construct", "two-nac", "CB", "--out", "out"],
         ["census", "--graphs", "k38.g6", "--max-n", "11"],
+        ["gen", "--max-n", "11"],
     ],
     ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
          "start-words", "start-off-labeling", "refix-0", "refix-non-edge", "s5-a-x",
          "dixon-x-abc", "nac-enum-disconnected", "cdc-disconnected", "classify-disconnected",
-         "classify-one-vertex", "grid-disconnected", "two-nac-disconnected", "census-max-n-11"],
+         "classify-one-vertex", "grid-disconnected", "two-nac-disconnected", "census-max-n-11",
+         "gen-max-n-11"],
 )
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     from movability.constructions import deltoid_motion

@@ -44,6 +44,27 @@ def test_classify_unicolor_path_graph():
     assert verdict.closure_graph.is_complete()
 
 
+@pytest.mark.parametrize("graph", [graph_with_unicolor_path, movable_seven_vertex_graph])
+def test_classify_enumerates_nac_once(graph, monkeypatch):
+    from movability import decide, nac
+
+    calls = []
+
+    def counted(g, **kwargs):
+        calls.append(g)
+        return enumerate_nac(g, **kwargs)
+
+    monkeypatch.setattr(nac, "enumerate_nac", counted)
+    monkeypatch.setattr(decide, "enumerate_nac", counted)
+    verdict = classify(graph())
+    assert calls.count(verdict.reduced) == 1
+    monkeypatch.undo()
+    closure = constant_distance_closure(verdict.reduced)
+    assert (verdict.closure_graph, verdict.closure_iterations) == (
+        closure.closure, closure.iterations,
+    )
+
+
 def test_classify_movable_seven_vertex_graph():
     verdict = classify(movable_seven_vertex_graph())
     assert verdict.kind == MOVABLE

@@ -24,7 +24,7 @@ from movability.nac import (
     unicolor_pairs,
 )
 
-from conftest import random_connected_graph
+from conftest import connected_graphs, random_connected_graph
 from nac_oracle import oracle_closure, oracle_enumerate_nac, oracle_unicolor_pairs
 
 
@@ -369,15 +369,6 @@ def test_agrees_with_oracle_on_all_connected_graphs_up_to_7():
         _assert_triangles_monochromatic(g)
         # a cap at the edge count lets round one pass and stops any later one
         _assert_agrees_with_oracle(g, cap=len(g.edges))
-
-
-@st.composite
-def connected_graphs(draw, max_n=10):
-    n = draw(st.integers(1, max_n))
-    tree = {edge(v, draw(st.integers(0, v - 1))) for v in range(1, n)}
-    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
-    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
-    return Graph.of(n, tree | set(extra))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,0 +1,67 @@
+import functools
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from movability.canon import canonical_form
+from movability.graphs import Graph, components, encode_graph6
+from movability.smallgraphs import _grow_layer, connected_graphs_up_to
+
+import smallgraphs_oracle
+from conftest import connected_graphs
+
+
+@pytest.mark.parametrize("max_n", range(1, 8))
+def test_same_stream_as_the_oracle(max_n):
+    got = [encode_graph6(g) for g in connected_graphs_up_to(max_n)]
+    want = [encode_graph6(g) for g in smallgraphs_oracle.connected_graphs_up_to(max_n)]
+    assert got == want
+
+
+@functools.cache
+def _generated_up_to_7() -> frozenset[str]:
+    return frozenset(encode_graph6(g) for g in connected_graphs_up_to(7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(min_n=2, max_n=7), st.randoms(use_true_random=False))
+def test_every_connected_graph_is_generated(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    assert canonical_form(g.relabel(perm)) in _generated_up_to_7()
+
+
+def _keys_and_cut_vertices(g: Graph) -> tuple[list, set[int]]:
+    deg = g.degrees()
+    adj = g.adjacency()
+    keys = [(deg[v], sorted(deg[w] for w in adj[v])) for v in range(g.n)]
+    cut = {
+        v for v in range(g.n)
+        if len(components([w for w in range(g.n) if w != v], [e for e in g.edges if v not in e])) > 1
+    }
+    return keys, cut
+
+
+# two triangles joined by a path through 3, 4, 5: vertex 4 alone has the
+# least key, (2, [2, 2]), and it is a cut vertex
+TRIANGLES_ON_A_PATH = Graph.of(
+    9, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (6, 8), (7, 8)]
+)
+
+
+def test_the_witness_has_a_cut_vertex_of_least_key():
+    keys, cut = _keys_and_cut_vertices(TRIANGLES_ON_A_PATH)
+    assert [v for v, key in enumerate(keys) if key == min(keys)] == [4]
+    assert 4 in cut
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(min_n=2, max_n=9))
+@example(TRIANGLES_ON_A_PATH)
+def test_grown_from_the_graph_minus_its_least_key_non_cut_vertex(g):
+    # the soundness argument of canonical augmentation, one graph at a time
+    keys, cut = _keys_and_cut_vertices(g)
+    m = min((v for v in range(g.n) if v not in cut), key=keys.__getitem__)
+    parent = g.induced_subgraph(v for v in range(g.n) if v != m)
+    assert canonical_form(g) in _grow_layer({canonical_form(parent)}, g.n)
