@@ -21,7 +21,6 @@ from .motion import (
     candidate_places,
     refix_edge,
     valuation_table,
-    verify_compatibility,
     verify_injectivity,
     w_function,
     z_function,
@@ -76,7 +75,6 @@ __all__ = [
     "two_nac_embedding",
     "unicolor_pairs",
     "valuation_table",
-    "verify_compatibility",
     "verify_injectivity",
     "w_function",
     "z_function",

@@ -39,7 +39,6 @@ from .motion import (
     motion_from_json,
     motion_to_json,
     refix_edge,
-    verify_compatibility,
     verify_injectivity,
 )
 from .nac import (
@@ -90,7 +89,7 @@ def _load(path: str, parse, what: str):
     """Parse the file at path, reporting any failure as malformed input."""
     try:
         return parse(pathlib.Path(path).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise CliParseError(f"bad {what} file {path}: {exc}") from exc
 
 
@@ -187,9 +186,10 @@ def cmd_census(args) -> int:
     else:
         lines = pathlib.Path(args.graphs).read_text().splitlines()
     if args.catalog:
-        catalog = {}
-        for path in sorted(pathlib.Path(args.catalog).glob("*.g6")):
-            catalog[path.stem] = parse_graph6(path.read_text().strip())
+        paths = sorted(pathlib.Path(args.catalog).glob("*.g6"))
+        if not paths:
+            raise CliParseError(f"catalog {args.catalog} is not a directory holding .g6 files")
+        catalog = {path.stem: parse_graph6(path.read_text().strip()) for path in paths}
     else:
         catalog = load_catalog()
     report = census(
@@ -333,7 +333,7 @@ def cmd_motion(args) -> int:
         return EXIT_OK
     motion = _load(args.motion, motion_from_json, "motion")
     if args.action == "verify":
-        labeling = verify_compatibility(motion)
+        labeling = motion.induced_labeling()
         report = verify_injectivity(motion)
         print(
             json.dumps(

@@ -33,6 +33,15 @@ DIRECTIONS: tuple[Triple, ...] = (
 
 _PAIR_INDEX = {(BLUE, BLUE): 0, (BLUE, RED): 1, (RED, BLUE): 2, (RED, RED): 3}
 
+# two vectors orthogonal to DIRECTIONS[k]: an edge of class k has an endpoint
+# difference orthogonal to both
+_NORMALS: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = (
+    ((0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0)),
+    ((1, -1, 0), (1, 0, -1)),
+)
+
 # generic points two_nac_embedding samples before giving up
 _EMBEDDING_TRIES = 64
 
@@ -62,9 +71,9 @@ def _const(x) -> RationalFunction:
 class DixonSampler:
     """Realizations of the axes motion: X-part on the x-axis, Y-part on y.
 
-    Positions are (sign*sqrt(x_u^2 - t^2), 0) and (0, sign*sqrt(y_v^2 + t^2));
-    squared coordinates stay rational, so compatibility and injectivity of a
-    sample are exact checks.
+    Positions are (sqrt(x_u^2 - t^2), 0) and (0, sqrt(y_v^2 + t^2)); squared
+    coordinates stay rational, so compatibility and injectivity of a sample
+    are exact checks.
     """
 
     graph: Graph
@@ -72,21 +81,19 @@ class DixonSampler:
     y_part: tuple[int, ...]
     x_params: Mapping[int, Fraction]
     y_params: Mapping[int, Fraction]
-    x_signs: Mapping[int, int]
-    y_signs: Mapping[int, int]
 
     def parameter_bound(self) -> Fraction:
         return min(abs(self.x_params[u]) for u in self.x_part)
 
-    def squared_coords(self, t: Fraction) -> dict[int, tuple[str, Fraction, int]]:
-        """Per vertex: axis ('x' or 'y'), squared axis coordinate, sign."""
+    def squared_coords(self, t: Fraction) -> dict[int, tuple[str, Fraction]]:
+        """Per vertex: axis ('x' or 'y') and squared axis coordinate."""
         if abs(t) >= self.parameter_bound():
             raise ValueError(f"|t| must stay below {self.parameter_bound()}")
-        out: dict[int, tuple[str, Fraction, int]] = {}
+        out: dict[int, tuple[str, Fraction]] = {}
         for u in self.x_part:
-            out[u] = ("x", self.x_params[u] ** 2 - t * t, self.x_signs[u])
+            out[u] = ("x", self.x_params[u] ** 2 - t * t)
         for v in self.y_part:
-            out[v] = ("y", self.y_params[v] ** 2 + t * t, self.y_signs[v])
+            out[v] = ("y", self.y_params[v] ** 2 + t * t)
         return out
 
 
@@ -94,9 +101,6 @@ def dixon_one(
     g: Graph,
     x_params: Mapping[int, Fraction],
     y_params: Mapping[int, Fraction],
-    *,
-    x_signs: Mapping[int, int] | None = None,
-    y_signs: Mapping[int, int] | None = None,
 ) -> tuple[Labeling, DixonSampler]:
     """Labeling lambda^2(uv) = x_u^2 + y_v^2 for a bipartite graph.
 
@@ -122,8 +126,6 @@ def dixon_one(
         for v, val in coll.items():
             if val == 0:
                 raise ConstructionInapplicable(f"{name} parameter of vertex {v} is zero")
-    x_signs = {u: 1 for u in a} if x_signs is None else dict(x_signs)
-    y_signs = {v: 1 for v in b} if y_signs is None else dict(y_signs)
     labeling: Labeling = {}
     for u, v in g.sorted_edges():
         xu = u if u in a else v
@@ -135,8 +137,6 @@ def dixon_one(
         y_part=tuple(sorted(b)),
         x_params={k: Fraction(v) for k, v in x_params.items()},
         y_params={k: Fraction(v) for k, v in y_params.items()},
-        x_signs=x_signs,
-        y_signs=y_signs,
     )
     return labeling, sampler
 
@@ -200,23 +200,13 @@ def grid_construction(
         red_components=tuple(tuple(c) for c in red_comps),
         blue_components=tuple(tuple(c) for c in blue_comps),
     )
-    labeling: Labeling = {}
-    for u, v in g.sorted_edges():
-        di = coords[u][0] - coords[v][0]
-        dj = coords[u][1] - coords[v][1]
-        if (u, v) in coloring.red:
-            assert di == 0 and dj != 0
-        else:
-            assert dj == 0 and di != 0
-        labeling[(u, v)] = Fraction(di * di + dj * dj)
-
     c, s = circle_functions()
     raw = [(_const(i) + _const(j) * c, _const(j) * s) for i, j in coords]
     base, tip = _horizontal_pin(coloring, coords)
     bx, by = raw[base]
     shifted = tuple((x - bx, y - by) for x, y in raw)
     motion = ParametrizedMotion(g, (base, tip), shifted)
-    return embedding, labeling, motion
+    return embedding, motion.induced_labeling(), motion
 
 
 def _horizontal_pin(coloring: NacColoring, coords) -> tuple[int, int]:
@@ -299,53 +289,32 @@ def two_nac_solution_space(
 
     Vertex 0 is pinned to the origin; every edge contributes two equations
     forcing its endpoint difference parallel to the direction its color pair
-    selects.  Solved exactly over Q; each basis vector is returned as a full
-    tuple of vertex triples (vertex 0 = origin included).
+    selects, one per vector of _NORMALS.  Solved exactly over Q; each basis
+    vector is returned as a full tuple of vertex triples (vertex 0 = origin
+    included).
     """
     for coloring in (first, second):
         if coloring.graph != g:
             raise ValueError("coloring belongs to a different graph")
         if not is_nac(g, coloring):
             raise ConstructionInapplicable("a supplied coloring is not a NAC-coloring")
+    # the unknowns are the coordinates of vertices 1..n-1, three each
     nvar = 3 * (g.n - 1)
-
-    def var(v: int, k: int) -> int:
-        return 3 * (v - 1) + k
-
     rows: list[list[Fraction]] = []
-
-    def add_row(entries: Iterable[tuple[int, int]]):
-        row = [Fraction(0)] * nvar
-        for idx, coeff in entries:
-            if idx >= 0:
-                row[idx] += coeff
-        rows.append(row)
-
     for u, v in g.sorted_edges():
-        pair = (first.color(u, v), second.color(u, v))
-        klass = _PAIR_INDEX[pair]
-        iu = [var(u, k) if u else -1 for k in range(3)]
-        iv = [var(v, k) if v else -1 for k in range(3)]
-        if klass == 0:  # parallel (1,0,0): y and z differences vanish
-            add_row([(iu[1], 1), (iv[1], -1)])
-            add_row([(iu[2], 1), (iv[2], -1)])
-        elif klass == 1:
-            add_row([(iu[0], 1), (iv[0], -1)])
-            add_row([(iu[2], 1), (iv[2], -1)])
-        elif klass == 2:
-            add_row([(iu[0], 1), (iv[0], -1)])
-            add_row([(iu[1], 1), (iv[1], -1)])
-        else:  # parallel (-1,-1,-1): x-y and x-z differences vanish
-            add_row([(iu[0], 1), (iv[0], -1), (iu[1], -1), (iv[1], 1)])
-            add_row([(iu[0], 1), (iv[0], -1), (iu[2], -1), (iv[2], 1)])
-    basis = _nullspace(rows, nvar)
-    out = []
-    for vec in basis:
-        points: list[Triple] = [(Fraction(0), Fraction(0), Fraction(0))]
-        for v in range(1, g.n):
-            points.append((vec[var(v, 0)], vec[var(v, 1)], vec[var(v, 2)]))
-        out.append(tuple(points))
-    return out
+        for normal in _NORMALS[_PAIR_INDEX[first.color(u, v), second.color(u, v)]]:
+            row = [Fraction(0)] * nvar
+            for w, sign in ((u, 1), (v, -1)):
+                if w:  # vertex 0 is pinned to the origin
+                    for k, c in enumerate(normal):
+                        if c:
+                            row[3 * (w - 1) + k] += sign * c
+            rows.append(row)
+    origin: Triple = (Fraction(0), Fraction(0), Fraction(0))
+    return [
+        (origin, *(tuple(vec[3 * (v - 1) : 3 * v]) for v in range(1, g.n)))
+        for vec in _nullspace(rows, nvar)
+    ]
 
 
 def _nullspace(rows: list[list[Fraction]], nvar: int) -> list[list[Fraction]]:
@@ -420,11 +389,10 @@ def two_nac_embedding(
                 for k in range(3):
                     acc[k] += coeff * vec[v][k]
             points.append(tuple(acc))
-        if len(set(points)) == g.n:
-            try:
-                return EmbeddingR3(g, tuple(points))
-            except ValueError:
-                continue
+        try:
+            return EmbeddingR3(g, tuple(points))
+        except ValueError:
+            continue
     raise ConstructionInapplicable(
         "no injective generic point found (solution space too degenerate)"
     )
@@ -574,9 +542,7 @@ def s5_graph_motion_labels() -> Graph:
     return Graph.of(8, S5_EDGES_MOTION_LABELS)
 
 
-def s5_motion(
-    a: Fraction, *, denylist: Iterable[Fraction] = ()
-) -> tuple[Labeling, ParametrizedMotion]:
+def s5_motion(a: Fraction) -> tuple[Labeling, ParametrizedMotion]:
     """Closed-form proper flexible labeling of S5 with shape parameter a > 1.
 
     Triangles (0,1,2) and (0,3,4) stay collinear, quadrilaterals (0,3,5,1)
@@ -587,8 +553,6 @@ def s5_motion(
     a = Fraction(a)
     if a <= 1:
         raise ConstructionInapplicable("the shape parameter must exceed 1")
-    if a in {Fraction(x) for x in denylist}:
-        raise ConstructionInapplicable(f"parameter {a} is denylisted as degenerate")
     g = s5_graph_motion_labels()
     c, s = circle_functions()
     zero = RationalFunction.of(Poly.of([]))

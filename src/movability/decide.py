@@ -39,12 +39,7 @@ from .graphs import (
     parse_graph6,
     reduce_degree_two,
 )
-from .motion import (
-    Labeling,
-    ParametrizedMotion,
-    verify_compatibility,
-    verify_injectivity,
-)
+from .motion import Labeling, ParametrizedMotion, verify_injectivity
 from .nac import (
     EnumerationCapExceeded,
     DEFAULT_ENUMERATION_CAP,
@@ -87,7 +82,7 @@ class MovabilityCertificate:
         if any(v <= 0 for v in self.labeling.values()):
             return False
         if self.motion is not None:
-            induced = verify_compatibility(self.motion)
+            induced = self.motion.induced_labeling()
             restricted = {e: induced[e] for e in self.labeling}
             if restricted != dict(self.labeling):
                 return False
@@ -132,13 +127,10 @@ def _verify_dixon_samples(g: Graph, labeling: Labeling, sampler: DixonSampler) -
                 return False  # same axis: not bipartite data
             if au[1] + av[1] != lam:
                 return False
-        # injectivity of the sample realization
-        seen = set()
-        for v, (axis, sq, sign) in coords.items():
-            key = (axis, sq, sign if sq != 0 else 1)
-            if key in seen:
-                return False
-            seen.add(key)
+        # injectivity of the sample realization: every coordinate is the
+        # nonnegative root, so distinct vertices need distinct (axis, square)
+        if len(set(coords.values())) != len(coords):
+            return False
     return True
 
 

@@ -339,31 +339,20 @@ def gaussian_integer_divisors(z: tuple[int, int]) -> list[tuple[int, int]]:
         raise ValueError("zero has no divisor list")
     primes: list[tuple[tuple[int, int], int]] = []
     rest = z
-    for p, _ in sorted(_prime_factors(_gi_norm(z)).items()):
+    for p in sorted(_prime_factors(_gi_norm(z))):
         if p % 4 == 3:
+            candidates = [(p, 0)]
+        else:
+            pi = _split_prime(p)
+            # 1+i and 1-i are associates
+            candidates = [pi] if p == 2 else [pi, (pi[0], -pi[1])]
+        for prime in candidates:
             count = 0
-            while True:
-                q = _gi_divide(rest, (p, 0))
-                if q is None:
-                    break
+            while (q := _gi_divide(rest, prime)) is not None:
                 rest = q
                 count += 1
             if count:
-                primes.append(((p, 0), count))
-        else:
-            pi = _split_prime(p)
-            for prime in (pi, (pi[0], -pi[1])):
-                count = 0
-                while True:
-                    q = _gi_divide(rest, prime)
-                    if q is None:
-                        break
-                    rest = q
-                    count += 1
-                if count:
-                    primes.append((prime, count))
-                if p == 2:
-                    break  # 1+i and 1-i are associates
+                primes.append((prime, count))
     divisors: list[tuple[int, int]] = [(1, 0)]
     for prime, count in primes:
         grown = []

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import DIRECTIONS, direction_class, grid_construction
+from .constructions import grid_construction
 from .graphs import Edge, Graph
 from .motion import Labeling
 from .nac import NacColoring
@@ -31,12 +31,14 @@ class GlueError(ValueError):
 
 
 # a cross pair must separate by more than SEPARATION at some sample, and
-# the pieces must share at least MIN_SAMPLES corresponding samples; pieces
-# glue with residual and overlap tolerance GLUE_TOL, and a glued labeling is
-# tracked with step size TRACK_STEP_SIZE and corrector tolerance TRACK_TOL
+# the pieces must share at least MIN_SAMPLES corresponding samples; a piece
+# is tracked with step size PIECE_STEP_SIZE; pieces glue with residual and
+# overlap tolerance GLUE_TOL, and a glued labeling is tracked with step size
+# TRACK_STEP_SIZE and corrector tolerance TRACK_TOL
 GLUE_TOL = 1e-7
 SEPARATION = 1e-4
 MIN_SAMPLES = 20
+PIECE_STEP_SIZE = 0.02
 TRACK_STEP_SIZE = 0.03
 TRACK_TOL = 1e-10
 
@@ -187,14 +189,13 @@ def _to_frame(points: dict[int, tuple[float, float]], base: int, tip: int):
     return {v: (float(arr[idx[v]][0]), float(arr[idx[v]][1])) for v in keys}
 
 
-def _squared_distance(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> Fraction:
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-
-
 def _labeling_from_points(
     points: dict[int, tuple[Fraction, Fraction]], edges
 ) -> Labeling:
-    return {e: _squared_distance(points[e[0]], points[e[1]]) for e in edges}
+    return {
+        (u, v): (points[u][0] - points[v][0]) ** 2 + (points[u][1] - points[v][1]) ** 2
+        for u, v in edges
+    }
 
 
 def _tracked_piece(
@@ -204,7 +205,6 @@ def _tracked_piece(
     fixed: tuple[int, int],
     *,
     steps: int,
-    step_size: float,
 ) -> GluePiece:
     """The subgraph induced on `vertices`, labeled by the squared distances
     of its exact start and tracked from there; samples keep the labels of g."""
@@ -221,7 +221,7 @@ def _tracked_piece(
         start_arr,
         (local[fixed[0]], local[fixed[1]]),
         steps=steps,
-        step_size=step_size,
+        step_size=PIECE_STEP_SIZE,
         tol=1e-12,
     )
     samples = [
@@ -307,7 +307,7 @@ def s1_graph() -> Graph:
     return Graph.of(8, S1_EDGES)
 
 
-def glued_s1(*, samples: int = 60, step_size: float = 0.02) -> GluedConstruction:
+def glued_s1(*, samples: int = 60) -> GluedConstruction:
     """S1 = prism on {0..5} glued to K33 on {2..7} over the rhombus (2,3,4,5).
 
     The prism part carries the exact grid motion whose shared quadrilateral
@@ -331,9 +331,7 @@ def glued_s1(*, samples: int = 60, step_size: float = 0.02) -> GluedConstruction
         5: (Fraction(3, 5), Fraction(0)),
         7: (Fraction(6, 5), Fraction(0)),
     }
-    k_piece = _tracked_piece(
-        g, start_points, (2, 3, 4, 5, 6, 7), (4, 5), steps=samples - 1, step_size=step_size
-    )
+    k_piece = _tracked_piece(g, start_points, (2, 3, 4, 5, 6, 7), (4, 5), steps=samples - 1)
 
     # grid side evaluated at the hinge parameter of each tracked sample and
     # moved into the common frame (vertex 4 at the origin, 5 on +x)
@@ -381,34 +379,23 @@ def _embedded_glue(
     watched_pair: tuple[int, int],
     *,
     samples: int,
-    step_size: float,
 ) -> GluedConstruction:
     """Common driver: track the K33 piece, rebuild the embedded piece from
-    its quadrilateral frame sample by sample, then glue."""
+    its quadrilateral frame sample by sample, then glue.  The embedded piece
+    is labeled by its exact start p(c0) + w1 f1 + w2 f2 + w3 f3, the frame
+    taken from the K33 start."""
     emb_vertices = tuple(range(7))
     emb_edges = frozenset(e for e in g.edges if e[0] < 7 and e[1] < 7)
     c0, c1, c2, c3 = frame_cycle
-    # squared lengths of the frame vectors f1, f2, f3 and of their sum
-    norms = [
-        _squared_distance(start_points[a], start_points[b])
-        for a, b in ((c0, c1), (c1, c2), (c2, c3), (c0, c3))
-    ]
+    corners = [start_points[c] for c in frame_cycle]
+    frame = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(corners, corners[1:])]
+    emb_start = {
+        v: tuple(corners[0][i] + sum(w * f[i] for w, f in zip(omega[v], frame)) for i in range(2))
+        for v in emb_vertices
+    }
+    emb_lab = _labeling_from_points(emb_start, emb_edges)
 
-    emb_lab: Labeling = {}
-    for u, v in emb_edges:
-        d = tuple(omega[u][k] - omega[v][k] for k in range(3))
-        try:
-            klass = direction_class(d)
-        except ValueError:
-            raise GlueError(f"embedding direction {d} of edge ({u},{v}) unusable") from None
-        # d = c * DIRECTIONS[klass]: the edge moves as c times the frame
-        # vector of squared length norms[klass]
-        c = sum(d) / sum(DIRECTIONS[klass])
-        emb_lab[(u, v)] = c**2 * norms[klass]
-
-    k_piece = _tracked_piece(
-        g, start_points, k_vertices, (c0, c1), steps=samples - 1, step_size=step_size
-    )
+    k_piece = _tracked_piece(g, start_points, k_vertices, (c0, c1), steps=samples - 1)
     emb_samples = []
     for pos in k_piece.samples:
         base = np.array(pos[c0])
@@ -426,7 +413,7 @@ def _embedded_glue(
     return _glue(g, piece1, k_piece, watched_pair=watched_pair)
 
 
-def glued_s2(*, samples: int = 60, step_size: float = 0.02) -> GluedConstruction:
+def glued_s2(*, samples: int = 60) -> GluedConstruction:
     """S2: the seven-vertex embedded piece rides on the K33 over {0,1,2,3,4,7},
     whose start has the two classes on concentric orthogonal rectangles; the
     shared quadrilateral (0,1,2,4) stays a parallelogram along the motion."""
@@ -455,11 +442,10 @@ def glued_s2(*, samples: int = 60, step_size: float = 0.02) -> GluedConstruction
         (0, 1, 2, 3),
         (5, 7),
         samples=samples,
-        step_size=step_size,
     )
 
 
-def glued_s3(*, samples: int = 60, step_size: float = 0.02) -> GluedConstruction:
+def glued_s3(*, samples: int = 60) -> GluedConstruction:
     """S3: same pattern as S2 with the K33 on {0,2,3,4,5,7} and the frame
     quadrilateral (0,3,2,4)."""
     omega: dict[int, Triple] = {
@@ -487,7 +473,6 @@ def glued_s3(*, samples: int = 60, step_size: float = 0.02) -> GluedConstruction
         (0, 3, 2, 4),
         (1, 7),
         samples=samples,
-        step_size=step_size,
     )
 
 
@@ -522,7 +507,7 @@ def extended_s4() -> GluedConstruction:
     # the axes configuration itself is infinitesimally too flexible to seed
     # the tracker; walk the bipartite part to a generic nearby sample and
     # carry the clique rigidly on the (3,4) frame
-    nudge = _tracked_piece(g, points, tuple(range(6)), (3, 4), steps=12, step_size=0.02)
+    nudge = _tracked_piece(g, points, tuple(range(6)), (3, 4), steps=12)
     generic = np.array([nudge.samples[-1][v] for v in range(6)])
     old_a, old_b = np.array([float(c) for c in points[3]]), np.array(
         [float(c) for c in points[4]]

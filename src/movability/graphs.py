@@ -199,10 +199,11 @@ def reduce_degree_two(g: Graph) -> tuple[Graph, list[int]]:
 # Short form only: header byte 63+n (n <= 62), then the upper triangle of the
 # adjacency matrix read column by column -- pairs (0,1),(0,2),(1,2),(0,3),...
 # -- packed big-endian into 6-bit groups, zero padded, each group offset by 63.
+GRAPH6_MAX_N = 62
 
 
 def encode_graph6(g: Graph) -> str:
-    if g.n > 62:
+    if g.n > GRAPH6_MAX_N:
         raise Graph6Error("short-form graph6 supports at most 62 vertices")
     bits = []
     for v in range(1, g.n):
@@ -266,4 +267,7 @@ def graph_to_json(g: Graph) -> str:
 
 def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
-    return Graph.of(int(data["n"]), data["edges"])
+    n = int(data["n"])
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"a JSON graph has at most {GRAPH6_MAX_N} vertices, got {n}")
+    return Graph.of(n, data["edges"])

@@ -138,18 +138,8 @@ def w_function(
 def z_function(
     m: ParametrizedMotion, u: int, v: int, *, allow_non_edge: bool = False
 ) -> RationalFunction:
-    if u == v:
-        raise ValueError("Z needs two distinct vertices")
-    if not allow_non_edge and edge(u, v) not in m.graph.edges:
-        raise ValueError(f"({u},{v}) is not an edge; pass allow_non_edge to override")
-    dx = m.x(v) - m.x(u)
-    dy = m.y(v) - m.y(u)
-    return dx - RationalFunction.const(GR_I) * dy
-
-
-def verify_compatibility(m: ParametrizedMotion) -> Labeling:
-    """The labeling the motion is compatible with (squared lengths)."""
-    return m.induced_labeling()
+    """Z_{u,v} = (x_v - x_u) - i (y_v - y_u), W_{u,v} with conjugated coefficients."""
+    return w_function(m, u, v, allow_non_edge=allow_non_edge).conjugate_coeffs()
 
 
 @dataclass(frozen=True)
@@ -417,6 +407,8 @@ def labeling_from_json(text: str) -> Labeling:
         raise ValueError(f"{len(edges)} edges but {len(values)} squared lengths")
     out: Labeling = {}
     for (u, v), s in zip(edges, values):
+        if not (type(u) is int and type(v) is int and min(u, v) >= 0):
+            raise ValueError(f"edge ({u},{v}) needs two nonnegative integer vertices")
         val = Fraction(s)
         if val <= 0:
             raise ValueError(f"edge ({u},{v}) has non-positive squared length")

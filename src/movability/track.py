@@ -4,7 +4,8 @@ Tangent prediction comes from the kernel of the pinned Jacobian, correction
 is Gauss-Newton with step halving; every accepted sample is re-verified
 against the constraints and scored for injectivity (minimum pairwise vertex
 distance).  This is the certification lane for motions with no rational
-parametrization, so thresholds are arguments, not constants.
+parametrization.  Step count, step size and corrector tolerance are
+arguments; START_TOL and RANK_TOL, which no caller varies, are constants.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ import numpy as np
 
 from .graphs import Edge, edge
 from .motion import Labeling
+
+# largest constraint residual a start may have before it is polished
+START_TOL = 1e-6
+# singular values below RANK_TOL times the largest count as zero
+RANK_TOL = 1e-8
 
 
 class TrackerError(RuntimeError):
@@ -139,30 +145,36 @@ def track_motion(
     steps: int = 200,
     step_size: float = 0.05,
     tol: float = 1e-10,
-    start_tol: float = 1e-6,
-    rank_tol: float = 1e-8,
     watched_pair: tuple[int, int] | None = None,
 ) -> TrackedPath:
     """Predictor-corrector path from a realization satisfying the labeling.
 
-    Preconditions: the start satisfies every edge constraint within
-    start_tol (it is then polished down to tol) and the rigidity matrix has
-    rank below 2n-3 so a flex direction exists.  Each accepted sample has
+    Preconditions: the start is a finite array with one (x, y) row per
+    vertex, it satisfies every edge constraint within START_TOL (it is then
+    polished down to tol), and the rigidity matrix has rank below 2n-3 so a
+    flex direction exists.  Each accepted sample has
     residual below tol; a sample whose minimum pairwise distance shrinks is
     visible to the caller through min_pair_distance (flagged, not fatal).
     """
     p = np.asarray(start, dtype=float)
-    n = p.shape[0]
     edges = _edge_list(labeling)
     if edge(*fixed_edge) not in set(edges):
         raise TrackerError(f"fixed pair {fixed_edge} is not an edge of the labeling")
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise TrackerError(f"start must have one (x, y) row per vertex, got shape {p.shape}")
+    top = max(max(e) for e in edges)
+    if p.shape[0] <= top:
+        raise TrackerError(f"start has {p.shape[0]} rows but the labeling has vertex {top}")
+    if not np.isfinite(p).all():
+        raise TrackerError("start holds a non-finite coordinate")
+    n = p.shape[0]
     lam_sq = np.array([float(labeling[e]) for e in edges])
     p = normalize_start(p, fixed_edge)
     pins = [(fixed_edge[0], 0, 0.0), (fixed_edge[0], 1, 0.0), (fixed_edge[1], 1, 0.0)]
     raw = np.max(np.abs(_residuals(p, edges, lam_sq, pins)))
-    if raw > start_tol:
+    if raw > START_TOL:
         raise TrackerError(
-            f"start realization does not satisfy the labeling: residual {raw:.2e} > {start_tol:.0e}"
+            f"start realization does not satisfy the labeling: residual {raw:.2e} > {START_TOL:.0e}"
         )
 
     def correct(q: np.ndarray, max_iter: int = 30) -> np.ndarray | None:
@@ -182,7 +194,7 @@ def track_motion(
         raise TrackerError("start realization does not satisfy the labeling within tol")
     p = polished
 
-    if rigidity_rank(p, edges, rank_tol) >= 2 * n - 3:
+    if rigidity_rank(p, edges, RANK_TOL) >= 2 * n - 3:
         raise TrackerError(
             "rigidity matrix has full rank 2n-3 at the start: no flex direction"
         )
@@ -209,7 +221,7 @@ def track_motion(
 
     samples = [record(0, p)]
     J = _jacobian(p, edges, pins, n)
-    kdim, tangent = _kernel_dimension(J, rank_tol)
+    kdim, tangent = _kernel_dimension(J, RANK_TOL)
     if kdim < 1:
         raise TrackerError("pinned system has no tangent direction at the start")
     if kdim > 1:
@@ -229,7 +241,7 @@ def track_motion(
         if accepted is None:
             raise TrackerError(f"corrector diverged at step {step}")
         J = _jacobian(accepted, edges, pins, n)
-        kdim, new_tangent = _kernel_dimension(J, rank_tol)
+        kdim, new_tangent = _kernel_dimension(J, RANK_TOL)
         if kdim != 1:
             raise TrackerError(
                 f"rank jump at step {step}: tangent space dimension {kdim}"

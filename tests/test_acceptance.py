@@ -47,7 +47,6 @@ from movability.motion import (
     all_valuation_tables,
     refix_edge,
     valuation_table,
-    verify_compatibility,
     verify_injectivity,
     w_function,
     z_function,
@@ -213,7 +212,7 @@ def test_criterion_4_q1_embedding():
     assert scale not in (None, 0)
     embedding = two_nac_embedding(g, first, second, seed=0)
     motion = motion_from_embedding(embedding, deltoid_motion())
-    verify_compatibility(motion)  # raises unless every edge length is constant
+    motion.induced_labeling()  # the motion type rejects a non-constant edge length
     report = verify_injectivity(motion)
     assert report.proper
     assert (0, 1, 6) in report.collinear_triples
@@ -320,7 +319,7 @@ def _bundled_motions():
 
 def test_criterion_7d_wz_and_cycle_sums():
     for name, m in _bundled_motions().items():
-        lab = verify_compatibility(m)
+        lab = m.induced_labeling()
         for u, v in m.graph.sorted_edges():
             w = w_function(m, u, v)
             z = z_function(m, u, v)
@@ -340,14 +339,14 @@ def test_criterion_7e_refix_invariance():
     motions = _bundled_motions()
     for name in ("deltoid", "q1"):
         m = motions[name]
-        lab = verify_compatibility(m)
+        lab = m.induced_labeling()
         active = {c.red for c in active_nac_colorings(m).colorings}
         for e in sorted(m.graph.edges):
             try:
                 refixed = refix_edge(m, *e)
             except Exception:
                 raise AssertionError(f"refix to {e} failed on {name}")
-            assert verify_compatibility(refixed) == lab
+            assert refixed.induced_labeling() == lab
             assert {c.red for c in active_nac_colorings(refixed).colorings} == active
     _ok("7e refix preserves labeling and active set (deltoid, Q1)")
 

@@ -364,6 +364,15 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,9"],
         ["motion", "track", "--labeling", "lab.json", "--start", "words.json", "--fixed", "0,1"],
         ["motion", "track", "--labeling", "lab.json", "--start", "far.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "lab.json", "--start", "nan.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "lab.json", "--start", "inf.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "lab.json", "--start", "columns.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "lab.json", "--start", "rows.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "lab.json", "--start", "flat.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "zero-den.json", "--start", "start.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "negative-vertex.json", "--start", "start.json", "--fixed", "0,1"],
+        ["motion", "verify", "coeff-zero-den.json"],
+        ["motion", "refix", "poly-zero-den.json", "--edge", "1,2"],
         ["motion", "refix", "motion.json", "--edge", "0"],
         ["motion", "refix", "motion.json", "--edge", "0,2"],
         ["construct", "s5", "--a", "x", "--out", "out"],
@@ -375,12 +384,18 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["construct", "grid", "CB", "--out", "out"],
         ["construct", "two-nac", "CB", "--out", "out"],
         ["census", "--graphs", "k38.g6", "--max-n", "11"],
+        ["census", "--graphs", "k38.g6", "--max-n", "5", "--catalog", "missing"],
+        ["census", "--graphs", "k38.g6", "--max-n", "5", "--catalog", "empty"],
+        ["nac", "enum", json.dumps({"n": 63, "edges": [[v, v + 1] for v in range(62)]})],
         ["gen", "--max-n", "11"],
     ],
     ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
-         "start-words", "start-off-labeling", "refix-0", "refix-non-edge", "s5-a-x",
+         "start-words", "start-off-labeling", "start-nan", "start-infinity", "start-three-columns",
+         "start-two-rows", "start-flat", "lambda-zero-denominator", "lambda-negative-vertex",
+         "motion-zero-denominator", "motion-zero-polynomial", "refix-0", "refix-non-edge", "s5-a-x",
          "dixon-x-abc", "nac-enum-disconnected", "cdc-disconnected", "classify-disconnected",
          "classify-one-vertex", "grid-disconnected", "two-nac-disconnected", "census-max-n-11",
+         "census-catalog-missing", "census-catalog-empty", "json-graph-63-vertices",
          "gen-max-n-11"],
 )
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
@@ -389,6 +404,10 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
 
     motion = deltoid_motion().motion
     lab = json.loads(labeling_to_json(motion.induced_labeling()))
+    start = motion.realize_float(1.0)
+    coeff_zero_den, poly_zero_den = (json.loads(motion_to_json(motion)) for _ in range(2))
+    coeff_zero_den["vertices"]["2"]["x"]["num"][0][0] = "1/0"
+    poly_zero_den["vertices"]["2"]["x"]["den"] = [["0/1", "0/1"]]
     files = {
         "lab.json": lab,
         "negative.json": {"edges": lab["edges"], "lambda_sq": ["-1"] + lab["lambda_sq"][1:]},
@@ -400,11 +419,24 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         "start.json": motion.realize_float(1.0),
         "words.json": [["a", "b"]] * len(motion.realize_float(1.0)),
         "far.json": [[3 * x, 3 * y] for x, y in motion.realize_float(1.0)],
+        "nan.json": [[float("nan"), 0.0]] + start[1:],
+        "inf.json": [[float("inf"), 0.0]] + start[1:],
+        "columns.json": [[x, y, 0.0] for x, y in start],
+        "rows.json": start[:2],
+        "flat.json": [0, 1, 2],
+        "zero-den.json": {"edges": lab["edges"], "lambda_sq": ["1", "1/0"] + lab["lambda_sq"][2:]},
+        "negative-vertex.json": {
+            "edges": [[-1, 0] if e == [0, 3] else e for e in lab["edges"]],
+            "lambda_sq": lab["lambda_sq"],
+        },
+        "coeff-zero-den.json": coeff_zero_den,
+        "poly-zero-den.json": poly_zero_den,
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
     (tmp_path / "motion.json").write_text(motion_to_json(motion))
     (tmp_path / "k38.g6").write_text("JFzfFB_wF??\n")  # K_{3,8}: its closure is kept
+    (tmp_path / "empty").mkdir()
     monkeypatch.chdir(tmp_path)
     code, _, err = run(argv, capsys)
     assert code == 2

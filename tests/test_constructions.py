@@ -4,11 +4,14 @@ import pytest
 
 from movability.catalog import catalog_graph, graph_with_unicolor_path, q1_embedding_example
 from movability.constructions import (
+    DIRECTIONS,
+    _NORMALS,
     ConstructionInapplicable,
     EmbeddingR3,
     deltoid_motion,
     dixon_one,
     grid_construction,
+    grid_search,
     motion_from_embedding,
     s5_graph_motion_labels,
     s5_motion,
@@ -21,7 +24,6 @@ from movability.graphs import Graph
 from movability.motion import (
     active_nac_colorings,
     candidate_places,
-    verify_compatibility,
     verify_injectivity,
 )
 from movability.nac import NacColoring, enumerate_nac, is_nac
@@ -47,9 +49,9 @@ def test_dixon_sampler_at_zero():
     lab, sampler = dixon_one(K33, x, y)
     coords = sampler.squared_coords(Fraction(0))
     for u in range(3):
-        assert coords[u] == ("x", x[u] ** 2, 1)
+        assert coords[u] == ("x", x[u] ** 2)
     for v in range(3, 6):
-        assert coords[v] == ("y", y[v] ** 2, 1)
+        assert coords[v] == ("y", y[v] ** 2)
     # compatibility identity at several parameters, exactly
     for t in (Fraction(1, 3), Fraction(-3, 2), Fraction(9, 5)):
         c = sampler.squared_coords(t)
@@ -83,7 +85,7 @@ def test_grid_on_l1_with_the_prism_coloring():
     assert len(embedding.blue_components) == 2
     assert all(len(c) == 3 for c in embedding.blue_components)
     assert verify_injectivity(motion).proper
-    assert verify_compatibility(motion) == lab
+    assert motion.induced_labeling() == lab
 
 
 def test_grid_succeeds_on_all_l_graphs():
@@ -96,10 +98,23 @@ def test_grid_succeeds_on_all_l_graphs():
             except ConstructionInapplicable:
                 continue
             assert verify_injectivity(motion).proper
-            assert verify_compatibility(motion) == lab
+            assert motion.induced_labeling() == lab
             done = True
             break
         assert done, f"no grid coloring for {name}"
+
+
+def test_grid_labeling_matches_the_grid_formula():
+    # oracle: a red edge stays in its red component (same i), a blue edge in
+    # its blue component (same j), so its squared length is di^2 + dj^2
+    for name in ("L1", "L2", "L3", "L4", "L5", "L6"):
+        g = catalog_graph(name)
+        coloring, embedding, lab, _ = grid_search(g, enumerate_nac(g, non_conjugated=True))
+        for u, v in g.sorted_edges():
+            (iu, ju), (iv, jv) = embedding.coords[u], embedding.coords[v]
+            red = (u, v) in coloring.red
+            assert (iu == iv, ju == jv) == (red, not red)
+            assert lab[(u, v)] == (iu - iv) ** 2 + (ju - jv) ** 2
 
 
 def test_grid_edge_direction_invariants():
@@ -217,6 +232,24 @@ def test_parallel_edges_share_color_pairs(q1_pair):
         assert len(pairs) == 1
 
 
+def test_normals_span_the_plane_orthogonal_to_each_direction():
+    for direction, (a, b) in zip(DIRECTIONS, _NORMALS):
+        assert sum(x * y for x, y in zip(a, direction)) == 0
+        assert sum(x * y for x, y in zip(b, direction)) == 0
+        cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+        assert cross != (0, 0, 0)  # rank 2
+
+
+def test_direction_class_agrees_with_normals_on_q1(q1_pair):
+    g, first, second = q1_pair
+    emb = two_nac_embedding(g, first, second, seed=0)
+    for u, v in g.sorted_edges():
+        d = [p - q for p, q in zip(emb.points[u], emb.points[v])]
+        for k, normals in enumerate(_NORMALS):
+            orthogonal = all(sum(x * y for x, y in zip(n, d)) == 0 for n in normals)
+            assert orthogonal == (k == emb.direction_class(u, v))
+
+
 def test_embedding_validation():
     g = Graph.of(2, [(0, 1)])
     with pytest.raises(ValueError):
@@ -271,7 +304,7 @@ def test_s5_sample_positions():
 def test_s5_compatibility_and_injectivity():
     for a in (Fraction(2), Fraction(3, 2), Fraction(7, 3)):
         lab, motion = s5_motion(a)
-        assert verify_compatibility(motion) == lab  # every edge constant
+        assert motion.induced_labeling() == lab  # every edge constant
         report = verify_injectivity(motion)
         assert report.proper
         assert (0, 1, 2) in report.collinear_triples
@@ -283,8 +316,6 @@ def test_s5_parameter_validation():
         s5_motion(Fraction(1))
     with pytest.raises(ConstructionInapplicable):
         s5_motion(Fraction(1, 2))
-    with pytest.raises(ConstructionInapplicable):
-        s5_motion(Fraction(2), denylist=[Fraction(2)])
 
 
 def test_s5_graph_matches_catalog():

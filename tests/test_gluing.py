@@ -63,6 +63,38 @@ def test_s2_s3_glue_and_track():
         assert path.watched_variation > 1e-4
 
 
+def test_embedded_piece_labeling_matches_direction_classes(monkeypatch):
+    # the S2/S3 embedded piece is labeled by its exact start; the oracle is
+    # the direction-class formula: an edge with omega difference
+    # d = c * DIRECTIONS[k] moves as c times frame vector k
+    from movability import gluing
+    from movability.constructions import DIRECTIONS, direction_class
+
+    calls = []
+    original = gluing._embedded_glue
+
+    def spy(g, k_vertices, start_points, omega, frame_cycle, *args, **kwargs):
+        calls.append((start_points, omega, frame_cycle))
+        return original(g, k_vertices, start_points, omega, frame_cycle, *args, **kwargs)
+
+    monkeypatch.setattr(gluing, "_embedded_glue", spy)
+    for recipe in (glued_s2, glued_s3):
+        labeling = recipe(samples=20).labeling
+        start_points, omega, (c0, c1, c2, c3) = calls.pop()
+
+        def sq(a, b):
+            (xa, ya), (xb, yb) = start_points[a], start_points[b]
+            return (xa - xb) ** 2 + (ya - yb) ** 2
+
+        norms = [sq(c0, c1), sq(c1, c2), sq(c2, c3), sq(c0, c3)]
+        emb_edges = [(u, v) for u, v in labeling if u in omega and v in omega]
+        assert len(emb_edges) >= 7
+        for u, v in emb_edges:
+            d = tuple(a - b for a, b in zip(omega[u], omega[v]))
+            k = direction_class(d)
+            assert labeling[(u, v)] == (sum(d) / sum(DIRECTIONS[k])) ** 2 * norms[k]
+
+
 def test_s4_extension_tracks():
     construction = extended_s4()
     assert are_isomorphic(construction.graph, catalog_graph("S4"))

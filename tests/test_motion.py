@@ -17,7 +17,6 @@ from movability.motion import (
     motion_to_json,
     refix_edge,
     valuation_table,
-    verify_compatibility,
     verify_injectivity,
     w_function,
     z_function,
@@ -58,7 +57,7 @@ def test_deltoid_w_functions_match_closed_forms(deltoid):
 
 
 def test_w_antisymmetry_and_wz_identity(deltoid):
-    lab = verify_compatibility(deltoid)
+    lab = deltoid.induced_labeling()
     for u, v in deltoid.graph.sorted_edges():
         w = w_function(deltoid, u, v)
         assert (w + w_function(deltoid, v, u)).is_zero()
@@ -149,7 +148,7 @@ def test_active_set_of_constant_motion_is_empty():
 
 
 def test_verify_compatibility_values(deltoid):
-    lab = verify_compatibility(deltoid)
+    lab = deltoid.induced_labeling()
     assert lab == {
         (0, 1): Fraction(1),
         (1, 2): Fraction(9),
@@ -184,11 +183,11 @@ def test_refix_identity_and_to_far_edge(deltoid):
 
 
 def test_refix_preserves_labeling_and_active_set(deltoid):
-    before_lab = verify_compatibility(deltoid)
+    before_lab = deltoid.induced_labeling()
     before_active = {c.red for c in active_nac_colorings(deltoid).colorings}
     for e in [(1, 2), (2, 3), (0, 3)]:
         refixed = refix_edge(deltoid, *e)
-        assert verify_compatibility(refixed) == before_lab
+        assert refixed.induced_labeling() == before_lab
         assert {c.red for c in active_nac_colorings(refixed).colorings} == before_active
 
 
@@ -201,7 +200,7 @@ def test_motion_json_round_trip(deltoid):
 
 
 def test_labeling_json_round_trip(deltoid):
-    lab = verify_compatibility(deltoid)
+    lab = deltoid.induced_labeling()
     assert labeling_from_json(labeling_to_json(lab)) == lab
     with pytest.raises(ValueError):
         labeling_from_json('{"edges": [[0,1]], "lambda_sq": ["-1/2"]}')

@@ -79,6 +79,13 @@ def cases() -> list[tuple[str, list[list[str]]]]:
         ("census-6", [["gen", "--max-n", "6", "--out", "graphs.g6"],
                       ["census", "--graphs", "graphs.g6", "--max-n", "6", "--out", "report.json"]]),
     ]
+    queries = [["motion", "verify", "out/motion.json"],
+               ["motion", "valuations", "out/motion.json"],
+               ["motion", "active-nac", "out/motion.json", "--format", "json"]]
+    for name, construct in (("grid", ["grid", "ElNG"]),
+                            ("two-nac", ["two-nac", "FLr@w", "--seed", "0"]),
+                            ("s5", ["s5", "--a", "2"])):
+        out.append((f"motion-{name}", [["construct", *construct, "--out", "out/"], *queries]))
     return out
 
 
