@@ -265,9 +265,23 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [list(e) for e in g.sorted_edges()]})
 
 
+def graph_of_json(n, edges) -> Graph:
+    """Graph.of for a vertex count and edge list read from JSON.
+
+    JSON may put a float, a bool or a string where a vertex is meant; the
+    count and every endpoint must be ints, or this raises ValueError.
+    """
+    if type(n) is not int:
+        raise ValueError(f"the vertex count {n!r} is not an integer")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+            raise ValueError(f"edge {e!r} needs two integer vertices")
+    return Graph.of(n, edges)
+
+
 def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
-    n = int(data["n"])
-    if n > GRAPH6_MAX_N:
+    n = data["n"]
+    if type(n) is int and n > GRAPH6_MAX_N:
         raise ValueError(f"a JSON graph has at most {GRAPH6_MAX_N} vertices, got {n}")
-    return Graph.of(n, data["edges"])
+    return graph_of_json(n, data["edges"])

@@ -2,8 +2,10 @@
 
 A motion assigns each vertex a pair of real rational functions of one
 parameter, with one edge pinned to the x-axis.  The complex edge functions
-W = dx + i*dy and Z = dx - i*dy multiply to the squared edge length, and
-their valuations at Gaussian-rational places induce NAC-colorings: choosing
+W = dx + i*dy and Z = dx - i*dy multiply to the squared edge length.  Each
+edge's W is built once, when the motion is constructed, and the labeling is
+read off it as the constant W*Z; every query below reads that table.  The
+valuations of W at Gaussian-rational places induce NAC-colorings: choosing
 a threshold between attained valuation levels and coloring an edge red when
 its valuation exceeds the threshold always yields a NAC-coloring, and the
 colorings collected this way over all places are the active ones.
@@ -22,11 +24,13 @@ from .exact import (
     fraction_sqrt,
     gaussian_rational_roots,
 )
-from .graphs import Edge, Graph, edge
+from .graphs import Edge, Graph, edge, graph_of_json
 from .nac import NacColoring, is_nac
 from .ratfunc import INFINITY, Place, RationalFunction, valuation
 
 Labeling = dict[Edge, Fraction]
+
+_I = RationalFunction.const(GR_I)
 
 
 class MotionError(ValueError):
@@ -52,8 +56,9 @@ class ParametrizedMotion:
 
     Invariants checked at construction: coordinates are real rational
     functions, the fixed edge (u, v) satisfies x_u = y_u = y_v = 0 with
-    x_v a positive rational constant, and every edge's squared distance is
-    a nonzero rational constant (the induced labeling).
+    x_v a positive rational constant, and every edge's W*Z is a nonzero
+    rational constant (the induced labeling).  Each edge's W is kept for
+    the queries.
     """
 
     graph: Graph
@@ -77,8 +82,22 @@ class ParametrizedMotion:
         xv = _require_constant(self.coords[vb][0], f"x_{vb}")
         if xv.re <= 0:
             raise MotionError(f"fixed edge length must be positive, got {xv}")
-        # raises when an edge distance is non-constant; cached for reuse
-        object.__setattr__(self, "_labeling", self._compute_labeling())
+        w_table: dict[Edge, RationalFunction] = {}
+        labeling: Labeling = {}
+        for u, v in g.sorted_edges():
+            w = (self.x(v) - self.x(u)) + _I * (self.y(v) - self.y(u))
+            # W*Z is real because the coordinates are
+            val = _require_constant(
+                w * w.conjugate_coeffs(), f"squared distance of edge ({u},{v})"
+            )
+            if val.re <= 0:
+                raise MotionError(
+                    f"edge ({u},{v}) has squared length {val}, expected positive rational"
+                )
+            w_table[(u, v)] = w
+            labeling[(u, v)] = val.re
+        object.__setattr__(self, "_w", w_table)
+        object.__setattr__(self, "_labeling", labeling)
 
     # -- basic derived functions ------------------------------------------
 
@@ -99,18 +118,6 @@ class ParametrizedMotion:
             f.is_constant() for pair in self.coords for f in pair
         )
 
-    def _compute_labeling(self) -> Labeling:
-        out: Labeling = {}
-        for u, v in self.graph.sorted_edges():
-            d2 = self.squared_distance(u, v)
-            val = _require_constant(d2, f"squared distance of edge ({u},{v})")
-            if val.im != 0 or val.re <= 0:
-                raise MotionError(
-                    f"edge ({u},{v}) has squared length {val}, expected positive rational"
-                )
-            out[(u, v)] = val.re
-        return out
-
     def induced_labeling(self) -> Labeling:
         """Squared length of each edge (constant by the type invariant)."""
         return dict(self._labeling)
@@ -122,24 +129,17 @@ class ParametrizedMotion:
         ]
 
 
-def w_function(
-    m: ParametrizedMotion, u: int, v: int, *, allow_non_edge: bool = False
-) -> RationalFunction:
-    """W_{u,v} = (x_v - x_u) + i (y_v - y_u); antisymmetric in (u, v)."""
-    if u == v:
-        raise ValueError("W needs two distinct vertices")
-    if not allow_non_edge and edge(u, v) not in m.graph.edges:
-        raise ValueError(f"({u},{v}) is not an edge; pass allow_non_edge to override")
-    dx = m.x(v) - m.x(u)
-    dy = m.y(v) - m.y(u)
-    return dx + RationalFunction.const(GR_I) * dy
+def w_function(m: ParametrizedMotion, u: int, v: int) -> RationalFunction:
+    """W_{u,v} = (x_v - x_u) + i (y_v - y_u) of an edge; antisymmetric in (u, v)."""
+    w = m._w.get(edge(u, v))
+    if w is None:
+        raise ValueError(f"({u},{v}) is not an edge")
+    return w if u < v else -w
 
 
-def z_function(
-    m: ParametrizedMotion, u: int, v: int, *, allow_non_edge: bool = False
-) -> RationalFunction:
+def z_function(m: ParametrizedMotion, u: int, v: int) -> RationalFunction:
     """Z_{u,v} = (x_v - x_u) - i (y_v - y_u), W_{u,v} with conjugated coefficients."""
-    return w_function(m, u, v, allow_non_edge=allow_non_edge).conjugate_coeffs()
+    return w_function(m, u, v).conjugate_coeffs()
 
 
 @dataclass(frozen=True)
@@ -323,12 +323,9 @@ def active_nac_colorings(m: ParametrizedMotion) -> ActiveNacReport:
     report = candidate_places(m)
     found: set[NacColoring] = set()
     for place in report.places:
-        table = valuation_table(m, place)
-        vals = table.as_dict()
-        levels = sorted(set(vals.values()))
-        for alpha in levels:
-            if not any(v > alpha for v in vals.values()):
-                continue
+        vals = valuation_table(m, place).as_dict()
+        # the top level has nothing above it, so it is no threshold
+        for alpha in sorted(set(vals.values()))[:-1]:
             red = frozenset(e for e, v in vals.items() if v > alpha)
             coloring = NacColoring(m.graph, red)
             if not is_nac(m.graph, coloring):
@@ -382,7 +379,7 @@ def motion_to_json(m: ParametrizedMotion) -> str:
 
 def motion_from_json(text: str) -> ParametrizedMotion:
     data = json.loads(text)
-    g = Graph.of(int(data["n"]), data["edges"])
+    g = graph_of_json(data["n"], data["edges"])
     coords = []
     for v in range(g.n):
         entry = data["vertices"][str(v)]

@@ -104,7 +104,8 @@ class RationalFunction:
         return GR_ZERO if self.num.is_zero() else self.num.coeffs[0]
 
     def conjugate_coeffs(self) -> "RationalFunction":
-        return RationalFunction.of(self.num.conjugate_coeffs(), self.den.conjugate_coeffs())
+        # conjugation is a ring automorphism: it keeps gcd 1 and a monic den
+        return RationalFunction(self.num.conjugate_coeffs(), self.den.conjugate_coeffs())
 
     def __call__(self, t: GaussianRational) -> GaussianRational:
         d = self.den(t)

@@ -105,20 +105,20 @@ def _min_pair_distance(p: np.ndarray) -> float:
     return best
 
 
-def _kernel_dimension(J: np.ndarray, rel_tol: float) -> tuple[int, np.ndarray]:
+def _kernel_dimension(J: np.ndarray) -> tuple[int, np.ndarray]:
     _, sigma, vt = np.linalg.svd(J)
-    cutoff = rel_tol * (sigma[0] if sigma.size else 1.0)
+    cutoff = RANK_TOL * (sigma[0] if sigma.size else 1.0)
     rank = int(np.sum(sigma > cutoff))
     return J.shape[1] - rank, vt[-1]
 
 
-def rigidity_rank(p: np.ndarray, edges, rel_tol: float = 1e-8) -> int:
+def rigidity_rank(p: np.ndarray, edges) -> int:
     """Rank of the bare rigidity matrix at the realization p."""
     J = _jacobian(p, list(edges), [], p.shape[0])
     sigma = np.linalg.svd(J, compute_uv=False)
     if sigma.size == 0:
         return 0
-    return int(np.sum(sigma > rel_tol * sigma[0]))
+    return int(np.sum(sigma > RANK_TOL * sigma[0]))
 
 
 def normalize_start(
@@ -194,7 +194,7 @@ def track_motion(
         raise TrackerError("start realization does not satisfy the labeling within tol")
     p = polished
 
-    if rigidity_rank(p, edges, RANK_TOL) >= 2 * n - 3:
+    if rigidity_rank(p, edges) >= 2 * n - 3:
         raise TrackerError(
             "rigidity matrix has full rank 2n-3 at the start: no flex direction"
         )
@@ -221,7 +221,7 @@ def track_motion(
 
     samples = [record(0, p)]
     J = _jacobian(p, edges, pins, n)
-    kdim, tangent = _kernel_dimension(J, RANK_TOL)
+    kdim, tangent = _kernel_dimension(J)
     if kdim < 1:
         raise TrackerError("pinned system has no tangent direction at the start")
     if kdim > 1:
@@ -241,7 +241,7 @@ def track_motion(
         if accepted is None:
             raise TrackerError(f"corrector diverged at step {step}")
         J = _jacobian(accepted, edges, pins, n)
-        kdim, new_tangent = _kernel_dimension(J, RANK_TOL)
+        kdim, new_tangent = _kernel_dimension(J)
         if kdim != 1:
             raise TrackerError(
                 f"rank jump at step {step}: tangent space dimension {kdim}"

@@ -388,6 +388,10 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["census", "--graphs", "k38.g6", "--max-n", "5", "--catalog", "empty"],
         ["nac", "enum", json.dumps({"n": 63, "edges": [[v, v + 1] for v in range(62)]})],
         ["gen", "--max-n", "11"],
+        ["nac", "enum", '{"n": 3, "edges": [[0, 1.5], [1, 2]]}'],
+        ["nac", "enum", '{"n": 3, "edges": [[0, "1"], [1, 2]]}'],
+        ["nac", "enum", '{"n": 2.5, "edges": [[0, 1]]}'],
+        ["motion", "verify", "float-n.json"],
     ],
     ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
          "start-words", "start-off-labeling", "start-nan", "start-infinity", "start-three-columns",
@@ -396,7 +400,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "dixon-x-abc", "nac-enum-disconnected", "cdc-disconnected", "classify-disconnected",
          "classify-one-vertex", "grid-disconnected", "two-nac-disconnected", "census-max-n-11",
          "census-catalog-missing", "census-catalog-empty", "json-graph-63-vertices",
-         "gen-max-n-11"],
+         "gen-max-n-11", "json-graph-float-vertex", "json-graph-string-vertex",
+         "json-graph-float-n", "motion-float-n"],
 )
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     from movability.constructions import deltoid_motion
@@ -405,9 +410,10 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     motion = deltoid_motion().motion
     lab = json.loads(labeling_to_json(motion.induced_labeling()))
     start = motion.realize_float(1.0)
-    coeff_zero_den, poly_zero_den = (json.loads(motion_to_json(motion)) for _ in range(2))
+    coeff_zero_den, poly_zero_den, float_n = (json.loads(motion_to_json(motion)) for _ in range(3))
     coeff_zero_den["vertices"]["2"]["x"]["num"][0][0] = "1/0"
     poly_zero_den["vertices"]["2"]["x"]["den"] = [["0/1", "0/1"]]
+    float_n["n"] = 4.7
     files = {
         "lab.json": lab,
         "negative.json": {"edges": lab["edges"], "lambda_sq": ["-1"] + lab["lambda_sq"][1:]},
@@ -431,6 +437,7 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         },
         "coeff-zero-den.json": coeff_zero_den,
         "poly-zero-den.json": poly_zero_den,
+        "float-n.json": float_n,
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))

@@ -1,0 +1,99 @@
+"""A motion's edge table against the formulas it replaced.
+
+Each edge's W is built once, when the motion is constructed, and the
+labeling is read off it as W*Z.  These tests rebuild the squared distance,
+W and Z from the coordinates, and recompute valuations and active
+colorings from the fresh W, on the bundled motions and every exact refix
+of each.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from movability.catalog import catalog_graph, q1_embedding_example
+from movability.constructions import (
+    deltoid_motion,
+    grid_search,
+    motion_from_embedding,
+    s5_motion,
+    two_nac_embedding,
+)
+from movability.exact import GR_I
+from movability.motion import (
+    MotionError,
+    active_nac_colorings,
+    all_valuation_tables,
+    refix_edge,
+    w_function,
+    z_function,
+)
+from movability.nac import NacColoring, enumerate_nac
+from movability.ratfunc import RationalFunction, valuation
+
+I = RationalFunction.const(GR_I)
+L_GRAPHS = ("L1", "L2", "L3", "L4", "L5", "L6")
+
+
+def _base_motion(name: str):
+    if name == "deltoid":
+        return deltoid_motion().motion
+    if name == "q1":
+        g, first_red, second_red = q1_embedding_example()
+        emb = two_nac_embedding(g, NacColoring(g, first_red), NacColoring(g, second_red), seed=0)
+        return motion_from_embedding(emb, deltoid_motion())
+    if name.startswith("s5"):
+        return s5_motion(Fraction(name.split("-")[1]))[1]
+    g = catalog_graph(name)
+    return grid_search(g, enumerate_nac(g, non_conjugated=True))[3]
+
+
+@lru_cache(maxsize=None)
+def _motions(name: str):
+    """The named motion and its refix to every edge of rational length."""
+    m = _base_motion(name)
+    out = [m]
+    for e in m.graph.sorted_edges():
+        try:
+            out.append(refix_edge(m, *e))
+        except MotionError:
+            pass  # irrational length: no exact refix
+    return tuple(out)
+
+
+NAMES = ("deltoid", "q1", "s5-2", "s5-5/2", *L_GRAPHS)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_edge_table_matches_the_coordinates(name):
+    for m in _motions(name):
+        lab = m.induced_labeling()
+        assert list(lab) == m.graph.sorted_edges()
+        fresh_w = {}
+        for u, v in m.graph.sorted_edges():
+            d2 = m.squared_distance(u, v)
+            assert d2.is_constant() and d2.constant_value().re == lab[(u, v)]
+            dx, dy = m.x(v) - m.x(u), m.y(v) - m.y(u)
+            w, z = dx + I * dy, dx - I * dy
+            # swapping u and v negates dx and dy
+            assert w_function(m, u, v) == w and w_function(m, v, u) == -w
+            assert z_function(m, u, v) == z and z_function(m, v, u) == -z
+            fresh_w[(u, v)] = w
+
+        # the loop the queries ran before the table, on the fresh W; the
+        # places are candidate_places(m), read off the W checked above
+        tables = all_valuation_tables(m)
+        expected = [
+            [(e, valuation(fresh_w[e], t.place)) for e in m.graph.sorted_edges()]
+            for t in tables
+        ]
+        assert [list(t.values) for t in tables] == expected
+        active = set()
+        for rows in expected:
+            vals = dict(rows)
+            for alpha in sorted(set(vals.values())):
+                if not any(v > alpha for v in vals.values()):
+                    continue
+                active.add(frozenset(e for e, v in vals.items() if v > alpha))
+        assert {c.red for c in active_nac_colorings(m).colorings} == active

@@ -161,6 +161,19 @@ def test_valuation_at_points_and_infinity():
         valuation(rf([0]), INFINITY)
 
 
+polys = st.lists(gaussians, max_size=4).map(Poly.of)
+
+
+@given(polys, polys.filter(lambda p: not p.is_zero()))
+@settings(max_examples=150)
+def test_conjugate_coeffs_is_canonical(num, den):
+    # oracle: conjugate, then canonicalize through the gcd again
+    f = RationalFunction.of(num, den)
+    assert f.conjugate_coeffs() == RationalFunction.of(
+        f.num.conjugate_coeffs(), f.den.conjugate_coeffs()
+    )
+
+
 def test_eval_and_conjugate():
     w = rf([(0, 6), 3], [(0, -2), 1])
     z = w.conjugate_coeffs()

@@ -69,7 +69,6 @@ def test_w_antisymmetry_and_wz_identity(deltoid):
 def test_w_needs_edge_or_flag(deltoid):
     with pytest.raises(ValueError):
         w_function(deltoid, 0, 2)
-    assert w_function(deltoid, 0, 2, allow_non_edge=True) is not None
     with pytest.raises(ValueError):
         w_function(deltoid, 1, 1)
 

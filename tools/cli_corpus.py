@@ -79,13 +79,22 @@ def cases() -> list[tuple[str, list[list[str]]]]:
         ("census-6", [["gen", "--max-n", "6", "--out", "graphs.g6"],
                       ["census", "--graphs", "graphs.g6", "--max-n", "6", "--out", "report.json"]]),
     ]
-    queries = [["motion", "verify", "out/motion.json"],
-               ["motion", "valuations", "out/motion.json"],
-               ["motion", "active-nac", "out/motion.json", "--format", "json"]]
-    for name, construct in (("grid", ["grid", "ElNG"]),
-                            ("two-nac", ["two-nac", "FLr@w", "--seed", "0"]),
-                            ("s5", ["s5", "--a", "2"])):
-        out.append((f"motion-{name}", [["construct", *construct, "--out", "out/"], *queries]))
+    def queries(path):
+        return [["motion", "verify", path],
+                ["motion", "valuations", path],
+                ["motion", "valuations", path, "--format", "json"],
+                ["motion", "active-nac", path],
+                ["motion", "active-nac", path, "--format", "json"]]
+
+    # each motion is queried as built and again after pinning another edge
+    for name, construct, unpinned in (("grid", ["grid", "ElNG"], "1,2"),
+                                      ("two-nac", ["two-nac", "FLr@w", "--seed", "0"], "1,2"),
+                                      ("s5", ["s5", "--a", "2"], "3,4")):
+        out.append((f"motion-{name}", [
+            ["construct", *construct, "--out", "out/"], *queries("out/motion.json"),
+            ["motion", "refix", "out/motion.json", "--edge", unpinned, "--out", "out/refixed.json"],
+            *queries("out/refixed.json"),
+        ]))
     return out
 
 
