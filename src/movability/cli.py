@@ -161,15 +161,12 @@ def cmd_classify(args) -> int:
         return EXIT_CAP
     out = json.loads(verdict.to_json())
     if verdict.certificate is not None and args.out:
-        outdir = pathlib.Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        lab_path = outdir / "labeling.json"
-        lab_path.write_text(labeling_to_json(verdict.certificate.labeling))
-        out["certificate"]["labeling_path"] = str(lab_path)
+        files = {"labeling.json": labeling_to_json(verdict.certificate.labeling)}
         if verdict.certificate.motion is not None:
-            motion_path = outdir / "motion.json"
-            motion_path.write_text(motion_to_json(verdict.certificate.motion))
-            out["certificate"]["motion_path"] = str(motion_path)
+            files["motion.json"] = motion_to_json(verdict.certificate.motion)
+        outdir = _write_files(args.out, files)
+        for name in files:
+            out["certificate"][name.removesuffix(".json") + "_path"] = str(outdir / name)
     print(json.dumps(out, indent=2))
     return EXIT_OK
 
@@ -221,12 +218,21 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _write_motion(args, motion, labeling) -> None:
-    outdir = pathlib.Path(args.out)
+def _write_files(out: str, files: dict[str, str]) -> pathlib.Path:
+    """Create the directory out and write each named text into it."""
+    outdir = pathlib.Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "labeling.json").write_text(labeling_to_json(labeling))
+    for name, text in files.items():
+        (outdir / name).write_text(text)
+    return outdir
+
+
+def _write_motion(args, motion, labeling) -> None:
+    """Write the labeling and any motion to --out and list the directory."""
+    files = {"labeling.json": labeling_to_json(labeling)}
     if motion is not None:
-        (outdir / "motion.json").write_text(motion_to_json(motion))
+        files["motion.json"] = motion_to_json(motion)
+    outdir = _write_files(args.out, files)
     print(json.dumps({"out": str(outdir), "files": sorted(p.name for p in outdir.iterdir())}))
 
 
@@ -267,9 +273,7 @@ def cmd_construct(args) -> int:
             g = _read_connected_graph(args.graph)
             pairs = combinations(enumerate_nac(g, non_conjugated=True, cap=args.cap), 2)
         _, _, embedding, motion = two_nac_search(g, pairs, seed=args.seed)
-        outdir = pathlib.Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "embedding.json").write_text(embedding.to_json())
+        _write_files(args.out, {"embedding.json": embedding.to_json()})
         _write_motion(args, motion, motion.induced_labeling())
         return EXIT_OK
     if args.method == "s5":
@@ -285,27 +289,15 @@ def cmd_construct(args) -> int:
             "s3": gluing.glued_s3,
         }
         construction = recipes[args.recipe]()
-        outdir = pathlib.Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "labeling.json").write_text(
-            labeling_to_json(construction.labeling)
-        )
+        path = construction.glued
         rows = ["sample," + ",".join(f"x{v},y{v}" for v in range(8))]
-        for k, sample in enumerate(construction.result.merged_samples):
-            cells = [str(k)]
-            for v in range(8):
-                cells += [f"{sample[v][0]:.17g}", f"{sample[v][1]:.17g}"]
-            rows.append(",".join(cells))
-        (outdir / "path.csv").write_text("\n".join(rows) + "\n")
-        print(
-            json.dumps(
-                {
-                    "out": str(outdir),
-                    "injectivity_margin": construction.result.injectivity_margin,
-                    "samples": len(construction.result.merged_samples),
-                }
-            )
-        )
+        for s in path.samples:
+            rows.append(",".join([str(s.step), *(f"{c:.17g}" for c in s.coords.reshape(-1))]))
+        files = {"labeling.json": labeling_to_json(construction.labeling)}
+        files["path.csv"] = "\n".join(rows) + "\n"
+        outdir = _write_files(args.out, files)
+        margin, samples = path.injectivity_margin, len(path.samples)
+        print(json.dumps({"out": str(outdir), "injectivity_margin": margin, "samples": samples}))
         return EXIT_OK
     raise CliParseError(f"unknown construction {args.method}")
 

@@ -5,13 +5,14 @@ their motions agree on the shared vertices and no outside vertex of one
 piece rides on top of an outside vertex of the other.  Exact agreement is
 replaced here by sampled evidence: paths observed at corresponding samples
 must coincide on the overlap within a tolerance while every cross pair
-separates somewhere.  The recipes below build the three 8-vertex graphs
-that need this (S1, S2, S3) plus the rigid-extension construction for S4.
+separates somewhere.  The merged samples become a TrackedPath scored by
+track.sampled_path, the same scorer as a tracked path.  The recipes below
+build the three 8-vertex graphs that need this (S1, S2, S3) plus the
+rigid-extension construction for S4.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .constructions import grid_construction
 from .graphs import Edge, Graph
 from .motion import Labeling
 from .nac import NacColoring
-from .track import TrackedPath, normalize_start, track_motion
+from .track import TrackedPath, labeling_residual, normalize_start, sampled_path, track_motion
 
 Triple = tuple[Fraction, Fraction, Fraction]
 
@@ -47,54 +48,27 @@ TRACK_TOL = 1e-10
 class GluePiece:
     """One movable subgraph with its labeling and a sampled motion.
 
-    Vertices and edges carry the labels of the ambient graph; samples list
-    per-vertex positions (dict vertex -> (x, y)) at successive parameter
-    values shared with the partner piece.
+    Vertices and edges carry the labels of the ambient graph; samples is a
+    (k, n, 2) array of positions at successive parameter values shared with
+    the partner piece, one row per ambient vertex (rows of vertices outside
+    the piece are not read).
     """
 
     vertices: tuple[int, ...]
     edges: frozenset[Edge]
     labeling: Labeling
-    samples: list[dict[int, tuple[float, float]]]
+    samples: np.ndarray
 
 
-@dataclass
-class GlueResult:
-    labeling: Labeling
-    merged_samples: list[dict[int, tuple[float, float]]]
-    injectivity_margin: float
-    shared_vertices: tuple[int, ...]
-    max_overlap_error: float
-
-    def distance_variation(self, u: int, v: int) -> float:
-        d = [
-            math.hypot(s[u][0] - s[v][0], s[u][1] - s[v][1])
-            for s in self.merged_samples
-        ]
-        return max(d) - min(d)
-
-    def max_labeling_residual(self) -> float:
-        worst = 0.0
-        for s in self.merged_samples:
-            worst = max(worst, _labeling_residual(self.labeling, s))
-        return worst
-
-
-def _labeling_residual(labeling: Labeling, sample) -> float:
-    """Largest deviation of a sample's squared edge lengths from the labeling."""
-    worst = 0.0
-    for (u, v), lam_sq in labeling.items():
-        dx = sample[u][0] - sample[v][0]
-        dy = sample[u][1] - sample[v][1]
-        worst = max(worst, abs(dx * dx + dy * dy - float(lam_sq)))
-    return worst
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.hypot(*np.moveaxis(a - b, -1, 0))
 
 
 def glue_labelings(
     g: Graph,
     piece1: GluePiece,
     piece2: GluePiece,
-) -> GlueResult:
+) -> tuple[Labeling, np.ndarray]:
     """Merge two proper flexible labelings whose motions are in sync.
 
     Checks, in order: the pieces cover the graph with a nonempty edge
@@ -102,7 +76,8 @@ def glue_labelings(
     satisfy their labelings within GLUE_TOL; shared vertices coincide
     within GLUE_TOL at every corresponding sample; and for every v1 outside
     piece2 and v2 outside piece1 the sampled trajectories differ somewhere
-    by more than SEPARATION.
+    by more than SEPARATION.  Returns the merged labeling and samples;
+    piece 1 wins on shared vertices.
     """
     v1, v2 = set(piece1.vertices), set(piece2.vertices)
     if v1 | v2 != set(range(g.n)):
@@ -128,65 +103,30 @@ def glue_labelings(
         )
     for piece in (piece1, piece2):
         for sample in piece.samples:
-            r = _labeling_residual(piece.labeling, sample)
+            r = labeling_residual(piece.labeling, sample)
             if r > GLUE_TOL:
                 raise GlueError(f"a piece sample violates its labeling by {r:.2e}")
-    shared = tuple(sorted(v1 & v2))
-    overlap_err = 0.0
-    for s1, s2 in zip(piece1.samples, piece2.samples):
-        for w in shared:
-            err = math.hypot(s1[w][0] - s2[w][0], s1[w][1] - s2[w][1])
-            overlap_err = max(overlap_err, err)
+    shared = sorted(v1 & v2)
+    overlap_err = _distances(piece1.samples[:, shared], piece2.samples[:, shared]).max()
     if overlap_err > GLUE_TOL:
         raise GlueError(
             f"shared-subgraph configurations differ by {overlap_err:.2e} (> {GLUE_TOL:.0e})"
         )
-    only1 = sorted(v1 - v2)
-    only2 = sorted(v2 - v1)
-    for a in only1:
-        for b in only2:
-            best = 0.0
-            for s1, s2 in zip(piece1.samples, piece2.samples):
-                best = max(
-                    best, math.hypot(s1[a][0] - s2[b][0], s1[a][1] - s2[b][1])
-                )
-            if best <= SEPARATION:
+    for a in sorted(v1 - v2):
+        for b in sorted(v2 - v1):
+            if _distances(piece1.samples[:, a], piece2.samples[:, b]).max() <= SEPARATION:
                 raise GlueError(
                     f"projections of vertices {a} and {b} coincide along the samples"
                 )
-    merged_labeling: Labeling = dict(piece1.labeling)
-    merged_labeling.update(piece2.labeling)
-    merged_samples = []
-    margin = math.inf
-    for s1, s2 in zip(piece1.samples, piece2.samples):
-        merged = dict(s2)
-        merged.update(s1)
-        merged_samples.append(merged)
-        pts = sorted(merged)
-        for i, a in enumerate(pts):
-            for b in pts[i + 1 :]:
-                margin = min(
-                    margin, math.hypot(merged[a][0] - merged[b][0], merged[a][1] - merged[b][1])
-                )
-    return GlueResult(
-        labeling=merged_labeling,
-        merged_samples=merged_samples,
-        injectivity_margin=margin,
-        shared_vertices=shared,
-        max_overlap_error=overlap_err,
-    )
+    labeling: Labeling = dict(piece1.labeling)
+    labeling.update(piece2.labeling)
+    samples = piece2.samples.copy()
+    rows1 = list(piece1.vertices)
+    samples[:, rows1] = piece1.samples[:, rows1]
+    return labeling, samples
 
 
 # -- shared helpers for the recipes ------------------------------------------
-
-
-def _to_frame(points: dict[int, tuple[float, float]], base: int, tip: int):
-    """Rigidly move a realization so base sits at the origin, tip on +x."""
-    keys = sorted(points)
-    arr = np.array([points[v] for v in keys])
-    idx = {v: i for i, v in enumerate(keys)}
-    arr = normalize_start(arr, (idx[base], idx[tip]))
-    return {v: (float(arr[idx[v]][0]), float(arr[idx[v]][1])) for v in keys}
 
 
 def _labeling_from_points(
@@ -224,10 +164,8 @@ def _tracked_piece(
         step_size=PIECE_STEP_SIZE,
         tol=1e-12,
     )
-    samples = [
-        {v: (float(s.coords[local[v]][0]), float(s.coords[local[v]][1])) for v in vertices}
-        for s in path.samples
-    ]
+    samples = np.full((len(path.samples), g.n, 2), np.nan)
+    samples[:, list(vertices)] = [s.coords for s in path.samples]
     return GluePiece(vertices, edges, labeling, samples)
 
 
@@ -236,22 +174,18 @@ class GluedConstruction:
     """A labeling combined from movable pieces plus everything needed to
     re-verify it.
 
-    Glued recipes (S1-S3) carry the merge result, which holds their
-    labeling; the rigid extension (S4) has none, is evidenced by tracking
-    alone and holds its labeling in extension_labeling.
+    Glued recipes (S1-S3) carry their merged samples as the path `glued`,
+    in the frame the pieces were tracked in; the rigid extension (S4) has
+    none and is evidenced by tracking alone.
     """
 
     graph: Graph
+    labeling: Labeling
     start: np.ndarray  # realization, row per vertex (generic sample)
     watched_pair: tuple[int, int]
-    result: GlueResult | None = None
-    extension_labeling: Labeling | None = None
+    glued: TrackedPath | None = None
 
-    @property
-    def labeling(self) -> Labeling:
-        return self.extension_labeling if self.result is None else self.result.labeling
-
-    def track(self, *, steps: int = 120) -> TrackedPath:
+    def track(self, *, steps: int) -> TrackedPath:
         # symmetric configurations (axes starts) carry extra infinitesimal
         # flexes, so the stored start is a generic sample of the motion
         return track_motion(
@@ -265,34 +199,34 @@ class GluedConstruction:
         )
 
     def path_stats(self) -> dict:
-        """Numeric evidence for the labeling: the merged glue samples for
-        S1-S3 (tolerance GLUE_TOL), a path tracked over 110 steps for S4 (1e-9)."""
-        if self.result is not None:
-            return {
-                "samples": len(self.result.merged_samples),
-                "max_residual": self.result.max_labeling_residual(),
-                "tol": GLUE_TOL,
-                "injectivity_margin": self.result.injectivity_margin,
-                "watched_variation": self.result.distance_variation(*self.watched_pair),
-            }
-        path = self.track(steps=110)
+        """Numeric evidence for the labeling: the glued samples for S1-S3
+        (tolerance GLUE_TOL), a path tracked over 110 steps for S4 (1e-9)."""
+        if self.glued is not None:
+            path, tol = self.glued, GLUE_TOL
+        else:
+            path, tol = self.track(steps=110), 1e-9
         return {
             "samples": len(path.samples),
             "max_residual": max(s.residual for s in path.samples),
-            "tol": 1e-9,
+            "tol": tol,
             "injectivity_margin": path.injectivity_margin,
             "watched_variation": path.watched_variation,
         }
 
 
 def _glue(
-    g: Graph, piece1: GluePiece, piece2: GluePiece, *, watched_pair: tuple[int, int]
+    g: Graph,
+    piece1: GluePiece,
+    piece2: GluePiece,
+    *,
+    frame: tuple[int, int],
+    watched_pair: tuple[int, int],
 ) -> GluedConstruction:
-    """Glue the two pieces and start tracking from the middle sample."""
-    result = glue_labelings(g, piece1, piece2)
-    generic = result.merged_samples[len(result.merged_samples) // 2]
-    start = np.array([generic[v] for v in range(8)])
-    return GluedConstruction(g, start, watched_pair, result)
+    """Glue the two pieces, tracked with frame as fixed edge, and start
+    tracking from the middle sample."""
+    labeling, samples = glue_labelings(g, piece1, piece2)
+    glued = sampled_path(labeling, samples, frame, watched_pair)
+    return GluedConstruction(g, labeling, samples[len(samples) // 2].copy(), watched_pair, glued)
 
 
 # -- S1: triangular-prism part (grid motion) + bipartite part (tracked) ------
@@ -335,18 +269,17 @@ def glued_s1(*, samples: int = 60) -> GluedConstruction:
 
     # grid side evaluated at the hinge parameter of each tracked sample and
     # moved into the common frame (vertex 4 at the origin, 5 on +x)
-    prism_samples = []
-    for sample in k_piece.samples:
-        hx, hy = sample[3]  # unit hinge: position of vertex 3
+    prism_samples = np.full_like(k_piece.samples, np.nan)
+    for k, sample in enumerate(k_piece.samples):
+        hx, hy = sample[3].tolist()  # unit hinge: position of vertex 3
         c, sθ = -hx, -hy
         if abs(1 + c) < 1e-12:
             raise GlueError("hinge reached the straight configuration")
         u = sθ / (1 + c)
-        pts = grid_motion.realize_float(u)
-        prism_samples.append(_to_frame({v: tuple(pts[v]) for v in prism_vertices}, 4, 5))
+        prism_samples[k, :6] = normalize_start(grid_motion.realize_float(u), (4, 5))
 
     piece1 = GluePiece(prism_vertices, prism_edges, dict(grid_lab), prism_samples)
-    return _glue(g, piece1, k_piece, watched_pair=(0, 7))
+    return _glue(g, piece1, k_piece, frame=(4, 5), watched_pair=(0, 7))
 
 
 # -- S2 and S3: embedded seven-vertex part driven by a tracked K33 frame -----
@@ -396,21 +329,16 @@ def _embedded_glue(
     emb_lab = _labeling_from_points(emb_start, emb_edges)
 
     k_piece = _tracked_piece(g, start_points, k_vertices, (c0, c1), steps=samples - 1)
-    emb_samples = []
-    for pos in k_piece.samples:
-        base = np.array(pos[c0])
-        f1 = np.array(pos[c1]) - base
-        f2 = np.array(pos[c2]) - np.array(pos[c1])
-        f3 = np.array(pos[c3]) - np.array(pos[c2])
-        emb_pos = {}
-        for v in emb_vertices:
-            w1, w2, w3 = (float(x) for x in omega[v])
-            pt = base + w1 * f1 + w2 * f2 + w3 * f3
-            emb_pos[v] = (float(pt[0]), float(pt[1]))
-        emb_samples.append(emb_pos)
+    pos = k_piece.samples
+    base = pos[:, c0]
+    f1, f2, f3 = pos[:, c1] - base, pos[:, c2] - pos[:, c1], pos[:, c3] - pos[:, c2]
+    emb_samples = np.full_like(pos, np.nan)
+    for v in emb_vertices:
+        w1, w2, w3 = (float(x) for x in omega[v])
+        emb_samples[:, v] = base + w1 * f1 + w2 * f2 + w3 * f3
 
     piece1 = GluePiece(emb_vertices, emb_edges, emb_lab, emb_samples)
-    return _glue(g, piece1, k_piece, watched_pair=watched_pair)
+    return _glue(g, piece1, k_piece, frame=(c0, c1), watched_pair=watched_pair)
 
 
 def glued_s2(*, samples: int = 60) -> GluedConstruction:
@@ -508,7 +436,7 @@ def extended_s4() -> GluedConstruction:
     # the tracker; walk the bipartite part to a generic nearby sample and
     # carry the clique rigidly on the (3,4) frame
     nudge = _tracked_piece(g, points, tuple(range(6)), (3, 4), steps=12)
-    generic = np.array([nudge.samples[-1][v] for v in range(6)])
+    generic = nudge.samples[-1, :6]
     old_a, old_b = np.array([float(c) for c in points[3]]), np.array(
         [float(c) for c in points[4]]
     )
@@ -526,4 +454,4 @@ def extended_s4() -> GluedConstruction:
     for v in (6, 7):
         offset = np.array([float(c) for c in points[v]]) - old_a
         start[v] = new_a + rot @ offset
-    return GluedConstruction(g, start, watched_pair=(5, 6), extension_labeling=labeling)
+    return GluedConstruction(g, labeling, start, watched_pair=(5, 6))

@@ -265,18 +265,22 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [list(e) for e in g.sorted_edges()]})
 
 
-def graph_of_json(n, edges) -> Graph:
-    """Graph.of for a vertex count and edge list read from JSON.
-
-    JSON may put a float, a bool or a string where a vertex is meant; the
-    count and every endpoint must be ints, or this raises ValueError.
-    """
-    if type(n) is not int:
-        raise ValueError(f"the vertex count {n!r} is not an integer")
+def json_edges(edges) -> list[list[int]]:
+    """An edge list read from JSON, or ValueError unless it is a list of [u, v]
+    int pairs: JSON may put a float (0.0 == 0), a bool or a string there."""
+    if not isinstance(edges, list):
+        raise ValueError(f"the edge list {edges!r} is not a list")
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ValueError(f"edge {e!r} needs two integer vertices")
-    return Graph.of(n, edges)
+    return edges
+
+
+def graph_of_json(n, edges) -> Graph:
+    """Graph.of for an int vertex count and an edge list read from JSON."""
+    if type(n) is not int:
+        raise ValueError(f"the vertex count {n!r} is not an integer")
+    return Graph.of(n, json_edges(edges))
 
 
 def graph_from_json(text: str) -> Graph:

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import Edge, Graph, components, edge
+from .graphs import Edge, Graph, components, edge, json_edges
 
 DEFAULT_ENUMERATION_CAP = 40
 
@@ -71,7 +71,7 @@ class NacColoring:
     @staticmethod
     def from_json(graph: Graph, text: str) -> "NacColoring":
         data = json.loads(text)
-        listed = [edge(u, v) for u, v in data["edges"]]
+        listed = [edge(u, v) for u, v in json_edges(data["edges"])]
         colors = data["colors"]
         if len(listed) != len(colors) or set(listed) != graph.edges:
             raise ValueError("coloring does not cover the edge set exactly")

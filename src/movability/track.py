@@ -4,8 +4,10 @@ Tangent prediction comes from the kernel of the pinned Jacobian, correction
 is Gauss-Newton with step halving; every accepted sample is re-verified
 against the constraints and scored for injectivity (minimum pairwise vertex
 distance).  This is the certification lane for motions with no rational
-parametrization.  Step count, step size and corrector tolerance are
-arguments; START_TOL and RANK_TOL, which no caller varies, are constants.
+parametrization, and the one scorer of sampled realizations: sampled_path
+scores realizations obtained elsewhere (the glued paths) the same way.
+Step count, step size and corrector tolerance are arguments; START_TOL and
+RANK_TOL, which no caller varies, are constants.
 """
 
 from __future__ import annotations
@@ -71,8 +73,10 @@ class TrackedPath:
         return "\n".join(lines) + "\n"
 
 
-def _edge_list(labeling: Labeling) -> list[Edge]:
-    return sorted(labeling)
+def _constraints(labeling: Labeling) -> tuple[list[Edge], np.ndarray]:
+    """The labeling's edges in sorted order and their squared lengths."""
+    edges = sorted(labeling)
+    return edges, np.array([float(labeling[e]) for e in edges])
 
 
 def _residuals(p: np.ndarray, edges, lam_sq, pins) -> np.ndarray:
@@ -112,13 +116,43 @@ def _kernel_dimension(J: np.ndarray) -> tuple[int, np.ndarray]:
     return J.shape[1] - rank, vt[-1]
 
 
-def rigidity_rank(p: np.ndarray, edges) -> int:
-    """Rank of the bare rigidity matrix at the realization p."""
-    J = _jacobian(p, list(edges), [], p.shape[0])
-    sigma = np.linalg.svd(J, compute_uv=False)
-    if sigma.size == 0:
-        return 0
-    return int(np.sum(sigma > RANK_TOL * sigma[0]))
+def _pins(fixed_edge: tuple[int, int]) -> list[tuple[int, int, float]]:
+    """(vertex, axis, value): the fixed edge starts at the origin and lies on the x-axis."""
+    u, v = fixed_edge
+    return [(u, 0, 0.0), (u, 1, 0.0), (v, 1, 0.0)]
+
+
+def _score(step: int, q: np.ndarray, edges, lam_sq, pins, watched_pair) -> TrackSample:
+    """A realization with its largest constraint residual (pins included),
+    its minimum pairwise vertex distance and its watched distance."""
+    F = _residuals(q, edges, lam_sq, pins)
+    return TrackSample(
+        step=step,
+        coords=q.copy(),
+        residual=float(np.max(np.abs(F))),
+        min_pair_distance=_min_pair_distance(q),
+        watched_distance=float(np.hypot(*(q[watched_pair[0]] - q[watched_pair[1]]))),
+    )
+
+
+def labeling_residual(labeling: Labeling, q: np.ndarray) -> float:
+    """Largest deviation of the realization q's squared edge lengths from the labeling."""
+    edges, lam_sq = _constraints(labeling)
+    return float(np.max(np.abs(_residuals(q, edges, lam_sq, []))))
+
+
+def sampled_path(
+    labeling: Labeling,
+    samples: np.ndarray,
+    fixed_edge: tuple[int, int],
+    watched_pair: tuple[int, int],
+) -> TrackedPath:
+    """Given realizations, shape (k, n, 2) and in the frame of fixed_edge,
+    scored as track_motion scores its own samples."""
+    edges, lam_sq = _constraints(labeling)
+    pins = _pins(fixed_edge)
+    scored = [_score(k, q, edges, lam_sq, pins, watched_pair) for k, q in enumerate(samples)]
+    return TrackedPath(labeling, fixed_edge, watched_pair, scored)
 
 
 def normalize_start(
@@ -157,7 +191,7 @@ def track_motion(
     visible to the caller through min_pair_distance (flagged, not fatal).
     """
     p = np.asarray(start, dtype=float)
-    edges = _edge_list(labeling)
+    edges, lam_sq = _constraints(labeling)
     if edge(*fixed_edge) not in set(edges):
         raise TrackerError(f"fixed pair {fixed_edge} is not an edge of the labeling")
     if p.ndim != 2 or p.shape[1] != 2:
@@ -168,9 +202,8 @@ def track_motion(
     if not np.isfinite(p).all():
         raise TrackerError("start holds a non-finite coordinate")
     n = p.shape[0]
-    lam_sq = np.array([float(labeling[e]) for e in edges])
     p = normalize_start(p, fixed_edge)
-    pins = [(fixed_edge[0], 0, 0.0), (fixed_edge[0], 1, 0.0), (fixed_edge[1], 1, 0.0)]
+    pins = _pins(fixed_edge)
     raw = np.max(np.abs(_residuals(p, edges, lam_sq, pins)))
     if raw > START_TOL:
         raise TrackerError(
@@ -194,11 +227,6 @@ def track_motion(
         raise TrackerError("start realization does not satisfy the labeling within tol")
     p = polished
 
-    if rigidity_rank(p, edges) >= 2 * n - 3:
-        raise TrackerError(
-            "rigidity matrix has full rank 2n-3 at the start: no flex direction"
-        )
-
     if watched_pair is None:
         non_edges = [
             (u, v)
@@ -208,22 +236,15 @@ def track_motion(
         ]
         watched_pair = non_edges[0] if non_edges else edges[0]
 
-    def record(step: int, q: np.ndarray) -> TrackSample:
-        F = _residuals(q, edges, lam_sq, pins)
-        w = float(np.hypot(*(q[watched_pair[0]] - q[watched_pair[1]])))
-        return TrackSample(
-            step=step,
-            coords=q.copy(),
-            residual=float(np.max(np.abs(F))),
-            min_pair_distance=_min_pair_distance(q),
-            watched_distance=w,
-        )
-
-    samples = [record(0, p)]
+    samples = [_score(0, p, edges, lam_sq, pins, watched_pair)]
+    # the pins remove exactly the trivial motions, so the pinned kernel has
+    # dimension 2n-3 minus the rank of the rigidity matrix
     J = _jacobian(p, edges, pins, n)
     kdim, tangent = _kernel_dimension(J)
     if kdim < 1:
-        raise TrackerError("pinned system has no tangent direction at the start")
+        raise TrackerError(
+            "rigidity matrix has full rank 2n-3 at the start: no flex direction"
+        )
     if kdim > 1:
         raise TrackerError("singular start: tangent space dimension exceeds one")
     tangent = tangent / np.linalg.norm(tangent)
@@ -250,7 +271,7 @@ def track_motion(
             new_tangent = -new_tangent
         tangent = new_tangent / np.linalg.norm(new_tangent)
         current = accepted
-        samples.append(record(step, current))
+        samples.append(_score(step, current, edges, lam_sq, pins, watched_pair))
         h = min(step_size, h * 2)
     return TrackedPath(
         labeling=labeling,

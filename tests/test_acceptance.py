@@ -377,12 +377,11 @@ def test_criterion_7f_tracker_agreement():
 def test_criterion_7g_glued_labelings_track():
     from movability.gluing import glued_s1, glued_s2, glued_s3
 
-    s1 = glued_s1(samples=110)
-    result = s1.result
-    assert len(result.merged_samples) >= 100
-    assert result.injectivity_margin > 0
-    assert result.max_labeling_residual() < 1e-9
-    assert result.distance_variation(*s1.watched_pair) > 1e-3
+    glued = glued_s1(samples=110).glued
+    assert len(glued.samples) >= 100
+    assert glued.injectivity_margin > 0
+    assert max(s.residual for s in glued.samples) < 1e-9
+    assert glued.watched_variation > 1e-3
 
     for recipe in (glued_s2, glued_s3):
         construction = recipe()

@@ -392,6 +392,13 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["nac", "enum", '{"n": 3, "edges": [[0, "1"], [1, 2]]}'],
         ["nac", "enum", '{"n": 2.5, "edges": [[0, 1]]}'],
         ["motion", "verify", "float-n.json"],
+        ["nac", "enum", '{"n": 3, "edges": 5}'],
+        ["nac", "enum", '{"n": 3, "edges": null}'],
+        ["nac", "check", "Cl", "--coloring", "coloring-float.json"],
+        ["nac", "check", "Cl", "--coloring", "coloring-bool.json"],
+        ["construct", "grid", "ElNG", "--coloring", "grid-coloring-float.json", "--out", "out"],
+        ["motion", "track", "--labeling", "triangle.json", "--start", "triangle-start.json",
+         "--fixed", "0,1"],
     ],
     ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
          "start-words", "start-off-labeling", "start-nan", "start-infinity", "start-three-columns",
@@ -401,7 +408,9 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "classify-one-vertex", "grid-disconnected", "two-nac-disconnected", "census-max-n-11",
          "census-catalog-missing", "census-catalog-empty", "json-graph-63-vertices",
          "gen-max-n-11", "json-graph-float-vertex", "json-graph-string-vertex",
-         "json-graph-float-n", "motion-float-n"],
+         "json-graph-float-n", "motion-float-n", "json-graph-edges-int", "json-graph-edges-null",
+         "coloring-float-vertex", "coloring-bool-vertex", "grid-coloring-float-vertex",
+         "track-rigid-triangle"],
 )
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     from movability.constructions import deltoid_motion
@@ -438,6 +447,17 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         "coeff-zero-den.json": coeff_zero_den,
         "poly-zero-den.json": poly_zero_den,
         "float-n.json": float_n,
+        # 0.0 == 0 and True == 1, so only a type check keeps these out
+        "coloring-float.json": {"edges": [[0.0, 1], [0, 3], [1, 2], [2, 3]],
+                                "colors": ["blue", "red", "red", "blue"]},
+        "coloring-bool.json": {"edges": [[0, 1], [0, 3], [True, 2], [2, 3]],
+                               "colors": ["blue", "red", "red", "blue"]},
+        "grid-coloring-float.json": {
+            "edges": [[0.0, 1], [0, 3], [0, 5], [1, 2], [1, 5], [2, 3], [2, 4], [3, 4], [4, 5]],
+            "colors": ["blue", "red", "blue", "red", "blue", "blue", "blue", "blue", "red"],
+        },
+        "triangle.json": {"edges": [[0, 1], [0, 2], [1, 2]], "lambda_sq": ["1", "1", "1"]},
+        "triangle-start.json": [[0.0, 0.0], [1.0, 0.0], [0.5, 3**0.5 / 2]],
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
@@ -448,3 +468,5 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert err.startswith("error:")
+    if "triangle.json" in argv:
+        assert "no flex" in err

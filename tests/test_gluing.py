@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from movability.canon import are_isomorphic
@@ -23,19 +25,19 @@ def s1():
 
 
 def test_s1_glue_succeeds(s1):
-    result = s1.result
-    assert result.injectivity_margin > 0.2
-    assert result.max_overlap_error < 1e-9
-    assert result.shared_vertices == (2, 3, 4, 5)
-    assert set(result.labeling) == set(s1_graph().edges)
+    glued = s1.glued
+    assert glued.injectivity_margin > 0.2
+    assert set(s1.labeling) == set(s1_graph().edges)
     # the rhombus has unit sides
     for e in ((2, 3), (2, 5), (3, 4), (4, 5)):
-        assert result.labeling[e] == Fraction(1)
-    assert result.max_labeling_residual() < 1e-9
+        assert s1.labeling[e] == Fraction(1)
+    # every edge, the K33 edges of the shared rhombus included
+    assert max(s.residual for s in glued.samples) < 1e-9
 
 
 def test_s1_watched_distance_varies(s1):
-    assert s1.result.distance_variation(*s1.watched_pair) > 1e-3
+    assert s1.glued.watched_pair == s1.watched_pair
+    assert s1.glued.watched_variation > 1e-3
 
 
 def test_s1_path_stats(s1):
@@ -46,17 +48,38 @@ def test_s1_path_stats(s1):
     assert stats["tol"] == 1e-7
     assert stats["samples"] == 40
     assert stats["max_residual"] <= stats["tol"]
-    assert stats["injectivity_margin"] == s1.result.injectivity_margin
-    assert stats["watched_variation"] == s1.result.distance_variation(*s1.watched_pair)
+    assert stats["injectivity_margin"] == s1.glued.injectivity_margin
+    assert stats["watched_variation"] == s1.glued.watched_variation
+
+
+@pytest.mark.parametrize("recipe", [glued_s1, glued_s2, glued_s3])
+def test_glued_scores_match_pairwise_formulas(recipe):
+    # oracle: the merged-sample scoring gluing did before its samples
+    # became a TrackedPath scored by track
+    construction = recipe(samples=60)
+    glued = construction.glued
+    a, b = construction.watched_pair
+    margin, watched, residual = math.inf, [], 0.0
+    for sample in glued.samples:
+        s = sample.coords.tolist()
+        for u in range(len(s)):
+            for v in range(u + 1, len(s)):
+                margin = min(margin, math.hypot(s[u][0] - s[v][0], s[u][1] - s[v][1]))
+        watched.append(math.hypot(s[a][0] - s[b][0], s[a][1] - s[b][1]))
+        for (u, v), lam_sq in construction.labeling.items():
+            dx, dy = s[u][0] - s[v][0], s[u][1] - s[v][1]
+            residual = max(residual, abs(dx * dx + dy * dy - float(lam_sq)))
+    assert len(glued.samples) == 60
+    assert glued.injectivity_margin == margin
+    assert glued.watched_variation == max(watched) - min(watched)
+    assert abs(max(s.residual for s in glued.samples) - residual) <= 1e-12
 
 
 def test_s2_s3_glue_and_track():
     for recipe, name in ((glued_s2, "S2"), (glued_s3, "S3")):
         construction = recipe(samples=30)
         assert are_isomorphic(construction.graph, catalog_graph(name))
-        result = construction.result
-        assert result.injectivity_margin > 0.5
-        assert result.max_overlap_error < 1e-9
+        assert construction.glued.injectivity_margin > 0.5
         path = construction.track(steps=40)
         assert len(path.samples) == 41
         assert path.injectivity_margin > 0.5
@@ -105,34 +128,28 @@ def test_s4_extension_tracks():
 
 def test_glue_rejects_disagreeing_labelings(s1):
     g = s1.graph
-    result = s1.result
     piece_vertices = tuple(range(6))
     piece_edges = frozenset(e for e in g.edges if max(e) < 6)
-    lab1 = {e: result.labeling[e] for e in piece_edges}
+    lab1 = {e: s1.labeling[e] for e in piece_edges}
     k_vertices = (2, 3, 4, 5, 6, 7)
     k_edges = frozenset(e for e in g.edges if min(e) >= 2)
-    lab2 = {e: result.labeling[e] for e in k_edges}
+    lab2 = {e: s1.labeling[e] for e in k_edges}
     lab2[(2, 3)] = lab2[(2, 3)] + 1  # clash on a shared edge
-    p1 = GluePiece(piece_vertices, piece_edges, lab1, [dict() for _ in range(25)])
-    p2 = GluePiece(k_vertices, k_edges, lab2, [dict() for _ in range(25)])
+    p1 = GluePiece(piece_vertices, piece_edges, lab1, np.zeros((25, 8, 2)))
+    p2 = GluePiece(k_vertices, k_edges, lab2, np.zeros((25, 8, 2)))
     with pytest.raises(GlueError, match="disagree"):
         glue_labelings(g, p1, p2)
 
 
 def test_glue_rejects_unsynced_paths(s1):
     g = s1.graph
-    result = s1.result
     piece_edges = frozenset(e for e in g.edges if max(e) < 6)
     k_edges = frozenset(e for e in g.edges if min(e) >= 2)
-    lab1 = {e: result.labeling[e] for e in piece_edges}
-    lab2 = {e: result.labeling[e] for e in k_edges}
-    samples1 = [
-        {v: s[v] for v in range(6)} for s in result.merged_samples
-    ]
-    samples2 = [
-        {v: ((s[v][0] + 0.5) if v == 3 else s[v][0], s[v][1]) for v in range(2, 8)}
-        for s in result.merged_samples
-    ]
+    lab1 = {e: s1.labeling[e] for e in piece_edges}
+    lab2 = {e: s1.labeling[e] for e in k_edges}
+    samples1 = np.array([s.coords for s in s1.glued.samples])
+    samples2 = samples1.copy()
+    samples2[:, 3, 0] += 0.5
     p1 = GluePiece(tuple(range(6)), piece_edges, lab1, samples1)
     p2 = GluePiece((2, 3, 4, 5, 6, 7), k_edges, lab2, samples2)
     with pytest.raises(GlueError):
@@ -141,17 +158,14 @@ def test_glue_rejects_unsynced_paths(s1):
 
 def test_glue_rejects_coinciding_cross_pair(s1):
     g = s1.graph
-    result = s1.result
     piece_edges = frozenset(e for e in g.edges if max(e) < 6)
     k_edges = frozenset(e for e in g.edges if min(e) >= 2)
-    lab1 = {e: result.labeling[e] for e in piece_edges}
-    lab2 = {e: result.labeling[e] for e in k_edges}
-    samples1 = [{v: s[v] for v in range(6)} for s in result.merged_samples]
+    lab1 = {e: s1.labeling[e] for e in piece_edges}
+    lab2 = {e: s1.labeling[e] for e in k_edges}
+    samples1 = np.array([s.coords for s in s1.glued.samples])
     # vertex 7 copies the trajectory of vertex 0: condition 2 must fire
-    samples2 = [
-        {v: (s[v] if v != 7 else s[0]) for v in range(2, 8)}
-        for s in result.merged_samples
-    ]
+    samples2 = samples1.copy()
+    samples2[:, 7] = samples2[:, 0]
     p1 = GluePiece(tuple(range(6)), piece_edges, lab1, samples1)
     p2 = GluePiece((2, 3, 4, 5, 6, 7), k_edges, lab2, samples2)
     with pytest.raises(GlueError, match="coincide|violates"):
@@ -161,12 +175,12 @@ def test_glue_rejects_coinciding_cross_pair(s1):
 def test_glue_needs_shared_edges(s1):
     g = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
     lab = {e: Fraction(1) for e in g.edges}
-    p1 = GluePiece((0, 1), frozenset({(0, 1)}), {(0, 1): Fraction(1)}, [dict()] * 25)
+    p1 = GluePiece((0, 1), frozenset({(0, 1)}), {(0, 1): Fraction(1)}, np.zeros((25, 4, 2)))
     p2 = GluePiece(
         (1, 2, 3),
         frozenset({(1, 2), (2, 3)}),
         {(1, 2): Fraction(1), (2, 3): Fraction(1)},
-        [dict()] * 25,
+        np.zeros((25, 4, 2)),
     )
     with pytest.raises(GlueError, match="share no edge"):
         glue_labelings(g, p1, p2)

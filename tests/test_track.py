@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from movability.constructions import deltoid_motion
-from movability.track import TrackerError, track_motion
+from movability.track import TrackerError, sampled_path, track_motion
 
 
 def test_deltoid_track_agrees_with_exact_curve():
@@ -70,3 +70,17 @@ def test_fixed_edge_must_exist():
     lab = {(0, 1): Fraction(1)}
     with pytest.raises(TrackerError):
         track_motion(lab, np.array([[0.0, 0.0], [1.0, 0.0]]), (0, 5))
+
+
+def test_sampled_path_scores_like_the_tracker():
+    m = deltoid_motion().motion
+    lab = m.induced_labeling()
+    path = track_motion(lab, np.array(m.realize_float(1.0)), (0, 1), steps=30)
+    coords = np.array([s.coords for s in path.samples])
+    rescored = sampled_path(lab, coords, (0, 1), path.watched_pair)
+    assert len(rescored.samples) == len(path.samples)
+    for tracked, scored in zip(path.samples, rescored.samples):
+        assert scored.step == tracked.step
+        assert scored.residual == tracked.residual
+        assert scored.min_pair_distance == tracked.min_pair_distance
+        assert scored.watched_distance == tracked.watched_distance

@@ -1,15 +1,19 @@
 """Run a fixed corpus of `movability` command lines against one source tree.
 
     python3 tools/cli_corpus.py run SRC_DIR OUT.json
+    python3 tools/cli_corpus.py certs SRC_DIR OUT.json
     python3 tools/cli_corpus.py compare BEFORE.json AFTER.json
 
 `run` executes every case in a fresh temporary directory with
 PYTHONPATH=SRC_DIR and records, per command, the exit code, stdout, stderr
 (or, when it holds a traceback, only that it does), and the contents of
-every file the case wrote.
+every file the case wrote.  `certs` records, for every catalog entry, the
+certificate `decide.catalog_certificate` builds in SRC_DIR: construction,
+labeling, details, the `repr` of each `path_stats` value, motion JSON,
+embedding and the parent chain, so no float is rounded by the record.
 The README's 8-vertex `gen` + `census --jobs 4` pair alone takes about a
 minute on 2 cores.  Malformed-input cases live in tests/test_cli.py, not
-here.  `compare` prints the cases whose records differ and exits nonzero
+here.  `compare` (of two `run` or two `certs` outputs) prints the cases whose records differ and exits nonzero
 when any does.  Comparing the runs of two commits shows whether a refactor
 kept the command-line output byte-identical.
 """
@@ -142,6 +146,38 @@ def run(src: str, out: str) -> None:
     print(f"{len(results)} cases written to {out}")
 
 
+def cert_record(cert) -> dict:
+    from movability.graphs import encode_graph6
+    from movability.motion import labeling_to_json, motion_to_json
+
+    parent = None
+    if cert.parent is not None:
+        host, host_cert = cert.parent
+        parent = {"graph6": encode_graph6(host), "certificate": cert_record(host_cert)}
+    return {
+        "construction": cert.construction,
+        "labeling": labeling_to_json(cert.labeling),
+        "details": json.dumps(cert.details, sort_keys=True, default=repr),
+        "path_stats": None if cert.path_stats is None else {k: repr(v) for k, v in cert.path_stats.items()},
+        "motion": None if cert.motion is None else motion_to_json(cert.motion),
+        "embedding": cert.embedding,
+        "parent": parent,
+    }
+
+
+def certs(src: str, out: str) -> None:
+    sys.path.insert(0, str(pathlib.Path(src).resolve()))
+    from movability.catalog import CATALOG_NAMES
+    from movability.decide import catalog_certificate
+
+    results = {}
+    for name in CATALOG_NAMES:
+        cert = catalog_certificate(name)
+        results[name] = None if cert is None else cert_record(cert)
+    pathlib.Path(out).write_text(json.dumps(results, indent=1, sort_keys=True))
+    print(f"{len(results)} catalog certificates written to {out}")
+
+
 def compare(before: str, after: str) -> int:
     a = json.loads(pathlib.Path(before).read_text())
     b = json.loads(pathlib.Path(after).read_text())
@@ -155,6 +191,8 @@ def compare(before: str, after: str) -> int:
 if __name__ == "__main__":
     if len(sys.argv) == 4 and sys.argv[1] == "run":
         run(sys.argv[2], sys.argv[3])
+    elif len(sys.argv) == 4 and sys.argv[1] == "certs":
+        certs(sys.argv[2], sys.argv[3])
     elif len(sys.argv) == 4 and sys.argv[1] == "compare":
         sys.exit(compare(sys.argv[2], sys.argv[3]))
     else:
