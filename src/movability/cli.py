@@ -34,6 +34,7 @@ from .motion import (
     MotionError,
     active_nac_colorings,
     all_valuation_tables,
+    collinear_triples,
     labeling_from_json,
     labeling_to_json,
     motion_from_json,
@@ -266,7 +267,9 @@ def cmd_construct(args) -> int:
         _write_motion(args, motion, labeling)
         return EXIT_OK
     if args.method == "two-nac":
-        if args.first and args.second:
+        if bool(args.first) != bool(args.second):
+            raise CliParseError("--first and --second must be given together")
+        if args.first:
             g = _read_graph(args.graph)
             pairs = [(_read_coloring(g, args.first), _read_coloring(g, args.second))]
         else:
@@ -334,7 +337,7 @@ def cmd_motion(args) -> int:
                     "trivial": motion.is_trivial(),
                     "proper": report.proper,
                     "coinciding_pairs": [list(p) for p in report.coinciding_pairs],
-                    "collinear_triples": [list(t) for t in report.collinear_triples],
+                    "collinear_triples": [list(t) for t in collinear_triples(motion)],
                     "labeling": json.loads(labeling_to_json(labeling)),
                 },
                 indent=2,

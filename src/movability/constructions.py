@@ -380,8 +380,6 @@ def two_nac_embedding(
     rng = random.Random(seed)
     for _ in range(_EMBEDDING_TRIES):
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
-        if all(c == 0 for c in coeffs):
-            continue
         points = []
         for v in range(g.n):
             acc = [Fraction(0)] * 3
@@ -478,14 +476,9 @@ def motion_from_embedding(omega: EmbeddingR3, quad: QuadMotion) -> ParametrizedM
         x = _const(w1) * f1[0] + _const(w2) * f2[0] + _const(w3) * f3[0]
         y = _const(w1) * f1[1] + _const(w2) * f2[1] + _const(w3) * f3[1]
         coords.append((x, y))
-    pin = None
-    for u, v in sorted(g.edges):
-        if omega.direction_class(u, v) == 0:
-            du = omega.points[v][0] - omega.points[u][0]
-            pin = (u, v) if du > 0 else (v, u)
-            break
-    if pin is None:
-        raise ConstructionInapplicable("no edge in the (1,0,0) class to pin")
+    # EmbeddingR3 guarantees the (1,0,0) class is nonempty
+    u, v = next(e for e in sorted(g.edges) if omega.direction_class(*e) == 0)
+    pin = (u, v) if omega.points[v][0] > omega.points[u][0] else (v, u)
     bx, by = coords[pin[0]]
     shifted = tuple((x - bx, y - by) for x, y in coords)
     return ParametrizedMotion(g, pin, shifted)
@@ -497,19 +490,19 @@ def two_nac_search(
     *,
     seed: int = 0,
 ) -> tuple[NacColoring, NacColoring, EmbeddingR3, ParametrizedMotion]:
-    """The first pair, in order, whose embedding, driven by the deltoid
-    frame, gives an injective motion; raises the last
-    ConstructionInapplicable when no pair does."""
+    """The first pair, in order, whose embedding is injective, with the motion
+    the deltoid frame drives; raises the last ConstructionInapplicable when no
+    pair has one.  That motion is proper: the frame functions are linearly
+    independent (rank 3 at t = 0..4, at any scale), so two vertices coincide
+    for every t only if their embedding points are equal."""
     last_error = ConstructionInapplicable("no pair of NAC-colorings to try")
     for first, second in pairs:
         try:
             embedding = two_nac_embedding(g, first, second, seed=seed)
-            motion = motion_from_embedding(embedding, deltoid_motion())
-            if not verify_injectivity(motion).proper:
-                raise ConstructionInapplicable("the driven motion is not injective")
-            return first, second, embedding, motion
         except ConstructionInapplicable as exc:
             last_error = exc
+            continue
+        return first, second, embedding, motion_from_embedding(embedding, deltoid_motion())
     raise last_error
 
 

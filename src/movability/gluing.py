@@ -73,11 +73,12 @@ def glue_labelings(
 
     Checks, in order: the pieces cover the graph with a nonempty edge
     overlap; the labelings agree exactly on shared edges; both sample paths
-    satisfy their labelings within GLUE_TOL; shared vertices coincide
-    within GLUE_TOL at every corresponding sample; and for every v1 outside
-    piece2 and v2 outside piece1 the sampled trajectories differ somewhere
-    by more than SEPARATION.  Returns the merged labeling and samples;
-    piece 1 wins on shared vertices.
+    are finite on their own vertices and satisfy their labelings within
+    GLUE_TOL; shared vertices coincide within GLUE_TOL at every
+    corresponding sample; and for every v1 outside piece2 and v2 outside
+    piece1 the sampled trajectories differ somewhere by more than
+    SEPARATION.  Returns the merged labeling and samples; piece 1 wins on
+    shared vertices.
     """
     v1, v2 = set(piece1.vertices), set(piece2.vertices)
     if v1 | v2 != set(range(g.n)):
@@ -101,7 +102,10 @@ def glue_labelings(
         raise GlueError(
             f"need at least {MIN_SAMPLES} corresponding samples, got {k} and {len(piece2.samples)}"
         )
-    for piece in (piece1, piece2):
+    for k, piece in ((1, piece1), (2, piece2)):
+        # NaN compares false, so it would pass every check below
+        if not np.isfinite(piece.samples[:, list(piece.vertices)]).all():
+            raise GlueError(f"piece {k} samples hold a non-finite coordinate")
         for sample in piece.samples:
             r = labeling_residual(piece.labeling, sample)
             if r > GLUE_TOL:

@@ -9,6 +9,11 @@ valuations of W at Gaussian-rational places induce NAC-colorings: choosing
 a threshold between attained valuation levels and coloring an edge red when
 its valuation exceeds the threshold always yields a NAC-coloring, and the
 colorings collected this way over all places are the active ones.
+
+A motion is proper when no two vertices share both coordinate functions, so
+one driven by linearly independent frame functions is proper exactly when
+its vertices' frame coefficients differ.  Collinear triples are legal in a
+proper motion and are computed only for display.
 """
 
 from __future__ import annotations
@@ -146,7 +151,6 @@ def z_function(m: ParametrizedMotion, u: int, v: int) -> RationalFunction:
 class InjectivityReport:
     proper: bool
     coinciding_pairs: tuple[tuple[int, int], ...]
-    collinear_triples: tuple[tuple[int, int, int], ...]
 
 
 def _same_function(f: RationalFunction, g: RationalFunction) -> bool:
@@ -160,52 +164,45 @@ def verify_injectivity(m: ParametrizedMotion) -> InjectivityReport:
     Coordinates are real rational functions, so two vertices coincide for
     every parameter exactly when both coordinate functions agree as rational
     functions; all other coincidences happen at finitely many parameters
-    only.  Identically collinear triples are reported as a curiosity
-    (degenerate triangles are legal in proper motions); collinearity of the
-    cross-product function is decided by evaluating at more integer points
-    than its numerator degree admits as roots.
+    only.
     """
-    n = m.graph.n
-    coinciding = []
-    for u, v in combinations(range(n), 2):
-        if _same_function(m.x(u), m.x(v)) and _same_function(m.y(u), m.y(v)):
-            coinciding.append((u, v))
-    # enough sample points to pin the cross product down exactly
-    max_deg = max(
-        f.num.degree + f.den.degree for pair in m.coords for f in pair
+    coinciding = tuple(
+        (u, v) for u, v in combinations(range(m.graph.n), 2)
+        if _same_function(m.x(u), m.x(v)) and _same_function(m.y(u), m.y(v))
     )
+    return InjectivityReport(proper=not coinciding, coinciding_pairs=coinciding)
+
+
+def collinear_triples(m: ParametrizedMotion) -> tuple[tuple[int, int, int], ...]:
+    """Vertex triples collinear for every parameter, bar those holding a
+    coinciding pair.
+
+    Each cross product is evaluated at more integer points than its
+    numerator degree admits as roots.
+    """
+    # enough sample points to pin the cross product down exactly
+    max_deg = max(f.num.degree + f.den.degree for pair in m.coords for f in pair)
     needed = 4 * max_deg + 5
-    points: list[GaussianRational] = []
     values: list[list[tuple[GaussianRational, GaussianRational]]] = []
     t = 0
-    while len(points) < needed:
+    while len(values) < needed:
         t0 = GaussianRational.of(t)
         t += 1
         try:
             row = [(pair[0](t0), pair[1](t0)) for pair in m.coords]
         except ZeroDivisionError:
             continue
-        points.append(t0)
         values.append(row)
     collinear = []
-    skip = set(coinciding)
-    for a, b, c in combinations(range(n), 3):
+    skip = set(verify_injectivity(m).coinciding_pairs)
+    for a, b, c in combinations(range(m.graph.n), 3):
         if {(a, b), (a, c), (b, c)} & skip:
             continue
-        flat = True
-        for row in values:
-            (xa, ya), (xb, yb), (xc, yc) = row[a], row[b], row[c]
-            cross = (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
-            if not cross.is_zero():
-                flat = False
-                break
-        if flat:
+        rows = ((row[a], row[b], row[c]) for row in values)
+        if all(((xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)).is_zero()
+               for (xa, ya), (xb, yb), (xc, yc) in rows):
             collinear.append((a, b, c))
-    return InjectivityReport(
-        proper=not coinciding,
-        coinciding_pairs=tuple(coinciding),
-        collinear_triples=tuple(collinear),
-    )
+    return tuple(collinear)
 
 
 def refix_edge(m: ParametrizedMotion, u2: int, v2: int) -> ParametrizedMotion:
@@ -406,6 +403,8 @@ def labeling_from_json(text: str) -> Labeling:
     for (u, v), s in zip(edges, values):
         if not (type(u) is int and type(v) is int and min(u, v) >= 0):
             raise ValueError(f"edge ({u},{v}) needs two nonnegative integer vertices")
+        if not (type(s) is str or type(s) is int):
+            raise ValueError(f"edge ({u},{v}) needs its squared length as a string or an integer")
         val = Fraction(s)
         if val <= 0:
             raise ValueError(f"edge ({u},{v}) has non-positive squared length")

@@ -1,9 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
+from movability.catalog import catalog_graph, q1_embedding_example
+from movability.constructions import (
+    deltoid_motion,
+    grid_search,
+    motion_from_embedding,
+    s5_motion,
+    two_nac_embedding,
+)
 from movability.graphs import Graph, edge
+from movability.nac import NacColoring, enumerate_nac
 
 
 @pytest.fixture
@@ -36,3 +46,19 @@ def connected_graphs(draw, min_n=1, max_n=10):
     others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
     extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
     return Graph.of(n, tree | set(extra))
+
+
+def bundled_motion(name: str):
+    """An exact motion the library builds: "deltoid", "q1" (the two-NAC
+    motion of Q1's embedding example), "s5-<a>", or a catalog graph's
+    grid motion by name (L1-L6)."""
+    if name == "deltoid":
+        return deltoid_motion().motion
+    if name == "q1":
+        g, first_red, second_red = q1_embedding_example()
+        emb = two_nac_embedding(g, NacColoring(g, first_red), NacColoring(g, second_red), seed=0)
+        return motion_from_embedding(emb, deltoid_motion())
+    if name.startswith("s5"):
+        return s5_motion(Fraction(name.split("-")[1]))[1]
+    g = catalog_graph(name)
+    return grid_search(g, enumerate_nac(g, non_conjugated=True))[3]

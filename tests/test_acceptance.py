@@ -45,6 +45,7 @@ from movability.graphs import Graph, encode_graph6
 from movability.motion import (
     active_nac_colorings,
     all_valuation_tables,
+    collinear_triples,
     refix_edge,
     valuation_table,
     verify_injectivity,
@@ -215,7 +216,7 @@ def test_criterion_4_q1_embedding():
     motion.induced_labeling()  # the motion type rejects a non-constant edge length
     report = verify_injectivity(motion)
     assert report.proper
-    assert (0, 1, 6) in report.collinear_triples
+    assert (0, 1, 6) in collinear_triples(motion)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     _ok(f"4 Q1 embedding basis and proper motion ({elapsed:.2f}s)")

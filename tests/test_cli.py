@@ -297,30 +297,24 @@ def test_construct_two_nac_writes_embedding(tmp_path, capsys):
     assert all(len(p) == 3 for p in emb.values())
 
 
-def test_construct_two_nac_rejects_non_injective_pair(tmp_path, monkeypatch, capsys):
-    # an explicit pair goes through the same search as classify, so a
-    # driven motion that is not injective is refused with exit 5
+def test_construct_two_nac_explicit_pair(tmp_path, capsys):
+    # an explicit pair goes through the same search as classify; its
+    # driven motion is proper because the embedding is injective
     from itertools import combinations
 
-    import movability.constructions as constructions
+    from movability.constructions import two_nac_search
     from movability.graphs import parse_graph6
-    from movability.motion import InjectivityReport
     from movability.nac import enumerate_nac
 
     g = parse_graph6(Q1)
     pairs = combinations(enumerate_nac(g, non_conjugated=True), 2)
-    first, second, _, _ = constructions.two_nac_search(g, pairs)
+    first, second, _, _ = two_nac_search(g, pairs)
     (tmp_path / "first.json").write_text(first.to_json())
     (tmp_path / "second.json").write_text(second.to_json())
     argv = ["construct", "two-nac", Q1, "--first", str(tmp_path / "first.json"),
             "--second", str(tmp_path / "second.json"), "--out", str(tmp_path / "out")]
     assert run(argv, capsys)[0] == 0
-    monkeypatch.setattr(
-        constructions, "verify_injectivity", lambda m: InjectivityReport(False, ((0, 1),), ())
-    )
-    code, _, err = run(argv, capsys)
-    assert code == 5
-    assert "not injective" in err
+
 
 def test_nac_enum_table_format(capsys):
     code, out, _ = run(["nac", "enum", C4, "--format", "table"], capsys)
@@ -399,6 +393,10 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["construct", "grid", "ElNG", "--coloring", "grid-coloring-float.json", "--out", "out"],
         ["motion", "track", "--labeling", "triangle.json", "--start", "triangle-start.json",
          "--fixed", "0,1"],
+        ["construct", "two-nac", "FLr@w", "--first", "q1-coloring.json", "--out", "out"],
+        ["construct", "two-nac", "FLr@w", "--second", "/nonexistent.json", "--out", "out"],
+        ["motion", "track", "--labeling", "lambda-bool.json", "--start", "square.json", "--fixed", "0,1"],
+        ["motion", "track", "--labeling", "lambda-float.json", "--start", "diamond.json", "--fixed", "0,1"],
     ],
     ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
          "start-words", "start-off-labeling", "start-nan", "start-infinity", "start-three-columns",
@@ -410,7 +408,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "gen-max-n-11", "json-graph-float-vertex", "json-graph-string-vertex",
          "json-graph-float-n", "motion-float-n", "json-graph-edges-int", "json-graph-edges-null",
          "coloring-float-vertex", "coloring-bool-vertex", "grid-coloring-float-vertex",
-         "track-rigid-triangle"],
+         "track-rigid-triangle", "two-nac-lone-first", "two-nac-lone-second", "lambda-bool",
+         "lambda-float"],
 )
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     from movability.constructions import deltoid_motion
@@ -458,6 +457,19 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         },
         "triangle.json": {"edges": [[0, 1], [0, 2], [1, 2]], "lambda_sq": ["1", "1", "1"]},
         "triangle-start.json": [[0.0, 0.0], [1.0, 0.0], [0.5, 3**0.5 / 2]],
+        # Fraction(True) == 1 and Fraction(0.5) == 1/2, and both rhombi track,
+        # so only a type check keeps these out
+        "lambda-bool.json": {"edges": lab["edges"], "lambda_sq": [True, "1", "1", "1"]},
+        "square.json": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+        "lambda-float.json": {"edges": lab["edges"], "lambda_sq": [0.5, "1/2", "1/2", "1/2"]},
+        "diamond.json": [[0.0, 0.0], [0.5, 0.5], [0.0, 1.0], [-0.5, 0.5]],
+        # a NAC-coloring of Q1 (FLr@w), given without its partner
+        "q1-coloring.json": {
+            "edges": [[0, 3], [0, 4], [0, 5], [1, 2], [1, 4], [1, 5], [2, 3], [2, 6], [3, 6],
+                      [4, 6], [5, 6]],
+            "colors": ["blue", "red", "red", "red", "blue", "blue", "red", "red", "red", "blue",
+                       "blue"],
+        },
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))

@@ -6,6 +6,7 @@ from movability.catalog import catalog_graph, graph_with_unicolor_path, q1_embed
 from movability.constructions import (
     DIRECTIONS,
     _NORMALS,
+    _nullspace,
     ConstructionInapplicable,
     EmbeddingR3,
     deltoid_motion,
@@ -24,6 +25,7 @@ from movability.graphs import Graph
 from movability.motion import (
     active_nac_colorings,
     candidate_places,
+    collinear_triples,
     verify_injectivity,
 )
 from movability.nac import NacColoring, enumerate_nac, is_nac
@@ -174,7 +176,7 @@ def test_q1_embedding_and_motion(q1_pair):
     motion = motion_from_embedding(emb, deltoid_motion())
     report = verify_injectivity(motion)
     assert report.proper
-    assert (0, 1, 6) in report.collinear_triples
+    assert (0, 1, 6) in collinear_triples(motion)
     # the projection onto the frame cycle is the deltoid itself (up to scale)
     places = candidate_places(motion)
     assert {str(p) for p in places.places if not p.is_infinity} == {"i", "-i", "2i", "-2i"}
@@ -272,6 +274,18 @@ def test_deltoid_frame_norms():
         deltoid_motion(Fraction(-1))
 
 
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(3, 2)])
+def test_deltoid_frame_functions_are_linearly_independent(scale):
+    # two_nac_search relies on this: a vertex driven by the frame moves as
+    # w1 f1 + w2 f2 + w3 f3, so distinct embedding points never coincide
+    # for every t.  The x and y values of f1, f2, f3 at t = 0..4 form a
+    # 10x3 matrix over Q; an empty nullspace means rank 3.
+    frames = deltoid_motion(scale).frames()
+    values = [[f[k](gr(t)) for f in frames] for t in range(5) for k in range(2)]
+    assert all(c.im == 0 for row in values for c in row)
+    assert _nullspace([[c.re for c in row] for row in values], 3) == []
+
+
 def test_deltoid_time_zero_positions():
     m = deltoid_motion().motion
     t0 = gr(0)
@@ -307,8 +321,9 @@ def test_s5_compatibility_and_injectivity():
         assert motion.induced_labeling() == lab  # every edge constant
         report = verify_injectivity(motion)
         assert report.proper
-        assert (0, 1, 2) in report.collinear_triples
-        assert (0, 3, 4) in report.collinear_triples
+        triples = collinear_triples(motion)
+        assert (0, 1, 2) in triples
+        assert (0, 3, 4) in triples
 
 
 def test_s5_parameter_validation():

@@ -7,19 +7,11 @@ colorings from the fresh W, on the bundled motions and every exact refix
 of each.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from movability.catalog import catalog_graph, q1_embedding_example
-from movability.constructions import (
-    deltoid_motion,
-    grid_search,
-    motion_from_embedding,
-    s5_motion,
-    two_nac_embedding,
-)
+from conftest import bundled_motion
 from movability.exact import GR_I
 from movability.motion import (
     MotionError,
@@ -29,30 +21,16 @@ from movability.motion import (
     w_function,
     z_function,
 )
-from movability.nac import NacColoring, enumerate_nac
 from movability.ratfunc import RationalFunction, valuation
 
 I = RationalFunction.const(GR_I)
 L_GRAPHS = ("L1", "L2", "L3", "L4", "L5", "L6")
 
 
-def _base_motion(name: str):
-    if name == "deltoid":
-        return deltoid_motion().motion
-    if name == "q1":
-        g, first_red, second_red = q1_embedding_example()
-        emb = two_nac_embedding(g, NacColoring(g, first_red), NacColoring(g, second_red), seed=0)
-        return motion_from_embedding(emb, deltoid_motion())
-    if name.startswith("s5"):
-        return s5_motion(Fraction(name.split("-")[1]))[1]
-    g = catalog_graph(name)
-    return grid_search(g, enumerate_nac(g, non_conjugated=True))[3]
-
-
 @lru_cache(maxsize=None)
 def _motions(name: str):
     """The named motion and its refix to every edge of rational length."""
-    m = _base_motion(name)
+    m = bundled_motion(name)
     out = [m]
     for e in m.graph.sorted_edges():
         try:

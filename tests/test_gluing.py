@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from movability import gluing
 from movability.canon import are_isomorphic
 from movability.catalog import catalog_graph
 from movability.gluing import (
@@ -170,6 +171,37 @@ def test_glue_rejects_coinciding_cross_pair(s1):
     p2 = GluePiece((2, 3, 4, 5, 6, 7), k_edges, lab2, samples2)
     with pytest.raises(GlueError, match="coincide|violates"):
         glue_labelings(g, p1, p2)
+
+
+@pytest.fixture(scope="module")
+def s1_pieces():
+    """The graph and the two pieces glued_s1 hands to glue_labelings."""
+    captured = []
+
+    def capture(g, piece1, piece2):
+        captured.append((g, piece1, piece2))
+        return glue_labelings(g, piece1, piece2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gluing, "glue_labelings", capture)
+        glued_s1(samples=25)
+    return captured[0]
+
+
+@pytest.mark.parametrize("piece, vertex", [(1, 3), (2, 7)], ids=["shared-vertex", "own-vertex"])
+def test_glue_rejects_non_finite_samples(s1_pieces, piece, vertex):
+    # NaN compares false against every tolerance, so only an explicit
+    # finiteness check on the piece's own vertices catches it
+    g, p1, p2 = s1_pieces
+    pieces = [p1, p2]
+    bad = pieces[piece - 1]
+    assert vertex in bad.vertices
+    samples = bad.samples.copy()
+    samples[5, vertex] = np.nan
+    pieces[piece - 1] = GluePiece(bad.vertices, bad.edges, bad.labeling, samples)
+    glue_labelings(g, p1, p2)  # the captured pieces glue as they are
+    with pytest.raises(GlueError, match=f"piece {piece} samples hold a non-finite"):
+        glue_labelings(g, *pieces)
 
 
 def test_glue_needs_shared_edges(s1):

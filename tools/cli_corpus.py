@@ -99,17 +99,31 @@ def cases() -> list[tuple[str, list[list[str]]]]:
             ["motion", "refix", "out/motion.json", "--edge", unpinned, "--out", "out/refixed.json"],
             *queries("out/refixed.json"),
         ]))
+    # the one motion with a coinciding pair: Q1 with vertex 0 duplicated
+    out.append(("motion-improper", [["motion", "verify", "improper.json"],
+                                    ["motion", "valuations", "improper.json"],
+                                    ["motion", "active-nac", "improper.json"]]))
     return out
 
 
 def input_files() -> dict[str, str]:
-    from movability.constructions import deltoid_motion
-    from movability.motion import labeling_to_json
+    from movability.catalog import q1_embedding_example
+    from movability.constructions import deltoid_motion, motion_from_embedding, two_nac_embedding
+    from movability.graphs import Graph
+    from movability.motion import ParametrizedMotion, labeling_to_json, motion_to_json
+    from movability.nac import NacColoring
 
     motion = deltoid_motion().motion
+    # the Q1 two-NAC motion plus vertex 7, a copy of vertex 0 joined to 0's neighbours
+    g, first_red, second_red = q1_embedding_example()
+    emb = two_nac_embedding(g, NacColoring(g, first_red), NacColoring(g, second_red), seed=0)
+    q1 = motion_from_embedding(emb, deltoid_motion())
+    dup = Graph.of(g.n + 1, [*g.edges, *((v, g.n) for v in range(g.n) if (0, v) in g.edges)])
+    improper = ParametrizedMotion(dup, q1.fixed_edge, (*q1.coords, q1.coords[0]))
     return {
         "lab.json": labeling_to_json(motion.induced_labeling()),
         "start.json": json.dumps(motion.realize_float(1.0)),
+        "improper.json": motion_to_json(improper),
     }
 
 
