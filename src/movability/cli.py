@@ -179,6 +179,8 @@ def _check_max_n(max_n: int) -> None:
 
 def cmd_census(args) -> int:
     _check_max_n(args.max_n)
+    if args.jobs < 1:
+        raise CliParseError(f"--jobs must be at least 1, got {args.jobs}")
     if args.graphs == "-":
         lines = sys.stdin.read().splitlines()
     else:

@@ -265,21 +265,13 @@ class EmbeddingR3:
 
 
 def direction_class(d: Sequence[Fraction]) -> int:
-    """Index of the DIRECTIONS entry that the nonzero vector d is parallel to."""
-    for k, ref in enumerate(DIRECTIONS):
-        if _parallel(d, ref):
-            return k
+    """Index k of the DIRECTIONS entry that the nonzero vector d is parallel
+    to: d is orthogonal to both vectors of _NORMALS[k]."""
+    if any(d):
+        for k, normals in enumerate(_NORMALS):
+            if all(sum(c * x for c, x in zip(normal, d)) == 0 for normal in normals):
+                return k
     raise ValueError(f"direction {d} matches no class")
-
-
-def _parallel(d: Sequence[Fraction], ref: Sequence[Fraction]) -> bool:
-    if all(x == 0 for x in d):
-        return False
-    return (
-        d[0] * ref[1] == d[1] * ref[0]
-        and d[0] * ref[2] == d[2] * ref[0]
-        and d[1] * ref[2] == d[2] * ref[1]
-    )
 
 
 def two_nac_solution_space(
@@ -287,65 +279,65 @@ def two_nac_solution_space(
 ) -> list[tuple[Triple, ...]]:
     """Basis of the solution space of the edge-direction linear system.
 
-    Vertex 0 is pinned to the origin; every edge contributes two equations
-    forcing its endpoint difference parallel to the direction its color pair
-    selects, one per vector of _NORMALS.  Solved exactly over Q; each basis
-    vector is returned as a full tuple of vertex triples (vertex 0 = origin
-    included).
+    Unknown 3v+k is coordinate k of vertex v.  Three unit rows pin vertex 0
+    to the origin; every edge contributes two equations forcing its endpoint
+    difference parallel to the direction its color pair selects, one per
+    vector of _NORMALS.  Solved exactly over Q; each basis vector is returned
+    as a tuple of vertex triples.
     """
     for coloring in (first, second):
         if coloring.graph != g:
             raise ValueError("coloring belongs to a different graph")
         if not is_nac(g, coloring):
             raise ConstructionInapplicable("a supplied coloring is not a NAC-coloring")
-    # the unknowns are the coordinates of vertices 1..n-1, three each
-    nvar = 3 * (g.n - 1)
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = [{k: Fraction(1)} for k in range(3)]
     for u, v in g.sorted_edges():
         for normal in _NORMALS[_PAIR_INDEX[first.color(u, v), second.color(u, v)]]:
-            row = [Fraction(0)] * nvar
-            for w, sign in ((u, 1), (v, -1)):
-                if w:  # vertex 0 is pinned to the origin
-                    for k, c in enumerate(normal):
-                        if c:
-                            row[3 * (w - 1) + k] += sign * c
-            rows.append(row)
-    origin: Triple = (Fraction(0), Fraction(0), Fraction(0))
+            rows.append({3 * w + k: Fraction(sign * c) for w, sign in ((u, 1), (v, -1))
+                         for k, c in enumerate(normal) if c})
     return [
-        (origin, *(tuple(vec[3 * (v - 1) : 3 * v]) for v in range(1, g.n)))
-        for vec in _nullspace(rows, nvar)
+        tuple(tuple(vec[3 * v : 3 * v + 3]) for v in range(g.n))
+        for vec in _nullspace(rows, 3 * g.n)
     ]
 
 
-def _nullspace(rows: list[list[Fraction]], nvar: int) -> list[list[Fraction]]:
-    """Exact nullspace basis by fraction-based Gaussian elimination."""
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(nvar):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
+def _nullspace(rows: Iterable[Mapping[int, Fraction]], nvar: int) -> list[list[Fraction]]:
+    """Exact nullspace basis of sparse rows {column: value}: one vector per
+    free column, in increasing order.
+
+    The kept rows, keyed by pivot column, stay in reduced row echelon form:
+    each incoming row is reduced against them; a nonzero remainder is
+    normalized on its first column, which is then eliminated from the kept
+    rows.  The RREF is unique, so the basis does not depend on row order.
+    """
+    kept: dict[int, dict[int, Fraction]] = {}
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
+        for p in row.keys() & kept.keys():
+            _subtract(row, row[p], kept[p])
+        if not row:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(nvar) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * nvar
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(vec)
-    return basis
+        pivot = min(row)
+        lead = Fraction(row[pivot])
+        row = {c: x / lead for c, x in row.items()}
+        for other in kept.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        kept[pivot] = row
+    return [
+        [-kept[c].get(free, Fraction(0)) if c in kept else Fraction(c == free) for c in range(nvar)]
+        for free in range(nvar) if free not in kept
+    ]
+
+
+def _subtract(row: dict[int, Fraction], factor: Fraction, other: Mapping[int, Fraction]) -> None:
+    """row -= factor * other, dropping the entries that cancel."""
+    for c, x in other.items():
+        y = row.get(c, 0) - factor * x
+        if y:
+            row[c] = y
+        else:
+            row.pop(c, None)
 
 
 def two_nac_embedding(

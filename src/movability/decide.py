@@ -30,10 +30,8 @@ from .constructions import (
     two_nac_search,
 )
 from .graphs import (
-    Edge,
     Graph,
     ReductionCollapse,
-    components,
     edge,
     encode_graph6,
     parse_graph6,
@@ -82,14 +80,15 @@ class MovabilityCertificate:
         if any(v <= 0 for v in self.labeling.values()):
             return False
         if self.motion is not None:
-            induced = self.motion.induced_labeling()
-            restricted = {e: induced[e] for e in self.labeling}
-            if restricted != dict(self.labeling):
+            if self.motion.graph != g or self.motion.induced_labeling() != dict(self.labeling):
                 return False
             if self.motion.is_trivial():
                 return False
             return verify_injectivity(self.motion).proper
         if self.sampler is not None:
+            # dixon_one refuses fewer than three vertices: K2 is rigid
+            if self.sampler.graph != g or g.n < 3:
+                return False
             return _verify_dixon_samples(g, self.labeling, self.sampler)
         if self.parent is not None and self.embedding is not None:
             # a spanning subgraph of a movable graph inherits the restricted
@@ -97,7 +96,7 @@ class MovabilityCertificate:
             # parent's own evidence
             parent_graph, parent_cert = self.parent
             phi = self.embedding
-            if sorted(phi) != list(range(parent_graph.n)):
+            if len(phi) != g.n or sorted(phi) != list(range(parent_graph.n)):
                 return False
             for u, v in g.edges:
                 e = edge(phi[u], phi[v])
@@ -388,88 +387,35 @@ def certify_no_unicolor_pairs(g: Graph, witnesses: Iterable[NacColoring]) -> boo
 # -- tree-decomposability ------------------------------------------------------
 
 
-def is_tree_decomposable(g: Graph, _memo: dict | None = None) -> bool:
-    """Recursively split into three pieces sharing three distinct vertices.
+def is_tree_decomposable(g: Graph) -> bool:
+    """Merge clusters of vertices until one holds them all.
 
     A graph is tree-decomposable when it is a single edge or splits into
     three tree-decomposable subgraphs covering all vertices and edges and
     pairwise intersecting in exactly one vertex (three distinct vertices in
-    total).  Tree-decomposable graphs are never movable.  Memoized on
-    canonical forms; practical for n <= 10.
+    total).  Tree-decomposable graphs are never movable.  Bottom up, every
+    edge starts as a cluster, and three clusters that pairwise share exactly
+    one vertex, the three shared vertices distinct, merge into one; the graph
+    is tree-decomposable when a single cluster holding every vertex is left.
     """
     if g.n > 10:
         raise ValueError("tree-decomposability check supports n <= 10")
     if len(g.edges) == 1:
         return True
-    if len(g.edges) < 3 or not g.is_connected():
-        return False
-    memo = _memo if _memo is not None else {}
-    key = canonical_form(g)
-    if key in memo:
-        return memo[key]
-    memo[key] = False  # cycles cannot help
-    adj = g.adjacency()
-    result = any(
-        _splits_at(g, adj, triple, memo) for triple in combinations(range(g.n), 3)
-    )
-    memo[key] = result
-    return result
-
-
-def _splits_at(g: Graph, adj, triple, memo) -> bool:
-    u, v, w = triple
-    hubs = {u, v, w}
-    shared = ({u, w}, {u, v}, {v, w})  # vertex pairs of pieces 1, 2, 3
-    comps = components(
-        (x for x in range(g.n) if x not in hubs),
-        (e for e in g.edges if e[0] not in hubs and e[1] not in hubs),
-    )
-    allowed: list[list[int]] = []
-    for members in comps:
-        attach = set()
-        for x in members:
-            attach |= adj[x] & hubs
-        options = [i for i, pair in enumerate(shared) if attach <= pair]
-        if not options:
-            return False
-        allowed.append(options)
-
-    def edges_of(piece: int, assignment: list[int]) -> set[Edge]:
-        verts = set(shared[piece])
-        for members, a in zip(comps, assignment):
-            if a == piece:
-                verts |= set(members)
-        out = set()
-        for e in g.edges:
-            a, b = e
-            if a in verts and b in verts:
-                # hub-hub edges go only to the piece sharing both hubs
-                if a in hubs and b in hubs and {a, b} != shared[piece]:
-                    continue
-                out.add(e)
-        return out
-
-    def rec(k: int, assignment: list[int]) -> bool:
-        if k == len(comps):
-            pieces = []
-            for i in range(3):
-                es = edges_of(i, assignment)
-                if not es:
-                    return False
-                verts = sorted({x for e in es for x in e})
-                if not shared[i] <= set(verts):
-                    return False
-                index = {x: t for t, x in enumerate(verts)}
-                sub = Graph.of(len(verts), [(index[a], index[b]) for a, b in es])
-                if not sub.is_connected():
-                    return False
-                pieces.append(sub)
-            if sum(len(p.edges) for p in pieces) != len(g.edges):
-                return False
-            return all(is_tree_decomposable(p, memo) for p in pieces)
-        return any(rec(k + 1, assignment + [a]) for a in allowed[k])
-
-    return rec(0, [])
+    # vertex bitmasks, kept by position: two clusters may hold the same vertices
+    clusters = [1 << u | 1 << v for u, v in g.sorted_edges()]
+    merged = True
+    while merged:
+        merged = False
+        for i, j, k in combinations(range(len(clusters)), 3):
+            a, b, c = clusters[i], clusters[j], clusters[k]
+            shared = {a & b, b & c, c & a}
+            if len(shared) == 3 and all(x and not x & (x - 1) for x in shared):
+                clusters[i] = a | b | c
+                del clusters[k], clusters[j]
+                merged = True
+                break
+    return clusters == [(1 << g.n) - 1]
 
 
 # -- census --------------------------------------------------------------------
@@ -552,8 +498,11 @@ def census(
     Filters to graphs with a spanning Laman subgraph, discards closures that
     are complete or keep a degree-two vertex, groups the rest by isomorphism
     and keeps the classes maximal under spanning-subgraph containment.  With
-    a catalog, asserts the maximal classes match it exactly.
+    a catalog, asserts the maximal classes match it exactly.  More than one
+    job runs a pool of at most as many workers as there are CPUs.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     lines = [ln.strip() for ln in lines if ln.strip()]
     lines = [ln for ln in lines if ord(ln[0]) - 63 <= max_n]
     seen = 0
@@ -561,8 +510,9 @@ def census(
     closures: dict[str, CensusClass] = {}
     if jobs > 1:
         import multiprocessing
+        import os
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, os.cpu_count() or 1)) as pool:
             results = pool.map(_census_worker, lines, chunksize=64)
     else:
         results = map(_census_worker, lines)

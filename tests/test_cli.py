@@ -281,6 +281,50 @@ def test_census_jobs_agree(tmp_path, capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_census_jobs_below_one_exits_2(jobs, tmp_path, capsys):
+    stream = tmp_path / "graphs.g6"
+    stream.write_text("Bw\n")
+    code, out, err = run(["census", "--graphs", str(stream), "--jobs", jobs], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --jobs must be at least 1")
+
+
+def test_census_pool_is_clamped_to_the_cpu_count(monkeypatch):
+    # the fake pool maps in this process, so no worker is started
+    import multiprocessing
+    import os
+
+    from movability.decide import census
+    from movability.smallgraphs import connected_graphs_up_to
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize=1):
+            return list(map(func, items))
+
+    lines = [encode_graph6(g) for g in connected_graphs_up_to(5)]
+    serial = census(lines, max_n=5, catalog=None).to_json()
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    for cpus, jobs, size in ((2, 4000, 2), (8, 3, 3), (None, 4, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert census(lines, max_n=5, catalog=None, jobs=jobs).to_json() == serial
+        assert sizes.pop() == size
+    with pytest.raises(ValueError):
+        census(lines, max_n=5, catalog=None, jobs=0)
+
+
 def test_missing_file_is_a_parse_error(capsys):
     code, _, err = run(["census", "--graphs", "/nonexistent/file.g6"], capsys)
     assert code == 2

@@ -1,8 +1,16 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from movability.catalog import catalog_graph, graph_with_unicolor_path, q1_embedding_example
+from movability.canon import canonical_form
+from movability.catalog import (
+    CATALOG_NAMES,
+    catalog_graph,
+    graph_with_unicolor_path,
+    q1_embedding_example,
+)
 from movability.constructions import (
     DIRECTIONS,
     _NORMALS,
@@ -10,6 +18,7 @@ from movability.constructions import (
     ConstructionInapplicable,
     EmbeddingR3,
     deltoid_motion,
+    direction_class,
     dixon_one,
     grid_construction,
     grid_search,
@@ -242,6 +251,46 @@ def test_normals_span_the_plane_orthogonal_to_each_direction():
         assert cross != (0, 0, 0)  # rank 2
 
 
+def test_direction_class_rejects_zero_and_classless_vectors():
+    for d in ((Fraction(0),) * 3, (Fraction(1), Fraction(1), Fraction(0))):
+        with pytest.raises(ValueError):
+            direction_class(d)
+
+
+def _pairs(g):
+    return [(g, a, b) for a, b in combinations(enumerate_nac(g, non_conjugated=True), 2)]
+
+
+def _deletion_classes():
+    """One connected one-edge-deleted catalog subgraph per isomorphism class."""
+    seen, out = set(), []
+    for name in CATALOG_NAMES:
+        g = catalog_graph(name)
+        for e in sorted(g.edges):
+            h = Graph(g.n, g.edges - {e})
+            if h.is_connected() and canonical_form(h) not in seen:
+                seen.add(canonical_form(h))
+                out.append(h)
+    return out
+
+
+@pytest.mark.parametrize("source", ["Q1", "S2", "deletions"])
+def test_solution_space_matches_dense_elimination(source):
+    # the RREF is unique for a fixed column order, so the sparse and the dense
+    # elimination give the same basis; S2's pairs hit every rejection reason
+    from two_nac_oracle import two_nac_solution_space as oracle
+
+    if source == "deletions":
+        classes = _deletion_classes()
+        assert len(classes) == 87
+        pairs = random.Random(0).sample([p for h in classes for p in _pairs(h)], 200)
+    else:
+        pairs = _pairs(catalog_graph(source))
+        assert len(pairs) == {"Q1": 66, "S2": 231}[source]
+    for g, first, second in pairs:
+        assert two_nac_solution_space(g, first, second) == oracle(g, first, second)
+
+
 def test_direction_class_agrees_with_normals_on_q1(q1_pair):
     g, first, second = q1_pair
     emb = two_nac_embedding(g, first, second, seed=0)
@@ -283,7 +332,7 @@ def test_deltoid_frame_functions_are_linearly_independent(scale):
     frames = deltoid_motion(scale).frames()
     values = [[f[k](gr(t)) for f in frames] for t in range(5) for k in range(2)]
     assert all(c.im == 0 for row in values for c in row)
-    assert _nullspace([[c.re for c in row] for row in values], 3) == []
+    assert _nullspace([{k: c.re for k, c in enumerate(row) if c.re} for row in values], 3) == []
 
 
 def test_deltoid_time_zero_positions():

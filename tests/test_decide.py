@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,12 +14,14 @@ from movability.catalog import (
     movable_seven_vertex_graph,
     ring_of_complete_bipartite,
 )
+from movability.constructions import DixonSampler, dixon_one
 from movability.decide import (
     MOVABLE,
     NOT_MOVABLE_CDC_COMPLETE,
     NOT_MOVABLE_NO_NAC,
     GENERICALLY_MOVABLE,
     UNDECIDED,
+    MovabilityCertificate,
     catalog_certificate,
     census,
     certify_no_unicolor_pairs,
@@ -25,7 +29,7 @@ from movability.decide import (
     is_tree_decomposable,
     nac_witnesses,
 )
-from movability.graphs import Graph, encode_graph6
+from movability.graphs import Graph, edge, encode_graph6
 from movability.nac import NacColoring, constant_distance_closure, enumerate_nac, is_nac
 from movability.smallgraphs import connected_graphs_up_to
 
@@ -124,6 +128,61 @@ def test_catalog_certificate_matches_classify(name):
     assert cert.labeling == verdict.certificate.labeling
     assert cert.details == verdict.certificate.details
     assert cert.verify(g)
+
+
+# -- certificates must belong to the graph they certify ---------------------------
+
+
+def test_pullback_rejects_an_embedding_of_another_size():
+    # a single edge is rigid; Q1's evidence says nothing about it
+    q1, q1_cert = catalog_graph("Q1"), catalog_certificate("Q1")
+    phi = [0, 3, 1, 2, 4, 5, 6]
+    cert = MovabilityCertificate(
+        construction="catalog:Q1",
+        labeling={(0, 1): q1_cert.labeling[(0, 3)]},
+        parent=(q1, q1_cert),
+        embedding=phi,
+    )
+    assert not cert.verify(Graph.of(2, [(0, 1)]))
+
+
+def test_pullback_rejects_a_short_embedding_without_raising():
+    # Q1 plus vertex 7, with edge (0, 3) moved to (0, 7): phi has no entry 7
+    q1, q1_cert = catalog_graph("Q1"), catalog_certificate("Q1")
+    g = Graph.of(8, (q1.edges - {(0, 3)}) | {(0, 7)})
+    labeling = {e: q1_cert.labeling.get(e, Fraction(1)) for e in g.edges}
+    cert = MovabilityCertificate(
+        construction="catalog:Q1", labeling=labeling, parent=(q1, q1_cert), embedding=list(range(7))
+    )
+    assert cert.verify(g) is False
+
+
+@pytest.mark.parametrize("n", [7, 4])
+def test_motion_of_another_graph_is_no_evidence(n):
+    motion = catalog_certificate("Q1").motion
+    g = Graph.of(n, [(0, 3)])
+    cert = MovabilityCertificate(
+        construction="two_nac",
+        labeling={(0, 3): motion.induced_labeling()[edge(0, 3)]},
+        motion=motion,
+    )
+    assert cert.verify(g) is False
+
+
+def test_axes_sampler_needs_its_own_graph_with_three_vertices():
+    k2 = Graph.of(2, [(0, 1)])
+    sampler = DixonSampler(
+        graph=k2, x_part=(0,), y_part=(1,), x_params={0: Fraction(1)}, y_params={1: Fraction(1)}
+    )
+    cert = MovabilityCertificate(construction="dixon_one", labeling={(0, 1): Fraction(2)}, sampler=sampler)
+    assert not cert.verify(k2)
+    # K33's sampler restricted to K33 minus an edge
+    k33 = catalog_graph("K33")
+    labeling, sampler = dixon_one(k33, {0: 1, 1: 2, 2: 3}, {3: 1, 4: 2, 5: 3})
+    assert MovabilityCertificate("dixon_one", labeling, sampler=sampler).verify(k33)
+    smaller = Graph(6, k33.edges - {(0, 3)})
+    restricted = {e: lam for e, lam in labeling.items() if e in smaller.edges}
+    assert not MovabilityCertificate("dixon_one", restricted, sampler=sampler).verify(smaller)
 
 
 def test_classify_undecided_above_cap():
@@ -265,6 +324,28 @@ def test_h1_graphs_are_tree_decomposable_with_complete_closure(rng):
 
 def test_k33_not_tree_decomposable():
     assert not is_tree_decomposable(catalog_graph("K33"))
+
+
+def test_tree_decomposable_matches_split_search_on_connected_graphs():
+    from tree_decomposable_oracle import is_tree_decomposable as oracle
+
+    graphs = list(connected_graphs_up_to(7))
+    assert len(graphs) == 995
+    assert [is_tree_decomposable(g) for g in graphs] == [oracle(g) for g in graphs]
+
+
+def test_tree_decomposable_matches_split_search_on_labeled_graphs():
+    # every graph on 0..5 labeled vertices, isolated vertices included
+    from tree_decomposable_oracle import is_tree_decomposable as oracle
+
+    count = 0
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.of(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            assert is_tree_decomposable(g) == oracle(g), g
+            count += 1
+    assert count == 1100
 
 
 # -- census ----------------------------------------------------------------------

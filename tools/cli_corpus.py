@@ -78,6 +78,12 @@ def cases() -> list[tuple[str, list[list[str]]]]:
         ("dixon-triangle", [["construct", "dixon1", "Bw", "--out", "out/"]]),
         ("grid-inapplicable", [["construct", "grid", g6["unicolor"], "--out", "out/"]]),
         ("two-nac-inapplicable", [["construct", "two-nac", "Cl", "--out", "out/"]]),
+        # S1: every pair fails in the solve; the S2 pairs pin the solver's two messages
+        ("two-nac-S1", [["construct", "two-nac", g6["S1"], "--out", "out/"]]),
+        ("two-nac-S2-coincide", [["construct", "two-nac", g6["S2"], "--first", "s2-0.json",
+                                  "--second", "s2-1.json", "--out", "out/"]]),
+        ("two-nac-S2-zero", [["construct", "two-nac", g6["S2"], "--first", "s2-0.json",
+                              "--second", "s2-10.json", "--out", "out/"]]),
         *((f"glue-{r}", [["construct", "glue", "--recipe", r, "--out", "out/"]]) for r in ("s1", "s2", "s3")),
         *((f"s5-a-{a}", [["construct", "s5", "--a", a, "--out", "out/"]]) for a in ("1", "2", "3")),
         ("census-6", [["gen", "--max-n", "6", "--out", "graphs.g6"],
@@ -107,11 +113,11 @@ def cases() -> list[tuple[str, list[list[str]]]]:
 
 
 def input_files() -> dict[str, str]:
-    from movability.catalog import q1_embedding_example
+    from movability.catalog import catalog_graph, q1_embedding_example
     from movability.constructions import deltoid_motion, motion_from_embedding, two_nac_embedding
     from movability.graphs import Graph
     from movability.motion import ParametrizedMotion, labeling_to_json, motion_to_json
-    from movability.nac import NacColoring
+    from movability.nac import NacColoring, enumerate_nac
 
     motion = deltoid_motion().motion
     # the Q1 two-NAC motion plus vertex 7, a copy of vertex 0 joined to 0's neighbours
@@ -120,10 +126,12 @@ def input_files() -> dict[str, str]:
     q1 = motion_from_embedding(emb, deltoid_motion())
     dup = Graph.of(g.n + 1, [*g.edges, *((v, g.n) for v in range(g.n) if (0, v) in g.edges)])
     improper = ParametrizedMotion(dup, q1.fixed_edge, (*q1.coords, q1.coords[0]))
+    s2 = enumerate_nac(catalog_graph("S2"), non_conjugated=True)
     return {
         "lab.json": labeling_to_json(motion.induced_labeling()),
         "start.json": json.dumps(motion.realize_float(1.0)),
         "improper.json": motion_to_json(improper),
+        **{f"s2-{i}.json": s2[i].to_json() for i in (0, 1, 10)},
     }
 
 
