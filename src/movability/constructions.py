@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from .exact import GaussianRational, Poly
 from .graphs import Edge, Graph, components, edge
 from .nac import BLUE, RED, NacColoring, is_nac
-from .motion import Labeling, MotionError, ParametrizedMotion, verify_injectivity
+from .motion import Labeling, MotionError, ParametrizedMotion, verify_injectivity, w_function
 from .ratfunc import RationalFunction
 
 Triple = tuple[Fraction, Fraction, Fraction]
@@ -53,11 +53,9 @@ class ConstructionInapplicable(ValueError):
 # -- rational circle ---------------------------------------------------------
 
 
-def circle_functions() -> tuple[RationalFunction, RationalFunction]:
-    """(cos, sin) as rational functions of the half-angle parameter."""
-    c = RationalFunction.of(Poly.of([1, 0, -1]), Poly.of([1, 0, 1]))
-    s = RationalFunction.of(Poly.of([0, 2]), Poly.of([1, 0, 1]))
-    return c, s
+def unit_circle() -> RationalFunction:
+    """E = (1 + it)/(1 - it) = cos + i sin of the half-angle parameter t."""
+    return RationalFunction.of(Poly.of([1, (0, 1)]), Poly.of([1, (0, -1)]))
 
 
 def _const(x) -> RationalFunction:
@@ -171,9 +169,9 @@ def grid_construction(
 ) -> tuple[GridEmbedding, Labeling, ParametrizedMotion]:
     """Grid realization induced by one NAC-coloring.
 
-    Vertex v goes to i*(1,0) + j*(cos, sin) where i indexes its red component
-    and j its blue component; red edges keep i, blue edges keep j, so all edge
-    lengths are angle-independent.  Applicable iff no two vertices share the
+    Vertex v goes to z = i + j*E, with E on the unit circle, where i indexes
+    its red component and j its blue component; red edges keep i, blue edges
+    keep j, so all edge lengths are angle-independent.  Applicable iff no two vertices share the
     same (i, j) cell.
     """
     if coloring.graph != g:
@@ -200,12 +198,11 @@ def grid_construction(
         red_components=tuple(tuple(c) for c in red_comps),
         blue_components=tuple(tuple(c) for c in blue_comps),
     )
-    c, s = circle_functions()
-    raw = [(_const(i) + _const(j) * c, _const(j) * s) for i, j in coords]
+    e = unit_circle()
     base, tip = _horizontal_pin(coloring, coords)
-    bx, by = raw[base]
-    shifted = tuple((x - bx, y - by) for x, y in raw)
-    motion = ParametrizedMotion(g, (base, tip), shifted)
+    ib, jb = coords[base]
+    z = tuple(_const(i - ib) + _const(j - jb) * e for i, j in coords)
+    motion = ParametrizedMotion(g, (base, tip), z)
     return embedding, motion.induced_labeling(), motion
 
 
@@ -395,7 +392,7 @@ def two_nac_embedding(
 class QuadMotion:
     """Motion of a 4-cycle together with its frame functions.
 
-    The frame is f1 = p(c1)-p(c0), f2 = p(c2)-p(c1), f3 = p(c3)-p(c2) for the
+    The frame is f1 = z(c1)-z(c0), f2 = z(c2)-z(c1), f3 = z(c3)-z(c2) for the
     cycle (c0, c1, c2, c3); all three norms and |f1+f2+f3| are edge lengths,
     hence constant.  The motion must be pinned at (c0, c1) so that f1 lies on
     the x-axis, which is what lets the embedding construction pin its result.
@@ -413,12 +410,9 @@ class QuadMotion:
         if self.motion.fixed_edge != (c0, c1):
             raise ValueError("quad motion must be pinned at the first cycle edge")
 
-    def frames(self) -> tuple:
+    def frames(self) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
         m, (c0, c1, c2, c3) = self.motion, self.cycle
-        f1 = (m.x(c1) - m.x(c0), m.y(c1) - m.y(c0))
-        f2 = (m.x(c2) - m.x(c1), m.y(c2) - m.y(c1))
-        f3 = (m.x(c3) - m.x(c2), m.y(c3) - m.y(c2))
-        return f1, f2, f3
+        return w_function(m, c0, c1), w_function(m, c1, c2), w_function(m, c2, c3)
 
     def frame_norms_squared(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         lab = self.motion.induced_labeling()
@@ -435,20 +429,17 @@ def deltoid_motion(scale: Fraction = Fraction(1)) -> QuadMotion:
     """The rational deltoid motion of the 4-cycle, edge lengths (a, 3a, 3a, a).
 
     Vertices 0 and 1 are pinned; vertex 2 runs on a circle of radius 3a and
-    vertex 3 follows on the coupler.  Frame norms squared are
-    (a^2, 9a^2, 9a^2) with |f1+f2+f3|^2 = a^2.
+    vertex 3 follows on the coupler:
+      z2 = 4a (t + i)/(t - 2i),  z3 = a (t + i)(t + 2i)/((t - i)(t - 2i)).
+    Frame norms squared are (a^2, 9a^2, 9a^2) with |f1+f2+f3|^2 = a^2.
     """
     a = Fraction(scale)
     if a <= 0:
         raise ConstructionInapplicable("scale must be positive")
     g = Graph.of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    zero = RationalFunction.of(Poly.of([]))
-    x2 = RationalFunction.of(Poly.of([-8 * a, 0, 4 * a]), Poly.of([4, 0, 1]))
-    y2 = RationalFunction.of(Poly.of([0, 12 * a]), Poly.of([4, 0, 1]))
-    x3 = RationalFunction.of(Poly.of([4 * a, 0, -13 * a, 0, a]), Poly.of([4, 0, 5, 0, 1]))
-    y3 = RationalFunction.of(Poly.of([0, -12 * a, 0, 6 * a]), Poly.of([4, 0, 5, 0, 1]))
-    coords = ((zero, zero), (_const(a), zero), (x2, y2), (x3, y3))
-    motion = ParametrizedMotion(g, (0, 1), coords)
+    z2 = RationalFunction.of(Poly.of([(0, 4 * a), 4 * a]), Poly.of([(0, -2), 1]))
+    z3 = RationalFunction.of(Poly.of([-2 * a, (0, 3 * a), a]), Poly.of([-2, (0, -3), 1]))
+    motion = ParametrizedMotion(g, (0, 1), (_const(0), _const(a), z2, z3))
     return QuadMotion(motion, (0, 1, 2, 3))
 
 
@@ -458,22 +449,20 @@ def motion_from_embedding(omega: EmbeddingR3, quad: QuadMotion) -> ParametrizedM
     Vertex u moves as w1(u) f1 + w2(u) f2 + w3(u) f3; an edge parallel to a
     coordinate direction moves as a multiple of one frame function (or of
     their sum for the (-1,-1,-1) class), so its length is constant.  The
-    result is pinned at an edge of the (1,0,0) class, which is horizontal.
+    result is pinned at an edge of the (1,0,0) class, which is horizontal,
+    by subtracting the pinned vertex's coefficients.
     """
     g = omega.graph
-    f1, f2, f3 = quad.frames()
-    coords = []
-    for v in range(g.n):
-        w1, w2, w3 = omega.points[v]
-        x = _const(w1) * f1[0] + _const(w2) * f2[0] + _const(w3) * f3[0]
-        y = _const(w1) * f1[1] + _const(w2) * f2[1] + _const(w3) * f3[1]
-        coords.append((x, y))
+    frames = quad.frames()
     # EmbeddingR3 guarantees the (1,0,0) class is nonempty
     u, v = next(e for e in sorted(g.edges) if omega.direction_class(*e) == 0)
     pin = (u, v) if omega.points[v][0] > omega.points[u][0] else (v, u)
-    bx, by = coords[pin[0]]
-    shifted = tuple((x - bx, y - by) for x, y in coords)
-    return ParametrizedMotion(g, pin, shifted)
+    origin = omega.points[pin[0]]
+    z = tuple(
+        sum((_const(w - o) * f for w, o, f in zip(p, origin, frames)), _const(0))
+        for p in omega.points
+    )
+    return ParametrizedMotion(g, pin, z)
 
 
 def two_nac_search(
@@ -496,16 +485,6 @@ def two_nac_search(
             continue
         return first, second, embedding, motion_from_embedding(embedding, deltoid_motion())
     raise last_error
-
-
-def third_coloring(first: NacColoring, second: NacColoring) -> NacColoring:
-    """blue exactly where the two colorings agree; always a NAC-coloring
-    for pairs that admit the embedding construction."""
-    g = first.graph
-    red = frozenset(
-        e for e in g.edges if (e in first.red) != (e in second.red)
-    )
-    return NacColoring(g, red)
 
 
 # -- the ad-hoc motion of S5 --------------------------------------------------
@@ -531,41 +510,26 @@ def s5_motion(a: Fraction) -> tuple[Labeling, ParametrizedMotion]:
     """Closed-form proper flexible labeling of S5 with shape parameter a > 1.
 
     Triangles (0,1,2) and (0,3,4) stay collinear, quadrilaterals (0,3,5,1)
-    and (0,3,6,2) move as antiparallelograms, (3,6,7,5) as a rhombus.  The
-    circle parameter is rationalized, so every coordinate is an exact
-    rational function and every edge length is checked constant.
+    and (0,3,6,2) move as antiparallelograms, (3,6,7,5) as a rhombus:
+      z3 = E,  z4 = (1 - a^2)/(1 + a^2) E,
+      z5 = -(a^2 - 1) E/(aE + 1),  z6 = (a^2 - 1) E/(aE - 1),  z7 = z5 + z6 - z3,
+    with E on the unit circle.  Its parameter is rationalized, so every
+    coordinate is an exact rational function and every edge length is
+    checked constant.
     """
     a = Fraction(a)
     if a <= 1:
         raise ConstructionInapplicable("the shape parameter must exceed 1")
     g = s5_graph_motion_labels()
-    c, s = circle_functions()
-    zero = RationalFunction.of(Poly.of([]))
-    one = _const(1)
-
-    a2 = a * a
-    rho0 = (zero, zero)
-    rho1 = (_const(-a), zero)
-    rho2 = (_const(a), zero)
-    rho3 = (c, s)
-    k5 = _const((1 - a2) / (a2 + 1))
-    rho4 = (k5 * c, k5 * s)
-    den6 = _const(a2 + 1) + _const(2 * a) * c
-    rho5 = (
-        -(_const(a2 * a - a) + _const(a2 - 1) * c) / den6,
-        _const(1 - a2) * s / den6,
+    e = unit_circle()
+    ke, ae = _const(a * a - 1) * e, _const(a) * e
+    z5 = -ke / (ae + _const(1))
+    z6 = ke / (ae - _const(1))
+    coords = (
+        _const(0), _const(-a), _const(a),
+        e, _const((1 - a * a) / (1 + a * a)) * e,
+        z5, z6, z5 + z6 - e,
     )
-    den7 = _const(a2 + 1) - _const(2 * a) * c
-    rho6 = (
-        (_const(a2 * a - a) - _const(a2 - 1) * c) / den7,
-        _const(1 - a2) * s / den7,
-    )
-    den8 = _const((a2 - 1) ** 2) + _const(4 * a2) * s * s
-    rho7 = (
-        (_const((a2 - 1) ** 2) - _const(4 * a2) * s * s) * c / den8,
-        -(_const(3 * a2 * a2 + 2 * a2 - 1) - _const(4 * a2) * c * c) * s / den8,
-    )
-    coords = (rho0, rho1, rho2, rho3, rho4, rho5, rho6, rho7)
     try:
         motion = ParametrizedMotion(g, (0, 2), coords)
     except MotionError as exc:  # pragma: no cover - guards transcription bugs

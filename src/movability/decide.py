@@ -10,6 +10,7 @@ cheapest first and a verified labeling is returned as the certificate.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -499,7 +500,8 @@ def census(
     are complete or keep a degree-two vertex, groups the rest by isomorphism
     and keeps the classes maximal under spanning-subgraph containment.  With
     a catalog, asserts the maximal classes match it exactly.  More than one
-    job runs a pool of at most as many workers as there are CPUs.
+    job runs a pool of at most as many workers as there are CPUs; a single
+    worker runs in this process.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -508,11 +510,11 @@ def census(
     seen = 0
     spanned = 0
     closures: dict[str, CensusClass] = {}
-    if jobs > 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
-        import os
 
-        with multiprocessing.Pool(min(jobs, os.cpu_count() or 1)) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_census_worker, lines, chunksize=64)
     else:
         results = map(_census_worker, lines)

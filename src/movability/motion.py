@@ -1,16 +1,18 @@
 """Exact parametrized motions of labeled graphs.
 
-A motion assigns each vertex a pair of real rational functions of one
-parameter, with one edge pinned to the x-axis.  The complex edge functions
-W = dx + i*dy and Z = dx - i*dy multiply to the squared edge length.  Each
-edge's W is built once, when the motion is constructed, and the labeling is
-read off it as the constant W*Z; every query below reads that table.  The
-valuations of W at Gaussian-rational places induce NAC-colorings: choosing
-a threshold between attained valuation levels and coloring an edge red when
-its valuation exceeds the threshold always yields a NAC-coloring, and the
-colorings collected this way over all places are the active ones.
+A motion assigns each vertex one complex rational function z = x + i*y of
+one real parameter, with one edge pinned to the positive x-axis.  The edge
+function W = z_v - z_u and Z, its conjugate, multiply to the squared edge
+length.  Each edge's W is built once, when the motion is constructed, and
+the labeling is read off it as the constant W*Z; every query below reads
+that table.  The real coordinates x = (z + conj z)/2 and y = (z - conj z)/2i
+are derived only for JSON, floats and collinearity.  The valuations of W at
+Gaussian-rational places induce NAC-colorings: choosing a threshold between
+attained valuation levels and coloring an edge red when its valuation
+exceeds the threshold always yields a NAC-coloring, and the colorings
+collected this way over all places are the active ones.
 
-A motion is proper when no two vertices share both coordinate functions, so
+A motion is proper when no two vertices share their coordinate function, so
 one driven by linearly independent frame functions is proper exactly when
 its vertices' frame coefficients differ.  Collinear triples are legal in a
 proper motion and are computed only for display.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from .exact import (
     GR_I,
@@ -36,6 +39,8 @@ from .ratfunc import INFINITY, Place, RationalFunction, valuation
 Labeling = dict[Edge, Fraction]
 
 _I = RationalFunction.const(GR_I)
+_HALF = RationalFunction.const(GaussianRational.of(Fraction(1, 2)))
+_HALF_OVER_I = RationalFunction.const(GaussianRational.of(0, Fraction(-1, 2)))
 
 
 class MotionError(ValueError):
@@ -57,18 +62,17 @@ def _require_constant(f: RationalFunction, what: str) -> GaussianRational:
 
 @dataclass(frozen=True)
 class ParametrizedMotion:
-    """Per-vertex coordinate functions with a pinned edge.
+    """One complex coordinate function z = x + i*y per vertex, with a pinned edge.
 
-    Invariants checked at construction: coordinates are real rational
-    functions, the fixed edge (u, v) satisfies x_u = y_u = y_v = 0 with
-    x_v a positive rational constant, and every edge's W*Z is a nonzero
-    rational constant (the induced labeling).  Each edge's W is kept for
-    the queries.
+    Invariants checked at construction: the fixed edge (u, v) has z_u = 0
+    and z_v a positive rational constant, and every edge's W*Z is a nonzero
+    rational constant (the induced labeling).  Each edge's W is kept for the
+    queries.
     """
 
     graph: Graph
     fixed_edge: tuple[int, int]
-    coords: tuple[tuple[RationalFunction, RationalFunction], ...]
+    coords: tuple[RationalFunction, ...]
 
     def __post_init__(self):
         g = self.graph
@@ -77,21 +81,18 @@ class ParametrizedMotion:
         ub, vb = self.fixed_edge
         if edge(ub, vb) not in g.edges:
             raise MotionError(f"fixed pair ({ub},{vb}) is not an edge")
-        for v in range(g.n):
-            _require_real(self.coords[v][0], f"x_{v}")
-            _require_real(self.coords[v][1], f"y_{v}")
-        if not (self.coords[ub][0].is_zero() and self.coords[ub][1].is_zero()):
+        if not self.coords[ub].is_zero():
             raise MotionError(f"vertex {ub} of the fixed edge is not at the origin")
-        if not self.coords[vb][1].is_zero():
+        zv = _require_constant(self.coords[vb], f"z_{vb}")
+        if zv.im != 0:
             raise MotionError(f"vertex {vb} of the fixed edge is not on the x-axis")
-        xv = _require_constant(self.coords[vb][0], f"x_{vb}")
-        if xv.re <= 0:
-            raise MotionError(f"fixed edge length must be positive, got {xv}")
+        if zv.re <= 0:
+            raise MotionError(f"fixed edge length must be positive, got {zv}")
         w_table: dict[Edge, RationalFunction] = {}
         labeling: Labeling = {}
         for u, v in g.sorted_edges():
-            w = (self.x(v) - self.x(u)) + _I * (self.y(v) - self.y(u))
-            # W*Z is real because the coordinates are
+            w = self.coords[v] - self.coords[u]
+            # W*Z is |W|^2 for real t, so a constant value is real
             val = _require_constant(
                 w * w.conjugate_coeffs(), f"squared distance of edge ({u},{v})"
             )
@@ -104,38 +105,35 @@ class ParametrizedMotion:
         object.__setattr__(self, "_w", w_table)
         object.__setattr__(self, "_labeling", labeling)
 
-    # -- basic derived functions ------------------------------------------
+    # -- derived real coordinates ------------------------------------------
+
+    @cached_property
+    def _xy(self) -> tuple[tuple[RationalFunction, RationalFunction], ...]:
+        return tuple(
+            ((z + z.conjugate_coeffs()) * _HALF, (z - z.conjugate_coeffs()) * _HALF_OVER_I)
+            for z in self.coords
+        )
 
     def x(self, v: int) -> RationalFunction:
-        return self.coords[v][0]
+        return self._xy[v][0]
 
     def y(self, v: int) -> RationalFunction:
-        return self.coords[v][1]
-
-    def squared_distance(self, u: int, v: int) -> RationalFunction:
-        dx = self.x(v) - self.x(u)
-        dy = self.y(v) - self.y(u)
-        return dx * dx + dy * dy
+        return self._xy[v][1]
 
     def is_trivial(self) -> bool:
         """Frozen motion: every coordinate function is constant."""
-        return all(
-            f.is_constant() for pair in self.coords for f in pair
-        )
+        return all(z.is_constant() for z in self.coords)
 
     def induced_labeling(self) -> Labeling:
         """Squared length of each edge (constant by the type invariant)."""
         return dict(self._labeling)
 
     def realize_float(self, t: float) -> list[tuple[float, float]]:
-        return [
-            (pair[0].eval_float(t).real, pair[1].eval_float(t).real)
-            for pair in self.coords
-        ]
+        return [(x.eval_float(t).real, y.eval_float(t).real) for x, y in self._xy]
 
 
 def w_function(m: ParametrizedMotion, u: int, v: int) -> RationalFunction:
-    """W_{u,v} = (x_v - x_u) + i (y_v - y_u) of an edge; antisymmetric in (u, v)."""
+    """W_{u,v} = z_v - z_u of an edge; antisymmetric in (u, v)."""
     w = m._w.get(edge(u, v))
     if w is None:
         raise ValueError(f"({u},{v}) is not an edge")
@@ -143,7 +141,7 @@ def w_function(m: ParametrizedMotion, u: int, v: int) -> RationalFunction:
 
 
 def z_function(m: ParametrizedMotion, u: int, v: int) -> RationalFunction:
-    """Z_{u,v} = (x_v - x_u) - i (y_v - y_u), W_{u,v} with conjugated coefficients."""
+    """Z_{u,v}, W_{u,v} with conjugated coefficients."""
     return w_function(m, u, v).conjugate_coeffs()
 
 
@@ -161,14 +159,13 @@ def _same_function(f: RationalFunction, g: RationalFunction) -> bool:
 def verify_injectivity(m: ParametrizedMotion) -> InjectivityReport:
     """PROPER when no vertex pair coincides identically.
 
-    Coordinates are real rational functions, so two vertices coincide for
-    every parameter exactly when both coordinate functions agree as rational
-    functions; all other coincidences happen at finitely many parameters
-    only.
+    Two vertices coincide for every parameter exactly when their coordinate
+    functions agree as rational functions; all other coincidences happen at
+    finitely many parameters only.
     """
     coinciding = tuple(
         (u, v) for u, v in combinations(range(m.graph.n), 2)
-        if _same_function(m.x(u), m.x(v)) and _same_function(m.y(u), m.y(v))
+        if _same_function(m.coords[u], m.coords[v])
     )
     return InjectivityReport(proper=not coinciding, coinciding_pairs=coinciding)
 
@@ -181,7 +178,7 @@ def collinear_triples(m: ParametrizedMotion) -> tuple[tuple[int, int, int], ...]
     numerator degree admits as roots.
     """
     # enough sample points to pin the cross product down exactly
-    max_deg = max(f.num.degree + f.den.degree for pair in m.coords for f in pair)
+    max_deg = max(f.num.degree + f.den.degree for pair in m._xy for f in pair)
     needed = 4 * max_deg + 5
     values: list[list[tuple[GaussianRational, GaussianRational]]] = []
     t = 0
@@ -189,7 +186,7 @@ def collinear_triples(m: ParametrizedMotion) -> tuple[tuple[int, int, int], ...]
         t0 = GaussianRational.of(t)
         t += 1
         try:
-            row = [(pair[0](t0), pair[1](t0)) for pair in m.coords]
+            row = [(x(t0), y(t0)) for x, y in m._xy]
         except ZeroDivisionError:
             continue
         values.append(row)
@@ -206,13 +203,10 @@ def collinear_triples(m: ParametrizedMotion) -> tuple[tuple[int, int, int], ...]
 
 
 def refix_edge(m: ParametrizedMotion, u2: int, v2: int) -> ParametrizedMotion:
-    """Move the pin to the edge (u2, v2) by the rotation/translation map.
+    """Move the pin to the edge (u2, v2) by a rotation and a translation.
 
-    The image of a point (x, y) is
-      ( ((x-x_u')(x_v'-x_u') + (y-y_u')(y_v'-y_u')) / L,
-        ((y-y_u')(x_v'-x_u') - (x-x_u')(y_v'-y_u')) / L )
-    with L the length of the new fixed edge, which must be rational for the
-    result to stay exact.
+    The image of z is (z - z_u') * Z_{u',v'} / L with L the length of the new
+    fixed edge, which must be rational for the result to stay exact.
     """
     if edge(u2, v2) not in m.graph.edges:
         raise MotionError(f"({u2},{v2}) is not an edge")
@@ -222,17 +216,11 @@ def refix_edge(m: ParametrizedMotion, u2: int, v2: int) -> ParametrizedMotion:
         raise MotionError(
             f"edge ({u2},{v2}) has irrational length sqrt({lam_sq}); exact refix impossible"
         )
-    ax = m.x(v2) - m.x(u2)
-    ay = m.y(v2) - m.y(u2)
-    inv = RationalFunction.const(GaussianRational.of(Fraction(1) / lam))
-    new_coords = []
-    for v in range(m.graph.n):
-        px = m.x(v) - m.x(u2)
-        py = m.y(v) - m.y(u2)
-        new_coords.append(
-            ((px * ax + py * ay) * inv, (py * ax - px * ay) * inv)
-        )
-    return ParametrizedMotion(m.graph, (u2, v2), tuple(new_coords))
+    rotation = z_function(m, u2, v2) * RationalFunction.const(GaussianRational.of(1 / lam))
+    z0 = m.coords[u2]
+    return ParametrizedMotion(
+        m.graph, (u2, v2), tuple((z - z0) * rotation for z in m.coords)
+    )
 
 
 # -- places and active NAC-colorings ----------------------------------------
@@ -380,7 +368,10 @@ def motion_from_json(text: str) -> ParametrizedMotion:
     coords = []
     for v in range(g.n):
         entry = data["vertices"][str(v)]
-        coords.append((_rf_from_json(entry["x"]), _rf_from_json(entry["y"])))
+        x, y = _rf_from_json(entry["x"]), _rf_from_json(entry["y"])
+        _require_real(x, f"x_{v}")
+        _require_real(y, f"y_{v}")
+        coords.append(x + _I * y)
     return ParametrizedMotion(g, tuple(data["fixed_edge"]), tuple(coords))
 
 

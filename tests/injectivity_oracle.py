@@ -29,13 +29,14 @@ def _same_function(f: RationalFunction, g: RationalFunction) -> bool:
 
 def verify_injectivity(m: ParametrizedMotion) -> InjectivityReport:
     n = m.graph.n
+    coords = [(m.x(v), m.y(v)) for v in range(n)]
     coinciding = []
     for u, v in combinations(range(n), 2):
         if _same_function(m.x(u), m.x(v)) and _same_function(m.y(u), m.y(v)):
             coinciding.append((u, v))
     # enough sample points to pin the cross product down exactly
     max_deg = max(
-        f.num.degree + f.den.degree for pair in m.coords for f in pair
+        f.num.degree + f.den.degree for pair in coords for f in pair
     )
     needed = 4 * max_deg + 5
     points: list[GaussianRational] = []
@@ -45,7 +46,7 @@ def verify_injectivity(m: ParametrizedMotion) -> InjectivityReport:
         t0 = GaussianRational.of(t)
         t += 1
         try:
-            row = [(pair[0](t0), pair[1](t0)) for pair in m.coords]
+            row = [(pair[0](t0), pair[1](t0)) for pair in coords]
         except ZeroDivisionError:
             continue
         points.append(t0)

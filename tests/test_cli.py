@@ -317,10 +317,11 @@ def test_census_pool_is_clamped_to_the_cpu_count(monkeypatch):
     lines = [encode_graph6(g) for g in connected_graphs_up_to(5)]
     serial = census(lines, max_n=5, catalog=None).to_json()
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    for cpus, jobs, size in ((2, 4000, 2), (8, 3, 3), (None, 4, 1)):
+    # one worker runs in this process: no pool is opened
+    for cpus, jobs, size in ((2, 4000, 2), (8, 3, 3), (None, 4, None), (1, 4, None)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert census(lines, max_n=5, catalog=None, jobs=jobs).to_json() == serial
-        assert sizes.pop() == size
+        assert (sizes.pop() if sizes else None) == size
     with pytest.raises(ValueError):
         census(lines, max_n=5, catalog=None, jobs=0)
 
@@ -430,6 +431,7 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["nac", "enum", '{"n": 3, "edges": [[0, "1"], [1, 2]]}'],
         ["nac", "enum", '{"n": 2.5, "edges": [[0, 1]]}'],
         ["motion", "verify", "float-n.json"],
+        ["motion", "verify", "complex-x.json"],
         ["nac", "enum", '{"n": 3, "edges": 5}'],
         ["nac", "enum", '{"n": 3, "edges": null}'],
         ["nac", "check", "Cl", "--coloring", "coloring-float.json"],
@@ -450,7 +452,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "classify-one-vertex", "grid-disconnected", "two-nac-disconnected", "census-max-n-11",
          "census-catalog-missing", "census-catalog-empty", "json-graph-63-vertices",
          "gen-max-n-11", "json-graph-float-vertex", "json-graph-string-vertex",
-         "json-graph-float-n", "motion-float-n", "json-graph-edges-int", "json-graph-edges-null",
+         "json-graph-float-n", "motion-float-n", "motion-complex-x", "json-graph-edges-int",
+         "json-graph-edges-null",
          "coloring-float-vertex", "coloring-bool-vertex", "grid-coloring-float-vertex",
          "track-rigid-triangle", "two-nac-lone-first", "two-nac-lone-second", "lambda-bool",
          "lambda-float"],
@@ -466,6 +469,11 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     coeff_zero_den["vertices"]["2"]["x"]["num"][0][0] = "1/0"
     poly_zero_den["vertices"]["2"]["x"]["den"] = [["0/1", "0/1"]]
     float_n["n"] = 4.7
+    # x_1 = 1 + i and y_1 = -1 give the deltoid's z_1 = x_1 + i y_1 = 1, so
+    # only the realness check on the file's x and y rejects it
+    complex_x = json.loads(motion_to_json(motion))
+    complex_x["vertices"]["1"]["x"]["num"] = [["1/1", "1/1"]]
+    complex_x["vertices"]["1"]["y"]["num"] = [["-1/1", "0/1"]]
     files = {
         "lab.json": lab,
         "negative.json": {"edges": lab["edges"], "lambda_sq": ["-1"] + lab["lambda_sq"][1:]},
@@ -490,6 +498,7 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         "coeff-zero-den.json": coeff_zero_den,
         "poly-zero-den.json": poly_zero_den,
         "float-n.json": float_n,
+        "complex-x.json": complex_x,
         # 0.0 == 0 and True == 1, so only a type check keeps these out
         "coloring-float.json": {"edges": [[0.0, 1], [0, 3], [1, 2], [2, 3]],
                                 "colors": ["blue", "red", "red", "blue"]},

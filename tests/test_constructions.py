@@ -25,7 +25,6 @@ from movability.constructions import (
     motion_from_embedding,
     s5_graph_motion_labels,
     s5_motion,
-    third_coloring,
     two_nac_embedding,
     two_nac_solution_space,
 )
@@ -37,7 +36,7 @@ from movability.motion import (
     collinear_triples,
     verify_injectivity,
 )
-from movability.nac import NacColoring, enumerate_nac, is_nac
+from movability.nac import NacColoring, enumerate_nac
 
 
 K33 = Graph.of(6, [(a, b) for a in range(3) for b in range(3, 6)])
@@ -226,11 +225,6 @@ def test_identical_pair_rejected(q1_pair):
         two_nac_embedding(g, first, first)
 
 
-def test_third_coloring_is_nac(q1_pair):
-    g, first, second = q1_pair
-    assert is_nac(g, third_coloring(first, second))
-
-
 def test_parallel_edges_share_color_pairs(q1_pair):
     g, first, second = q1_pair
     emb = two_nac_embedding(g, first, second, seed=0)
@@ -327,12 +321,11 @@ def test_deltoid_frame_norms():
 def test_deltoid_frame_functions_are_linearly_independent(scale):
     # two_nac_search relies on this: a vertex driven by the frame moves as
     # w1 f1 + w2 f2 + w3 f3, so distinct embedding points never coincide
-    # for every t.  The x and y values of f1, f2, f3 at t = 0..4 form a
-    # 10x3 matrix over Q; an empty nullspace means rank 3.
+    # for every t.  The real and imaginary parts of f1, f2, f3 at t = 0..4
+    # form a 10x3 matrix over Q; an empty nullspace means rank 3.
     frames = deltoid_motion(scale).frames()
-    values = [[f[k](gr(t)) for f in frames] for t in range(5) for k in range(2)]
-    assert all(c.im == 0 for row in values for c in row)
-    assert _nullspace([{k: c.re for k, c in enumerate(row) if c.re} for row in values], 3) == []
+    values = [[getattr(f(gr(t)), part) for f in frames] for t in range(5) for part in ("re", "im")]
+    assert _nullspace([{k: c for k, c in enumerate(row) if c} for row in values], 3) == []
 
 
 def test_deltoid_time_zero_positions():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from movability.constructions import deltoid_motion
-from movability.exact import GaussianRational, gr
+from movability.exact import GR_I, GaussianRational, gr
 from movability.graphs import Graph
 from movability.motion import (
     MotionError,
@@ -138,9 +138,7 @@ def test_deltoid_active_colorings(deltoid):
 def test_active_set_of_constant_motion_is_empty():
     g = Graph.of(2, [(0, 1)])
     zero = RationalFunction.const(0)
-    m = ParametrizedMotion(
-        g, (0, 1), ((zero, zero), (RationalFunction.const(1), zero))
-    )
+    m = ParametrizedMotion(g, (0, 1), (zero, RationalFunction.const(1)))
     assert m.is_trivial()
     report = active_nac_colorings(m)
     assert report.colorings == frozenset()
@@ -158,8 +156,7 @@ def test_verify_compatibility_values(deltoid):
 
 def test_perturbed_motion_rejected(deltoid):
     coords = list(deltoid.coords)
-    x2, y2 = coords[2]
-    coords[2] = (x2 + RationalFunction.variable(), y2)
+    coords[2] = coords[2] + RationalFunction.variable()
     with pytest.raises(MotionError):
         ParametrizedMotion(deltoid.graph, deltoid.fixed_edge, tuple(coords))
 
@@ -209,13 +206,14 @@ def test_pinning_invariants_enforced():
     g = Graph.of(2, [(0, 1)])
     zero = RationalFunction.const(0)
     one = RationalFunction.const(1)
+    i = RationalFunction.const(GR_I)
     with pytest.raises(MotionError):
-        ParametrizedMotion(g, (0, 1), ((one, zero), (one, zero)))  # origin broken
+        ParametrizedMotion(g, (0, 1), (one, one))  # origin broken
     with pytest.raises(MotionError):
-        ParametrizedMotion(g, (0, 1), ((zero, zero), (RationalFunction.const(-1), zero)))
+        ParametrizedMotion(g, (0, 1), (zero, RationalFunction.const(-1)))
     t = RationalFunction.variable()
     with pytest.raises(MotionError):
-        ParametrizedMotion(g, (0, 1), ((zero, zero), (one, t)))  # off the axis
+        ParametrizedMotion(g, (0, 1), (zero, one + i * t))  # off the axis
 
 
 def test_valuation_minimum_twice_on_richer_motions():
@@ -248,7 +246,7 @@ def test_valuation_minimum_twice_on_richer_motions():
 def test_constant_motion_has_only_the_infinite_place():
     g = Graph.of(2, [(0, 1)])
     zero = RationalFunction.const(0)
-    m = ParametrizedMotion(g, (0, 1), ((zero, zero), (RationalFunction.const(1), zero)))
+    m = ParametrizedMotion(g, (0, 1), (zero, RationalFunction.const(1)))
     report = candidate_places(m)
     assert [str(p) for p in report.places] == ["oo"]
     assert report.complete

@@ -86,6 +86,9 @@ def cases() -> list[tuple[str, list[list[str]]]]:
                               "--second", "s2-10.json", "--out", "out/"]]),
         *((f"glue-{r}", [["construct", "glue", "--recipe", r, "--out", "out/"]]) for r in ("s1", "s2", "s3")),
         *((f"s5-a-{a}", [["construct", "s5", "--a", a, "--out", "out/"]]) for a in ("1", "2", "3")),
+        # a non-integer shape parameter, and its motion pinned at another edge
+        ("s5-a-7/2", [["construct", "s5", "--a", "7/2", "--out", "out/"],
+                      ["motion", "refix", "out/motion.json", "--edge", "3,4", "--out", "out/refixed.json"]]),
         ("census-6", [["gen", "--max-n", "6", "--out", "graphs.g6"],
                       ["census", "--graphs", "graphs.g6", "--max-n", "6", "--out", "report.json"]]),
     ]
