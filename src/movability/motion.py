@@ -5,8 +5,9 @@ one real parameter, with one edge pinned to the positive x-axis.  The edge
 function W = z_v - z_u and Z, its conjugate, multiply to the squared edge
 length.  Each edge's W is built once, when the motion is constructed, and
 the labeling is read off it as the constant W*Z; every query below reads
-that table.  The real coordinates x = (z + conj z)/2 and y = (z - conj z)/2i
-are derived only for JSON, floats and collinearity.  The valuations of W at
+that table, and a refix rotates its parent's table and keeps its labeling.
+The real coordinates x = (z + conj z)/2 and y = (z - conj z)/2i are derived
+only for JSON, floats and collinearity.  The valuations of W at
 Gaussian-rational places induce NAC-colorings: choosing a threshold between
 attained valuation levels and coloring an edge red when its valuation
 exceeds the threshold always yields a NAC-coloring, and the colorings
@@ -39,6 +40,7 @@ from .ratfunc import INFINITY, Place, RationalFunction, valuation
 Labeling = dict[Edge, Fraction]
 
 _I = RationalFunction.const(GR_I)
+_ONE = RationalFunction.const(GaussianRational.of(1))
 _HALF = RationalFunction.const(GaussianRational.of(Fraction(1, 2)))
 _HALF_OVER_I = RationalFunction.const(GaussianRational.of(0, Fraction(-1, 2)))
 
@@ -67,7 +69,7 @@ class ParametrizedMotion:
     Invariants checked at construction: the fixed edge (u, v) has z_u = 0
     and z_v a positive rational constant, and every edge's W*Z is a nonzero
     rational constant (the induced labeling).  Each edge's W is kept for the
-    queries.
+    queries.  A refix derives both from its parent's (`_rotated`).
     """
 
     graph: Graph
@@ -205,8 +207,9 @@ def collinear_triples(m: ParametrizedMotion) -> tuple[tuple[int, int, int], ...]
 def refix_edge(m: ParametrizedMotion, u2: int, v2: int) -> ParametrizedMotion:
     """Move the pin to the edge (u2, v2) by a rotation and a translation.
 
-    The image of z is (z - z_u') * Z_{u',v'} / L with L the length of the new
-    fixed edge, which must be rational for the result to stay exact.
+    The image of z is (z - z_u') * R with R = Z_{u',v'} / L and L the length
+    of the new fixed edge, which must be rational for the result to stay
+    exact.
     """
     if edge(u2, v2) not in m.graph.edges:
         raise MotionError(f"({u2},{v2}) is not an edge")
@@ -217,10 +220,34 @@ def refix_edge(m: ParametrizedMotion, u2: int, v2: int) -> ParametrizedMotion:
             f"edge ({u2},{v2}) has irrational length sqrt({lam_sq}); exact refix impossible"
         )
     rotation = z_function(m, u2, v2) * RationalFunction.const(GaussianRational.of(1 / lam))
+    return _rotated(m, (u2, v2), rotation, lam)
+
+
+def _rotated(
+    m: ParametrizedMotion, fixed_edge: tuple[int, int], rotation: RationalFunction, lam: Fraction
+) -> ParametrizedMotion:
+    """m translated by -z_u' and rotated by R, pinned at (u', v').
+
+    Each edge's W becomes W*R and, since R*conj(R) = 1, keeps its W*Z: the
+    edge table is m's times R and the labeling is m's.  Checked exactly
+    instead of every edge's W*Z: R*conj(R) = 1, z_u' = 0 and z_v' = L.
+    """
+    u2, v2 = fixed_edge
+    if rotation * rotation.conjugate_coeffs() != _ONE:
+        raise MotionError(f"rotation {rotation} is not unimodular")
     z0 = m.coords[u2]
-    return ParametrizedMotion(
-        m.graph, (u2, v2), tuple((z - z0) * rotation for z in m.coords)
-    )
+    coords = tuple((z - z0) * rotation for z in m.coords)
+    if not coords[u2].is_zero():
+        raise MotionError(f"vertex {u2} of the fixed edge is not at the origin")
+    if coords[v2] != RationalFunction.const(GaussianRational.of(lam)):
+        raise MotionError(f"vertex {v2} of the fixed edge is at {coords[v2]}, expected {lam}")
+    # the checks above prove the invariants, so __post_init__ is skipped
+    out = object.__new__(ParametrizedMotion)
+    for name, value in (("graph", m.graph), ("fixed_edge", fixed_edge), ("coords", coords),
+                        ("_w", {e: w * rotation for e, w in m._w.items()}),
+                        ("_labeling", m._labeling)):
+        object.__setattr__(out, name, value)
+    return out
 
 
 # -- places and active NAC-colorings ----------------------------------------

@@ -57,13 +57,10 @@ class RationalFunction:
     def of(num: Poly, den: Poly = P_ONE) -> "RationalFunction":
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            return RationalFunction(P_ZERO, P_ONE)
-        g = poly_gcd(num, den)
-        num = num // g
-        den = den // g
-        lead = den.leading()
-        return RationalFunction(num.scale(GR_ONE / lead), den.monic())
+        g = _gcd(num, den)
+        if g.degree > 0:
+            num, den = num // g, den // g
+        return _canonical(num, den)
 
     @staticmethod
     def const(c) -> "RationalFunction":
@@ -74,9 +71,17 @@ class RationalFunction:
         return RationalFunction.of(Poly.variable())
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.of(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        # Henrici: a/b + c/d with g = gcd(b, d) can only cancel a factor of g
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = _gcd(b, d)
+        if g.degree == 0:
+            return _canonical(a * d + c * b, b * d)
+        b, d = b // g, d // g
+        t = a * d + c * b
+        h = _gcd(t, g)
+        if h.degree > 0:
+            t, g = t // h, g // h
+        return _canonical(t, b * d * g)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den)
@@ -85,12 +90,21 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.of(self.num * other.num, self.den * other.den)
+        # Henrici: in (a/b)(c/d) only a with d and c with b can share factors
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return ZERO
+        g1, g2 = _gcd(a, d), _gcd(c, b)
+        if g1.degree > 0:
+            a, d = a // g1, d // g1
+        if g2.degree > 0:
+            c, b = c // g2, b // g2
+        return _canonical(a * c, b * d)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if other.is_zero():
             raise ZeroDivisionError("division by the zero function")
-        return RationalFunction.of(self.num * other.den, self.den * other.num)
+        return self * _canonical(other.den, other.num)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -122,6 +136,28 @@ class RationalFunction:
         if self.den == P_ONE:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
+
+
+def _gcd(p: Poly, q: Poly) -> Poly:
+    """Monic gcd, or 1 without a division when either side is a nonzero
+    constant."""
+    if p.degree == 0 or q.degree == 0:
+        return P_ONE
+    return poly_gcd(p, q)
+
+
+def _canonical(num: Poly, den: Poly) -> RationalFunction:
+    """num/den, already coprime, with den made monic."""
+    if num.is_zero():
+        return ZERO
+    lead = den.leading()
+    if lead == GR_ONE:
+        return RationalFunction(num, den)
+    inv = GR_ONE / lead
+    return RationalFunction(num.scale(inv), den.scale(inv))
+
+
+ZERO = RationalFunction(P_ZERO, P_ONE)
 
 
 def rf(num_coeffs, den_coeffs=(1,)) -> RationalFunction:

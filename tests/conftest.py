@@ -49,11 +49,11 @@ def connected_graphs(draw, min_n=1, max_n=10):
 
 
 def bundled_motion(name: str):
-    """An exact motion the library builds: "deltoid", "q1" (the two-NAC
-    motion of Q1's embedding example), "s5-<a>", or a catalog graph's
-    grid motion by name (L1-L6)."""
-    if name == "deltoid":
-        return deltoid_motion().motion
+    """An exact motion the library builds: "deltoid" or "deltoid-<scale>",
+    "q1" (the two-NAC motion of Q1's embedding example), "s5-<a>", or a
+    catalog graph's grid motion by name (L1-L6)."""
+    if name.startswith("deltoid"):
+        return deltoid_motion(Fraction(name.partition("-")[2] or 1)).motion
     if name == "q1":
         g, first_red, second_red = q1_embedding_example()
         emb = two_nac_embedding(g, NacColoring(g, first_red), NacColoring(g, second_red), seed=0)

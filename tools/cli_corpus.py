@@ -89,6 +89,10 @@ def cases() -> list[tuple[str, list[list[str]]]]:
         # a non-integer shape parameter, and its motion pinned at another edge
         ("s5-a-7/2", [["construct", "s5", "--a", "7/2", "--out", "out/"],
                       ["motion", "refix", "out/motion.json", "--edge", "3,4", "--out", "out/refixed.json"]]),
+        # a refix of a refix: the second starts from the first one's file
+        ("s5-a-7/2-twice", [["construct", "s5", "--a", "7/2", "--out", "out/"],
+                            ["motion", "refix", "out/motion.json", "--edge", "3,4", "--out", "out/refixed.json"],
+                            ["motion", "refix", "out/refixed.json", "--edge", "5,7", "--out", "out/twice.json"]]),
         ("census-6", [["gen", "--max-n", "6", "--out", "graphs.g6"],
                       ["census", "--graphs", "graphs.g6", "--max-n", "6", "--out", "report.json"]]),
     ]
