@@ -10,6 +10,7 @@ Subgraph gluing lives in the gluing module.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,11 +25,11 @@ from .ratfunc import RationalFunction
 Triple = tuple[Fraction, Fraction, Fraction]
 
 # direction assigned to the color pair (first coloring, second coloring)
-DIRECTIONS: tuple[Triple, ...] = (
-    (Fraction(1), Fraction(0), Fraction(0)),  # blue, blue
-    (Fraction(0), Fraction(1), Fraction(0)),  # blue, red
-    (Fraction(0), Fraction(0), Fraction(1)),  # red, blue
-    (Fraction(-1), Fraction(-1), Fraction(-1)),  # red, red
+DIRECTIONS: tuple[tuple[int, int, int], ...] = (
+    (1, 0, 0),  # blue, blue
+    (0, 1, 0),  # blue, red
+    (0, 0, 1),  # red, blue
+    (-1, -1, -1),  # red, red
 )
 
 _PAIR_INDEX = {(BLUE, BLUE): 0, (BLUE, RED): 1, (RED, BLUE): 2, (RED, RED): 3}
@@ -40,6 +41,12 @@ _NORMALS: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = (
     ((1, 0, 0), (0, 0, 1)),
     ((1, 0, 0), (0, 1, 0)),
     ((1, -1, 0), (1, 0, -1)),
+)
+
+# _DOTS[k][i][d] = _NORMALS[k][i] . DIRECTIONS[d]
+_DOTS = tuple(
+    tuple(tuple(sum(c * x for c, x in zip(normal, d)) for d in DIRECTIONS) for normal in normals)
+    for normals in _NORMALS
 )
 
 # generic points two_nac_embedding samples before giving up
@@ -271,70 +278,151 @@ def direction_class(d: Sequence[Fraction]) -> int:
     raise ValueError(f"direction {d} matches no class")
 
 
-def two_nac_solution_space(
-    g: Graph, first: NacColoring, second: NacColoring
-) -> list[tuple[Triple, ...]]:
-    """Basis of the solution space of the edge-direction linear system.
-
-    Unknown 3v+k is coordinate k of vertex v.  Three unit rows pin vertex 0
-    to the origin; every edge contributes two equations forcing its endpoint
-    difference parallel to the direction its color pair selects, one per
-    vector of _NORMALS.  Solved exactly over Q; each basis vector is returned
-    as a tuple of vertex triples.
-    """
+def _check_colorings(g: Graph, first: NacColoring, second: NacColoring) -> None:
     for coloring in (first, second):
         if coloring.graph != g:
             raise ValueError("coloring belongs to a different graph")
         if not is_nac(g, coloring):
             raise ConstructionInapplicable("a supplied coloring is not a NAC-coloring")
-    rows: list[dict[int, Fraction]] = [{k: Fraction(1)} for k in range(3)]
-    for u, v in g.sorted_edges():
-        for normal in _NORMALS[_PAIR_INDEX[first.color(u, v), second.color(u, v)]]:
-            rows.append({3 * w + k: Fraction(sign * c) for w, sign in ((u, 1), (v, -1))
-                         for k, c in enumerate(normal) if c})
-    return [
-        tuple(tuple(vec[3 * v : 3 * v + 3]) for v in range(g.n))
-        for vec in _nullspace(rows, 3 * g.n)
-    ]
 
 
-def _nullspace(rows: Iterable[Mapping[int, Fraction]], nvar: int) -> list[list[Fraction]]:
-    """Exact nullspace basis of sparse rows {column: value}: one vector per
-    free column, in increasing order.
+def _tree_kernel(
+    g: Graph, first: NacColoring, second: NacColoring
+) -> list[tuple[tuple[int, int, int], ...]]:
+    """Integer basis of the positions with p_0 = 0 and every edge parallel to
+    the direction its color pair selects, as vertex triples.
 
-    The kept rows, keyed by pivot column, stay in reduced row echelon form:
-    each incoming row is reduced against them; a nonzero remainder is
-    normalized on its first column, which is then eliminated from the kept
-    rows.  The RREF is unique, so the basis does not depend on row order.
+    A BFS forest rooted at the lowest vertex of each component fixes the
+    unknowns: one scalar s_e per tree edge e of class k, so p_w - p_u =
+    s_e * DIRECTIONS[k] from parent u to child w, and three free coordinates
+    for every root but vertex 0.  Each non-tree edge (u, v) of class k
+    contributes the rows N . (p_v - p_u) = 0 for N in _NORMALS[k], over the
+    scalars of the tree path from u to v.  The rows are reduced over int by
+    `_insert`, kept primitive by gcd in the manner of Bareiss's fraction-free
+    elimination, and never become `Fraction`s.
     """
-    kept: dict[int, dict[int, Fraction]] = {}
-    for given in rows:
-        row = {c: x for c, x in given.items() if x}
-        for p in row.keys() & kept.keys():
-            _subtract(row, row[p], kept[p])
-        if not row:
+    adj = g.adjacency()
+    klass = {
+        e: _PAIR_INDEX[RED if e in first.red else BLUE, RED if e in second.red else BLUE]
+        for e in g.edges
+    }
+    path: list[frozenset[int] | None] = [None] * g.n  # tree scalars above each vertex
+    direction: list[int] = []  # the DIRECTIONS index of each unknown
+    steps: list[tuple[int, int, int]] = []  # (vertex, parent or -1, its unknown), BFS order
+    tree: set[Edge] = set()
+    for root in range(g.n):
+        if path[root] is not None:
             continue
-        pivot = min(row)
-        lead = Fraction(row[pivot])
-        row = {c: x / lead for c, x in row.items()}
-        for other in kept.values():
-            if pivot in other:
-                _subtract(other, other[pivot], row)
-        kept[pivot] = row
-    return [
-        [-kept[c].get(free, Fraction(0)) if c in kept else Fraction(c == free) for c in range(nvar)]
-        for free in range(nvar) if free not in kept
-    ]
+        path[root] = frozenset()
+        if root:
+            steps.append((root, -1, len(direction)))
+            direction += (0, 1, 2)  # DIRECTIONS[0..2] are the unit vectors
+        queue = [root]
+        for u in queue:
+            for w in sorted(adj[u]):
+                if path[w] is None:
+                    e = edge(u, w)
+                    tree.add(e)
+                    steps.append((w, u, len(direction)))
+                    path[w] = path[u] | {len(direction)}
+                    direction.append(klass[e])
+                    queue.append(w)
+    nvar = len(direction)
+    kept: dict[int, list[int]] = {}
+    for e, k in klass.items():
+        if e in tree:
+            continue
+        u, v = e
+        up, down = path[v] - path[u], path[u] - path[v]
+        for dots in _DOTS[k]:
+            row = [0] * nvar
+            for j in up:
+                row[j] = dots[direction[j]]
+            for j in down:
+                row[j] = -dots[direction[j]]
+            _insert(kept, row, last=False)
+    kernel = []
+    for free in range(nvar):
+        if free in kept:
+            continue
+        rows = [(p, r) for p, r in kept.items() if r[free]]
+        scale = math.lcm(*(r[p] for p, r in rows))
+        x = [0] * nvar
+        x[free] = scale
+        for p, r in rows:
+            x[p] = -r[free] * (scale // r[p])
+        points = [(0, 0, 0)] * g.n
+        for v, parent, j in steps:
+            if parent < 0:
+                points[v] = (x[j], x[j + 1], x[j + 2])
+            else:
+                s, d, q = x[j], DIRECTIONS[direction[j]], points[parent]
+                points[v] = (q[0] + s * d[0], q[1] + s * d[1], q[2] + s * d[2])
+        kernel.append(tuple(points))
+    return kernel
 
 
-def _subtract(row: dict[int, Fraction], factor: Fraction, other: Mapping[int, Fraction]) -> None:
-    """row -= factor * other, dropping the entries that cancel."""
-    for c, x in other.items():
-        y = row.get(c, 0) - factor * x
-        if y:
-            row[c] = y
-        else:
-            row.pop(c, None)
+def _insert(kept: dict[int, list[int]], vec: list[int], *, last: bool) -> None:
+    """Add vec to `kept`, integer vectors keyed by pivot with a zero at every
+    other vector's pivot: vec is cleared at the existing pivots, pivoted on
+    its first (or last) nonzero entry, and that column is cleared in the
+    others.  Nothing is added when vec reduces to zero."""
+    for col, other in kept.items():
+        vec = _eliminate(vec, col, other)
+    nonzero = [c for c, x in enumerate(vec) if x]
+    if not nonzero:
+        return
+    pivot = nonzero[-1] if last else nonzero[0]
+    for col, other in kept.items():
+        kept[col] = _eliminate(other, pivot, vec)
+    kept[pivot] = vec
+
+
+def _eliminate(vec: list[int], col: int, by: list[int]) -> list[int]:
+    """An integer combination of vec and `by` (whose entry at `col` is
+    nonzero) with a zero at `col`, divided by the gcd of its entries."""
+    b = vec[col]
+    if not b:
+        return vec
+    a = by[col]
+    out = [a * x - b * y for x, y in zip(vec, by)]
+    d = math.gcd(*out)
+    return [x // d for x in out] if d > 1 else out
+
+
+def _echelon_on_last(kernel: Sequence[tuple[tuple[int, int, int], ...]]) -> list[tuple[Triple, ...]]:
+    """The basis of the span of `kernel` in which every vector has a 1 at its
+    last nonzero coordinate and every other vector a 0 there, ordered by that
+    coordinate.
+
+    It is unique, and it is the basis the reduced row echelon form of the
+    whole 3n-unknown system yields: one vector per free column, 1 there and
+    0 at the other free columns.
+    """
+    reduced: dict[int, list[int]] = {}
+    for given in kernel:
+        _insert(reduced, [c for point in given for c in point], last=True)
+    basis = []
+    for col in sorted(reduced):
+        vec = [Fraction(x, reduced[col][col]) for x in reduced[col]]
+        basis.append(tuple(tuple(vec[3 * v : 3 * v + 3]) for v in range(len(vec) // 3)))
+    return basis
+
+
+def two_nac_solution_space(
+    g: Graph, first: NacColoring, second: NacColoring
+) -> list[tuple[Triple, ...]]:
+    """Basis of the solution space of the edge-direction linear system.
+
+    Vertex 0 is pinned to the origin and every edge's endpoint difference is
+    parallel to the direction its color pair selects.  The space is solved on
+    spanning-tree edge scalars (`_tree_kernel`) and returned in the basis
+    reduced on each vector's last nonzero coordinate (`_echelon_on_last`):
+    one vector per free coordinate, in increasing order, as a tuple of exact
+    vertex triples.
+    """
+    _check_colorings(g, first, second)
+    return _echelon_on_last(_tree_kernel(g, first, second))
 
 
 def two_nac_embedding(
@@ -346,10 +434,12 @@ def two_nac_embedding(
 ) -> EmbeddingR3:
     """Injective embedding from a pair of NAC-colorings, or a precise failure.
 
-    A generic point of the solution space is sampled with small random
-    integer coefficients (seeded); sampling only fails persistently when two
-    vertices coincide on the whole space, which is reported as the
-    obstruction.
+    Empty direction classes, a zero solution space and two vertices that
+    coincide on the whole space are read off the integer kernel, whatever
+    its basis.  Otherwise a generic point of the space is sampled with small
+    random integer coefficients (seeded) on the basis
+    `two_nac_solution_space` returns; sampling only fails persistently when
+    the space is too degenerate.
     """
     pairs_seen = {(first.color(u, v), second.color(u, v)) for u, v in g.edges}
     missing = [p for p in _PAIR_INDEX if p not in pairs_seen]
@@ -357,15 +447,20 @@ def two_nac_embedding(
         raise ConstructionInapplicable(
             f"direction classes for color pairs {missing} are empty"
         )
-    basis = two_nac_solution_space(g, first, second)
-    if not basis:
+    _check_colorings(g, first, second)
+    kernel = _tree_kernel(g, first, second)
+    if not kernel:
         raise ConstructionInapplicable("the linear system has only the zero solution")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if all(vec[u] == vec[v] for vec in basis):
-                raise ConstructionInapplicable(
-                    f"vertices {u} and {v} coincide on the whole solution space"
-                )
+    groups: dict[tuple, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(tuple(vec[v] for vec in kernel), []).append(v)
+    twins = [group[:2] for group in groups.values() if len(group) > 1]
+    if twins:
+        u, v = min(twins)
+        raise ConstructionInapplicable(
+            f"vertices {u} and {v} coincide on the whole solution space"
+        )
+    basis = _echelon_on_last(kernel)
     rng = random.Random(seed)
     for _ in range(_EMBEDDING_TRIES):
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]

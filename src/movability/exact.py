@@ -206,9 +206,11 @@ class Poly:
         quot = [GR_ZERO] * max(0, len(rem) - len(other.coeffs) + 1)
         d = other.degree
         lead = other.leading()
+        # one inverse per call, none for a monic divisor (gcds, denominators)
+        inverse = None if lead == GR_ONE else GR_ONE / lead
         while len(rem) - 1 >= d and rem:
             k = len(rem) - 1 - d
-            factor = rem[-1] / lead
+            factor = rem[-1] if inverse is None else rem[-1] * inverse
             quot[k] = factor
             for j, c in enumerate(other.coeffs):
                 rem[k + j] = rem[k + j] - factor * c

@@ -130,13 +130,6 @@ def _merge(labels: list[int], edges: Iterable[Edge]) -> list[int]:
     return labels
 
 
-def _check_cap(g: Graph, cap: int) -> None:
-    if len(g.edges) > cap:
-        raise EnumerationCapExceeded(
-            f"{len(g.edges)} edges exceed the enumeration cap {cap}"
-        )
-
-
 def _dfs_edge_order(g: Graph) -> list[Edge]:
     adj = g.adjacency()
     order: list[Edge] = []
@@ -210,7 +203,10 @@ def enumerate_nac(
     """
     if len(g.edges) == 0:
         return []
-    _check_cap(g, cap)
+    if len(g.edges) > cap:
+        raise EnumerationCapExceeded(
+            f"{len(g.edges)} edges exceed the enumeration cap {cap}"
+        )
     classes = _triangle_classes(g, _dfs_edge_order(g))
     m = len(classes)
     results: list[frozenset[Edge]] = []
@@ -257,21 +253,6 @@ def enumerate_nac(
     full = colorings + [c.conjugate() for c in colorings]
     full.sort(key=lambda c: sorted(c.red))
     return full
-
-
-def edge_signatures(
-    g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> dict[Edge, tuple[bool, ...]]:
-    """Per-edge color pattern across all non-conjugated NAC-colorings.
-
-    Two edges get equal signatures exactly when every NAC-coloring gives
-    them equal colors (conjugation cannot break a tie, so representatives
-    with the reference edge pinned blue suffice).
-    """
-    reps = enumerate_nac(g, non_conjugated=True, cap=cap)
-    return {
-        e: tuple(e in rep.red for rep in reps) for e in g.sorted_edges()
-    }
 
 
 def _closing_pairs(g: Graph, reds: list[frozenset[Edge]]) -> dict[Edge, int]:
@@ -349,8 +330,9 @@ def constant_distance_closure(
     is exactly the set of extensions of NAC(G) that are still NAC; each
     round filters the previous representatives instead of enumerating
     again.  Once none is left, every non-edge is a unicolor pair and the
-    next round completes the graph.  The cap counts edges and raises where
-    enumerating each round's graph afresh would.  The loop terminates
+    next round completes the graph.  The cap applies only where NAC(G) is
+    enumerated: the later rounds filter, so a graph whose first round passes
+    never raises, however many edges its closure gains.  The loop terminates
     because each round adds at least one of finitely many non-edges; the
     report keeps the per-round additions so experiments can see how many
     rounds graphs actually need.
@@ -371,7 +353,6 @@ def constant_distance_closure(
             break
         rounds.append(tuple(sorted(closing)))
         current = current.with_edges(closing)
-        _check_cap(current, cap)
         extended = (
             red | {pair for pair, sig in closing.items() if sig >> i & 1}
             for i, red in enumerate(reds)

@@ -3,7 +3,8 @@
 The enumerator backtracks over single edges instead of triangle classes,
 and the closure enumerates NAC(G) afresh in every round instead of
 filtering extensions.  `tests/test_nac.py` asserts that `movability.nac`
-agrees with them, including where `EnumerationCapExceeded` is raised.
+agrees with them, including where round one's enumeration raises
+`EnumerationCapExceeded`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from movability.catalog import (
 from movability.constructions import (
     DIRECTIONS,
     _NORMALS,
-    _nullspace,
     ConstructionInapplicable,
     EmbeddingR3,
     deltoid_motion,
@@ -37,6 +36,8 @@ from movability.motion import (
     verify_injectivity,
 )
 from movability.nac import NacColoring, enumerate_nac
+
+from two_nac_oracle import _nullspace
 
 
 K33 = Graph.of(6, [(a, b) for a in range(3) for b in range(3, 6)])
@@ -270,9 +271,10 @@ def _deletion_classes():
 
 @pytest.mark.parametrize("source", ["Q1", "S2", "deletions"])
 def test_solution_space_matches_dense_elimination(source):
-    # the RREF is unique for a fixed column order, so the sparse and the dense
-    # elimination give the same basis; S2's pairs hit every rejection reason
-    from two_nac_oracle import two_nac_solution_space as oracle
+    # the RREF is unique for a fixed column order, so the tree-scalar solve
+    # and the dense elimination give the same basis; S2's pairs hit every
+    # rejection reason
+    from two_nac_oracle import dense_solution_space as oracle
 
     if source == "deletions":
         classes = _deletion_classes()
@@ -283,6 +285,79 @@ def test_solution_space_matches_dense_elimination(source):
         assert len(pairs) == {"Q1": 66, "S2": 231}[source]
     for g, first, second in pairs:
         assert two_nac_solution_space(g, first, second) == oracle(g, first, second)
+
+
+def _embedding_outcome(embed, g, first, second):
+    try:
+        return embed(g, first, second, seed=0).points
+    except ConstructionInapplicable as exc:
+        return str(exc)
+
+
+def _disconnected_pair():
+    """Q1, a 4-cycle beside it and an isolated vertex, with a NAC pair that
+    spans all four direction classes."""
+    q1, first_red, second_red = q1_embedding_example()
+    square = [(7, 8), (8, 9), (9, 10), (7, 10)]
+    g = Graph.of(12, [*q1.sorted_edges(), *square])
+    first = NacColoring(g, first_red | {(7, 8), (9, 10)})
+    second = NacColoring(g, second_red | {(8, 9), (7, 10)})
+    return g, first, second
+
+
+def _old_solve_pairs(source):
+    if source == "up-to-6":
+        from movability.smallgraphs import connected_graphs_up_to
+
+        pairs = [p for g in connected_graphs_up_to(6) for p in _pairs(g)]
+        assert len(pairs) == 2901
+        return pairs
+    if source == "7-sample":
+        from movability.smallgraphs import connected_graphs_up_to
+
+        pairs = [p for g in connected_graphs_up_to(7) if g.n == 7 for p in _pairs(g)]
+        assert len(pairs) == 45305
+        return random.Random(7).sample(pairs, 2000)
+    if source == "deletions":
+        # ten seeded pairs (or all) of each of the 87 classes
+        rng = random.Random(0)
+        classes = _deletion_classes()
+        assert len(classes) == 87
+        pairs = []
+        for h in classes:
+            of_h = _pairs(h)
+            pairs += rng.sample(of_h, min(10, len(of_h)))
+        return pairs
+    if source == "disconnected":
+        return [_disconnected_pair()]
+    pairs = _pairs(catalog_graph(source))
+    assert len(pairs) == {"S2": 231, "S3": 276}[source]
+    return pairs
+
+
+@pytest.mark.parametrize("source", ["up-to-6", "7-sample", "S2", "S3", "deletions", "disconnected"])
+def test_tree_solve_matches_the_old_sparse_solve(source):
+    # the old solve's basis is the unique RREF nullspace of the 3n-unknown
+    # system; the tree-scalar solve must return it exactly, and so reach the
+    # same embedding or the same rejection message
+    from two_nac_oracle import two_nac_embedding as old_embedding
+    from two_nac_oracle import two_nac_solution_space as old_space
+
+    for g, first, second in _old_solve_pairs(source):
+        assert two_nac_solution_space(g, first, second) == old_space(g, first, second)
+        assert _embedding_outcome(two_nac_embedding, g, first, second) == _embedding_outcome(
+            old_embedding, g, first, second
+        )
+
+
+def test_disconnected_pair_translates_components_freely():
+    g, first, second = _disconnected_pair()
+    basis = two_nac_solution_space(g, first, second)
+    # Q1's line; the square is a rectangle with sides along e_z and e_y, two
+    # scalars plus a translation; vertex 11 translates freely
+    assert len(basis) == 1 + (2 + 3) + 3
+    emb = two_nac_embedding(g, first, second, seed=0)
+    assert len(set(emb.points)) == g.n
 
 
 def test_direction_class_agrees_with_normals_on_q1(q1_pair):

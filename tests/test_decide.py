@@ -192,6 +192,30 @@ def test_classify_undecided_above_cap():
     assert verdict.reason == "too large; use certify_no_unicolor_pairs"
 
 
+# the closure-cap witness of perfbench/workload.py (CAP_WITNESS): 19 edges,
+# five NAC-colorings up to conjugation, and a closure of three rounds that
+# ends in K10 with 45 edges, past the default cap of 40
+CAP_WITNESS = Graph.of(10, [
+    (0, 1), (0, 3), (0, 4), (0, 5), (0, 7), (1, 2), (1, 3), (1, 6), (1, 8), (2, 4),
+    (2, 5), (2, 8), (3, 5), (3, 7), (4, 9), (5, 7), (5, 9), (6, 8), (6, 9),
+])
+
+
+def test_classify_decides_a_closure_that_outgrows_the_cap():
+    verdict = classify(CAP_WITNESS)  # an EnumerationCapExceeded would fail here
+    assert verdict.kind == NOT_MOVABLE_CDC_COMPLETE
+    assert verdict.closure_graph == Graph.of(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
+    assert verdict.closure_iterations == 3
+
+
+@pytest.mark.parametrize("cap", [19, 40])
+def test_closure_filters_past_the_cap(cap):
+    # round one enumerates the 19 edges; the later rounds only filter
+    report = constant_distance_closure(CAP_WITNESS, cap=cap)
+    assert report.is_complete()
+    assert [len(added) for added in report.added] == [5, 15, 6]
+
+
 def test_spanning_subgraph_of_catalog_entry_gets_certificate():
     s5 = catalog_graph("S5")
     # drop one edge; the result is still spanned by a Laman graph and is a

@@ -1,23 +1,128 @@
-"""Reference two-NAC solution space: dense Gauss-Jordan elimination.
+"""Reference two-NAC solves: the sparse elimination and the dense one before it.
 
-This is the solve `constructions.two_nac_solution_space` made before it
-became a sparse elimination with vertex 0 pinned by unit rows: vertex 0's
-columns are dropped, every row is a dense list over the 3(n-1) remaining
-unknowns, and the origin is put back in front of each basis vector.  For a
-fixed column order the reduced row echelon form is unique, so
-`tests/test_constructions.py` asserts that both return the same basis.
+`two_nac_solution_space` and `two_nac_embedding` are the solve
+`movability.constructions` made before it moved to spanning-tree edge
+scalars: unknown 3v+k is coordinate k of vertex v, three unit rows pin
+vertex 0 to the origin, every edge contributes two rows, and `_nullspace`
+keeps the rows in reduced row echelon form over `Fraction`.
+`dense_solution_space` is the solve before that one: dense Gauss-Jordan
+elimination with vertex 0's columns dropped.  For a fixed column order the
+reduced row echelon form is unique, so `tests/test_constructions.py` asserts
+that all of them return the same basis and that both embeddings have the
+same outcome.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from typing import Iterable, Mapping
 
-from movability.constructions import _NORMALS, _PAIR_INDEX
+from movability.constructions import (
+    _EMBEDDING_TRIES,
+    _NORMALS,
+    _PAIR_INDEX,
+    ConstructionInapplicable,
+    EmbeddingR3,
+)
 from movability.graphs import Graph
-from movability.nac import NacColoring
+from movability.nac import NacColoring, is_nac
 
 
 def two_nac_solution_space(g: Graph, first: NacColoring, second: NacColoring):
+    for coloring in (first, second):
+        if coloring.graph != g:
+            raise ValueError("coloring belongs to a different graph")
+        if not is_nac(g, coloring):
+            raise ConstructionInapplicable("a supplied coloring is not a NAC-coloring")
+    rows: list[dict[int, Fraction]] = [{k: Fraction(1)} for k in range(3)]
+    for u, v in g.sorted_edges():
+        for normal in _NORMALS[_PAIR_INDEX[first.color(u, v), second.color(u, v)]]:
+            rows.append({3 * w + k: Fraction(sign * c) for w, sign in ((u, 1), (v, -1))
+                         for k, c in enumerate(normal) if c})
+    return [
+        tuple(tuple(vec[3 * v : 3 * v + 3]) for v in range(g.n))
+        for vec in _nullspace(rows, 3 * g.n)
+    ]
+
+
+def _nullspace(rows: Iterable[Mapping[int, Fraction]], nvar: int) -> list[list[Fraction]]:
+    """Exact nullspace basis of sparse rows {column: value}: one vector per
+    free column, in increasing order.
+
+    The kept rows, keyed by pivot column, stay in reduced row echelon form:
+    each incoming row is reduced against them; a nonzero remainder is
+    normalized on its first column, which is then eliminated from the kept
+    rows.  The RREF is unique, so the basis does not depend on row order.
+    """
+    kept: dict[int, dict[int, Fraction]] = {}
+    for given in rows:
+        row = {c: x for c, x in given.items() if x}
+        for p in row.keys() & kept.keys():
+            _subtract(row, row[p], kept[p])
+        if not row:
+            continue
+        pivot = min(row)
+        lead = Fraction(row[pivot])
+        row = {c: x / lead for c, x in row.items()}
+        for other in kept.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        kept[pivot] = row
+    return [
+        [-kept[c].get(free, Fraction(0)) if c in kept else Fraction(c == free) for c in range(nvar)]
+        for free in range(nvar) if free not in kept
+    ]
+
+
+def _subtract(row: dict[int, Fraction], factor: Fraction, other: Mapping[int, Fraction]) -> None:
+    """row -= factor * other, dropping the entries that cancel."""
+    for c, x in other.items():
+        y = row.get(c, 0) - factor * x
+        if y:
+            row[c] = y
+        else:
+            row.pop(c, None)
+
+
+def two_nac_embedding(
+    g: Graph, first: NacColoring, second: NacColoring, *, seed: int = 0
+) -> EmbeddingR3:
+    pairs_seen = {(first.color(u, v), second.color(u, v)) for u, v in g.edges}
+    missing = [p for p in _PAIR_INDEX if p not in pairs_seen]
+    if missing:
+        raise ConstructionInapplicable(
+            f"direction classes for color pairs {missing} are empty"
+        )
+    basis = two_nac_solution_space(g, first, second)
+    if not basis:
+        raise ConstructionInapplicable("the linear system has only the zero solution")
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if all(vec[u] == vec[v] for vec in basis):
+                raise ConstructionInapplicable(
+                    f"vertices {u} and {v} coincide on the whole solution space"
+                )
+    rng = random.Random(seed)
+    for _ in range(_EMBEDDING_TRIES):
+        coeffs = [Fraction(rng.randint(-9, 9)) for _ in basis]
+        points = []
+        for v in range(g.n):
+            acc = [Fraction(0)] * 3
+            for coeff, vec in zip(coeffs, basis):
+                for k in range(3):
+                    acc[k] += coeff * vec[v][k]
+            points.append(tuple(acc))
+        try:
+            return EmbeddingR3(g, tuple(points))
+        except ValueError:
+            continue
+    raise ConstructionInapplicable(
+        "no injective generic point found (solution space too degenerate)"
+    )
+
+
+def dense_solution_space(g: Graph, first: NacColoring, second: NacColoring):
     nvar = 3 * (g.n - 1)
     rows: list[list[Fraction]] = []
     for u, v in g.sorted_edges():
@@ -32,11 +137,11 @@ def two_nac_solution_space(g: Graph, first: NacColoring, second: NacColoring):
     origin = (Fraction(0), Fraction(0), Fraction(0))
     return [
         (origin, *(tuple(vec[3 * (v - 1) : 3 * v]) for v in range(1, g.n)))
-        for vec in nullspace(rows, nvar)
+        for vec in _dense_nullspace(rows, nvar)
     ]
 
 
-def nullspace(rows: list[list[Fraction]], nvar: int) -> list[list[Fraction]]:
+def _dense_nullspace(rows: list[list[Fraction]], nvar: int) -> list[list[Fraction]]:
     m = [row[:] for row in rows]
     pivots: list[int] = []
     r = 0

@@ -37,7 +37,7 @@ def cases() -> list[tuple[str, list[list[str]]]]:
         movable_seven_vertex_graph,
         ring_of_complete_bipartite,
     )
-    from movability.graphs import encode_graph6
+    from movability.graphs import Graph, encode_graph6
 
     g6 = {name: encode_graph6(catalog_graph(name)) for name in CATALOG_NAMES}
     for name, build in (("no-nac", graph_without_nac), ("unicolor", graph_with_unicolor_path),
@@ -70,6 +70,14 @@ def cases() -> list[tuple[str, list[list[str]]]]:
         out.append((f"nac-enum-{name}", [["nac", "enum", code], ["nac", "enum", code, "--non-conjugated"]]))
         out.append((f"cdc-{name}", [["cdc", code]]))
     out.append(("cdc-G25-cap", [["cdc", encode_graph6(ring_of_complete_bipartite())]]))
+    # 19 edges whose closure grows to K10, past the enumeration cap of 40;
+    # only round one enumerates, so both commands report a complete closure
+    witness = encode_graph6(Graph.of(10, [
+        (0, 1), (0, 3), (0, 4), (0, 5), (0, 7), (1, 2), (1, 3), (1, 6), (1, 8), (2, 4),
+        (2, 5), (2, 8), (3, 5), (3, 7), (4, 9), (5, 7), (5, 9), (6, 8), (6, 9),
+    ]))
+    out.append(("classify-cap-witness", [["classify", witness]]))
+    out.append(("cdc-cap-witness", [["cdc", witness]]))
     for seed in range(4):
         out.append((f"two-nac-seed-{seed}", [["construct", "two-nac", "FLr@w", "--seed", str(seed), "--out", "out/"]]))
     out += [
