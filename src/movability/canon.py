@@ -13,92 +13,82 @@ n <= 10.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _graph6_of_columns
 
 MAX_N = 10
 
 
-def _neighbor_degree_key(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
-    deg = g.degrees()
-    adj = g.adjacency()
-    return [(deg[v], tuple(sorted((deg[w] for w in adj[v]), reverse=True))) for v in range(g.n)]
+def canonical_chunks(masks: list[int]) -> list[int]:
+    """The canonical chunks of the graph with adjacency bitmasks `masks`:
+    chunk d is the adjacency of position d to positions 0..d-1, 0 the high bit.
 
+    All chunks so far live in one integer, n bits per vertex (w at bit n*w);
+    placing v sets chunk_w <- (chunk_w << 1) | adj(w, v) for every w at once.
+    The key ranks chunk first, then degree, then the number of neighbours of
+    each degree from the highest down, 4 bits each: the order of (degree,
+    sorted neighbour degrees)."""
+    n = len(masks)
+    if n > MAX_N:
+        raise ValueError(f"canonical labeling supports n <= {MAX_N}, got {n}")
+    deg = [m.bit_count() for m in masks]
+    invariant, spread = [], []  # spread[v] has bit n*w for each neighbour w
+    for v, m in enumerate(masks):
+        key = deg[v] << 4 * n
+        bits = 0
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            key += 1 << 4 * deg[w]
+            bits |= 1 << n * w
+        invariant.append(key)
+        spread.append(bits)
+    shift = 4 * n + 4
+    slot = (1 << n) - 1
+    best: list[int] = []
+    path: list[int] = []
 
-def canonical_order(g: Graph) -> list[int]:
-    """Vertex ordering realizing the canonical form (first = position 0)."""
-    return _canonical_search(g)[0]
-
-
-def _canonical_search(g: Graph) -> tuple[list[int], list[int]]:
-    """The canonical ordering and its chunks: chunk d holds the adjacency of
-    the vertex at position d to positions 0..d-1, position 0 the high bit."""
-    if g.n > MAX_N:
-        raise ValueError(f"canonical labeling supports n <= {MAX_N}, got {g.n}")
-    n = g.n
-    masks = [0] * n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    invariant = _neighbor_degree_key(g)
-
-    best_chunks: list[int] | None = None
-    best_order: list[int] | None = None
-
-    def rec(order: list[int], chunks: list[int]):
-        nonlocal best_chunks, best_order
-        d = len(order)
-        if d == n:
-            if best_chunks is None or chunks > best_chunks:
-                best_chunks = list(chunks)
-                best_order = list(order)
+    def rec(free: int, chunks: int):
+        nonlocal best
+        if not free:
+            if path > best:
+                best = path.copy()
             return
-        placed = set(order)
-        scored = []
-        for v in range(n):
-            if v in placed:
-                continue
-            chunk = 0
-            for u in order:
-                chunk = (chunk << 1) | ((masks[v] >> u) & 1)
-            scored.append((chunk, invariant[v], v))
-        top = max(s[:2] for s in scored)
-        cands = [v for chunk, inv, v in scored if (chunk, inv) == top]
+        top = -1
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            key = (chunks >> n * v & slot) << shift | invariant[v]
+            if key > top:
+                top = key
+                cands = [v]
+            elif key == top:
+                cands.append(v)
         # collapse twins: identical adjacency outside the pair means the
         # subtrees are identical, one representative suffices
         kept: list[int] = []
         for v in cands:
-            pair_free = lambda x, a, b: x & ~((1 << a) | (1 << b))
-            if any(pair_free(masks[v], v, w) == pair_free(masks[w], v, w) for w in kept):
-                continue
-            kept.append(v)
+            for w in kept:
+                outside = ~(1 << v | 1 << w)
+                if masks[v] & outside == masks[w] & outside:
+                    break
+            else:
+                kept.append(v)
+        path.append(top >> shift)
         for v in kept:
-            order.append(v)
-            chunks.append(top[0])
-            rec(order, chunks)
-            order.pop()
-            chunks.pop()
+            rec(free ^ 1 << v, chunks << 1 | spread[v])
+        path.pop()
 
-    rec([], [])
-    assert best_order is not None and best_chunks is not None
-    return best_order, best_chunks
+    rec((1 << n) - 1, 0)
+    return best
 
 
 def canonical_form(g: Graph) -> str:
-    """Canonical graph6 string: equal for two graphs iff they are isomorphic.
-
-    Chunk d, read from its high bit, is column d of the upper triangle of
-    the relabeled adjacency matrix, which is graph6's bit order, so the
-    chunks concatenated are the graph6 payload."""
-    _, chunks = _canonical_search(g)
-    bits = 0
-    for d, chunk in enumerate(chunks):
-        bits = (bits << d) | chunk
-    nbits = g.n * (g.n - 1) // 2
-    groups = (nbits + 5) // 6
-    bits <<= 6 * groups - nbits
-    return chr(63 + g.n) + "".join(
-        chr(63 + (bits >> 6 * k & 63)) for k in range(groups - 1, -1, -1)
-    )
+    """Canonical graph6 string: equal for two graphs iff they are isomorphic;
+    the chunks are the columns of the relabeled upper triangle."""
+    return _graph6_of_columns(canonical_chunks(g.masks()))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -119,10 +109,7 @@ def find_spanning_embedding(h: Graph, g: Graph) -> list[int] | None:
     hdeg = h.degrees()
     gdeg = g.degrees()
     hadj = h.adjacency()
-    gmask = [0] * g.n
-    for u, v in g.edges:
-        gmask[u] |= 1 << v
-        gmask[v] |= 1 << u
+    gmask = g.masks()
     # high-degree, early-connected vertices first
     order: list[int] = []
     seen: set[int] = set()

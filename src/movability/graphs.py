@@ -63,12 +63,16 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
+    def masks(self) -> list[int]:
+        """Adjacency bitmasks: bit w of masks[v] is set iff vw is an edge."""
+        out = [0] * self.n
         for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+            out[u] |= 1 << v
+            out[v] |= 1 << u
+        return out
+
+    def degrees(self) -> list[int]:
+        return [m.bit_count() for m in self.masks()]
 
     def non_edges(self) -> list[Edge]:
         return [
@@ -202,30 +206,34 @@ def reduce_degree_two(g: Graph) -> tuple[Graph, list[int]]:
 GRAPH6_MAX_N = 62
 
 
+def _graph6_of_columns(columns: list[int]) -> str:
+    """The graph6 string whose upper triangle has column d = columns[d], row 0
+    its high bit: the columns concatenated are the payload."""
+    n = len(columns)
+    bits = 0
+    for d, column in enumerate(columns):
+        bits = bits << d | column
+    nbits = n * (n - 1) // 2
+    groups = (nbits + 5) // 6
+    bits <<= 6 * groups - nbits
+    return chr(63 + n) + "".join(chr(63 + (bits >> 6 * k & 63)) for k in range(groups - 1, -1, -1))
+
+
 def encode_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise Graph6Error("short-form graph6 supports at most 62 vertices")
-    bits = []
+    masks = g.masks()
+    columns = [0] * g.n
     for v in range(1, g.n):
         for u in range(v):
-            bits.append(1 if (u, v) in g.edges else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + g.n)]
-    for k in range(0, len(bits), 6):
-        group = 0
-        for b in bits[k : k + 6]:
-            group = (group << 1) | b
-        out.append(chr(63 + group))
-    return "".join(out)
+            columns[v] = columns[v] << 1 | (masks[v] >> u & 1)
+    return _graph6_of_columns(columns)
 
 
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
+    s = text.strip().removeprefix(">>graph6<<")
     if not s:
         raise Graph6Error("empty graph6 string")
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<") :]
     head = ord(s[0])
     if head == 126:
         raise Graph6Error("long-form graph6 (n > 62) is not supported")
@@ -239,23 +247,20 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error("truncated graph6 bit stream")
     if len(body) > nbytes:
         raise Graph6Error("trailing bytes after graph6 payload")
-    bits = []
+    bits = 0
     for ch in body:
         val = ord(ch) - 63
         if not (0 <= val < 64):
             raise Graph6Error(f"byte {ord(ch)} outside graph6 alphabet")
-        for shift in range(5, -1, -1):
-            bits.append((val >> shift) & 1)
-    if any(bits[nbits:]):
+        bits = bits << 6 | val
+    pad = 6 * nbytes - nbits
+    if bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    edges = set()
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.add((u, v))
-            k += 1
-    return Graph(n, frozenset(edges))
+    # pair (u, v) is payload bit v(v-1)/2 + u, counted from the high end
+    top = 6 * nbytes - 1
+    return Graph(n, frozenset(
+        (u, v) for v in range(1, n) for u in range(v) if bits >> top - v * (v - 1) // 2 - u & 1
+    ))
 
 
 # -- adjacency-list JSON (secondary interchange format) --------------------

@@ -153,16 +153,13 @@ def _dfs_edge_order(g: Graph) -> list[Edge]:
 
 
 def _triangle_classes(g: Graph, order: list[Edge]) -> list[list[Edge]]:
-    """The edges of `order` grouped into triangle-connected classes.
+    """The edges of g, listed in `order`, grouped into triangle-connected classes.
 
     Two edges share a class when a chain of triangles, consecutive ones
     sharing an edge, joins them.  Classes come in the order of their first
     edge in `order`.
     """
-    nbrs = [0] * g.n
-    for u, v in order:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
+    nbrs = g.masks()
     seen: set[Edge] = set()
     classes: list[list[Edge]] = []
     for first in order:

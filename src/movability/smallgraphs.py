@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .canon import canonical_form
-from .graphs import Graph, parse_graph6
+from .canon import canonical_chunks
+from .graphs import Graph, _graph6_of_columns
 
 
 def _components_without(masks: list[int], v: int) -> list[int]:
@@ -69,27 +69,38 @@ def _new_vertex_has_least_key(
     return True
 
 
-def _grow_layer(layer: set[str], size: int) -> set[str]:
+def _grow_layer(layer: dict[str, list[int]], size: int) -> dict[str, list[int]]:
+    """The next layer, {canonical code: adjacency masks relabeled by the code}."""
     x = size - 1
-    grown: set[str] = set()
-    for code in layer:
-        base = parse_graph6(code).sorted_edges()
-        masks = [0] * x
-        for u, v in base:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+    grown: dict[str, list[int]] = {}
+    for masks in layer.values():
         degrees = [m.bit_count() for m in masks]
         parts = [_components_without(masks, v) for v in range(x)]
         for subset in range(1, 1 << x):
             if _new_vertex_has_least_key(masks, degrees, parts, subset):
-                joined = [(v, x) for v in range(x) if subset >> v & 1]
-                grown.add(canonical_form(Graph(size, frozenset(base + joined))))
+                child = [m | (subset >> v & 1) << x for v, m in enumerate(masks)] + [subset]
+                chunks = canonical_chunks(child)
+                code = _graph6_of_columns(chunks)
+                if code not in grown:
+                    grown[code] = _masks_of_chunks(chunks)
     return grown
 
 
+def _masks_of_chunks(chunks: list[int]) -> list[int]:
+    """Adjacency masks of the graph whose upper triangle has columns `chunks`."""
+    masks = [0] * len(chunks)
+    for d, chunk in enumerate(chunks):
+        for u in range(d):
+            if chunk >> (d - 1 - u) & 1:
+                masks[d] |= 1 << u
+                masks[u] |= 1 << d
+    return masks
+
+
 def connected_graphs_up_to(max_n: int) -> Iterator[Graph]:
-    layer = {canonical_form(Graph.of(1, []))}
+    layer = {_graph6_of_columns([0]): [0]}
     for size in range(2, max_n + 1):
         layer = _grow_layer(layer, size)
         for code in sorted(layer):
-            yield parse_graph6(code)
+            masks = layer[code]
+            yield Graph(size, frozenset((u, v) for v in range(size) for u in range(v) if masks[v] >> u & 1))

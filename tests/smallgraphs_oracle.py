@@ -3,9 +3,11 @@
 The generator grows each layer by joining a new vertex to every nonempty
 subset of every graph of the previous layer and keeps the canonical forms
 of all children, with no rejection before canonizing.  The canonical form
-relabels the graph by `canonical_order` and encodes it with
-`encode_graph6`.  `tests/test_smallgraphs.py` and `tests/test_canon.py`
-assert that `movability.smallgraphs` and `movability.canon` agree with them.
+relabels the graph by the reference search's `canonical_order`
+(`tests/canon_oracle.py`) and encodes it with `encode_graph6`, so the
+stream oracle runs none of `movability.canon`.  `tests/test_smallgraphs.py`
+and `tests/test_canon.py` assert that `movability.smallgraphs` and
+`movability.canon` agree with them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from movability.canon import canonical_order
+from canon_oracle import canonical_order
 from movability.graphs import Graph, encode_graph6, parse_graph6
 
 

@@ -170,6 +170,33 @@ def test_criterion_3_stream_counts_per_n(graph_stream_8):
     assert sum(per_n.values()) == len(set(graph_stream_8)) == 12112
 
 
+def test_criterion_3_stream_is_pinned(graph_stream_8):
+    import hashlib
+
+    assert len(graph_stream_8) == 12112
+    digest = hashlib.sha1("\n".join(graph_stream_8).encode()).hexdigest()
+    assert digest == "808942ecd64f1cf49569178fe1b25360545019ae"
+
+
+def test_criterion_3_stream_matches_the_reference_search(graph_stream_8):
+    import random
+
+    from movability.canon import canonical_chunks, canonical_form
+    from movability.graphs import parse_graph6
+
+    from canon_oracle import canonical_search
+
+    rng = random.Random(8)
+    for code in graph_stream_8:
+        g = parse_graph6(code)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        chunks = canonical_search(h)[1]
+        assert canonical_chunks(h.masks()) == chunks, code
+        assert canonical_form(h) == code, code
+
+
 def test_criterion_3_census(graph_stream_8):
     import os
 

@@ -2,10 +2,16 @@ import random
 
 import pytest
 
-from movability.canon import are_isomorphic, canonical_form, find_spanning_embedding
+from movability.canon import (
+    are_isomorphic,
+    canonical_chunks,
+    canonical_form,
+    find_spanning_embedding,
+)
 from movability.catalog import catalog_graph, q1_embedding_example
 from movability.graphs import Graph, parse_graph6
 
+from canon_oracle import canonical_search
 from conftest import random_connected_graph
 
 
@@ -92,6 +98,12 @@ def test_matches_the_relabeling_form_on_small_graphs_and_the_catalog(rng):
     graphs = [Graph.of(0, []), Graph.of(1, []), Graph.of(3, [(0, 1)])]
     graphs += [*connected_graphs_up_to(7), *load_catalog().values()]
     assert len(graphs) == 3 + 995 + 21
+    # denser graphs up to 10 vertices and their complements, often disconnected
+    for _ in range(100):
+        n = rng.randint(2, 10)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(0, n * (n - 1) // 2))
+        graphs += [g, Graph.of(n, g.non_edges())]
     for g in graphs:
         h = shuffled(g, rng)
+        assert canonical_chunks(h.masks()) == canonical_search(h)[1], h
         assert canonical_form(h) == relabel_canonical_form(h), h

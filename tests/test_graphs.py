@@ -66,6 +66,8 @@ def test_graph6_round_trip(g):
 def test_parse_errors():
     with pytest.raises(Graph6Error):
         parse_graph6("")
+    with pytest.raises(Graph6Error, match="empty graph6 string"):
+        parse_graph6(">>graph6<<")  # a header and nothing after it
     with pytest.raises(Graph6Error):
         parse_graph6("~??")  # long form unsupported
     with pytest.raises(Graph6Error):
