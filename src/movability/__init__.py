@@ -37,7 +37,6 @@ from .decide import (
     census,
     certify_no_unicolor_pairs,
     classify,
-    is_tree_decomposable,
     nac_witnesses,
 )
 from .track import track_motion
@@ -63,7 +62,6 @@ __all__ = [
     "has_spanning_laman",
     "is_laman",
     "is_nac",
-    "is_tree_decomposable",
     "motion_from_embedding",
     "nac_witnesses",
     "parse_graph6",

@@ -23,9 +23,12 @@ from .catalog import load_catalog
 from .constructions import (
     ConstructionInapplicable,
     axes_parameters,
+    deltoid_motion,
     dixon_one,
     grid_search,
+    motion_from_embedding,
     s5_motion,
+    two_nac_embedding,
     two_nac_search,
 )
 from .decide import census, classify
@@ -272,12 +275,15 @@ def cmd_construct(args) -> int:
         if bool(args.first) != bool(args.second):
             raise CliParseError("--first and --second must be given together")
         if args.first:
+            # colorings from files are checked; enumerated ones need not be
             g = _read_graph(args.graph)
-            pairs = [(_read_coloring(g, args.first), _read_coloring(g, args.second))]
+            first, second = _read_coloring(g, args.first), _read_coloring(g, args.second)
+            embedding = two_nac_embedding(g, first, second, seed=args.seed)
+            motion = motion_from_embedding(embedding, deltoid_motion())
         else:
             g = _read_connected_graph(args.graph)
             pairs = combinations(enumerate_nac(g, non_conjugated=True, cap=args.cap), 2)
-        _, _, embedding, motion = two_nac_search(g, pairs, seed=args.seed)
+            _, _, embedding, motion = two_nac_search(g, pairs, seed=args.seed)
         _write_files(args.out, {"embedding.json": embedding.to_json()})
         _write_motion(args, motion, motion.induced_labeling())
         return EXIT_OK

@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .exact import GaussianRational, Poly
@@ -71,79 +73,152 @@ def _const(x) -> RationalFunction:
 
 # -- Dixon's axes construction ----------------------------------------------
 
+# (axis, m): the radical sqrt(m^2 - t^2) on the x-axis, sqrt(m^2 + t^2) on the y-axis
+Radical = tuple[str, Fraction]
+
 
 @dataclass(frozen=True)
-class DixonSampler:
-    """Realizations of the axes motion: X-part on the x-axis, Y-part on y.
+class AxesMotion:
+    """Dixon's type I motion of a core on the axes, with a rational extension.
 
-    Positions are (sqrt(x_u^2 - t^2), 0) and (0, sqrt(y_v^2 + t^2)); squared
-    coordinates stay rational, so compatibility and injectivity of a sample
-    are exact checks.
+    A core vertex with x-parameter x sits at (sign(x) sqrt(x^2 - t^2), 0) and
+    one with y-parameter y at (0, sign(y) sqrt(y^2 + t^2)), for |t| < min |x|.
+    Every other vertex v sits at the sum over core vertices w of
+    (a + bJ) p_w, with (a, b) = extension[v][w] and J the rotation by 90
+    degrees.  Each coordinate is then a rational combination of radicals r_k,
+    one per distinct (axis, |parameter|).  Their radicands are square-free and
+    pairwise coprime polynomials in t, so 1, t^2 and the products r_k r_l
+    (k < l) are linearly independent over Q, and every check below is exact.
     """
 
     graph: Graph
-    x_part: tuple[int, ...]
-    y_part: tuple[int, ...]
     x_params: Mapping[int, Fraction]
     y_params: Mapping[int, Fraction]
+    extension: Mapping[int, Mapping[int, tuple[Fraction, Fraction]]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for coll, name in ((self.x_params, "x"), (self.y_params, "y")):
+            for v, val in coll.items():
+                if val == 0:
+                    raise ConstructionInapplicable(f"{name} parameter of vertex {v} is zero")
+        core = [*self.x_params, *self.y_params]
+        placed = core + list(self.extension)
+        if sorted(placed) != list(range(self.graph.n)):
+            raise ConstructionInapplicable("the core and the extension must place every vertex once")
+        for v, combination in self.extension.items():
+            if not set(combination) <= set(core):
+                raise ConstructionInapplicable(f"vertex {v} is not a combination of core vertices")
+
+    @cached_property
+    def _vectors(self) -> dict[int, dict[Radical, tuple[Fraction, Fraction]]]:
+        """Per vertex, its position as a (x, y) coefficient pair per radical."""
+        out: dict[int, dict[Radical, tuple[Fraction, Fraction]]] = {}
+        for u, x in self.x_params.items():
+            out[u] = {("x", abs(x)): (Fraction(1 if x > 0 else -1), Fraction(0))}
+        for v, y in self.y_params.items():
+            out[v] = {("y", abs(y)): (Fraction(0), Fraction(1 if y > 0 else -1))}
+        for v, combination in self.extension.items():
+            acc: dict[Radical, tuple[Fraction, Fraction]] = {}
+            for w, (a, b) in combination.items():
+                for k, (x, y) in out[w].items():
+                    ax, ay = acc.get(k, (0, 0))
+                    acc[k] = (ax + a * x - b * y, ay + a * y + b * x)
+            out[v] = acc
+        return out
 
     def parameter_bound(self) -> Fraction:
-        return min(abs(self.x_params[u]) for u in self.x_part)
+        """The motion is defined for |t| below this, the least |x|."""
+        return min(abs(x) for x in self.x_params.values())
 
-    def squared_coords(self, t: Fraction) -> dict[int, tuple[str, Fraction]]:
-        """Per vertex: axis ('x' or 'y') and squared axis coordinate."""
+    def squared_distance(self, u: int, v: int) -> Fraction | None:
+        """|p_u - p_v|^2 when it is constant in t, else None.
+
+        With d_k the coefficient pair of r_k in p_u - p_v, the squared
+        distance is sum |d_k|^2 (m_k^2 -+ t^2) + 2 sum_{k<l} (d_k . d_l) r_k r_l:
+        constant iff its t^2 coefficient and every d_k . d_l vanish."""
+        pu, pv = self._vectors[u], self._vectors[v]
+        diff = []
+        for k in pu.keys() | pv.keys():
+            (ux, uy), (vx, vy) = pu.get(k, (0, 0)), pv.get(k, (0, 0))
+            if ux != vx or uy != vy:
+                diff.append((k, ux - vx, uy - vy))
+        value = slope = Fraction(0)
+        for (axis, m), x, y in diff:
+            norm = x * x + y * y
+            value += norm * m * m
+            slope += norm if axis == "y" else -norm
+        if slope or any(x1 * x2 + y1 * y2 for (_, x1, y1), (_, x2, y2) in combinations(diff, 2)):
+            return None
+        return value
+
+    def labeling(self) -> Labeling:
+        """The squared edge lengths; raises when an edge changes length."""
+        out: Labeling = {}
+        for u, v in self.graph.sorted_edges():
+            lam = self.squared_distance(u, v)
+            if lam is None:
+                raise ConstructionInapplicable(f"edge ({u},{v}) changes length along the axes motion")
+            out[(u, v)] = lam
+        return out
+
+    def positions_at_zero(self) -> list[tuple[Fraction, Fraction]]:
+        """The realization at t = 0, where every radical is |parameter|."""
+        return [self._evaluate(v, lambda k: k[1]) for v in range(self.graph.n)]
+
+    def realize_float(self, t: float) -> list[tuple[float, float]]:
         if abs(t) >= self.parameter_bound():
             raise ValueError(f"|t| must stay below {self.parameter_bound()}")
-        out: dict[int, tuple[str, Fraction]] = {}
-        for u in self.x_part:
-            out[u] = ("x", self.x_params[u] ** 2 - t * t)
-        for v in self.y_part:
-            out[v] = ("y", self.y_params[v] ** 2 + t * t)
-        return out
+
+        def root(k: Radical) -> float:
+            axis, m = k
+            return math.sqrt(float(m) ** 2 + (t * t if axis == "y" else -t * t))
+
+        return [tuple(map(float, self._evaluate(v, root))) for v in range(self.graph.n)]
+
+    def _evaluate(self, v: int, root) -> tuple:
+        """Position of v with root(k) substituted for each radical k."""
+        vec = self._vectors[v].items()
+        return sum(x * root(k) for k, (x, _) in vec), sum(y * root(k) for k, (_, y) in vec)
+
+    def is_proper(self) -> bool:
+        """Injective at t = 0, hence near it, and not a rigid motion: some
+        non-edge changes length."""
+        points = self.positions_at_zero()
+        if len(set(points)) != len(points):
+            return False
+        return any(
+            self.squared_distance(u, v) is None
+            for u, v in combinations(range(self.graph.n), 2)
+            if (u, v) not in self.graph.edges
+        )
 
 
 def dixon_one(
     g: Graph,
     x_params: Mapping[int, Fraction],
     y_params: Mapping[int, Fraction],
-) -> tuple[Labeling, DixonSampler]:
-    """Labeling lambda^2(uv) = x_u^2 + y_v^2 for a bipartite graph.
+) -> tuple[Labeling, AxesMotion]:
+    """Labeling lambda^2(uv) = x_u^2 + y_v^2 for a bipartite graph: the axes
+    motion with no extension.
 
     Compatibility is the Pythagorean identity
-    (x_u^2 - t^2) + (y_v^2 + t^2) = x_u^2 + y_v^2, an exact statement about
-    the sampler's squared coordinates.
+    (x_u^2 - t^2) + (y_v^2 + t^2) = x_u^2 + y_v^2.
     """
     ok, parts = g.is_bipartite()
     if not ok:
         raise ConstructionInapplicable("graph is not bipartite (odd cycle found)")
     if g.n < 3:
         raise ConstructionInapplicable("axes construction needs at least three vertices")
-    a, b = parts
-    if set(x_params) == a and set(y_params) == b:
-        pass
-    elif set(x_params) == b and set(y_params) == a:
-        a, b = b, a
-    else:
+    if {frozenset(x_params), frozenset(y_params)} != set(map(frozenset, parts)):
         raise ConstructionInapplicable(
             "parameter keys must cover the two bipartition classes exactly"
         )
-    for coll, name in ((x_params, "x"), (y_params, "y")):
-        for v, val in coll.items():
-            if val == 0:
-                raise ConstructionInapplicable(f"{name} parameter of vertex {v} is zero")
-    labeling: Labeling = {}
-    for u, v in g.sorted_edges():
-        xu = u if u in a else v
-        yv = v if u in a else u
-        labeling[(u, v)] = Fraction(x_params[xu]) ** 2 + Fraction(y_params[yv]) ** 2
-    sampler = DixonSampler(
-        graph=g,
-        x_part=tuple(sorted(a)),
-        y_part=tuple(sorted(b)),
-        x_params={k: Fraction(v) for k, v in x_params.items()},
-        y_params={k: Fraction(v) for k, v in y_params.items()},
+    motion = AxesMotion(
+        g,
+        {k: Fraction(v) for k, v in x_params.items()},
+        {k: Fraction(v) for k, v in y_params.items()},
     )
-    return labeling, sampler
+    return motion.labeling(), motion
 
 
 def axes_parameters(g: Graph) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
@@ -434,20 +509,30 @@ def two_nac_embedding(
 ) -> EmbeddingR3:
     """Injective embedding from a pair of NAC-colorings, or a precise failure.
 
-    Empty direction classes, a zero solution space and two vertices that
-    coincide on the whole space are read off the integer kernel, whatever
-    its basis.  Otherwise a generic point of the space is sampled with small
-    random integer coefficients (seeded) on the basis
+    Empty direction classes are rejected first, then colorings that are not
+    NAC-colorings of g.  Past those, a zero solution space and two vertices
+    that coincide on the whole space are read off the integer kernel,
+    whatever its basis.  Otherwise a generic point of the space is sampled
+    with small random integer coefficients (seeded) on the basis
     `two_nac_solution_space` returns; sampling only fails persistently when
     the space is too degenerate.
     """
+    _check_classes(g, first, second)
+    _check_colorings(g, first, second)
+    return _pair_embedding(g, first, second, seed)
+
+
+def _check_classes(g: Graph, first: NacColoring, second: NacColoring) -> None:
     pairs_seen = {(first.color(u, v), second.color(u, v)) for u, v in g.edges}
     missing = [p for p in _PAIR_INDEX if p not in pairs_seen]
     if missing:
         raise ConstructionInapplicable(
             f"direction classes for color pairs {missing} are empty"
         )
-    _check_colorings(g, first, second)
+
+
+def _pair_embedding(g: Graph, first: NacColoring, second: NacColoring, seed: int) -> EmbeddingR3:
+    """`two_nac_embedding` past its checks of the colorings."""
     kernel = _tree_kernel(g, first, second)
     if not kernel:
         raise ConstructionInapplicable("the linear system has only the zero solution")
@@ -568,13 +653,16 @@ def two_nac_search(
 ) -> tuple[NacColoring, NacColoring, EmbeddingR3, ParametrizedMotion]:
     """The first pair, in order, whose embedding is injective, with the motion
     the deltoid frame drives; raises the last ConstructionInapplicable when no
-    pair has one.  That motion is proper: the frame functions are linearly
-    independent (rank 3 at t = 0..4, at any scale), so two vertices coincide
-    for every t only if their embedding points are equal."""
+    pair has one.  The pairs are NAC-colorings of g, as `enumerate_nac` gives
+    them, and are not checked again.  The motion is proper: the frame
+    functions are linearly independent (rank 3 at t = 0..4, at any scale), so
+    two vertices coincide for every t only if their embedding points are
+    equal."""
     last_error = ConstructionInapplicable("no pair of NAC-colorings to try")
     for first, second in pairs:
         try:
-            embedding = two_nac_embedding(g, first, second, seed=seed)
+            _check_classes(g, first, second)
+            embedding = _pair_embedding(g, first, second, seed)
         except ConstructionInapplicable as exc:
             last_error = exc
             continue

@@ -1,4 +1,4 @@
-"""The movability pipeline: classifier, witnesses, tree-decomposability, census.
+"""The movability pipeline: classifier, witnesses, census.
 
 Pipeline, in order: graphs without a spanning Laman subgraph are generically
 movable; degree-two vertices are stripped (movability-invariant); no
@@ -21,8 +21,8 @@ from typing import Iterable
 from .canon import canonical_form, find_spanning_embedding
 from .catalog import CATALOG_NAMES, catalog_graph
 from .constructions import (
+    AxesMotion,
     ConstructionInapplicable,
-    DixonSampler,
     axes_parameters,
     dixon_one,
     grid_search,
@@ -60,16 +60,17 @@ UNDECIDED = "UNDECIDED"
 class MovabilityCertificate:
     """A proper flexible labeling plus the evidence it came with.
 
-    Exact constructions carry a parametrized motion (or the axes sampler);
-    combination constructions carry numeric path statistics; labelings pulled
-    back from a catalog entry carry the entry's certificate and the spanning
-    embedding.  The labeling always refers to the graph the verdict is about.
+    Exact constructions carry a parametrized motion or an axes motion (the
+    axes construction and S1-S4); labelings pulled back from a catalog entry
+    carry the entry's certificate and the spanning embedding.  No route of
+    `classify` emits numeric path statistics any more.  The labeling always
+    refers to the graph the verdict is about.
     """
 
     construction: str
     labeling: Labeling
     motion: ParametrizedMotion | None = None
-    sampler: DixonSampler | None = None
+    axes: AxesMotion | None = None
     path_stats: dict | None = None
     parent: "tuple[Graph, MovabilityCertificate] | None" = None
     embedding: list[int] | None = None
@@ -86,11 +87,13 @@ class MovabilityCertificate:
             if self.motion.is_trivial():
                 return False
             return verify_injectivity(self.motion).proper
-        if self.sampler is not None:
-            # dixon_one refuses fewer than three vertices: K2 is rigid
-            if self.sampler.graph != g or g.n < 3:
+        if self.axes is not None:
+            # exact; an edge whose length changes has squared distance None,
+            # which equals no label
+            axes = self.axes
+            if axes.graph != g or not axes.is_proper():
                 return False
-            return _verify_dixon_samples(g, self.labeling, self.sampler)
+            return all(axes.squared_distance(u, v) == lam for (u, v), lam in self.labeling.items())
         if self.parent is not None and self.embedding is not None:
             # a spanning subgraph of a movable graph inherits the restricted
             # labeling: check the embedding and the pullback, then verify the
@@ -113,25 +116,6 @@ class MovabilityCertificate:
                 and self.path_stats["watched_variation"] > 0
             )
         return False
-
-
-def _verify_dixon_samples(g: Graph, labeling: Labeling, sampler: DixonSampler) -> bool:
-    bound = sampler.parameter_bound()
-    for t in (Fraction(0), bound / 3, bound * 2 / 3):
-        coords = sampler.squared_coords(t)
-        # compatibility: squared distance of a cross edge is the sum of the
-        # squared axis coordinates (the Pythagorean identity, exact)
-        for (u, v), lam in labeling.items():
-            au, av = coords[u], coords[v]
-            if au[0] == av[0]:
-                return False  # same axis: not bipartite data
-            if au[1] + av[1] != lam:
-                return False
-        # injectivity of the sample realization: every coordinate is the
-        # nonnegative root, so distinct vertices need distinct (axis, square)
-        if len(set(coords.values())) != len(coords):
-            return False
-    return True
 
 
 @dataclass
@@ -178,11 +162,11 @@ def _constructed_certificate(g: Graph, reps: list[NacColoring]) -> MovabilityCer
     that applies to g; the grid and two-NAC searches try reps in order."""
     with suppress(ConstructionInapplicable):
         x, y = axes_parameters(g)
-        labeling, sampler = dixon_one(g, x, y)
+        labeling, axes = dixon_one(g, x, y)
         return MovabilityCertificate(
             construction="dixon_one",
             labeling=labeling,
-            sampler=sampler,
+            axes=axes,
             details={
                 "x_params": {str(v): str(q) for v, q in x.items()},
                 "y_params": {str(v): str(q) for v, q in y.items()},
@@ -229,18 +213,10 @@ def _recipe_certificate(name: str) -> MovabilityCertificate:
             construction="closed_form:S5", labeling=labeling, motion=motion
         )
     else:
-        kind, recipe = {
-            "S1": ("glue", gluing.glued_s1),
-            "S2": ("glue", gluing.glued_s2),
-            "S3": ("glue", gluing.glued_s3),
-            "S4": ("rigid_extension", gluing.extended_s4),
-        }[name]
-        construction = recipe()
-        source = construction.graph
+        axes = gluing.axes_recipe(name)
+        source = axes.graph
         cert = MovabilityCertificate(
-            construction=f"{kind}:{name}",
-            labeling=construction.labeling,
-            path_stats=construction.path_stats(),
+            construction=f"axes_extension:{name}", labeling=axes.labeling(), axes=axes
         )
     target = catalog_graph(name)
     phi = find_spanning_embedding(target, source)
@@ -309,10 +285,10 @@ def _catalog_lookup(g: Graph) -> MovabilityCertificate | None:
 def classify(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
     """Decide movability of a connected graph, with a certificate when movable.
 
-    The MOVABLE verdict always carries a labeling produced by a construction
-    (with its motion, sampler, or tracked-path statistics); UNDECIDED is an
-    honest outcome for graphs beyond the enumeration cap or outside every
-    construction's reach.
+    The MOVABLE verdict always carries a labeling produced by a construction,
+    with its exact motion or axes motion (directly or through the catalog
+    entry it is pulled back from); UNDECIDED is an honest outcome for graphs
+    beyond the enumeration cap or outside every construction's reach.
     """
     if not g.is_connected() or not g.edges:
         raise ValueError("classification needs a connected graph with an edge")
@@ -383,40 +359,6 @@ def certify_no_unicolor_pairs(g: Graph, witnesses: Iterable[NacColoring]) -> boo
                 ):
                     return False
     return True
-
-
-# -- tree-decomposability ------------------------------------------------------
-
-
-def is_tree_decomposable(g: Graph) -> bool:
-    """Merge clusters of vertices until one holds them all.
-
-    A graph is tree-decomposable when it is a single edge or splits into
-    three tree-decomposable subgraphs covering all vertices and edges and
-    pairwise intersecting in exactly one vertex (three distinct vertices in
-    total).  Tree-decomposable graphs are never movable.  Bottom up, every
-    edge starts as a cluster, and three clusters that pairwise share exactly
-    one vertex, the three shared vertices distinct, merge into one; the graph
-    is tree-decomposable when a single cluster holding every vertex is left.
-    """
-    if g.n > 10:
-        raise ValueError("tree-decomposability check supports n <= 10")
-    if len(g.edges) == 1:
-        return True
-    # vertex bitmasks, kept by position: two clusters may hold the same vertices
-    clusters = [1 << u | 1 << v for u, v in g.sorted_edges()]
-    merged = True
-    while merged:
-        merged = False
-        for i, j, k in combinations(range(len(clusters)), 3):
-            a, b, c = clusters[i], clusters[j], clusters[k]
-            shared = {a & b, b & c, c & a}
-            if len(shared) == 3 and all(x and not x & (x - 1) for x in shared):
-                clusters[i] = a | b | c
-                del clusters[k], clusters[j]
-                merged = True
-                break
-    return clusters == [(1 << g.n) - 1]
 
 
 # -- census --------------------------------------------------------------------

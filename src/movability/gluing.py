@@ -9,6 +9,11 @@ separates somewhere.  The merged samples become a TrackedPath scored by
 track.sampled_path, the same scorer as a tracked path.  The recipes below
 build the three 8-vertex graphs that need this (S1, S2, S3) plus the
 rigid-extension construction for S4.
+
+The certificates of S1-S4 do not use these numeric recipes: `axes_recipe`
+gives each graph, in the same vertex labels, an exact Dixon type I axes
+motion of a K33 core with the other two vertices as rational combinations
+of core positions.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import grid_construction
+from .constructions import AxesMotion, grid_construction
 from .graphs import Edge, Graph
 from .motion import Labeling
 from .nac import NacColoring
@@ -459,3 +464,55 @@ def extended_s4() -> GluedConstruction:
         offset = np.array([float(c) for c in points[v]]) - old_a
         start[v] = new_a + rot @ offset
     return GluedConstruction(g, labeling, start, watched_pair=(5, 6))
+
+
+# -- exact axes motions of S1-S4 ------------------------------------------------
+
+F = Fraction
+
+
+def _rides(base: int, tip: int, a: Fraction, b: Fraction) -> dict[int, tuple[Fraction, Fraction]]:
+    """p_base + (a + bJ)(p_tip - p_base) as coefficients per core vertex."""
+    return {base: (1 - a, -b), tip: (a, b)}
+
+
+# name: (edges, x-parameters, y-parameters, extension); the cores are the
+# K33s the numeric recipes track, with signs; S2 and S3 start on the axes,
+# not on the rectangles of their glued recipes, so their labelings differ
+_AXES_RECIPES = {
+    "S1": (
+        S1_EDGES,
+        {3: F(-3, 5), 5: F(3, 5), 7: F(6, 5)},
+        {2: F(-4, 5), 4: F(4, 5), 6: F(-6, 5)},
+        {0: _rides(4, 5, F(2), F(0)), 1: _rides(3, 2, F(2), F(0))},
+    ),
+    "S2": (
+        S2_EDGES,
+        {1: F(1), 4: F(-1), 3: F(2)},
+        {0: F(1), 2: F(-1), 7: F(3)},
+        {6: _rides(1, 0, F(2), F(0)), 5: {4: (F(1), F(0)), 3: (F(1), F(0)), 2: (F(-1), F(0))}},
+    ),
+    "S3": (
+        S3_EDGES,
+        {3: F(1), 4: F(-1), 7: F(2)},
+        {0: F(3), 2: F(1), 5: F(-1)},
+        {
+            6: {0: (F(1), F(0)), 4: (F(1), F(0)), 2: (F(-1), F(0))},
+            1: {0: (F(1), F(0)), 4: (F(-1), F(0)), 2: (F(1), F(0))},
+        },
+    ),
+    # the clique {3,4,6,7} rides on the edge (3,4) through extended_s4's start
+    # points p6 = (1, 1) and p7 = (2, 1)
+    "S4": (
+        S4_EDGES,
+        {1: F(-1), 3: F(5, 4), 5: F(-3, 2)},
+        {0: F(1), 2: F(-5, 4), 4: F(3, 2)},
+        {6: _rides(3, 4, F(29, 61), F(-14, 61)), 7: _rides(3, 4, F(9, 61), F(-38, 61))},
+    ),
+}
+
+
+def axes_recipe(name: str) -> AxesMotion:
+    """The exact axes motion of S1, S2, S3 or S4 in this module's labels."""
+    edges, x, y, extension = _AXES_RECIPES[name]
+    return AxesMotion(Graph.of(8, edges), x, y, extension)

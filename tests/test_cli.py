@@ -343,8 +343,9 @@ def test_construct_two_nac_writes_embedding(tmp_path, capsys):
 
 
 def test_construct_two_nac_explicit_pair(tmp_path, capsys):
-    # an explicit pair goes through the same search as classify; its
-    # driven motion is proper because the embedding is injective
+    # an explicit pair is checked, then embedded and driven as classify's
+    # search does; its driven motion is proper because the embedding is
+    # injective
     from itertools import combinations
 
     from movability.constructions import two_nac_search
@@ -359,6 +360,27 @@ def test_construct_two_nac_explicit_pair(tmp_path, capsys):
     argv = ["construct", "two-nac", Q1, "--first", str(tmp_path / "first.json"),
             "--second", str(tmp_path / "second.json"), "--out", str(tmp_path / "out")]
     assert run(argv, capsys)[0] == 0
+
+
+def test_construct_two_nac_checks_the_colorings_of_files(tmp_path, capsys):
+    # a recoloring of an enumerated coloring that is no NAC-coloring, paired
+    # so that every direction class is filled: the NAC check rejects it
+    from movability.graphs import parse_graph6
+    from movability.nac import NacColoring, enumerate_nac, is_nac
+
+    g = parse_graph6(Q1)
+    first, second = enumerate_nac(g, non_conjugated=True)[:2]
+    bad = next(
+        c for c in (NacColoring(g, first.red ^ {e}) for e in sorted(g.edges))
+        if not is_nac(g, c) and len({(c.color(*f), second.color(*f)) for f in g.edges}) == 4
+    )
+    (tmp_path / "first.json").write_text(bad.to_json())
+    (tmp_path / "second.json").write_text(second.to_json())
+    argv = ["construct", "two-nac", Q1, "--first", str(tmp_path / "first.json"),
+            "--second", str(tmp_path / "second.json"), "--out", str(tmp_path / "out")]
+    code, _, err = run(argv, capsys)
+    assert code == 5
+    assert err == "construction inapplicable: a supplied coloring is not a NAC-coloring\n"
 
 
 def test_nac_enum_table_format(capsys):

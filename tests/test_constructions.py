@@ -35,7 +35,7 @@ from movability.motion import (
     collinear_triples,
     verify_injectivity,
 )
-from movability.nac import NacColoring, enumerate_nac
+from movability.nac import NacColoring, enumerate_nac, is_nac
 
 from two_nac_oracle import _nullspace
 
@@ -47,7 +47,7 @@ K33 = Graph.of(6, [(a, b) for a in range(3) for b in range(3, 6)])
 
 
 def test_dixon_unit_parameters_on_k33():
-    lab, sampler = dixon_one(
+    lab, _ = dixon_one(
         K33, {v: Fraction(1) for v in range(3)}, {v: Fraction(1) for v in range(3, 6)}
     )
     assert set(lab.values()) == {Fraction(2)}
@@ -57,17 +57,20 @@ def test_dixon_unit_parameters_on_k33():
 def test_dixon_sampler_at_zero():
     x = {0: Fraction(2), 1: Fraction(3), 2: Fraction(5)}
     y = {3: Fraction(1), 4: Fraction(4), 5: Fraction(7)}
-    lab, sampler = dixon_one(K33, x, y)
-    coords = sampler.squared_coords(Fraction(0))
+    lab, axes = dixon_one(K33, x, y)
+    assert axes.extension == {}
+    points = axes.positions_at_zero()
     for u in range(3):
-        assert coords[u] == ("x", x[u] ** 2)
+        assert points[u] == (x[u], 0)
     for v in range(3, 6):
-        assert coords[v] == ("y", y[v] ** 2)
-    # compatibility identity at several parameters, exactly
-    for t in (Fraction(1, 3), Fraction(-3, 2), Fraction(9, 5)):
-        c = sampler.squared_coords(t)
-        for (u, v), lam in lab.items():
-            assert c[u][1] + c[v][1] == lam
+        assert points[v] == (0, y[v])
+    # the Pythagorean identity: every edge keeps its length exactly, every
+    # pair inside a class changes it
+    for u in range(6):
+        for v in range(u + 1, 6):
+            expected = lab.get((u, v))
+            assert axes.squared_distance(u, v) == expected
+    assert axes.is_proper()
 
 
 def test_dixon_rejects_triangle_and_zero_parameters():
@@ -224,6 +227,37 @@ def test_identical_pair_rejected(q1_pair):
     g, first, _ = q1_pair
     with pytest.raises(ConstructionInapplicable):
         two_nac_embedding(g, first, first)
+
+
+def _non_nac(g, coloring, partner):
+    """coloring with one edge recolored so that it is no NAC-coloring but
+    the pair with partner still fills all four direction classes."""
+    for e in sorted(g.edges):
+        bad = NacColoring(g, coloring.red ^ {e})
+        classes = {(bad.color(*f), partner.color(*f)) for f in g.edges}
+        if not is_nac(g, bad) and len(classes) == 4:
+            return bad
+    raise AssertionError("no such recoloring")
+
+
+def test_direct_calls_check_the_colorings(q1_pair):
+    g, first, second = q1_pair
+    bad = _non_nac(g, first, second)
+    for call in (two_nac_embedding, two_nac_solution_space):
+        with pytest.raises(ConstructionInapplicable, match="a supplied coloring is not a NAC-coloring"):
+            call(g, bad, second)
+
+
+def test_search_does_not_check_enumerated_colorings_again(monkeypatch):
+    from movability import constructions
+
+    g = catalog_graph("Q1")
+    pairs = list(combinations(enumerate_nac(g, non_conjugated=True), 2))
+    expected = constructions.two_nac_search(g, pairs)
+    monkeypatch.setattr(constructions, "is_nac", lambda *args: pytest.fail("is_nac called"))
+    first, second, emb, motion = constructions.two_nac_search(g, pairs)
+    assert (first, second, emb) == expected[:3]
+    assert motion.induced_labeling() == expected[3].induced_labeling()
 
 
 def test_parallel_edges_share_color_pairs(q1_pair):

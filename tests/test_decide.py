@@ -1,6 +1,6 @@
+import dataclasses
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -14,7 +14,7 @@ from movability.catalog import (
     movable_seven_vertex_graph,
     ring_of_complete_bipartite,
 )
-from movability.constructions import DixonSampler, dixon_one
+from movability.constructions import AxesMotion, ConstructionInapplicable, dixon_one
 from movability.decide import (
     MOVABLE,
     NOT_MOVABLE_CDC_COMPLETE,
@@ -26,7 +26,6 @@ from movability.decide import (
     census,
     certify_no_unicolor_pairs,
     classify,
-    is_tree_decomposable,
     nac_witnesses,
 )
 from movability.graphs import Graph, edge, encode_graph6
@@ -170,19 +169,102 @@ def test_motion_of_another_graph_is_no_evidence(n):
 
 
 def test_axes_sampler_needs_its_own_graph_with_three_vertices():
+    # K2 has no non-edge, so its axes motion is a rigid motion
     k2 = Graph.of(2, [(0, 1)])
-    sampler = DixonSampler(
-        graph=k2, x_part=(0,), y_part=(1,), x_params={0: Fraction(1)}, y_params={1: Fraction(1)}
-    )
-    cert = MovabilityCertificate(construction="dixon_one", labeling={(0, 1): Fraction(2)}, sampler=sampler)
+    axes = AxesMotion(k2, {0: Fraction(1)}, {1: Fraction(1)})
+    cert = MovabilityCertificate(construction="dixon_one", labeling={(0, 1): Fraction(2)}, axes=axes)
     assert not cert.verify(k2)
-    # K33's sampler restricted to K33 minus an edge
+    # K33's axes motion restricted to K33 minus an edge
     k33 = catalog_graph("K33")
-    labeling, sampler = dixon_one(k33, {0: 1, 1: 2, 2: 3}, {3: 1, 4: 2, 5: 3})
-    assert MovabilityCertificate("dixon_one", labeling, sampler=sampler).verify(k33)
+    labeling, axes = dixon_one(k33, {0: 1, 1: 2, 2: 3}, {3: 1, 4: 2, 5: 3})
+    assert MovabilityCertificate("dixon_one", labeling, axes=axes).verify(k33)
     smaller = Graph(6, k33.edges - {(0, 3)})
     restricted = {e: lam for e, lam in labeling.items() if e in smaller.edges}
-    assert not MovabilityCertificate("dixon_one", restricted, sampler=sampler).verify(smaller)
+    assert not MovabilityCertificate("dixon_one", restricted, axes=axes).verify(smaller)
+
+
+# -- the exact evidence of S1-S4 ---------------------------------------------------
+
+
+def _chain(cert):
+    while cert is not None:
+        yield cert
+        cert = cert.parent[1] if cert.parent else None
+
+
+def test_catalog_certificates_carry_no_float(monkeypatch):
+    # cold cache, tracker refused: every catalog entry is classified and
+    # re-verified from exact evidence alone
+    from movability import decide, gluing, track
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("track_motion called")
+
+    monkeypatch.setattr(track, "track_motion", refuse)
+    monkeypatch.setattr(gluing, "track_motion", refuse)
+    monkeypatch.setattr(decide, "_CATALOG_CERT_CACHE", {})
+    for name in CATALOG_NAMES:
+        verdict = classify(catalog_graph(name))
+        assert verdict.kind == MOVABLE, name
+        assert verdict.certificate.verify(verdict.reduced), name
+        chain = list(_chain(verdict.certificate))
+        assert all(c.path_stats is None for c in chain), name
+        assert (chain[-1].motion is None) != (chain[-1].axes is None), name
+    assert set(decide._CATALOG_CERT_CACHE) >= {"S1", "S2", "S3", "S4"}
+    for name in ("S1", "S2", "S3", "S4"):
+        entry = decide._CATALOG_CERT_CACHE[name]
+        assert entry.parent[1].construction == f"axes_extension:{name}"
+        assert entry.parent[1].axes is not None
+
+
+def _recipe(name):
+    """An S-entry's own certificate, in the recipe's labels, and its graph."""
+    host, cert = catalog_certificate(name).parent
+    return host, cert, cert.axes
+
+
+def test_recipe_rejects_a_changed_extension_coefficient():
+    host, cert, axes = _recipe("S1")
+    ext = {**axes.extension, 0: {5: (Fraction(3), Fraction(0)), 4: (Fraction(-2), Fraction(0))}}
+    mutant = dataclasses.replace(axes, extension=ext)
+    assert mutant.squared_distance(0, 1) is None
+    with pytest.raises(ConstructionInapplicable):
+        mutant.labeling()
+    assert not dataclasses.replace(cert, axes=mutant).verify(host)
+    # S4's clique still rides rigidly on (3, 4), at other lengths
+    host, cert, axes = _recipe("S4")
+    ext = {**axes.extension, 6: {3: (Fraction(31, 61), Fraction(14, 61)), 4: (Fraction(30, 61), Fraction(-14, 61))}}
+    mutant = dataclasses.replace(axes, extension=ext)
+    assert mutant.is_proper()
+    assert mutant.labeling() != cert.labeling
+    assert not dataclasses.replace(cert, axes=mutant).verify(host)
+    # a changed J coefficient: p6 - p3 and p6 - p4 keep their t^2 terms at
+    # zero and change length only through a cross term r_k r_l
+    ext = {**axes.extension, 6: {3: (Fraction(32, 61), Fraction(14, 61)), 4: (Fraction(29, 61), Fraction(14, 61))}}
+    mutant = dataclasses.replace(axes, extension=ext)
+    assert mutant.squared_distance(3, 6) is None
+    assert mutant.squared_distance(4, 6) is None
+    assert not dataclasses.replace(cert, axes=mutant).verify(host)
+
+
+def test_recipe_rejects_a_flipped_sign():
+    host, cert, axes = _recipe("S1")
+    mutant = dataclasses.replace(axes, x_params={**axes.x_params, 3: Fraction(3, 5)})
+    assert mutant.squared_distance(0, 1) is None
+    assert not dataclasses.replace(cert, axes=mutant).verify(host)
+
+
+def test_recipe_rejects_vertices_that_coincide_at_zero():
+    # S2's vertex 3 moved onto vertex 1's parameter: every edge keeps a
+    # constant length, under its own labeling too, but 1 and 3 coincide
+    host, cert, axes = _recipe("S2")
+    mutant = dataclasses.replace(axes, x_params={**axes.x_params, 3: Fraction(1)})
+    points = mutant.positions_at_zero()
+    assert points[1] == points[3]
+    assert not mutant.is_proper()
+    assert not dataclasses.replace(cert, axes=mutant).verify(host)
+    own = MovabilityCertificate(cert.construction, mutant.labeling(), axes=mutant)
+    assert not own.verify(host)
 
 
 def test_classify_undecided_above_cap():
@@ -316,18 +398,7 @@ def test_certificate_strictly_stronger_with_triangles():
     assert not certify_no_unicolor_pairs(g, full)
 
 
-# -- tree-decomposability --------------------------------------------------------
-
-
-def test_tree_decomposable_base_cases():
-    assert is_tree_decomposable(Graph.of(2, [(0, 1)]))
-    assert is_tree_decomposable(Graph.of(3, [(0, 1), (1, 2), (0, 2)]))
-    assert not is_tree_decomposable(Graph.of(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
-
-
-def test_tree_decomposable_requires_the_bound():
-    with pytest.raises(ValueError):
-        is_tree_decomposable(Graph.of(11, [(0, 1)]))
+# -- Henneberg-I graphs ------------------------------------------------------------
 
 
 def random_h1_graph(rng, n):
@@ -339,37 +410,10 @@ def random_h1_graph(rng, n):
     return Graph.of(n, edges)
 
 
-def test_h1_graphs_are_tree_decomposable_with_complete_closure(rng):
+def test_h1_graphs_have_complete_closure(rng):
     for _ in range(12):
         g = random_h1_graph(rng, rng.randint(3, 8))
-        assert is_tree_decomposable(g)
         assert constant_distance_closure(g).is_complete()
-
-
-def test_k33_not_tree_decomposable():
-    assert not is_tree_decomposable(catalog_graph("K33"))
-
-
-def test_tree_decomposable_matches_split_search_on_connected_graphs():
-    from tree_decomposable_oracle import is_tree_decomposable as oracle
-
-    graphs = list(connected_graphs_up_to(7))
-    assert len(graphs) == 995
-    assert [is_tree_decomposable(g) for g in graphs] == [oracle(g) for g in graphs]
-
-
-def test_tree_decomposable_matches_split_search_on_labeled_graphs():
-    # every graph on 0..5 labeled vertices, isolated vertices included
-    from tree_decomposable_oracle import is_tree_decomposable as oracle
-
-    count = 0
-    for n in range(6):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph.of(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-            assert is_tree_decomposable(g) == oracle(g), g
-            count += 1
-    assert count == 1100
 
 
 # -- census ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from movability.catalog import catalog_graph
 from movability.gluing import (
     GlueError,
     GluePiece,
+    axes_recipe,
     extended_s4,
     glue_labelings,
     glued_s1,
@@ -18,6 +19,7 @@ from movability.gluing import (
     s1_graph,
 )
 from movability.graphs import Graph
+from movability.track import TrackerError, labeling_residual, track_motion
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +218,52 @@ def test_glue_needs_shared_edges(s1):
     )
     with pytest.raises(GlueError, match="share no edge"):
         glue_labelings(g, p1, p2)
+
+
+# -- the exact axes motions of S1-S4, with the tracker as oracle ----------------
+
+
+def test_axes_recipes_keep_the_s1_and_s4_labelings():
+    assert axes_recipe("S1").labeling() == glued_s1(samples=20).labeling
+    assert axes_recipe("S4").labeling() == extended_s4().labeling
+
+
+def _start(axes):
+    # not t = 0: the axes configuration carries extra infinitesimal flexes
+    return axes.realize_float(float(axes.parameter_bound()) / 2)
+
+
+@pytest.mark.parametrize("name", ["S2", "S3", "S4"])
+def test_tracker_follows_the_axes_labeling(name):
+    axes = axes_recipe(name)
+    path = track_motion(axes.labeling(), _start(axes), min(axes.graph.edges), steps=50)
+    assert len(path.samples) == 51
+    assert max(s.residual for s in path.samples) <= 1e-9
+    assert path.injectivity_margin > 0.1
+    assert path.watched_variation > 0
+
+
+def test_s1_axes_core_tracks_and_carries_the_extension():
+    # the triangles (0,4,5) and (1,2,3) are collinear for every t, which
+    # leaves S1 one infinitesimal flex too many anywhere on the motion: the
+    # tracker refuses S1 itself (as it refuses the glued S1 path) and follows
+    # the K33 core, whose samples the extension must complete exactly
+    axes = axes_recipe("S1")
+    labeling, start = axes.labeling(), _start(axes)
+    with pytest.raises(TrackerError, match="tangent space dimension exceeds one"):
+        track_motion(labeling, start, (2, 3), steps=50)
+    core = sorted(axes.x_params.keys() | axes.y_params.keys())
+    local = {v: i for i, v in enumerate(core)}
+    core_labeling = {
+        (local[u], local[v]): lam for (u, v), lam in labeling.items() if u in local and v in local
+    }
+    path = track_motion(core_labeling, [start[v] for v in core], (0, 1), steps=50)
+    assert max(s.residual for s in path.samples) <= 1e-9
+    for sample in path.samples:
+        p = np.zeros((8, 2))
+        for v in core:
+            p[v] = sample.coords[local[v]]
+        for v, combination in axes.extension.items():
+            for w, (a, b) in combination.items():
+                p[v] += float(a) * p[w] + float(b) * np.array([-p[w][1], p[w][0]])
+        assert labeling_residual(labeling, p) <= 1e-9

@@ -9,8 +9,10 @@ PYTHONPATH=SRC_DIR and records, per command, the exit code, stdout, stderr
 (or, when it holds a traceback, only that it does), and the contents of
 every file the case wrote.  `certs` records, for every catalog entry, the
 certificate `decide.catalog_certificate` builds in SRC_DIR: construction,
-labeling, details, the `repr` of each `path_stats` value, motion JSON,
-embedding and the parent chain, so no float is rounded by the record.
+labeling, details, the `repr` of each `path_stats` value, motion JSON, the
+axes motion (signed axis parameters and extension coefficients, as exact
+strings), embedding and the parent chain, so no float is rounded by the
+record.
 The README's 8-vertex `gen` + `census --jobs 4` pair alone takes about a
 minute on 2 cores.  Malformed-input cases live in tests/test_cli.py, not
 here.  `compare` (of two `run` or two `certs` outputs) prints the cases whose records differ and exits nonzero
@@ -191,12 +193,25 @@ def cert_record(cert) -> dict:
     if cert.parent is not None:
         host, host_cert = cert.parent
         parent = {"graph6": encode_graph6(host), "certificate": cert_record(host_cert)}
+    # a tree from before axes motions carries the axes parameters as a
+    # `sampler` with no extension
+    axes = getattr(cert, "axes", None) or getattr(cert, "sampler", None)
+    if axes is not None:
+        axes = {
+            "x": {str(v): str(q) for v, q in axes.x_params.items()},
+            "y": {str(v): str(q) for v, q in axes.y_params.items()},
+            "extension": {
+                str(v): {str(w): [str(a), str(b)] for w, (a, b) in combination.items()}
+                for v, combination in getattr(axes, "extension", {}).items()
+            },
+        }
     return {
         "construction": cert.construction,
         "labeling": labeling_to_json(cert.labeling),
         "details": json.dumps(cert.details, sort_keys=True, default=repr),
         "path_stats": None if cert.path_stats is None else {k: repr(v) for k, v in cert.path_stats.items()},
         "motion": None if cert.motion is None else motion_to_json(cert.motion),
+        "axes": axes,
         "embedding": cert.embedding,
         "parent": parent,
     }
