@@ -47,7 +47,7 @@ from .nac import (
     enumerate_nac,
     is_nac,
 )
-from .pebble import spanning_laman_rank
+from .pebble import has_spanning_laman
 
 GENERICALLY_MOVABLE = "GENERICALLY_MOVABLE"
 NOT_MOVABLE_NO_NAC = "NOT_MOVABLE_NO_NAC"
@@ -292,7 +292,7 @@ def classify(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
     """
     if not g.is_connected() or not g.edges:
         raise ValueError("classification needs a connected graph with an edge")
-    if spanning_laman_rank(g) < 2 * g.n - 3:
+    if not has_spanning_laman(g):
         return Verdict(kind=GENERICALLY_MOVABLE, reason="no spanning Laman subgraph")
     try:
         reduced, kept = reduce_degree_two(g)
@@ -419,9 +419,7 @@ class CensusReport:
 def _census_worker(line: str) -> tuple[bool, Graph | None, int]:
     """(spanned by a Laman graph, closure if kept, closure rounds)."""
     g = parse_graph6(line)
-    if g.n < 2 or not g.is_connected():
-        return False, None, 0
-    if spanning_laman_rank(g) != 2 * g.n - 3:
+    if not has_spanning_laman(g):  # which implies that g is connected
         return False, None, 0
     closure = constant_distance_closure(g)
     keep = not closure.is_complete() and 2 not in closure.closure.degrees()
@@ -438,17 +436,22 @@ def census(
 ) -> CensusReport:
     """Closure census over a graph6 stream.
 
-    Filters to graphs with a spanning Laman subgraph, discards closures that
-    are complete or keep a degree-two vertex, groups the rest by isomorphism
-    and keeps the classes maximal under spanning-subgraph containment.  With
-    a catalog, asserts the maximal classes match it exactly.  More than one
-    job runs a pool of at most as many workers as there are CPUs; a single
-    worker runs in this process.
+    Lines with more than max_n vertices are skipped; the count is read past
+    the optional ``>>graph6<<`` header.  Filters to graphs with a spanning
+    Laman subgraph (`has_spanning_laman`: its edge-count and degree screens,
+    then the pebble game on the graph's cached adjacency masks), discards
+    closures that are complete or keep a degree-two vertex, groups the rest
+    by isomorphism and keeps the classes maximal under spanning-subgraph
+    containment.  With a catalog, asserts the maximal classes match it
+    exactly.  More than one job runs a pool of at most as many workers as
+    there are CPUs; a single worker runs in this process.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    lines = [ln.strip() for ln in lines if ln.strip()]
-    lines = [ln for ln in lines if ord(ln[0]) - 63 <= max_n]
+    # the vertex count is the first byte after the optional graph6 header; a
+    # line that is only the header stays, so that parsing it reports the error
+    lines = [ln.strip().removeprefix(">>graph6<<") for ln in lines if ln.strip()]
+    lines = [ln for ln in lines if not ln or ord(ln[0]) - 63 <= max_n]
     seen = 0
     spanned = 0
     closures: dict[str, CensusClass] = {}

@@ -2,14 +2,15 @@
 
 Everything downstream (coloring enumeration, closures, motions) consumes the
 immutable :class:`Graph` defined here.  Connectivity is deliberately not an
-invariant of the type; operations that need it check it.
+invariant of the type; operations that need it check it, with the one
+bitmask search `component_masks`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -63,13 +64,19 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def masks(self) -> list[int]:
-        """Adjacency bitmasks: bit w of masks[v] is set iff vw is an edge."""
-        out = [0] * self.n
-        for u, v in self.edges:
-            out[u] |= 1 << v
-            out[v] |= 1 << u
-        return out
+    def masks(self) -> tuple[int, ...]:
+        """Adjacency bitmasks: bit w of masks[v] is set iff vw is an edge.
+
+        Computed on first use and cached on the instance (outside the
+        dataclass fields, so equality and hashing ignore it)."""
+        cached = self.__dict__.get("_masks")
+        if cached is None:
+            out = [0] * self.n
+            for u, v in self.edges:
+                out[u] |= 1 << v
+                out[v] |= 1 << u
+            cached = self.__dict__["_masks"] = tuple(out)
+        return cached
 
     def degrees(self) -> list[int]:
         return [m.bit_count() for m in self.masks()]
@@ -85,7 +92,8 @@ class Graph:
     # -- predicates ------------------------------------------------------
 
     def is_connected(self) -> bool:
-        return self.n > 0 and len(components(range(self.n), self.edges)) == 1
+        full = (1 << self.n) - 1
+        return self.n > 0 and component_masks(self.masks(), full)[0] == full
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * (self.n - 1) // 2
@@ -132,33 +140,45 @@ class Graph:
         return Graph(self.n, frozenset(edge(perm[u], perm[v]) for u, v in self.edges))
 
 
+def component_masks(masks: Sequence[int], within: int) -> list[int]:
+    """Connected components of the subgraph induced on the vertex bitmask
+    `within`, each a vertex bitmask, ordered by their lowest vertex.
+
+    masks[v] is the adjacency bitmask of v; neighbours outside `within` are
+    ignored."""
+    out = []
+    rest = within
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = masks[low.bit_length() - 1] & rest & ~seen
+            seen |= new
+            frontier |= new
+        out.append(seen)
+        rest &= ~seen
+    return out
+
+
 def components(vertices: Iterable[int], edges: Iterable[Edge]) -> list[list[int]]:
-    """Connected components of the graph on `vertices` with `edges`.
+    """Connected components of the graph on `vertices` with `edges`, as
+    vertex lists: `component_masks` for callers that need the lists.
 
     Each component is sorted and components are ordered by their smallest
     vertex; isolated vertices are singleton components.
     """
-    adj: dict[int, list[int]] = {v: [] for v in sorted(vertices)}
+    within = 0
+    for v in vertices:
+        within |= 1 << v
+    masks = [0] * within.bit_length()
     for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen: set[int] = set()
-    out: list[list[int]] = []
-    for s in adj:
-        if s in seen:
-            continue
-        seen.add(s)
-        members = [s]
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    members.append(w)
-                    stack.append(w)
-        out.append(sorted(members))
-    return out
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return [
+        [v for v in range(comp.bit_length()) if comp >> v & 1]
+        for comp in component_masks(masks, within)
+    ]
 
 
 def reduce_degree_two(g: Graph) -> tuple[Graph, list[int]]:
@@ -170,32 +190,32 @@ def reduce_degree_two(g: Graph) -> tuple[Graph, list[int]]:
     order (position i of the result was vertex kept[i] of the input).
     Movability is invariant under this reduction.
     """
-    vertices = list(range(g.n))
-    edges = set(g.edges)
+    masks = list(g.masks())
+    alive = (1 << g.n) - 1
     while True:
-        deg: dict[int, int] = {v: 0 for v in vertices}
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        victim = next((v for v in vertices if deg[v] == 2), None)
+        victim = next((v for v, m in enumerate(masks) if m.bit_count() == 2), None)
         if victim is None:
             break
-        edges = {e for e in edges if victim not in e}
-        vertices.remove(victim)
-        if not edges:
+        bit = 1 << victim
+        m = masks[victim]
+        low = m & -m
+        for nb in (low, m ^ low):
+            masks[nb.bit_length() - 1] ^= bit
+        masks[victim] = 0
+        alive ^= bit
+        if not any(masks):
             raise ReductionCollapse(
                 "degree-two reduction removed every edge; the graph flexes trivially"
             )
-        if len(components(vertices, edges)) != 1:
+        if component_masks(masks, alive)[0] != alive:
             # a degree-two cut vertex: cannot happen for graphs with a
             # spanning Laman subgraph, and the movability equivalence needs
             # connected graphs, so stop rather than continue per component
             raise ReductionCollapse(
                 "degree-two reduction disconnected the graph; the flex is trivial"
             )
-    index = {v: i for i, v in enumerate(vertices)}
-    reduced = Graph(len(vertices), frozenset(edge(index[u], index[v]) for u, v in edges))
-    return reduced, vertices
+    vertices = [v for v in range(g.n) if alive >> v & 1]
+    return g.induced_subgraph(vertices), vertices
 
 
 # -- graph6 ----------------------------------------------------------------
@@ -264,10 +284,6 @@ def parse_graph6(text: str) -> Graph:
 
 
 # -- adjacency-list JSON (secondary interchange format) --------------------
-
-
-def graph_to_json(g: Graph) -> str:
-    return json.dumps({"n": g.n, "edges": [list(e) for e in g.sorted_edges()]})
 
 
 def json_edges(edges) -> list[list[int]]:

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graphs import Edge, Graph, components, edge, json_edges
+from .graphs import Edge, Graph, component_masks, edge, json_edges
 
 DEFAULT_ENUMERATION_CAP = 40
 
@@ -131,21 +131,26 @@ def _merge(labels: list[int], edges: Iterable[Edge]) -> list[int]:
 
 
 def _dfs_edge_order(g: Graph) -> list[Edge]:
-    adj = g.adjacency()
+    """Edges in the order a stack DFS from vertex 0 first meets them.
+
+    Each vertex is popped once, so the edge uw is new when u is popped
+    exactly when w has not been popped yet."""
+    masks = g.masks()
     order: list[Edge] = []
-    seen_edges: set[Edge] = set()
-    visited = [False] * g.n
+    popped = 0
+    visited = 1
     stack = [0]
-    visited[0] = True
     while stack:
         u = stack.pop()
-        for w in sorted(adj[u]):
-            e = edge(u, w)
-            if e not in seen_edges:
-                seen_edges.add(e)
-                order.append(e)
-            if not visited[w]:
-                visited[w] = True
+        popped |= 1 << u
+        new = masks[u] & ~popped
+        while new:
+            low = new & -new
+            new ^= low
+            w = low.bit_length() - 1
+            order.append((u, w) if u < w else (w, u))
+            if not visited & low:
+                visited |= low
                 stack.append(w)
     if len(order) != len(g.edges):
         raise ValueError("graph must be connected")
@@ -157,15 +162,17 @@ def _triangle_classes(g: Graph, order: list[Edge]) -> list[list[Edge]]:
 
     Two edges share a class when a chain of triangles, consecutive ones
     sharing an edge, joins them.  Classes come in the order of their first
-    edge in `order`.
+    edge in `order`.  Edge uv (u < v) is bit u*n + v of the seen mask.
     """
     nbrs = g.masks()
-    seen: set[Edge] = set()
+    n = g.n
+    seen = 0
     classes: list[list[Edge]] = []
     for first in order:
-        if first in seen:
+        bit = 1 << first[0] * n + first[1]
+        if seen & bit:
             continue
-        seen.add(first)
+        seen |= bit
         members = [first]
         for u, v in members:  # the loop also visits the edges appended below
             common = nbrs[u] & nbrs[v]
@@ -173,9 +180,10 @@ def _triangle_classes(g: Graph, order: list[Edge]) -> list[list[Edge]]:
                 low = common & -common
                 common ^= low
                 w = low.bit_length() - 1
-                for e in (edge(u, w), edge(v, w)):
-                    if e not in seen:
-                        seen.add(e)
+                for e in ((u, w) if u < w else (w, u), (v, w) if v < w else (w, v)):
+                    bit = 1 << e[0] * n + e[1]
+                    if not seen & bit:
+                        seen |= bit
                         members.append(e)
         classes.append(members)
     return classes
@@ -263,22 +271,33 @@ def _closing_pairs(g: Graph, reds: list[frozenset[Edge]]) -> dict[Edge, int]:
     """
     if not reds:
         return dict.fromkeys(g.non_edges(), 0)
-    classes: dict[int, list[Edge]] = {}
+    # per signature, the adjacency masks of the edges that carry it
+    classes: dict[int, list[int]] = {}
     for e in g.edges:
         sig = 0
         for i, red in enumerate(reds):
             if e in red:
                 sig |= 1 << i
-        classes.setdefault(sig, []).append(e)
+        masks = classes.get(sig)
+        if masks is None:
+            masks = classes[sig] = [0] * g.n
+        u, v = e
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    adj = g.masks()
+    everyone = (1 << g.n) - 1
     found: dict[Edge, int] = {}
-    for sig, group in classes.items():
-        if len(group) < 2:
-            continue  # a single edge joins only its own endpoints
-        for members in components({v for e in group for v in e}, group):
-            for i, u in enumerate(members):
-                for v in members[i + 1 :]:
-                    if (u, v) not in g.edges:
-                        found.setdefault((u, v), sig)
+    for sig, masks in classes.items():
+        for comp in component_masks(masks, everyone):
+            while comp:
+                low = comp & -comp
+                comp ^= low
+                u = low.bit_length() - 1
+                far = comp & ~adj[u]  # the later vertices of the component not adjacent to u
+                while far:
+                    w = far & -far
+                    far ^= w
+                    found.setdefault((u, w.bit_length() - 1), sig)
     return found
 
 
@@ -350,6 +369,8 @@ def constant_distance_closure(
             break
         rounds.append(tuple(sorted(closing)))
         current = current.with_edges(closing)
+        if not reds:
+            break  # every non-edge was added: current is complete
         extended = (
             red | {pair for pair, sig in closing.items() if sig >> i & 1}
             for i, red in enumerate(reds)

@@ -17,56 +17,77 @@ def spanning_laman_rank(g: Graph) -> int:
     pebbles can be gathered on its endpoints, and acceptance pins one pebble
     down.  Pebbles are recovered by reversing directed paths.  The result is
     the rank of the generic rigidity matroid (order of edges is irrelevant).
+    Out-neighbours are bitmasks.  The game stops once the rank reaches
+    2n-3, the matroid's maximum (Lee and Streinu 2008), so no later edge can
+    change it.
     """
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         raise ValueError("pebble game needs at least two vertices")
-    pebbles = [2] * g.n
-    out: list[set[int]] = [set() for _ in range(g.n)]
+    full = 2 * n - 3
+    pebbles = [2] * n
+    out = [0] * n
+    prev = [0] * n
 
-    def pull_pebble(root: int, blocked: set[int]) -> bool:
-        # DFS along directed edges for a vertex with a spare pebble, then
-        # reverse the path to carry the pebble back to root.
-        prev = {root: -1}
+    def pull_pebble(root: int, blocked: int) -> bool:
+        # DFS along directed edges for a vertex with a spare pebble outside
+        # `blocked`, then reverse the path to carry the pebble back to root.
+        seen = 1 << root
         stack = [root]
-        found = -1
         while stack:
             u = stack.pop()
-            if pebbles[u] > 0 and u not in blocked:
-                found = u
-                break
-            for w in out[u]:
-                if w not in prev:
-                    prev[w] = u
-                    stack.append(w)
-        if found < 0:
-            return False
-        pebbles[found] -= 1
-        v = found
-        while prev[v] != -1:
-            u = prev[v]
-            out[u].remove(v)
-            out[v].add(u)
-            v = u
-        pebbles[root] += 1
-        return True
+            if pebbles[u] and not blocked >> u & 1:
+                pebbles[u] -= 1
+                while u != root:
+                    p = prev[u]
+                    out[p] ^= 1 << u
+                    out[u] |= 1 << p
+                    u = p
+                pebbles[root] += 1
+                return True
+            new = out[u] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                new ^= low
+                w = low.bit_length() - 1
+                prev[w] = u
+                stack.append(w)
+        return False
 
     rank = 0
-    for u, v in g.sorted_edges():
-        while pebbles[u] + pebbles[v] < 4:
-            if pebbles[u] < 2 and pull_pebble(u, {u, v}):
-                continue
-            if pebbles[v] < 2 and pull_pebble(v, {u, v}):
-                continue
-            break
-        if pebbles[u] + pebbles[v] >= 4:
-            pebbles[u] -= 1
-            out[u].add(v)
-            rank += 1
+    for u, m in enumerate(g.masks()):
+        later = m >> u + 1 << u + 1  # the neighbours above u
+        while later:
+            low = later & -later
+            later ^= low
+            v = low.bit_length() - 1
+            blocked = 1 << u | low
+            while pebbles[u] + pebbles[v] < 4:
+                if pebbles[u] < 2 and pull_pebble(u, blocked):
+                    continue
+                if pebbles[v] < 2 and pull_pebble(v, blocked):
+                    continue
+                break
+            if pebbles[u] + pebbles[v] >= 4:
+                pebbles[u] -= 1
+                out[u] |= low
+                rank += 1
+                if rank == full:
+                    return rank
     return rank
 
 
 def has_spanning_laman(g: Graph) -> bool:
-    return g.n >= 2 and spanning_laman_rank(g) == 2 * g.n - 3
+    """Rank 2n-3.  Two exact screens answer first: fewer than 2n-3 edges, or
+    (for n >= 3, where every Laman graph has minimum degree 2) a vertex of
+    degree below 2.  K2 passes both and is spanned."""
+    n = g.n
+    if n < 2 or len(g.edges) < 2 * n - 3:
+        return False
+    if n >= 3 and any(m.bit_count() < 2 for m in g.masks()):
+        return False
+    return spanning_laman_rank(g) == 2 * n - 3
 
 
 def is_laman(g: Graph) -> bool:

@@ -22,24 +22,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .canon import canonical_chunks
-from .graphs import Graph, _graph6_of_columns
-
-
-def _components_without(masks: list[int], v: int) -> list[int]:
-    """Components of the graph minus v, each as a vertex bitmask."""
-    rest = ((1 << len(masks)) - 1) & ~(1 << v)
-    out = []
-    while rest:
-        seen = frontier = rest & -rest
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = masks[low.bit_length() - 1] & rest & ~seen
-            seen |= new
-            frontier |= new
-        out.append(seen)
-        rest &= ~seen
-    return out
+from .graphs import Graph, _graph6_of_columns, component_masks
 
 
 def _new_vertex_has_least_key(
@@ -72,10 +55,11 @@ def _new_vertex_has_least_key(
 def _grow_layer(layer: dict[str, list[int]], size: int) -> dict[str, list[int]]:
     """The next layer, {canonical code: adjacency masks relabeled by the code}."""
     x = size - 1
+    everyone = (1 << x) - 1
     grown: dict[str, list[int]] = {}
     for masks in layer.values():
         degrees = [m.bit_count() for m in masks]
-        parts = [_components_without(masks, v) for v in range(x)]
+        parts = [component_masks(masks, everyone ^ 1 << v) for v in range(x)]
         for subset in range(1, 1 << x):
             if _new_vertex_has_least_key(masks, degrees, parts, subset):
                 child = [m | (subset >> v & 1) << x for v, m in enumerate(masks)] + [subset]

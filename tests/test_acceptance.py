@@ -197,7 +197,28 @@ def test_criterion_3_stream_matches_the_reference_search(graph_stream_8):
         assert canonical_form(h) == code, code
 
 
+def test_criterion_3_pebble_game_matches_the_set_game(graph_stream_8):
+    from movability.graphs import parse_graph6
+    from movability.pebble import has_spanning_laman, spanning_laman_rank
+
+    import pebble_oracle
+
+    rng = random.Random(8)
+    spanned = 0
+    for code in graph_stream_8:
+        g = parse_graph6(code)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        rank = pebble_oracle.spanning_laman_rank(h)
+        assert spanning_laman_rank(h) == rank, code
+        assert has_spanning_laman(h) == (rank == 2 * h.n - 3), code
+        spanned += rank == 2 * h.n - 3
+    assert spanned == 6629
+
+
 def test_criterion_3_census(graph_stream_8):
+    import hashlib
     import os
 
     t0 = time.monotonic()
@@ -212,6 +233,9 @@ def test_criterion_3_census(graph_stream_8):
     assert {c.matched_catalog for c in maximal} == set(load_catalog())
     assert (report.graphs_seen, report.spanned_by_laman, report.survivors) == (12112, 6629, 83)
     assert len(report.classes) == 32
+    # the whole report: every class, its sources, iterations and domination
+    digest = hashlib.sha1(report.to_json().encode()).hexdigest()
+    assert digest == "9c6305ed40e0b5798dd818742a8fb47d46385724"
     assert elapsed < 2 * 3600
     _ok(f"3 census over {report.graphs_seen} graphs = 21-entry catalog ({elapsed:.0f}s)")
 

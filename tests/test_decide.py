@@ -449,6 +449,14 @@ def test_census_empty_stream():
     assert report.classes == []
 
 
+def test_census_max_n_reads_the_vertex_count_past_the_graph6_header():
+    nine = encode_graph6(Graph.of(9, [(v, v + 1) for v in range(8)]))
+    assert census([nine], max_n=8).graphs_seen == 0
+    assert census([">>graph6<<" + nine], max_n=8).graphs_seen == 0
+    report = census([">>graph6<<A_", "A_"], max_n=8)
+    assert (report.graphs_seen, report.spanned_by_laman) == (2, 2)
+
+
 def test_consistency_sweep_complete_closures(stream7, rng):
     """Closure-complete graphs are never construction-labelable: all of
     n <= 6 plus a 7-vertex sample (the constructions are the slow part)."""

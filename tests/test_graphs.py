@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +11,15 @@ from movability.graphs import (
     components,
     encode_graph6,
     graph_from_json,
-    graph_to_json,
     parse_graph6,
     reduce_degree_two,
 )
 
 from conftest import random_connected_graph
+
+
+def graph_to_json(g: Graph) -> str:
+    return json.dumps({"n": g.n, "edges": [list(e) for e in g.sorted_edges()]})
 
 
 def reference_graph6(g: Graph) -> str:
@@ -101,6 +106,16 @@ def test_predicates():
     assert ok and {frozenset(p) for p in parts} == {frozenset({0, 2}), frozenset({1, 3})}
     ok, _ = Graph.of(3, [(0, 1), (1, 2), (0, 2)]).is_bipartite()
     assert not ok
+
+
+def test_masks_are_cached_and_ignored_by_equality():
+    g = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
+    masks = g.masks()
+    assert masks == (0b10, 0b101, 0b1010, 0b100)
+    assert g.masks() is masks
+    twin = Graph.of(4, [(2, 3), (0, 1), (1, 2)])
+    assert twin == g and hash(twin) == hash(g) and "masks" not in repr(g)
+    assert g.relabel([3, 2, 1, 0]).masks() == (0b10, 0b101, 0b1010, 0b100)
 
 
 def reachable(edges, s) -> set[int]:

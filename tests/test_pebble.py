@@ -1,9 +1,10 @@
 import pytest
 
 from movability.graphs import Graph
-from movability.pebble import is_laman, spanning_laman_rank
+from movability.pebble import has_spanning_laman, is_laman, spanning_laman_rank
 from movability.smallgraphs import connected_graphs_up_to
 
+import pebble_oracle
 from conftest import random_connected_graph
 
 
@@ -77,3 +78,25 @@ def test_rejects_single_vertex():
 def test_disconnected_graphs_rank_adds_up():
     two_triangles = Graph.of(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert spanning_laman_rank(two_triangles) == 6 == count_matroid_rank(two_triangles)
+
+
+def test_mask_game_matches_the_set_game_on_all_graphs_up_to_7():
+    for g in connected_graphs_up_to(7):
+        rank = pebble_oracle.spanning_laman_rank(g)
+        assert spanning_laman_rank(g) == rank, g
+        assert has_spanning_laman(g) == (rank == 2 * g.n - 3), g
+
+
+def test_screens_keep_k2_and_reject_only_unspanned_graphs():
+    assert has_spanning_laman(Graph.of(2, [(0, 1)]))  # n = 2 and degree 1, yet spanned
+    assert not has_spanning_laman(Graph.of(2, []))
+    assert not has_spanning_laman(Graph.of(1, []))
+    k4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    # 2n-3 = 7 edges, but vertex 4 hangs on one edge: the degree screen answers
+    pendant = Graph.of(5, k4 + [(0, 4)])
+    assert spanning_laman_rank(pendant) == 6 and not has_spanning_laman(pendant)
+    # two K4s sharing a vertex pass both screens and the game answers
+    bowtie = Graph.of(7, k4 + [(a + 3, b + 3) for a, b in k4])
+    assert len(bowtie.edges) == 12 >= 2 * 7 - 3 and min(bowtie.degrees()) == 3
+    assert spanning_laman_rank(bowtie) == 10 == pebble_oracle.spanning_laman_rank(bowtie)
+    assert not has_spanning_laman(bowtie)
