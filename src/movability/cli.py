@@ -299,12 +299,11 @@ def cmd_construct(args) -> int:
             "s2": gluing.glued_s2,
             "s3": gluing.glued_s3,
         }
-        construction = recipes[args.recipe]()
-        path = construction.glued
+        path = recipes[args.recipe]()
         rows = ["sample," + ",".join(f"x{v},y{v}" for v in range(8))]
         for s in path.samples:
             rows.append(",".join([str(s.step), *(f"{c:.17g}" for c in s.coords.reshape(-1))]))
-        files = {"labeling.json": labeling_to_json(construction.labeling)}
+        files = {"labeling.json": labeling_to_json(path.labeling)}
         files["path.csv"] = "\n".join(rows) + "\n"
         outdir = _write_files(args.out, files)
         margin, samples = path.injectivity_margin, len(path.samples)

@@ -1,10 +1,12 @@
 """Constructions of proper flexible labelings, each with a checkable witness.
 
-Four routes: the axes construction for bipartite graphs, the grid realization
-from a single NAC-coloring, the R^3-embedding construction from a pair of
-NAC-colorings (driven by a moving quadrilateral frame), and the closed-form
-motion of the 13-edge graph S5 that none of the general routes covers.
-Subgraph gluing lives in the gluing module.
+Three general routes: the axes construction for bipartite graphs, the grid
+realization from a single NAC-coloring, and the R^3-embedding construction
+from a pair of NAC-colorings (driven by a moving quadrilateral frame).  The
+8-vertex graphs none of them covers get exact bespoke motions here: S1-S4 an
+axes motion of a K33 core with two extension vertices (`axes_recipe`), S5 a
+closed-form motion (`s5_motion`).  The numeric gluing of S1-S3 that
+`construct glue` prints lives in the gluing module; no certificate uses it.
 """
 
 from __future__ import annotations
@@ -242,8 +244,6 @@ class GridEmbedding:
 
     graph: Graph
     coords: tuple[tuple[int, int], ...]
-    red_components: tuple[tuple[int, ...], ...]
-    blue_components: tuple[tuple[int, ...], ...]
 
 
 def grid_construction(
@@ -274,12 +274,7 @@ def grid_construction(
                 f"|R_{cell[0]} ∩ B_{cell[1]}| >= 2"
             )
         seen[cell] = v
-    embedding = GridEmbedding(
-        graph=g,
-        coords=tuple(coords),
-        red_components=tuple(tuple(c) for c in red_comps),
-        blue_components=tuple(tuple(c) for c in blue_comps),
-    )
+    embedding = GridEmbedding(graph=g, coords=tuple(coords))
     e = unit_circle()
     base, tip = _horizontal_pin(coloring, coords)
     ib, jb = coords[base]
@@ -594,16 +589,6 @@ class QuadMotion:
         m, (c0, c1, c2, c3) = self.motion, self.cycle
         return w_function(m, c0, c1), w_function(m, c1, c2), w_function(m, c2, c3)
 
-    def frame_norms_squared(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        lab = self.motion.induced_labeling()
-        c0, c1, c2, c3 = self.cycle
-        return (
-            lab[edge(c0, c1)],
-            lab[edge(c1, c2)],
-            lab[edge(c2, c3)],
-            lab[edge(c3, c0)],
-        )
-
 
 def deltoid_motion(scale: Fraction = Fraction(1)) -> QuadMotion:
     """The rational deltoid motion of the 4-cycle, edge lengths (a, 3a, 3a, a).
@@ -668,6 +653,79 @@ def two_nac_search(
             continue
         return first, second, embedding, motion_from_embedding(embedding, deltoid_motion())
     raise last_error
+
+
+# -- exact axes motions of S1-S4 ----------------------------------------------
+
+S1_EDGES: tuple[Edge, ...] = (
+    (0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 5),
+    (2, 7), (3, 4), (3, 6), (4, 5), (4, 7), (5, 6), (6, 7),
+)
+
+S2_EDGES: tuple[Edge, ...] = (
+    (0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (1, 6), (1, 7),
+    (2, 3), (2, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6),
+)
+
+S3_EDGES: tuple[Edge, ...] = (
+    (0, 1), (0, 3), (0, 4), (0, 6), (0, 7), (1, 2), (1, 6),
+    (2, 3), (2, 4), (2, 7), (3, 5), (4, 5), (5, 6), (5, 7),
+)
+
+S4_EDGES: tuple[Edge, ...] = (
+    (0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5),
+    (3, 4), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (6, 7),
+)
+
+F = Fraction
+
+
+def _rides(base: int, tip: int, a: Fraction, b: Fraction) -> dict[int, tuple[Fraction, Fraction]]:
+    """p_base + (a + bJ)(p_tip - p_base) as coefficients per core vertex."""
+    return {base: (1 - a, -b), tip: (a, b)}
+
+
+# name: (edges, x-parameters, y-parameters, extension); each core is a K33
+# with signs: S1 = prism on {0..5} and K33 on {2..7}, S2 and S3 the K33 their
+# seven-vertex parts ride on, S4 = K33 on {0..5} plus a clique
+_AXES_RECIPES = {
+    "S1": (
+        S1_EDGES,
+        {3: F(-3, 5), 5: F(3, 5), 7: F(6, 5)},
+        {2: F(-4, 5), 4: F(4, 5), 6: F(-6, 5)},
+        {0: _rides(4, 5, F(2), F(0)), 1: _rides(3, 2, F(2), F(0))},
+    ),
+    "S2": (
+        S2_EDGES,
+        {1: F(1), 4: F(-1), 3: F(2)},
+        {0: F(1), 2: F(-1), 7: F(3)},
+        {6: _rides(1, 0, F(2), F(0)), 5: {4: (F(1), F(0)), 3: (F(1), F(0)), 2: (F(-1), F(0))}},
+    ),
+    "S3": (
+        S3_EDGES,
+        {3: F(1), 4: F(-1), 7: F(2)},
+        {0: F(3), 2: F(1), 5: F(-1)},
+        {
+            6: {0: (F(1), F(0)), 4: (F(1), F(0)), 2: (F(-1), F(0))},
+            1: {0: (F(1), F(0)), 4: (F(-1), F(0)), 2: (F(1), F(0))},
+        },
+    ),
+    # the clique {3,4,6,7} rides on the edge (3,4), with p6 = (1, 1) and
+    # p7 = (2, 1) at t = 0
+    "S4": (
+        S4_EDGES,
+        {1: F(-1), 3: F(5, 4), 5: F(-3, 2)},
+        {0: F(1), 2: F(-5, 4), 4: F(3, 2)},
+        {6: _rides(3, 4, F(29, 61), F(-14, 61)), 7: _rides(3, 4, F(9, 61), F(-38, 61))},
+    ),
+}
+
+
+def axes_recipe(name: str) -> AxesMotion:
+    """The exact axes motion of S1, S2, S3 or S4 on the 8 vertices of its
+    edge list above."""
+    edges, x, y, extension = _AXES_RECIPES[name]
+    return AxesMotion(Graph.of(8, edges), x, y, extension)
 
 
 # -- the ad-hoc motion of S5 --------------------------------------------------

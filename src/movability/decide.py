@@ -24,6 +24,7 @@ from .constructions import (
     AxesMotion,
     ConstructionInapplicable,
     axes_parameters,
+    axes_recipe,
     dixon_one,
     grid_search,
     s5_graph_motion_labels,
@@ -58,12 +59,12 @@ UNDECIDED = "UNDECIDED"
 
 @dataclass
 class MovabilityCertificate:
-    """A proper flexible labeling plus the evidence it came with.
+    """A proper flexible labeling plus its exact evidence.
 
-    Exact constructions carry a parametrized motion or an axes motion (the
-    axes construction and S1-S4); labelings pulled back from a catalog entry
-    carry the entry's certificate and the spanning embedding.  No route of
-    `classify` emits numeric path statistics any more.  The labeling always
+    Constructions carry a parametrized motion (grid, two-NAC, S5) or an axes
+    motion (the axes construction and S1-S4); labelings pulled back from a
+    catalog entry carry the entry's certificate and the spanning embedding.
+    `verify` re-checks the evidence with no float.  The labeling always
     refers to the graph the verdict is about.
     """
 
@@ -71,7 +72,6 @@ class MovabilityCertificate:
     labeling: Labeling
     motion: ParametrizedMotion | None = None
     axes: AxesMotion | None = None
-    path_stats: dict | None = None
     parent: "tuple[Graph, MovabilityCertificate] | None" = None
     embedding: list[int] | None = None
     details: dict = field(default_factory=dict)
@@ -109,12 +109,6 @@ class MovabilityCertificate:
                 if self.labeling[(u, v)] != parent_cert.labeling[e]:
                     return False
             return parent_cert.verify(parent_graph)
-        if self.path_stats is not None:
-            return (
-                self.path_stats["max_residual"] <= self.path_stats["tol"]
-                and self.path_stats["injectivity_margin"] > 0
-                and self.path_stats["watched_variation"] > 0
-            )
         return False
 
 
@@ -148,11 +142,6 @@ class Verdict:
                 },
             }
             cert.update(self.certificate.details)
-            if self.certificate.path_stats:
-                cert["path_stats"] = {
-                    k: (v if isinstance(v, (int, str)) else float(v))
-                    for k, v in self.certificate.path_stats.items()
-                }
             data["certificate"] = cert
         return json.dumps(data, indent=2)
 
@@ -204,8 +193,6 @@ _RECIPE_ENTRIES = ("S1", "S2", "S3", "S4", "S5")
 def _recipe_certificate(name: str) -> MovabilityCertificate:
     """Certificate of S1..S5 from its bespoke route, pulled back from the
     recipe's vertex labels to the catalog entry's."""
-    from . import gluing
-
     if name == "S5":
         labeling, motion = s5_motion(Fraction(2))
         source = s5_graph_motion_labels()
@@ -213,7 +200,7 @@ def _recipe_certificate(name: str) -> MovabilityCertificate:
             construction="closed_form:S5", labeling=labeling, motion=motion
         )
     else:
-        axes = gluing.axes_recipe(name)
+        axes = axes_recipe(name)
         source = axes.graph
         cert = MovabilityCertificate(
             construction=f"axes_extension:{name}", labeling=axes.labeling(), axes=axes

@@ -1,4 +1,5 @@
-"""Combining movable subgraphs: labeling merge with synced-path evidence.
+"""Combining movable subgraphs numerically: labeling merge with synced-path
+evidence, as `movability construct glue` prints it.
 
 Two proper flexible labelings on overlapping subgraphs merge into one when
 their motions agree on the shared vertices and no outside vertex of one
@@ -7,13 +8,11 @@ replaced here by sampled evidence: paths observed at corresponding samples
 must coincide on the overlap within a tolerance while every cross pair
 separates somewhere.  The merged samples become a TrackedPath scored by
 track.sampled_path, the same scorer as a tracked path.  The recipes below
-build the three 8-vertex graphs that need this (S1, S2, S3) plus the
-rigid-extension construction for S4.
+glue S1, S2 and S3 this way.
 
-The certificates of S1-S4 do not use these numeric recipes: `axes_recipe`
-gives each graph, in the same vertex labels, an exact Dixon type I axes
-motion of a K33 core with the other two vertices as rational combinations
-of core positions.
+No verdict or certificate reads this module: the catalog certificates of
+S1-S4 are the exact axes motions of `constructions.axes_recipe`, in the same
+vertex labels, and S1's K33 piece starts at its motion's t = 0 positions.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import AxesMotion, grid_construction
+from .constructions import S1_EDGES, S2_EDGES, S3_EDGES, AxesMotion, axes_recipe, grid_construction
 from .graphs import Edge, Graph
 from .motion import Labeling
 from .nac import NacColoring
@@ -39,14 +38,11 @@ class GlueError(ValueError):
 # a cross pair must separate by more than SEPARATION at some sample, and
 # the pieces must share at least MIN_SAMPLES corresponding samples; a piece
 # is tracked with step size PIECE_STEP_SIZE; pieces glue with residual and
-# overlap tolerance GLUE_TOL, and a glued labeling is tracked with step size
-# TRACK_STEP_SIZE and corrector tolerance TRACK_TOL
+# overlap tolerance GLUE_TOL
 GLUE_TOL = 1e-7
 SEPARATION = 1e-4
 MIN_SAMPLES = 20
 PIECE_STEP_SIZE = 0.02
-TRACK_STEP_SIZE = 0.03
-TRACK_TOL = 1e-10
 
 
 @dataclass
@@ -178,102 +174,25 @@ def _tracked_piece(
     return GluePiece(vertices, edges, labeling, samples)
 
 
-@dataclass
-class GluedConstruction:
-    """A labeling combined from movable pieces plus everything needed to
-    re-verify it.
-
-    Glued recipes (S1-S3) carry their merged samples as the path `glued`,
-    in the frame the pieces were tracked in; the rigid extension (S4) has
-    none and is evidenced by tracking alone.
-    """
-
-    graph: Graph
-    labeling: Labeling
-    start: np.ndarray  # realization, row per vertex (generic sample)
-    watched_pair: tuple[int, int]
-    glued: TrackedPath | None = None
-
-    def track(self, *, steps: int) -> TrackedPath:
-        # symmetric configurations (axes starts) carry extra infinitesimal
-        # flexes, so the stored start is a generic sample of the motion
-        return track_motion(
-            self.labeling,
-            self.start,
-            min(self.graph.edges),
-            steps=steps,
-            step_size=TRACK_STEP_SIZE,
-            tol=TRACK_TOL,
-            watched_pair=self.watched_pair,
-        )
-
-    def path_stats(self) -> dict:
-        """Numeric evidence for the labeling: the glued samples for S1-S3
-        (tolerance GLUE_TOL), a path tracked over 110 steps for S4 (1e-9)."""
-        if self.glued is not None:
-            path, tol = self.glued, GLUE_TOL
-        else:
-            path, tol = self.track(steps=110), 1e-9
-        return {
-            "samples": len(path.samples),
-            "max_residual": max(s.residual for s in path.samples),
-            "tol": tol,
-            "injectivity_margin": path.injectivity_margin,
-            "watched_variation": path.watched_variation,
-        }
-
-
-def _glue(
-    g: Graph,
-    piece1: GluePiece,
-    piece2: GluePiece,
-    *,
-    frame: tuple[int, int],
-    watched_pair: tuple[int, int],
-) -> GluedConstruction:
-    """Glue the two pieces, tracked with frame as fixed edge, and start
-    tracking from the middle sample."""
-    labeling, samples = glue_labelings(g, piece1, piece2)
-    glued = sampled_path(labeling, samples, frame, watched_pair)
-    return GluedConstruction(g, labeling, samples[len(samples) // 2].copy(), watched_pair, glued)
-
-
 # -- S1: triangular-prism part (grid motion) + bipartite part (tracked) ------
 
-S1_EDGES: tuple[Edge, ...] = (
-    (0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 5),
-    (2, 7), (3, 4), (3, 6), (4, 5), (4, 7), (5, 6), (6, 7),
-)
 
-
-def s1_graph() -> Graph:
-    return Graph.of(8, S1_EDGES)
-
-
-def glued_s1(*, samples: int = 60) -> GluedConstruction:
+def glued_s1(*, samples: int = 60) -> TrackedPath:
     """S1 = prism on {0..5} glued to K33 on {2..7} over the rhombus (2,3,4,5).
 
     The prism part carries the exact grid motion whose shared quadrilateral
-    is a unit rhombus; the bipartite part is tracked numerically from a
-    start with the two classes on the coordinate axes, Pythagorean
-    parameters keeping every squared length rational.  Samples are matched
-    through the rhombus hinge angle.
+    is a unit rhombus; the bipartite part is tracked numerically from the
+    t = 0 positions of S1's axes motion, its two classes on the coordinate
+    axes.  Samples are matched through the rhombus hinge angle.
     """
-    g = s1_graph()
+    g = Graph.of(8, S1_EDGES)
     prism_vertices = tuple(range(6))
     prism_edges = frozenset(e for e in g.edges if e[0] < 6 and e[1] < 6)
     prism = g.induced_subgraph(prism_vertices)  # identity labels
     coloring = NacColoring(prism, frozenset({(0, 1), (2, 5), (3, 4)}))
     _, grid_lab, grid_motion = grid_construction(prism, coloring)
 
-    start_points: dict[int, tuple[Fraction, Fraction]] = {
-        2: (Fraction(0), Fraction(-4, 5)),
-        4: (Fraction(0), Fraction(4, 5)),
-        6: (Fraction(0), Fraction(-6, 5)),
-        3: (Fraction(-3, 5), Fraction(0)),
-        5: (Fraction(3, 5), Fraction(0)),
-        7: (Fraction(6, 5), Fraction(0)),
-    }
+    start_points = dict(enumerate(axes_recipe("S1").positions_at_zero()))
     k_piece = _tracked_piece(g, start_points, (2, 3, 4, 5, 6, 7), (4, 5), steps=samples - 1)
 
     # grid side evaluated at the hinge parameter of each tracked sample and
@@ -288,28 +207,10 @@ def glued_s1(*, samples: int = 60) -> GluedConstruction:
         prism_samples[k, :6] = normalize_start(grid_motion.realize_float(u), (4, 5))
 
     piece1 = GluePiece(prism_vertices, prism_edges, dict(grid_lab), prism_samples)
-    return _glue(g, piece1, k_piece, frame=(4, 5), watched_pair=(0, 7))
+    return sampled_path(*glue_labelings(g, piece1, k_piece), (4, 5), (0, 7))
 
 
 # -- S2 and S3: embedded seven-vertex part driven by a tracked K33 frame -----
-
-S2_EDGES: tuple[Edge, ...] = (
-    (0, 1), (0, 3), (0, 4), (0, 6), (1, 2), (1, 6), (1, 7),
-    (2, 3), (2, 4), (3, 5), (3, 7), (4, 5), (4, 7), (5, 6),
-)
-
-S3_EDGES: tuple[Edge, ...] = (
-    (0, 1), (0, 3), (0, 4), (0, 6), (0, 7), (1, 2), (1, 6),
-    (2, 3), (2, 4), (2, 7), (3, 5), (4, 5), (5, 6), (5, 7),
-)
-
-
-def s2_graph() -> Graph:
-    return Graph.of(8, S2_EDGES)
-
-
-def s3_graph() -> Graph:
-    return Graph.of(8, S3_EDGES)
 
 
 def _embedded_glue(
@@ -321,7 +222,7 @@ def _embedded_glue(
     watched_pair: tuple[int, int],
     *,
     samples: int,
-) -> GluedConstruction:
+) -> TrackedPath:
     """Common driver: track the K33 piece, rebuild the embedded piece from
     its quadrilateral frame sample by sample, then glue.  The embedded piece
     is labeled by its exact start p(c0) + w1 f1 + w2 f2 + w3 f3, the frame
@@ -347,10 +248,10 @@ def _embedded_glue(
         emb_samples[:, v] = base + w1 * f1 + w2 * f2 + w3 * f3
 
     piece1 = GluePiece(emb_vertices, emb_edges, emb_lab, emb_samples)
-    return _glue(g, piece1, k_piece, frame=(c0, c1), watched_pair=watched_pair)
+    return sampled_path(*glue_labelings(g, piece1, k_piece), (c0, c1), watched_pair)
 
 
-def glued_s2(*, samples: int = 60) -> GluedConstruction:
+def glued_s2(*, samples: int = 60) -> TrackedPath:
     """S2: the seven-vertex embedded piece rides on the K33 over {0,1,2,3,4,7},
     whose start has the two classes on concentric orthogonal rectangles; the
     shared quadrilateral (0,1,2,4) stays a parallelogram along the motion."""
@@ -372,7 +273,7 @@ def glued_s2(*, samples: int = 60) -> GluedConstruction:
         7: (Fraction(1), Fraction(0)),
     }
     return _embedded_glue(
-        s2_graph(),
+        Graph.of(8, S2_EDGES),
         (0, 1, 2, 3, 4, 7),
         start_points,
         omega,
@@ -382,7 +283,7 @@ def glued_s2(*, samples: int = 60) -> GluedConstruction:
     )
 
 
-def glued_s3(*, samples: int = 60) -> GluedConstruction:
+def glued_s3(*, samples: int = 60) -> TrackedPath:
     """S3: same pattern as S2 with the K33 on {0,2,3,4,5,7} and the frame
     quadrilateral (0,3,2,4)."""
     omega: dict[int, Triple] = {
@@ -403,7 +304,7 @@ def glued_s3(*, samples: int = 60) -> GluedConstruction:
         7: (Fraction(1), Fraction(0)),
     }
     return _embedded_glue(
-        s3_graph(),
+        Graph.of(8, S3_EDGES),
         (0, 2, 3, 4, 5, 7),
         start_points,
         omega,
@@ -413,106 +314,7 @@ def glued_s3(*, samples: int = 60) -> GluedConstruction:
     )
 
 
-# -- S4: bipartite part extended by a rigidly attached K4 --------------------
-
-S4_EDGES: tuple[Edge, ...] = (
-    (0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 3), (2, 5),
-    (3, 4), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (6, 7),
-)
-
-
-def s4_graph() -> Graph:
-    return Graph.of(8, S4_EDGES)
-
-
-def extended_s4() -> GluedConstruction:
-    """S4 = K33 on {0..5} plus the clique {3,4,6,7} riding rigidly on the
-    edge (3,4); the axes motion of the bipartite part carries the clique
-    along, so the start's exact squared distances give the labeling."""
-    g = s4_graph()
-    points: dict[int, tuple[Fraction, Fraction]] = {
-        0: (Fraction(0), Fraction(1)),
-        2: (Fraction(0), Fraction(-5, 4)),
-        4: (Fraction(0), Fraction(3, 2)),
-        1: (Fraction(-1), Fraction(0)),
-        3: (Fraction(5, 4), Fraction(0)),
-        5: (Fraction(-3, 2), Fraction(0)),
-        6: (Fraction(1), Fraction(1)),
-        7: (Fraction(2), Fraction(1)),
-    }
-    labeling = _labeling_from_points(points, g.sorted_edges())
-    # the axes configuration itself is infinitesimally too flexible to seed
-    # the tracker; walk the bipartite part to a generic nearby sample and
-    # carry the clique rigidly on the (3,4) frame
-    nudge = _tracked_piece(g, points, tuple(range(6)), (3, 4), steps=12)
-    generic = nudge.samples[-1, :6]
-    old_a, old_b = np.array([float(c) for c in points[3]]), np.array(
-        [float(c) for c in points[4]]
-    )
-    new_a, new_b = generic[3], generic[4]
-    du = (old_b - old_a) / np.linalg.norm(old_b - old_a)
-    dv = (new_b - new_a) / np.linalg.norm(new_b - new_a)
-    rot = np.array(
-        [
-            [du[0] * dv[0] + du[1] * dv[1], -(du[0] * dv[1] - du[1] * dv[0])],
-            [du[0] * dv[1] - du[1] * dv[0], du[0] * dv[0] + du[1] * dv[1]],
-        ]
-    )
-    start = np.zeros((8, 2))
-    start[:6] = generic
-    for v in (6, 7):
-        offset = np.array([float(c) for c in points[v]]) - old_a
-        start[v] = new_a + rot @ offset
-    return GluedConstruction(g, labeling, start, watched_pair=(5, 6))
-
-
-# -- exact axes motions of S1-S4 ------------------------------------------------
-
-F = Fraction
-
-
-def _rides(base: int, tip: int, a: Fraction, b: Fraction) -> dict[int, tuple[Fraction, Fraction]]:
-    """p_base + (a + bJ)(p_tip - p_base) as coefficients per core vertex."""
-    return {base: (1 - a, -b), tip: (a, b)}
-
-
-# name: (edges, x-parameters, y-parameters, extension); the cores are the
-# K33s the numeric recipes track, with signs; S2 and S3 start on the axes,
-# not on the rectangles of their glued recipes, so their labelings differ
-_AXES_RECIPES = {
-    "S1": (
-        S1_EDGES,
-        {3: F(-3, 5), 5: F(3, 5), 7: F(6, 5)},
-        {2: F(-4, 5), 4: F(4, 5), 6: F(-6, 5)},
-        {0: _rides(4, 5, F(2), F(0)), 1: _rides(3, 2, F(2), F(0))},
-    ),
-    "S2": (
-        S2_EDGES,
-        {1: F(1), 4: F(-1), 3: F(2)},
-        {0: F(1), 2: F(-1), 7: F(3)},
-        {6: _rides(1, 0, F(2), F(0)), 5: {4: (F(1), F(0)), 3: (F(1), F(0)), 2: (F(-1), F(0))}},
-    ),
-    "S3": (
-        S3_EDGES,
-        {3: F(1), 4: F(-1), 7: F(2)},
-        {0: F(3), 2: F(1), 5: F(-1)},
-        {
-            6: {0: (F(1), F(0)), 4: (F(1), F(0)), 2: (F(-1), F(0))},
-            1: {0: (F(1), F(0)), 4: (F(-1), F(0)), 2: (F(1), F(0))},
-        },
-    ),
-    # the clique {3,4,6,7} rides on the edge (3,4) through extended_s4's start
-    # points p6 = (1, 1) and p7 = (2, 1)
-    "S4": (
-        S4_EDGES,
-        {1: F(-1), 3: F(5, 4), 5: F(-3, 2)},
-        {0: F(1), 2: F(-5, 4), 4: F(3, 2)},
-        {6: _rides(3, 4, F(29, 61), F(-14, 61)), 7: _rides(3, 4, F(9, 61), F(-38, 61))},
-    ),
-}
-
-
-def axes_recipe(name: str) -> AxesMotion:
-    """The exact axes motion of S1, S2, S3 or S4 in this module's labels."""
-    edges, x, y, extension = _AXES_RECIPES[name]
-    return AxesMotion(Graph.of(8, edges), x, y, extension)
+def extended_s4() -> AxesMotion:
+    """S4's exact axes motion: K33 on {0..5} plus the clique {3,4,6,7} riding
+    rigidly on the edge (3,4).  Only perfbench/spans.py reads this name."""
+    return axes_recipe("S4")

@@ -362,8 +362,21 @@ def _poly_json(p: Poly) -> list[list[str]]:
     return [[_fraction_str(c.re), _fraction_str(c.im)] for c in p.coeffs]
 
 
+def _exact_part(x) -> Fraction:
+    # as in labeling_from_json: a JSON float only approximates a value, and
+    # Fraction(True) == 1
+    if not (type(x) is str or type(x) is int):
+        raise ValueError(f"coefficient part {x!r} must be a string or an integer")
+    return Fraction(x)
+
+
 def _poly_from_json(data) -> Poly:
-    return Poly.of([GaussianRational.of(Fraction(re), Fraction(im)) for re, im in data])
+    coeffs = []
+    for pair in data:
+        if not (type(pair) is list and len(pair) == 2):
+            raise ValueError(f"coefficient {pair!r} must be a [real, imaginary] pair")
+        coeffs.append(GaussianRational.of(_exact_part(pair[0]), _exact_part(pair[1])))
+    return Poly.of(coeffs)
 
 
 def _rf_json(f: RationalFunction) -> dict:

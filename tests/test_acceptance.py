@@ -57,6 +57,7 @@ from movability.ratfunc import RationalFunction, place_at
 from movability.track import track_motion
 
 from conftest import random_connected_graph
+from test_gluing import track_from_the_middle
 from test_nac import all_simple_cycles, oracle_is_nac
 
 
@@ -430,15 +431,14 @@ def test_criterion_7f_tracker_agreement():
 def test_criterion_7g_glued_labelings_track():
     from movability.gluing import glued_s1, glued_s2, glued_s3
 
-    glued = glued_s1(samples=110).glued
+    glued = glued_s1(samples=110)
     assert len(glued.samples) >= 100
     assert glued.injectivity_margin > 0
     assert max(s.residual for s in glued.samples) < 1e-9
     assert glued.watched_variation > 1e-3
 
     for recipe in (glued_s2, glued_s3):
-        construction = recipe()
-        path = construction.track(steps=110)
+        path = track_from_the_middle(recipe(), steps=110)
         assert len(path.samples) >= 100
         assert path.injectivity_margin > 0
         assert path.watched_variation > 1e-3

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -465,6 +466,10 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["construct", "two-nac", "FLr@w", "--second", "/nonexistent.json", "--out", "out"],
         ["motion", "track", "--labeling", "lambda-bool.json", "--start", "square.json", "--fixed", "0,1"],
         ["motion", "track", "--labeling", "lambda-float.json", "--start", "diamond.json", "--fixed", "0,1"],
+        ["motion", "verify", "coeff-overflow.json"],
+        ["motion", "verify", "coeff-bool.json"],
+        ["motion", "verify", "coeff-float.json"],
+        ["motion", "verify", "coeff-short.json"],
     ],
     ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
          "start-words", "start-off-labeling", "start-nan", "start-infinity", "start-three-columns",
@@ -478,7 +483,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "json-graph-edges-null",
          "coloring-float-vertex", "coloring-bool-vertex", "grid-coloring-float-vertex",
          "track-rigid-triangle", "two-nac-lone-first", "two-nac-lone-second", "lambda-bool",
-         "lambda-float"],
+         "lambda-float", "motion-coefficient-1e999", "motion-coefficient-bool",
+         "motion-coefficient-float", "motion-coefficient-one-element"],
 )
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     from movability.constructions import deltoid_motion
@@ -496,6 +502,25 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     complex_x = json.loads(motion_to_json(motion))
     complex_x["vertices"]["1"]["x"]["num"] = [["1/1", "1/1"]]
     complex_x["vertices"]["1"]["y"]["num"] = [["-1/1", "0/1"]]
+    # in the deltoid with a = 3/2, x_1 = 3/2 and x_2 has the denominator
+    # 4 + t^2: JSON's 1e999 reads as a float infinity, which Fraction cannot
+    # hold, and Fraction(1.5) == 3/2 and Fraction(True) == 1 give the same
+    # motion back, so only a type check on each coefficient part keeps these
+    # out; a value is spliced in as text over the "@" it replaces
+    coefficient_texts = {}
+    for name, (path, value) in {
+        "overflow": ((1, "num", 0, 0), "1e999"),
+        "float": ((1, "num", 0, 0), "1.5"),
+        "bool": ((2, "den", 2, 0), "true"),
+        "short": ((1, "num", 0), '["3/2"]'),
+    }.items():
+        bad = json.loads(motion_to_json(deltoid_motion(Fraction(3, 2)).motion))
+        v, part, *index = path
+        slot = bad["vertices"][str(v)]["x"][part]
+        for i in index[:-1]:
+            slot = slot[i]
+        slot[index[-1]] = "@"
+        coefficient_texts[f"coeff-{name}.json"] = json.dumps(bad).replace('"@"', value)
     files = {
         "lab.json": lab,
         "negative.json": {"edges": lab["edges"], "lambda_sq": ["-1"] + lab["lambda_sq"][1:]},
@@ -548,6 +573,8 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
+    for name, text in coefficient_texts.items():
+        (tmp_path / name).write_text(text)
     (tmp_path / "motion.json").write_text(motion_to_json(motion))
     (tmp_path / "k38.g6").write_text("JFzfFB_wF??\n")  # K_{3,8}: its closure is kept
     (tmp_path / "empty").mkdir()

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -195,26 +198,48 @@ def _chain(cert):
 def test_catalog_certificates_carry_no_float(monkeypatch):
     # cold cache, tracker refused: every catalog entry is classified and
     # re-verified from exact evidence alone
-    from movability import decide, gluing, track
+    from movability import decide, track
 
     def refuse(*args, **kwargs):
         raise AssertionError("track_motion called")
 
     monkeypatch.setattr(track, "track_motion", refuse)
-    monkeypatch.setattr(gluing, "track_motion", refuse)
     monkeypatch.setattr(decide, "_CATALOG_CERT_CACHE", {})
     for name in CATALOG_NAMES:
         verdict = classify(catalog_graph(name))
         assert verdict.kind == MOVABLE, name
         assert verdict.certificate.verify(verdict.reduced), name
         chain = list(_chain(verdict.certificate))
-        assert all(c.path_stats is None for c in chain), name
         assert (chain[-1].motion is None) != (chain[-1].axes is None), name
     assert set(decide._CATALOG_CERT_CACHE) >= {"S1", "S2", "S3", "S4"}
     for name in ("S1", "S2", "S3", "S4"):
         entry = decide._CATALOG_CERT_CACHE[name]
         assert entry.parent[1].construction == f"axes_extension:{name}"
         assert entry.parent[1].axes is not None
+
+
+_VERDICT_PATH_SCRIPT = """
+import sys
+from movability.catalog import CATALOG_NAMES, catalog_graph
+from movability.decide import MOVABLE, classify
+
+for name in CATALOG_NAMES:
+    verdict = classify(catalog_graph(name))
+    assert verdict.kind == MOVABLE, name
+    assert verdict.certificate.verify(verdict.reduced), name
+print(sorted(m for m in sys.modules if m.startswith("movability.")))
+"""
+
+
+def test_the_verdict_path_never_loads_gluing():
+    # a fresh interpreter, so no other test has imported gluing already
+    result = subprocess.run(
+        [sys.executable, "-c", _VERDICT_PATH_SCRIPT], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = ast.literal_eval(result.stdout)
+    assert "movability.decide" in loaded
+    assert "movability.gluing" not in loaded
 
 
 def _recipe(name):

@@ -7,16 +7,14 @@ import pytest
 from movability import gluing
 from movability.canon import are_isomorphic
 from movability.catalog import catalog_graph
+from movability.constructions import S1_EDGES, axes_recipe
 from movability.gluing import (
     GlueError,
     GluePiece,
-    axes_recipe,
-    extended_s4,
     glue_labelings,
     glued_s1,
     glued_s2,
     glued_s3,
-    s1_graph,
 )
 from movability.graphs import Graph
 from movability.track import TrackerError, labeling_residual, track_motion
@@ -28,40 +26,26 @@ def s1():
 
 
 def test_s1_glue_succeeds(s1):
-    glued = s1.glued
-    assert glued.injectivity_margin > 0.2
-    assert set(s1.labeling) == set(s1_graph().edges)
+    assert s1.injectivity_margin > 0.2
+    assert set(s1.labeling) == set(S1_EDGES)
     # the rhombus has unit sides
     for e in ((2, 3), (2, 5), (3, 4), (4, 5)):
         assert s1.labeling[e] == Fraction(1)
     # every edge, the K33 edges of the shared rhombus included
-    assert max(s.residual for s in glued.samples) < 1e-9
+    assert max(s.residual for s in s1.samples) < 1e-9
 
 
 def test_s1_watched_distance_varies(s1):
-    assert s1.glued.watched_pair == s1.watched_pair
-    assert s1.glued.watched_variation > 1e-3
-
-
-def test_s1_path_stats(s1):
-    stats = s1.path_stats()
-    assert list(stats) == [
-        "samples", "max_residual", "tol", "injectivity_margin", "watched_variation"
-    ]
-    assert stats["tol"] == 1e-7
-    assert stats["samples"] == 40
-    assert stats["max_residual"] <= stats["tol"]
-    assert stats["injectivity_margin"] == s1.glued.injectivity_margin
-    assert stats["watched_variation"] == s1.glued.watched_variation
+    assert s1.watched_pair == (0, 7)
+    assert s1.watched_variation > 1e-3
 
 
 @pytest.mark.parametrize("recipe", [glued_s1, glued_s2, glued_s3])
 def test_glued_scores_match_pairwise_formulas(recipe):
     # oracle: the merged-sample scoring gluing did before its samples
     # became a TrackedPath scored by track
-    construction = recipe(samples=60)
-    glued = construction.glued
-    a, b = construction.watched_pair
+    glued = recipe(samples=60)
+    a, b = glued.watched_pair
     margin, watched, residual = math.inf, [], 0.0
     for sample in glued.samples:
         s = sample.coords.tolist()
@@ -69,7 +53,7 @@ def test_glued_scores_match_pairwise_formulas(recipe):
             for v in range(u + 1, len(s)):
                 margin = min(margin, math.hypot(s[u][0] - s[v][0], s[u][1] - s[v][1]))
         watched.append(math.hypot(s[a][0] - s[b][0], s[a][1] - s[b][1]))
-        for (u, v), lam_sq in construction.labeling.items():
+        for (u, v), lam_sq in glued.labeling.items():
             dx, dy = s[u][0] - s[v][0], s[u][1] - s[v][1]
             residual = max(residual, abs(dx * dx + dy * dy - float(lam_sq)))
     assert len(glued.samples) == 60
@@ -78,12 +62,21 @@ def test_glued_scores_match_pairwise_formulas(recipe):
     assert abs(max(s.residual for s in glued.samples) - residual) <= 1e-12
 
 
+def track_from_the_middle(glued, *, steps):
+    # the glued samples are generic, unlike the axes starts of the pieces
+    start = glued.samples[len(glued.samples) // 2].coords
+    return track_motion(
+        glued.labeling, start, min(glued.labeling), steps=steps, step_size=0.03,
+        watched_pair=glued.watched_pair,
+    )
+
+
 def test_s2_s3_glue_and_track():
     for recipe, name in ((glued_s2, "S2"), (glued_s3, "S3")):
-        construction = recipe(samples=30)
-        assert are_isomorphic(construction.graph, catalog_graph(name))
-        assert construction.glued.injectivity_margin > 0.5
-        path = construction.track(steps=40)
+        glued = recipe(samples=30)
+        assert are_isomorphic(Graph.of(8, glued.labeling), catalog_graph(name))
+        assert glued.injectivity_margin > 0.5
+        path = track_from_the_middle(glued, steps=40)
         assert len(path.samples) == 41
         assert path.injectivity_margin > 0.5
         assert path.watched_variation > 1e-4
@@ -121,16 +114,8 @@ def test_embedded_piece_labeling_matches_direction_classes(monkeypatch):
             assert labeling[(u, v)] == (sum(d) / sum(DIRECTIONS[k])) ** 2 * norms[k]
 
 
-def test_s4_extension_tracks():
-    construction = extended_s4()
-    assert are_isomorphic(construction.graph, catalog_graph("S4"))
-    path = construction.track(steps=40)
-    assert path.injectivity_margin > 0.1
-    assert path.watched_variation > 1e-4
-
-
 def test_glue_rejects_disagreeing_labelings(s1):
-    g = s1.graph
+    g = Graph.of(8, S1_EDGES)
     piece_vertices = tuple(range(6))
     piece_edges = frozenset(e for e in g.edges if max(e) < 6)
     lab1 = {e: s1.labeling[e] for e in piece_edges}
@@ -145,12 +130,12 @@ def test_glue_rejects_disagreeing_labelings(s1):
 
 
 def test_glue_rejects_unsynced_paths(s1):
-    g = s1.graph
+    g = Graph.of(8, S1_EDGES)
     piece_edges = frozenset(e for e in g.edges if max(e) < 6)
     k_edges = frozenset(e for e in g.edges if min(e) >= 2)
     lab1 = {e: s1.labeling[e] for e in piece_edges}
     lab2 = {e: s1.labeling[e] for e in k_edges}
-    samples1 = np.array([s.coords for s in s1.glued.samples])
+    samples1 = np.array([s.coords for s in s1.samples])
     samples2 = samples1.copy()
     samples2[:, 3, 0] += 0.5
     p1 = GluePiece(tuple(range(6)), piece_edges, lab1, samples1)
@@ -160,12 +145,12 @@ def test_glue_rejects_unsynced_paths(s1):
 
 
 def test_glue_rejects_coinciding_cross_pair(s1):
-    g = s1.graph
+    g = Graph.of(8, S1_EDGES)
     piece_edges = frozenset(e for e in g.edges if max(e) < 6)
     k_edges = frozenset(e for e in g.edges if min(e) >= 2)
     lab1 = {e: s1.labeling[e] for e in piece_edges}
     lab2 = {e: s1.labeling[e] for e in k_edges}
-    samples1 = np.array([s.coords for s in s1.glued.samples])
+    samples1 = np.array([s.coords for s in s1.samples])
     # vertex 7 copies the trajectory of vertex 0: condition 2 must fire
     samples2 = samples1.copy()
     samples2[:, 7] = samples2[:, 0]
@@ -225,7 +210,12 @@ def test_glue_needs_shared_edges(s1):
 
 def test_axes_recipes_keep_the_s1_and_s4_labelings():
     assert axes_recipe("S1").labeling() == glued_s1(samples=20).labeling
-    assert axes_recipe("S4").labeling() == extended_s4().labeling
+    # S4's labeling is pinned by its t = 0 points, the clique at (1, 1) and (2, 1)
+    F = Fraction
+    assert axes_recipe("S4").positions_at_zero() == [
+        (F(0), F(1)), (F(-1), F(0)), (F(0), F(-5, 4)), (F(5, 4), F(0)),
+        (F(0), F(3, 2)), (F(-3, 2), F(0)), (F(1), F(1)), (F(2), F(1)),
+    ]
 
 
 def _start(axes):

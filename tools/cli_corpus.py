@@ -9,10 +9,9 @@ PYTHONPATH=SRC_DIR and records, per command, the exit code, stdout, stderr
 (or, when it holds a traceback, only that it does), and the contents of
 every file the case wrote.  `certs` records, for every catalog entry, the
 certificate `decide.catalog_certificate` builds in SRC_DIR: construction,
-labeling, details, the `repr` of each `path_stats` value, motion JSON, the
-axes motion (signed axis parameters and extension coefficients, as exact
-strings), embedding and the parent chain, so no float is rounded by the
-record.
+labeling, details, motion JSON, the axes motion (signed axis parameters and
+extension coefficients, as exact strings), embedding and the parent chain,
+so no float is rounded by the record.
 The README's 8-vertex `gen` + `census --jobs 4` pair alone takes about a
 minute on 2 cores.  Malformed-input cases live in tests/test_cli.py, not
 here.  `compare` (of two `run` or two `certs` outputs) prints the cases whose records differ and exits nonzero
@@ -209,7 +208,6 @@ def cert_record(cert) -> dict:
         "construction": cert.construction,
         "labeling": labeling_to_json(cert.labeling),
         "details": json.dumps(cert.details, sort_keys=True, default=repr),
-        "path_stats": None if cert.path_stats is None else {k: repr(v) for k, v in cert.path_stats.items()},
         "motion": None if cert.motion is None else motion_to_json(cert.motion),
         "axes": axes,
         "embedding": cert.embedding,
