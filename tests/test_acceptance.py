@@ -10,6 +10,7 @@ far under its stated budget).
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -33,9 +34,11 @@ from movability.constructions import (
     two_nac_solution_space,
 )
 from movability.decide import (
+    GENERICALLY_MOVABLE,
     MOVABLE,
     NOT_MOVABLE_CDC_COMPLETE,
     NOT_MOVABLE_NO_NAC,
+    UNDECIDED,
     census,
     certify_no_unicolor_pairs,
     classify,
@@ -164,8 +167,6 @@ def graph_stream_8():
 
 
 def test_criterion_3_stream_counts_per_n(graph_stream_8):
-    from collections import Counter
-
     per_n = Counter(ord(code[0]) - 63 for code in graph_stream_8)
     assert [per_n[n] for n in range(2, 9)] == [1, 2, 6, 21, 112, 853, 11117]
     assert sum(per_n.values()) == len(set(graph_stream_8)) == 12112
@@ -239,6 +240,66 @@ def test_criterion_3_census(graph_stream_8):
     assert digest == "9c6305ed40e0b5798dd818742a8fb47d46385724"
     assert elapsed < 2 * 3600
     _ok(f"3 census over {report.graphs_seen} graphs = 21-entry catalog ({elapsed:.0f}s)")
+
+
+def _verdict_histograms(graphs):
+    """Verdict kinds, MOVABLE routes and MOVABLE reduced vertex counts of
+    classify over graphs; on the way, every graph spanned by a Laman graph
+    must be MOVABLE exactly when the closure of its reduction is not complete."""
+    kinds, routes, sizes = Counter(), Counter(), Counter()
+    for g in graphs:
+        verdict = classify(g)
+        kinds[verdict.kind] += 1
+        if verdict.kind == GENERICALLY_MOVABLE:
+            continue
+        closure = verdict.closure_graph or constant_distance_closure(verdict.reduced).closure
+        assert (verdict.kind == MOVABLE) == (not closure.is_complete()), encode_graph6(g)
+        if verdict.kind == MOVABLE:
+            routes[verdict.certificate.construction] += 1
+            sizes[verdict.reduced.n] += 1
+    return kinds, routes, sizes
+
+
+def test_criterion_3_classify_decides_every_graph(graph_stream_8):
+    """The sufficiency claim up to 8 vertices: classify decides every
+    connected graph, and a graph spanned by a Laman graph is movable iff the
+    constant distance closure of its degree-two reduction is not complete.
+    The constructions' search order depends on labels, so one relabeled
+    pass must give the same counts."""
+    from movability.graphs import parse_graph6
+
+    expected_kinds = {
+        MOVABLE: 137,
+        NOT_MOVABLE_CDC_COMPLETE: 899,
+        NOT_MOVABLE_NO_NAC: 5593,
+        GENERICALLY_MOVABLE: 5483,
+    }
+    expected_routes = {
+        "grid": 83,
+        "dixon_one": 25,
+        "two_nac": 21,
+        "catalog:S2": 3,
+        "catalog:S4": 2,
+        "catalog:S1": 1,
+        "catalog:S3": 1,
+        "catalog:S5": 1,
+    }
+    expected_sizes = {6: 46, 7: 36, 8: 55}
+    t0 = time.monotonic()
+    graphs = [parse_graph6(code) for code in graph_stream_8]
+    rng = random.Random(1)
+    relabeled = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabeled.append(g.relabel(perm))
+    for stream in (graphs, relabeled):
+        kinds, routes, sizes = _verdict_histograms(stream)
+        assert kinds[UNDECIDED] == 0
+        assert dict(kinds) == expected_kinds
+        assert dict(routes) == expected_routes
+        assert dict(sizes) == expected_sizes
+    _ok(f"3 classify decides all {len(graphs)} graphs, twice ({time.monotonic() - t0:.0f}s)")
 
 
 # -- criterion 4: the Q1 embedding ----------------------------------------------
