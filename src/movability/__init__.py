@@ -39,7 +39,6 @@ from .decide import (
     classify,
     nac_witnesses,
 )
-from .track import track_motion
 
 __all__ = [
     "Graph",
@@ -69,7 +68,6 @@ __all__ = [
     "refix_edge",
     "s5_motion",
     "spanning_laman_rank",
-    "track_motion",
     "two_nac_embedding",
     "unicolor_pairs",
     "valuation_table",

@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 
-import numpy as np
-
 from .canon import MAX_N
 from .catalog import load_catalog
 from .constructions import (
@@ -53,7 +51,6 @@ from .nac import (
     enumerate_nac,
     is_nac,
 )
-from .track import TrackerError, track_motion
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -314,6 +311,10 @@ def cmd_construct(args) -> int:
 
 def cmd_motion(args) -> int:
     if args.action == "track":
+        import numpy as np
+
+        from .track import TrackerError, track_motion
+
         labeling = _load(args.labeling, labeling_from_json, "labeling")
         start = _load(args.start, lambda t: np.array(json.loads(t), dtype=float), "start")
         try:

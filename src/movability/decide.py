@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .canon import canonical_form, find_spanning_embedding
-from .catalog import CATALOG_NAMES, catalog_graph
+from .catalog import catalog_graph
 from .constructions import (
     AxesMotion,
     ConstructionInapplicable,
@@ -33,7 +33,6 @@ from .constructions import (
 )
 from .graphs import (
     Graph,
-    ReductionCollapse,
     edge,
     encode_graph6,
     parse_graph6,
@@ -254,7 +253,9 @@ def catalog_certificate(name: str) -> MovabilityCertificate | None:
 
 
 def _catalog_lookup(g: Graph) -> MovabilityCertificate | None:
-    for name in CATALOG_NAMES:
+    """Pullback from the first recipe entry g spans; a construction certifies
+    whatever the other entries span (acceptance criterion 3, n <= 8)."""
+    for name in _RECIPE_ENTRIES:
         entry = catalog_graph(name)
         if entry.n != g.n or len(entry.edges) < len(g.edges):
             continue
@@ -262,8 +263,6 @@ def _catalog_lookup(g: Graph) -> MovabilityCertificate | None:
         if phi is None:
             continue
         entry_cert = catalog_certificate(name)
-        if entry_cert is None:
-            continue
         details = {"catalog_entry": name, "embedding": phi, "via": entry_cert.construction}
         return _pullback(g, phi, entry, entry_cert, f"catalog:{name}", details)
     return None
@@ -281,10 +280,7 @@ def classify(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
         raise ValueError("classification needs a connected graph with an edge")
     if not has_spanning_laman(g):
         return Verdict(kind=GENERICALLY_MOVABLE, reason="no spanning Laman subgraph")
-    try:
-        reduced, kept = reduce_degree_two(g)
-    except ReductionCollapse:  # cannot happen after the rank gate
-        return Verdict(kind=GENERICALLY_MOVABLE, reason="degree-two reduction collapsed")
+    reduced, kept = reduce_degree_two(g)
     removed = tuple(v for v in range(g.n) if v not in kept)
     reduced_verdict = partial(Verdict, reduced=reduced, removed_vertices=removed)
     try:

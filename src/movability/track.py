@@ -183,13 +183,16 @@ def track_motion(
 ) -> TrackedPath:
     """Predictor-corrector path from a realization satisfying the labeling.
 
-    Preconditions: the start is a finite array with one (x, y) row per
-    vertex, it satisfies every edge constraint within START_TOL (it is then
-    polished down to tol), and the rigidity matrix has rank below 2n-3 so a
-    flex direction exists.  Each accepted sample has
+    Preconditions: the step size is finite and positive, the start is a
+    finite array with one (x, y) row per vertex, it satisfies every edge
+    constraint within START_TOL (it is then polished down to tol), and the
+    rigidity matrix has rank below 2n-3 so a flex direction exists.  Each accepted sample has
     residual below tol; a sample whose minimum pairwise distance shrinks is
     visible to the caller through min_pair_distance (flagged, not fatal).
     """
+    # an infinite step would never halve below step_size / 1024
+    if not (np.isfinite(step_size) and step_size > 0):
+        raise TrackerError(f"step size must be finite and positive, got {step_size}")
     p = np.asarray(start, dtype=float)
     edges, lam_sq = _constraints(labeling)
     if edge(*fixed_edge) not in set(edges):
@@ -210,10 +213,14 @@ def track_motion(
             f"start realization does not satisfy the labeling: residual {raw:.2e} > {START_TOL:.0e}"
         )
 
+    # a prediction far off the curve may overflow; correct rejects it
+    @np.errstate(over="ignore", invalid="ignore")
     def correct(q: np.ndarray, max_iter: int = 30) -> np.ndarray | None:
         q = q.copy()
         for _ in range(max_iter):
             F = _residuals(q, edges, lam_sq, pins)
+            if not np.isfinite(F).all():
+                return None
             if np.max(np.abs(F)) < tol:
                 return q
             J = _jacobian(q, edges, pins, n)

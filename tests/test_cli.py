@@ -104,6 +104,18 @@ def test_certificate_reverifies_in_separate_process(tmp_path):
     assert report["compatible"] and report["proper"] and not report["trivial"]
 
 
+def test_classify_command_never_loads_numpy():
+    # a fresh interpreter, so no other test has imported numpy already
+    script = (
+        "import sys\n"
+        "from movability.cli import main\n"
+        "assert main(['classify', 'FLr@w']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_construct_s5_and_valuations(tmp_path, capsys):
     outdir = tmp_path / "s5"
     code, out, _ = run(["construct", "s5", "--a", "2", "--out", str(outdir)], capsys)
@@ -470,6 +482,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["motion", "verify", "coeff-bool.json"],
         ["motion", "verify", "coeff-float.json"],
         ["motion", "verify", "coeff-short.json"],
+        *(["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1",
+           "--step-size", size] for size in ("inf", "1e300", "0", "-0.1", "nan")),
     ],
     ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
          "start-words", "start-off-labeling", "start-nan", "start-infinity", "start-three-columns",
@@ -484,7 +498,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "coloring-float-vertex", "coloring-bool-vertex", "grid-coloring-float-vertex",
          "track-rigid-triangle", "two-nac-lone-first", "two-nac-lone-second", "lambda-bool",
          "lambda-float", "motion-coefficient-1e999", "motion-coefficient-bool",
-         "motion-coefficient-float", "motion-coefficient-one-element"],
+         "motion-coefficient-float", "motion-coefficient-one-element", "step-size-inf",
+         "step-size-1e300", "step-size-0", "step-size-negative", "step-size-nan"],
 )
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     from movability.constructions import deltoid_motion
@@ -584,3 +599,7 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert err.startswith("error:")
     if "triangle.json" in argv:
         assert "no flex" in err
+    if "--step-size" in argv:
+        assert err.startswith("error: cannot track")
+        if argv[-1] != "1e300":
+            assert "step size must be finite and positive" in err

@@ -227,12 +227,13 @@ for name in CATALOG_NAMES:
     verdict = classify(catalog_graph(name))
     assert verdict.kind == MOVABLE, name
     assert verdict.certificate.verify(verdict.reduced), name
-print(sorted(m for m in sys.modules if m.startswith("movability.")))
+print(sorted(m for m in sys.modules if m.startswith("movability.") or m == "numpy"))
 """
 
 
 def test_the_verdict_path_never_loads_gluing():
-    # a fresh interpreter, so no other test has imported gluing already
+    # a fresh interpreter, so no other test has imported gluing, the tracker
+    # or numpy already
     result = subprocess.run(
         [sys.executable, "-c", _VERDICT_PATH_SCRIPT], capture_output=True, text=True
     )
@@ -240,6 +241,8 @@ def test_the_verdict_path_never_loads_gluing():
     loaded = ast.literal_eval(result.stdout)
     assert "movability.decide" in loaded
     assert "movability.gluing" not in loaded
+    assert "movability.track" not in loaded
+    assert "numpy" not in loaded
 
 
 def _recipe(name):

@@ -66,6 +66,24 @@ def test_watched_distance_and_margin_reported():
     assert len(lines) == len(path.samples) + 1
 
 
+@pytest.mark.parametrize(
+    "step_size, message",
+    [
+        (math.inf, "step size"),
+        (math.nan, "step size"),
+        (0.0, "step size"),
+        (-0.1, "step size"),
+        # finite, but every prediction overflows the residuals
+        (1e300, "diverged"),
+    ],
+)
+def test_bad_step_size_rejected(step_size, message):
+    m = deltoid_motion().motion
+    start = np.array(m.realize_float(0.3))
+    with pytest.raises(TrackerError, match=message):
+        track_motion(m.induced_labeling(), start, (0, 1), steps=5, step_size=step_size)
+
+
 def test_fixed_edge_must_exist():
     lab = {(0, 1): Fraction(1)}
     with pytest.raises(TrackerError):

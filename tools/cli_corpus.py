@@ -79,6 +79,10 @@ def cases() -> list[tuple[str, list[list[str]]]]:
     ]))
     out.append(("classify-cap-witness", [["classify", witness]]))
     out.append(("cdc-cap-witness", [["cdc", witness]]))
+    # the only graphs with at most 8 vertices that reach the catalog lookup
+    # as proper spanning subgraphs of an entry (two of S2, one of S4)
+    for code in ("Gs`z?s", "G{`XGs", "G{`_ww"):
+        out.append((f"classify-pullback-{code}", [["classify", code]]))
     for seed in range(4):
         out.append((f"two-nac-seed-{seed}", [["construct", "two-nac", "FLr@w", "--seed", str(seed), "--out", "out/"]]))
     out += [
