@@ -9,6 +9,14 @@ No bound prunes a branch: every surviving ordering is expanded to a leaf and
 the lexicographically largest bit string wins.  Both selection criteria are
 isomorphism invariant, so the form is exact for every graph; practical for
 n <= 10.
+
+The same search yields generators of the automorphism group.  A leaf whose
+bit string equals the best one differs from the best ordering by an
+automorphism, and a collapsed twin pair is one (swapping two vertices with
+the same neighbours outside the pair).  Every best leaf of the uncollapsed
+tree is a walked best leaf followed by collapsed-twin swaps, and every
+automorphism maps the best ordering onto such a leaf, so together they
+generate the whole group.
 """
 
 from __future__ import annotations
@@ -18,9 +26,11 @@ from .graphs import Graph, _graph6_of_columns
 MAX_N = 10
 
 
-def canonical_chunks(masks: list[int]) -> list[int]:
-    """The canonical chunks of the graph with adjacency bitmasks `masks`:
-    chunk d is the adjacency of position d to positions 0..d-1, 0 the high bit.
+def canonical_chunks(masks: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The canonical chunks of the graph with adjacency bitmasks `masks`, and
+    generators of its automorphism group: chunk d is the adjacency of
+    position d to positions 0..d-1, 0 the high bit, and each generator p maps
+    canonical position d to p[d].
 
     All chunks so far live in one integer, n bits per vertex (w at bit n*w);
     placing v sets chunk_w <- (chunk_w << 1) | adj(w, v) for every w at once.
@@ -47,12 +57,19 @@ def canonical_chunks(masks: list[int]) -> list[int]:
     slot = (1 << n) - 1
     best: list[int] = []
     path: list[int] = []
+    order: list[int] = []
+    best_order: list[int] = []
+    ties: list[list[int]] = []  # orderings of the leaves equal to best
+    twins: set[tuple[int, int]] = set()
 
     def rec(free: int, chunks: int):
-        nonlocal best
+        nonlocal best, best_order
         if not free:
             if path > best:
-                best = path.copy()
+                best, best_order = path.copy(), order.copy()
+                ties.clear()
+            elif path == best:
+                ties.append(order.copy())
             return
         top = -1
         rest = free
@@ -73,22 +90,33 @@ def canonical_chunks(masks: list[int]) -> list[int]:
             for w in kept:
                 outside = ~(1 << v | 1 << w)
                 if masks[v] & outside == masks[w] & outside:
+                    twins.add((w, v))
                     break
             else:
                 kept.append(v)
         path.append(top >> shift)
         for v in kept:
+            order.append(v)
             rec(free ^ 1 << v, chunks << 1 | spread[v])
+            order.pop()
         path.pop()
 
     rec((1 << n) - 1, 0)
-    return best
+    position = [0] * n
+    for d, v in enumerate(best_order):
+        position[v] = d
+    generators = [[position[v] for v in leaf] for leaf in ties]
+    for v, w in twins:
+        swap = list(range(n))
+        swap[position[v]], swap[position[w]] = position[w], position[v]
+        generators.append(swap)
+    return best, generators
 
 
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 string: equal for two graphs iff they are isomorphic;
     the chunks are the columns of the relabeled upper triangle."""
-    return _graph6_of_columns(canonical_chunks(g.masks()))
+    return _graph6_of_columns(canonical_chunks(g.masks())[0])
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

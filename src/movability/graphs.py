@@ -239,6 +239,24 @@ def _graph6_of_columns(columns: list[int]) -> str:
     return chr(63 + n) + "".join(chr(63 + (bits >> 6 * k & 63)) for k in range(groups - 1, -1, -1))
 
 
+def _graph_of_columns(columns: list[int]) -> Graph:
+    """The graph whose upper triangle has column d = columns[d], row 0 its
+    high bit, built by walking the set bits and with `masks()` seeded."""
+    masks = [0] * len(columns)
+    edges = []
+    for v, column in enumerate(columns):
+        while column:
+            low = column & -column
+            column ^= low
+            u = v - low.bit_length()
+            edges.append((u, v))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    g = Graph(len(columns), frozenset(edges))
+    g.__dict__["_masks"] = tuple(masks)
+    return g
+
+
 def encode_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise Graph6Error("short-form graph6 supports at most 62 vertices")
@@ -276,11 +294,13 @@ def parse_graph6(text: str) -> Graph:
     pad = 6 * nbytes - nbits
     if bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits")
-    # pair (u, v) is payload bit v(v-1)/2 + u, counted from the high end
-    top = 6 * nbytes - 1
-    return Graph(n, frozenset(
-        (u, v) for v in range(1, n) for u in range(v) if bits >> top - v * (v - 1) // 2 - u & 1
-    ))
+    # column v is the v payload bits after column v - 1, so peel from the end
+    bits >>= pad
+    columns = [0] * n
+    for v in range(n - 1, 0, -1):
+        columns[v] = bits & (1 << v) - 1
+        bits >>= v
+    return _graph_of_columns(columns)
 
 
 # -- adjacency-list JSON (secondary interchange format) --------------------

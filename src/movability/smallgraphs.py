@@ -15,6 +15,15 @@ vertices that play m's neighbours gives a child isomorphic to C in which x
 plays m.  The key is isomorphism invariant, so x has the least key among the
 non-cut vertices of that child and it is kept.  The test reads bitmasks
 only; the set of canonical forms still removes the remaining duplicates.
+
+Only the least subset of each orbit of the parent's automorphism group is
+tried.  An automorphism g of the parent, extended to fix x, maps the child
+of subset S onto the child of g(S).  The key test and the canonical form are
+invariants of the pair (child, x), so S decides its whole orbit and gives
+its code.  The generators come from the canonical search that kept the
+parent; a subgroup would lose nothing either, since the set of canonical
+forms removes what it misses, as it removes children of different parents
+that are isomorphic.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .canon import canonical_chunks
-from .graphs import Graph, _graph6_of_columns, component_masks
+from .graphs import Graph, _graph6_of_columns, _graph_of_columns, component_masks
 
 
 def _new_vertex_has_least_key(
@@ -52,39 +61,61 @@ def _new_vertex_has_least_key(
     return True
 
 
-def _grow_layer(layer: dict[str, list[int]], size: int) -> dict[str, list[int]]:
-    """The next layer, {canonical code: adjacency masks relabeled by the code}."""
+def _least_of_each_orbit(generators: list[list[int]], x: int) -> Iterator[int]:
+    """The nonempty subsets of range(x) that are the least of their orbit
+    under the permutations `generators`, in ascending order."""
+    if not generators:
+        yield from range(1, 1 << x)
+        return
+    tables = []
+    for p in generators:
+        img = [0] * (1 << x)
+        for s in range(1, 1 << x):
+            low = s & -s
+            img[s] = img[s ^ low] | 1 << p[low.bit_length() - 1]
+        tables.append(img)
+    seen = bytearray(1 << x)
+    for subset in range(1, 1 << x):
+        if seen[subset]:
+            continue
+        yield subset
+        seen[subset] = 1
+        stack = [subset]
+        while stack:
+            s = stack.pop()
+            for img in tables:
+                t = img[s]
+                if not seen[t]:
+                    seen[t] = 1
+                    stack.append(t)
+
+
+Layer = dict[str, tuple[Graph, list[list[int]]]]
+
+
+def _grow_layer(layer: Layer, size: int) -> Layer:
+    """The next layer, {canonical code: (the graph the code spells,
+    generators of its automorphism group)}."""
     x = size - 1
     everyone = (1 << x) - 1
-    grown: dict[str, list[int]] = {}
-    for masks in layer.values():
+    grown: Layer = {}
+    for parent, generators in layer.values():
+        masks = parent.masks()
         degrees = [m.bit_count() for m in masks]
         parts = [component_masks(masks, everyone ^ 1 << v) for v in range(x)]
-        for subset in range(1, 1 << x):
+        for subset in _least_of_each_orbit(generators, x):
             if _new_vertex_has_least_key(masks, degrees, parts, subset):
                 child = [m | (subset >> v & 1) << x for v, m in enumerate(masks)] + [subset]
-                chunks = canonical_chunks(child)
+                chunks, child_generators = canonical_chunks(child)
                 code = _graph6_of_columns(chunks)
                 if code not in grown:
-                    grown[code] = _masks_of_chunks(chunks)
+                    grown[code] = (_graph_of_columns(chunks), child_generators)
     return grown
 
 
-def _masks_of_chunks(chunks: list[int]) -> list[int]:
-    """Adjacency masks of the graph whose upper triangle has columns `chunks`."""
-    masks = [0] * len(chunks)
-    for d, chunk in enumerate(chunks):
-        for u in range(d):
-            if chunk >> (d - 1 - u) & 1:
-                masks[d] |= 1 << u
-                masks[u] |= 1 << d
-    return masks
-
-
 def connected_graphs_up_to(max_n: int) -> Iterator[Graph]:
-    layer = {_graph6_of_columns([0]): [0]}
+    layer: Layer = {_graph6_of_columns([0]): (Graph(1, frozenset()), [])}
     for size in range(2, max_n + 1):
         layer = _grow_layer(layer, size)
         for code in sorted(layer):
-            masks = layer[code]
-            yield Graph(size, frozenset((u, v) for v in range(size) for u in range(v) if masks[v] >> u & 1))
+            yield layer[code][0]

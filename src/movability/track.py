@@ -183,16 +183,22 @@ def track_motion(
 ) -> TrackedPath:
     """Predictor-corrector path from a realization satisfying the labeling.
 
-    Preconditions: the step size is finite and positive, the start is a
-    finite array with one (x, y) row per vertex, it satisfies every edge
-    constraint within START_TOL (it is then polished down to tol), and the
-    rigidity matrix has rank below 2n-3 so a flex direction exists.  Each accepted sample has
-    residual below tol; a sample whose minimum pairwise distance shrinks is
-    visible to the caller through min_pair_distance (flagged, not fatal).
+    Preconditions: steps is a positive integer, the step size and tol are
+    finite and positive, the start is a finite array with one (x, y) row per
+    vertex, it satisfies every edge constraint within START_TOL (it is then
+    polished down to tol), and the rigidity matrix has rank below 2n-3 so a
+    flex direction exists.  Each accepted sample has residual below tol; a
+    sample whose minimum pairwise distance shrinks is visible to the caller
+    through min_pair_distance (flagged, not fatal).
     """
     # an infinite step would never halve below step_size / 1024
     if not (np.isfinite(step_size) and step_size > 0):
         raise TrackerError(f"step size must be finite and positive, got {step_size}")
+    if not (isinstance(steps, int) and steps > 0):
+        raise TrackerError(f"steps must be a positive integer, got {steps}")
+    # an infinite tol accepts every prediction uncorrected
+    if not (np.isfinite(tol) and tol > 0):
+        raise TrackerError(f"tol must be finite and positive, got {tol}")
     p = np.asarray(start, dtype=float)
     edges, lam_sq = _constraints(labeling)
     if edge(*fixed_edge) not in set(edges):

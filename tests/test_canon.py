@@ -105,5 +105,60 @@ def test_matches_the_relabeling_form_on_small_graphs_and_the_catalog(rng):
         graphs += [g, Graph.of(n, g.non_edges())]
     for g in graphs:
         h = shuffled(g, rng)
-        assert canonical_chunks(h.masks()) == canonical_search(h)[1], h
+        assert canonical_chunks(h.masks())[0] == canonical_search(h)[1], h
         assert canonical_form(h) == relabel_canonical_form(h), h
+
+
+def _automorphism_count(masks: tuple[int, ...]) -> int:
+    """Automorphisms counted by backtracking: vertex v goes to each unused
+    vertex of its degree that keeps v's adjacency to 0..v-1."""
+    n = len(masks)
+    deg = [m.bit_count() for m in masks]
+    image: list[int] = []
+
+    def rec(v: int, used: int) -> int:
+        if v == n:
+            return 1
+        total = 0
+        for t in range(n):
+            if used >> t & 1 or deg[t] != deg[v]:
+                continue
+            if all(masks[v] >> u & 1 == masks[t] >> image[u] & 1 for u in range(v)):
+                image.append(t)
+                total += rec(v + 1, used | 1 << t)
+                image.pop()
+        return total
+
+    return rec(0, 0)
+
+
+def _group_order(generators: list[list[int]], n: int) -> int:
+    """Order of the permutation group the generators generate, by closure."""
+    seen = {tuple(range(n))}
+    stack = list(seen)
+    while stack:
+        g = stack.pop()
+        for p in generators:
+            h = tuple(p[i] for i in g)
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return len(seen)
+
+
+def test_generators_generate_the_automorphism_group(rng):
+    from movability.catalog import load_catalog
+    from movability.smallgraphs import connected_graphs_up_to
+
+    graphs = [*connected_graphs_up_to(7), *load_catalog().values()]
+    assert len(graphs) == 995 + 21
+    for g in graphs:
+        h = shuffled(g, rng)
+        _, generators = canonical_chunks(h.masks())
+        masks = parse_graph6(canonical_form(h)).masks()
+        for p in generators:
+            assert sorted(p) == list(range(g.n)), (g, p)
+            for v, m in enumerate(masks):
+                image = sum(1 << p[w] for w in range(g.n) if m >> w & 1)
+                assert image == masks[p[v]], (g, p)
+        assert _group_order(generators, g.n) == _automorphism_count(masks), g

@@ -484,6 +484,10 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["motion", "verify", "coeff-short.json"],
         *(["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1",
            "--step-size", size] for size in ("inf", "1e300", "0", "-0.1", "nan")),
+        *(["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1",
+           "--steps", steps] for steps in ("-5", "0")),
+        *(["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1",
+           "--tol", tol] for tol in ("inf", "nan", "0", "-0.5")),
     ],
     ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
          "start-words", "start-off-labeling", "start-nan", "start-infinity", "start-three-columns",
@@ -499,7 +503,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "track-rigid-triangle", "two-nac-lone-first", "two-nac-lone-second", "lambda-bool",
          "lambda-float", "motion-coefficient-1e999", "motion-coefficient-bool",
          "motion-coefficient-float", "motion-coefficient-one-element", "step-size-inf",
-         "step-size-1e300", "step-size-0", "step-size-negative", "step-size-nan"],
+         "step-size-1e300", "step-size-0", "step-size-negative", "step-size-nan", "steps-negative",
+         "steps-0", "tol-inf", "tol-nan", "tol-0", "tol-negative"],
 )
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     from movability.constructions import deltoid_motion
@@ -603,3 +608,9 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         assert err.startswith("error: cannot track")
         if argv[-1] != "1e300":
             assert "step size must be finite and positive" in err
+    if "--steps" in argv:
+        assert err.startswith("error: cannot track")
+        assert "steps must be a positive integer" in err
+    if "--tol" in argv:
+        assert err.startswith("error: cannot track")
+        assert "tol must be finite and positive" in err

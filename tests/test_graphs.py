@@ -15,6 +15,7 @@ from movability.graphs import (
     reduce_degree_two,
 )
 
+import graph6_oracle
 from conftest import random_connected_graph
 
 
@@ -83,6 +84,23 @@ def test_parse_errors():
         parse_graph6("A" + chr(64))  # dirty padding for n=2
     with pytest.raises(Graph6Error):
         parse_graph6("\x1f??")  # header below the alphabet
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", ">>graph6<<", "~??", "D", "Cl?", "A" + chr(64), "\x1f??", "C\x7f", "B" + chr(62),
+     ">>graph6<<C]", " Cl\n", "@", "A_", "}" + "~" * 315 + "_", "}" + "?" * 316],
+)
+def test_parse_matches_the_pairwise_parse(text):
+    try:
+        want = graph6_oracle.parse_graph6(text)
+    except Graph6Error as exc:
+        with pytest.raises(Graph6Error) as got:
+            parse_graph6(text)
+        assert str(got.value) == str(exc)
+    else:
+        g = parse_graph6(text)
+        assert g == want and g.masks() == want.masks()
 
 
 def test_encode_rejects_large_graphs():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from movability.canon import canonical_form
+from movability.canon import canonical_chunks, canonical_form
 from movability.graphs import Graph, components, encode_graph6, parse_graph6
 from movability.smallgraphs import _grow_layer, connected_graphs_up_to
 
@@ -63,6 +63,17 @@ def test_grown_from_the_graph_minus_its_least_key_non_cut_vertex(g):
     # the soundness argument of canonical augmentation, one graph at a time
     keys, cut = _keys_and_cut_vertices(g)
     m = min((v for v in range(g.n) if v not in cut), key=keys.__getitem__)
-    parent = g.induced_subgraph(v for v in range(g.n) if v != m)
-    code = canonical_form(parent)
-    assert canonical_form(g) in _grow_layer({code: parse_graph6(code).masks()}, g.n)
+    parent = parse_graph6(canonical_form(g.induced_subgraph(v for v in range(g.n) if v != m)))
+    layer = {encode_graph6(parent): (parent, canonical_chunks(parent.masks())[1])}
+    assert canonical_form(g) in _grow_layer(layer, g.n)
+
+
+def test_orbit_pruning_loses_no_code():
+    layer = {"@": (Graph(1, frozenset()), [])}
+    for size in range(2, 8):
+        grown = _grow_layer(layer, size)
+        unpruned = _grow_layer({code: (g, []) for code, (g, _) in layer.items()}, size)
+        assert {code: g for code, (g, _) in grown.items()} == {
+            code: g for code, (g, _) in unpruned.items()
+        }
+        layer = grown

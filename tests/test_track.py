@@ -84,6 +84,22 @@ def test_bad_step_size_rejected(step_size, message):
         track_motion(m.induced_labeling(), start, (0, 1), steps=5, step_size=step_size)
 
 
+@pytest.mark.parametrize("steps", [-5, 0, 2.0])
+def test_bad_steps_rejected(steps):
+    m = deltoid_motion().motion
+    start = np.array(m.realize_float(0.3))
+    with pytest.raises(TrackerError, match="steps must be a positive integer"):
+        track_motion(m.induced_labeling(), start, (0, 1), steps=steps)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+def test_bad_tol_rejected(tol):
+    m = deltoid_motion().motion
+    start = np.array(m.realize_float(0.3))
+    with pytest.raises(TrackerError, match="tol must be finite and positive"):
+        track_motion(m.induced_labeling(), start, (0, 1), steps=5, tol=tol)
+
+
 def test_fixed_edge_must_exist():
     lab = {(0, 1): Fraction(1)}
     with pytest.raises(TrackerError):
