@@ -162,9 +162,7 @@ def cmd_classify(args) -> int:
         return EXIT_CAP
     out = json.loads(verdict.to_json())
     if verdict.certificate is not None and args.out:
-        files = {"labeling.json": labeling_to_json(verdict.certificate.labeling)}
-        if verdict.certificate.motion is not None:
-            files["motion.json"] = motion_to_json(verdict.certificate.motion)
+        files = _certificate_files(verdict.certificate.labeling, verdict.certificate.motion)
         outdir = _write_files(args.out, files)
         for name in files:
             out["certificate"][name.removesuffix(".json") + "_path"] = str(outdir / name)
@@ -230,12 +228,17 @@ def _write_files(out: str, files: dict[str, str]) -> pathlib.Path:
     return outdir
 
 
-def _write_motion(args, motion, labeling) -> None:
-    """Write the labeling and any motion to --out and list the directory."""
+def _certificate_files(labeling, motion=None) -> dict[str, str]:
+    """labeling.json, and motion.json when there is a motion."""
     files = {"labeling.json": labeling_to_json(labeling)}
     if motion is not None:
         files["motion.json"] = motion_to_json(motion)
-    outdir = _write_files(args.out, files)
+    return files
+
+
+def _write_motion(args, motion, labeling) -> None:
+    """Write the labeling and any motion to --out and list the directory."""
+    outdir = _write_files(args.out, _certificate_files(labeling, motion))
     print(json.dumps({"out": str(outdir), "files": sorted(p.name for p in outdir.iterdir())}))
 
 
@@ -300,7 +303,7 @@ def cmd_construct(args) -> int:
         rows = ["sample," + ",".join(f"x{v},y{v}" for v in range(8))]
         for s in path.samples:
             rows.append(",".join([str(s.step), *(f"{c:.17g}" for c in s.coords.reshape(-1))]))
-        files = {"labeling.json": labeling_to_json(path.labeling)}
+        files = _certificate_files(path.labeling)
         files["path.csv"] = "\n".join(rows) + "\n"
         outdir = _write_files(args.out, files)
         margin, samples = path.injectivity_margin, len(path.samples)

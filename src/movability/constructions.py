@@ -204,7 +204,8 @@ def dixon_one(
     motion with no extension.
 
     Compatibility is the Pythagorean identity
-    (x_u^2 - t^2) + (y_v^2 + t^2) = x_u^2 + y_v^2.
+    (x_u^2 - t^2) + (y_v^2 + t^2) = x_u^2 + y_v^2.  Parameters whose motion
+    is not proper, such as two equal ones in a class, are inapplicable.
     """
     ok, parts = g.is_bipartite()
     if not ok:
@@ -220,6 +221,10 @@ def dixon_one(
         {k: Fraction(v) for k, v in x_params.items()},
         {k: Fraction(v) for k, v in y_params.items()},
     )
+    if not motion.is_proper():
+        raise ConstructionInapplicable(
+            "axes motion is not proper: two vertices coincide or no non-edge changes length"
+        )
     return motion.labeling(), motion
 
 

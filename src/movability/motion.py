@@ -7,16 +7,23 @@ length.  Each edge's W is built once, when the motion is constructed, and
 the labeling is read off it as the constant W*Z; every query below reads
 that table, and a refix rotates its parent's table and keeps its labeling.
 The real coordinates x = (z + conj z)/2 and y = (z - conj z)/2i are derived
-only for JSON, floats and collinearity.  The valuations of W at
-Gaussian-rational places induce NAC-colorings: choosing a threshold between
-attained valuation levels and coloring an edge red when its valuation
-exceeds the threshold always yields a NAC-coloring, and the colorings
-collected this way over all places are the active ones.
+only for JSON and floats.  The valuations of W at Gaussian-rational places
+induce NAC-colorings: choosing a threshold between attained valuation
+levels and coloring an edge red when its valuation exceeds the threshold
+always yields a NAC-coloring, and the colorings collected this way over all
+places are the active ones.
 
 A motion is proper when no two vertices share their coordinate function, so
 one driven by linearly independent frame functions is proper exactly when
 its vertices' frame coefficients differ.  Collinear triples are legal in a
 proper motion and are computed only for display.
+
+Both identity questions are answered by equality of canonical forms.
+Every coordinate is a `RationalFunction` with coprime numerator and
+denominator and a monic denominator: `RationalFunction.of` and `_canonical`
+reduce every result, negation and conjugation keep the form, and motion
+JSON is read through `RationalFunction.of`.  Two functions in that form
+agree for every parameter exactly when they are equal.
 """
 
 from __future__ import annotations
@@ -153,22 +160,18 @@ class InjectivityReport:
     coinciding_pairs: tuple[tuple[int, int], ...]
 
 
-def _same_function(f: RationalFunction, g: RationalFunction) -> bool:
-    # cross-multiplied polynomial identity; avoids any gcd computation
-    return f.num * g.den == g.num * f.den
-
-
 def verify_injectivity(m: ParametrizedMotion) -> InjectivityReport:
     """PROPER when no vertex pair coincides identically.
 
     Two vertices coincide for every parameter exactly when their coordinate
-    functions agree as rational functions; all other coincidences happen at
-    finitely many parameters only.
+    functions are equal, since both are in canonical form; all other
+    coincidences happen at finitely many parameters only.  The pairs are
+    those inside each group of equal coordinates, in lexicographic order.
     """
-    coinciding = tuple(
-        (u, v) for u, v in combinations(range(m.graph.n), 2)
-        if _same_function(m.coords[u], m.coords[v])
-    )
+    groups: dict[RationalFunction, list[int]] = {}
+    for v, z in enumerate(m.coords):
+        groups.setdefault(z, []).append(v)
+    coinciding = tuple(sorted(pair for vs in groups.values() for pair in combinations(vs, 2)))
     return InjectivityReport(proper=not coinciding, coinciding_pairs=coinciding)
 
 
@@ -176,30 +179,21 @@ def collinear_triples(m: ParametrizedMotion) -> tuple[tuple[int, int, int], ...]
     """Vertex triples collinear for every parameter, bar those holding a
     coinciding pair.
 
-    Each cross product is evaluated at more integer points than its
-    numerator degree admits as roots.
+    With p = z_b - z_a and q = z_c - z_a, the triple is collinear at a real
+    t exactly when r = conj(p)*q is real there.  At real t, conj(r(t)) is
+    r with conjugated coefficients, so r - conj(r) is a rational function,
+    and one that vanishes at infinitely many reals is zero.  Both sides are
+    canonical, so the test is equality of r and its conjugate.
     """
-    # enough sample points to pin the cross product down exactly
-    max_deg = max(f.num.degree + f.den.degree for pair in m._xy for f in pair)
-    needed = 4 * max_deg + 5
-    values: list[list[tuple[GaussianRational, GaussianRational]]] = []
-    t = 0
-    while len(values) < needed:
-        t0 = GaussianRational.of(t)
-        t += 1
-        try:
-            row = [(x(t0), y(t0)) for x, y in m._xy]
-        except ZeroDivisionError:
-            continue
-        values.append(row)
+    n = m.graph.n
+    diff = {(a, b): m.coords[b] - m.coords[a] for a, b in combinations(range(n), 2)}
     collinear = []
-    skip = set(verify_injectivity(m).coinciding_pairs)
-    for a, b, c in combinations(range(m.graph.n), 3):
-        if {(a, b), (a, c), (b, c)} & skip:
+    for a, b, c in combinations(range(n), 3):
+        p, q = diff[a, b], diff[a, c]
+        if p.is_zero() or q.is_zero() or diff[b, c].is_zero():
             continue
-        rows = ((row[a], row[b], row[c]) for row in values)
-        if all(((xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)).is_zero()
-               for (xa, ya), (xb, yb), (xc, yc) in rows):
+        r = p.conjugate_coeffs() * q
+        if r == r.conjugate_coeffs():
             collinear.append((a, b, c))
     return tuple(collinear)
 

@@ -82,10 +82,6 @@ class NacColoring:
         return NacColoring(graph, red)
 
 
-def conjugate(coloring: NacColoring) -> NacColoring:
-    return coloring.conjugate()
-
-
 def _as_red_set(g: Graph, coloring) -> frozenset[Edge]:
     if isinstance(coloring, NacColoring):
         if coloring.graph != g:

@@ -1,9 +1,11 @@
-"""Reference injectivity report: coinciding pairs and collinear triples in one pass.
+"""Reference injectivity report: the cross-multiplied, sampled check.
 
-This is the check `motion.verify_injectivity` made before it was split into
-the pair test (`verify_injectivity`) and the sampling of collinear triples
-(`collinear_triples`).  `tests/test_injectivity.py` asserts that the two
-agree with it.
+Coinciding pairs are found by cross-multiplying x and y of every vertex
+pair, and collinear triples by evaluating each cross product at more
+integer points than its numerator degree admits as roots, both in one pass.
+`motion.verify_injectivity` and `motion.collinear_triples` answer the same
+questions by equality of canonical rational functions;
+`tests/test_injectivity.py` asserts that they agree with this reference.
 """
 
 from __future__ import annotations

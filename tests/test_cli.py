@@ -153,6 +153,16 @@ def test_construct_dixon_on_triangle_fails(capsys):
     assert code == 5
 
 
+def test_construct_dixon_with_coinciding_vertices_fails(tmp_path, capsys):
+    # x-parameters 1, 1 put vertices 0 and 1 at (sqrt(1 - t^2), 0) for every t
+    out = tmp_path / "out"
+    code, _, err = run(["construct", "dixon1", "EFz_", "--x", "1,1,2", "--out", str(out)], capsys)
+    assert code == 5
+    assert "not proper" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_motion_valuations_table_layout(tmp_path, capsys):
     outdir = tmp_path / "q1"
     run(["classify", Q1, "--out", str(outdir)], capsys)

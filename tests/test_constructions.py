@@ -15,6 +15,7 @@ from movability.catalog import (
 from movability.constructions import (
     DIRECTIONS,
     _NORMALS,
+    AxesMotion,
     ConstructionInapplicable,
     EmbeddingR3,
     deltoid_motion,
@@ -48,11 +49,26 @@ K33 = Graph.of(6, [(a, b) for a in range(3) for b in range(3, 6)])
 
 
 def test_dixon_unit_parameters_on_k33():
-    lab, _ = dixon_one(
+    # every edge keeps length sqrt(2), but each class sits in one point,
+    # so dixon_one rejects these parameters
+    axes = AxesMotion(
         K33, {v: Fraction(1) for v in range(3)}, {v: Fraction(1) for v in range(3, 6)}
     )
+    lab = axes.labeling()
     assert set(lab.values()) == {Fraction(2)}
     assert len(lab) == 9
+    assert not axes.is_proper()
+
+
+def test_dixon_rejects_coinciding_vertices():
+    # x-parameters 1, 1 put vertices 0 and 1 at (sqrt(1 - t^2), 0) for every t
+    x = {0: Fraction(1), 1: Fraction(1), 2: Fraction(2)}
+    y = {3: Fraction(1), 4: Fraction(2), 5: Fraction(3)}
+    with pytest.raises(ConstructionInapplicable, match="not proper"):
+        dixon_one(K33, x, y)
+    # x-parameter -1 puts vertex 1 at (-sqrt(1 - t^2), 0) instead
+    _, axes = dixon_one(K33, {**x, 1: Fraction(-1)}, y)
+    assert axes.is_proper()
 
 
 def test_dixon_sampler_at_zero():

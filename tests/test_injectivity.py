@@ -1,10 +1,11 @@
 """The split injectivity queries against the one-pass oracle.
 
 `verify_injectivity` finds the coinciding pairs and `collinear_triples`
-samples the identically collinear triples; `injectivity_oracle` did both
-in one function.  They must report the same pairs and triples on the
-bundled motions, one exact refix of each, and a motion with a coinciding
-pair.
+the identically collinear triples, both by equality of canonical forms;
+`injectivity_oracle` cross-multiplies and samples, in one function.  They
+must report the same pairs and triples on the bundled motions, one exact
+refix of each, the JSON round trip of both, and motions with one and with
+two copies of a vertex.
 """
 
 import pytest
@@ -16,19 +17,23 @@ from movability.motion import (
     MotionError,
     ParametrizedMotion,
     collinear_triples,
+    motion_from_json,
+    motion_to_json,
     refix_edge,
     verify_injectivity,
 )
 
 
-def q1_with_duplicated_vertex() -> ParametrizedMotion:
-    """The Q1 two-NAC motion plus vertex 7, a copy of vertex 0 joined to
-    0's neighbours: the pair (0, 7) coincides for every parameter."""
+def q1_with_copies(*originals: int) -> ParametrizedMotion:
+    """The Q1 two-NAC motion plus vertices 7, 8, ..., the k-th a copy of
+    originals[k] joined to its neighbours, so each copy coincides with its
+    original for every parameter."""
     m = bundled_motion("q1")
     g = m.graph
-    neighbours = [v for v in range(g.n) if (0, v) in g.edges]
-    dup = Graph.of(g.n + 1, [*g.edges, *((v, g.n) for v in neighbours)])
-    return ParametrizedMotion(dup, m.fixed_edge, (*m.coords, m.coords[0]))
+    adjacency = g.adjacency()
+    copy_edges = [(v, g.n + k) for k, u in enumerate(originals) for v in adjacency[u]]
+    dup = Graph.of(g.n + len(originals), [*g.edges, *copy_edges])
+    return ParametrizedMotion(dup, m.fixed_edge, (*m.coords, *(m.coords[u] for u in originals)))
 
 
 def _first_refix(m: ParametrizedMotion) -> ParametrizedMotion:
@@ -43,13 +48,18 @@ def _first_refix(m: ParametrizedMotion) -> ParametrizedMotion:
     raise AssertionError("no edge to refix to")
 
 
-NAMES = ("deltoid", "q1", "s5-2", "s5-5/2", "L1", "L2", "L3", "L4", "L5", "L6", "q1-dup")
+# q1-dup2: 0, 7 and 9 coincide and so do 1 and 8, so the pair (1, 8)
+# sorts between the pairs of the first group
+COPIES = {"q1-dup": (0,), "q1-dup2": (0, 1, 0)}
+NAMES = ("deltoid", "q1", "s5-2", "s5-5/2", "L1", "L2", "L3", "L4", "L5", "L6", *COPIES)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_split_queries_match_the_oracle(name):
-    m = q1_with_duplicated_vertex() if name == "q1-dup" else bundled_motion(name)
-    for motion in (m, _first_refix(m)):
+    m = q1_with_copies(*COPIES[name]) if name in COPIES else bundled_motion(name)
+    motions = (m, _first_refix(m))
+    # motions read back from JSON pass through RationalFunction.of
+    for motion in (*motions, *(motion_from_json(motion_to_json(x)) for x in motions)):
         expected = oracle(motion)
         report = verify_injectivity(motion)
         assert report.proper == expected.proper
@@ -58,7 +68,7 @@ def test_split_queries_match_the_oracle(name):
 
 
 def test_duplicated_vertex_coincides_and_is_skipped():
-    m = q1_with_duplicated_vertex()
+    m = q1_with_copies(0)
     report = verify_injectivity(m)
     assert not report.proper
     assert report.coinciding_pairs == ((0, 7),)
