@@ -171,6 +171,8 @@ def cmd_classify(args) -> int:
 
 
 def _check_max_n(max_n: int) -> None:
+    if max_n < 1:
+        raise CliParseError(f"--max-n must be at least 1, got {max_n}")
     if max_n > MAX_N:
         raise CliParseError(f"--max-n must be at most {MAX_N}, got {max_n}")
 

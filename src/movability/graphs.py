@@ -239,9 +239,11 @@ def _graph6_of_columns(columns: list[int]) -> str:
     return chr(63 + n) + "".join(chr(63 + (bits >> 6 * k & 63)) for k in range(groups - 1, -1, -1))
 
 
-def _graph_of_columns(columns: list[int]) -> Graph:
+def _graph_of_columns(columns: list[int], code: str | None = None) -> Graph:
     """The graph whose upper triangle has column d = columns[d], row 0 its
-    high bit, built by walking the set bits and with `masks()` seeded."""
+    high bit, built by walking the set bits and with `masks()` seeded; a
+    given `code`, which must be `_graph6_of_columns(columns)`, seeds
+    `encode_graph6`."""
     masks = [0] * len(columns)
     edges = []
     for v, column in enumerate(columns):
@@ -254,18 +256,29 @@ def _graph_of_columns(columns: list[int]) -> Graph:
             masks[v] |= 1 << u
     g = Graph(len(columns), frozenset(edges))
     g.__dict__["_masks"] = tuple(masks)
+    if code is not None:
+        g.__dict__["_graph6"] = code
     return g
 
 
 def encode_graph6(g: Graph) -> str:
-    if g.n > GRAPH6_MAX_N:
-        raise Graph6Error("short-form graph6 supports at most 62 vertices")
-    masks = g.masks()
-    columns = [0] * g.n
-    for v in range(1, g.n):
-        for u in range(v):
-            columns[v] = columns[v] << 1 | (masks[v] >> u & 1)
-    return _graph6_of_columns(columns)
+    """The short-form graph6 code of g.
+
+    Cached on the instance like `Graph.masks()`, outside the dataclass
+    fields, so equality, hashing and repr ignore it.  Census generation
+    seeds it with the code it computed from the canonical columns, so its
+    graphs are encoded without testing each vertex pair."""
+    cached = g.__dict__.get("_graph6")
+    if cached is None:
+        if g.n > GRAPH6_MAX_N:
+            raise Graph6Error("short-form graph6 supports at most 62 vertices")
+        masks = g.masks()
+        columns = [0] * g.n
+        for v in range(1, g.n):
+            for u in range(v):
+                columns[v] = columns[v] << 1 | (masks[v] >> u & 1)
+        cached = g.__dict__["_graph6"] = _graph6_of_columns(columns)
+    return cached
 
 
 def parse_graph6(text: str) -> Graph:

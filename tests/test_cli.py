@@ -472,6 +472,9 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["census", "--graphs", "k38.g6", "--max-n", "5", "--catalog", "empty"],
         ["nac", "enum", json.dumps({"n": 63, "edges": [[v, v + 1] for v in range(62)]})],
         ["gen", "--max-n", "11"],
+        ["gen", "--max-n", "-3"],
+        ["gen", "--max-n", "0"],
+        ["census", "--graphs", "k38.g6", "--max-n", "-1"],
         ["nac", "enum", '{"n": 3, "edges": [[0, 1.5], [1, 2]]}'],
         ["nac", "enum", '{"n": 3, "edges": [[0, "1"], [1, 2]]}'],
         ["nac", "enum", '{"n": 2.5, "edges": [[0, 1]]}'],
@@ -506,7 +509,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "dixon-x-abc", "nac-enum-disconnected", "cdc-disconnected", "classify-disconnected",
          "classify-one-vertex", "grid-disconnected", "two-nac-disconnected", "census-max-n-11",
          "census-catalog-missing", "census-catalog-empty", "json-graph-63-vertices",
-         "gen-max-n-11", "json-graph-float-vertex", "json-graph-string-vertex",
+         "gen-max-n-11", "gen-max-n-negative", "gen-max-n-0", "census-max-n-negative",
+         "json-graph-float-vertex", "json-graph-string-vertex",
          "json-graph-float-n", "motion-float-n", "motion-complex-x", "json-graph-edges-int",
          "json-graph-edges-null",
          "coloring-float-vertex", "coloring-bool-vertex", "grid-coloring-float-vertex",
@@ -624,3 +628,5 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     if "--tol" in argv:
         assert err.startswith("error: cannot track")
         assert "tol must be finite and positive" in err
+    if argv[-2] == "--max-n" and int(argv[-1]) < 1:
+        assert f"--max-n must be at least 1, got {argv[-1]}" in err

@@ -14,6 +14,7 @@ from movability.graphs import (
     parse_graph6,
     reduce_degree_two,
 )
+from movability.smallgraphs import connected_graphs_up_to
 
 import graph6_oracle
 from conftest import random_connected_graph
@@ -134,6 +135,21 @@ def test_masks_are_cached_and_ignored_by_equality():
     twin = Graph.of(4, [(2, 3), (0, 1), (1, 2)])
     assert twin == g and hash(twin) == hash(g) and "masks" not in repr(g)
     assert g.relabel([3, 2, 1, 0]).masks() == (0b10, 0b101, 0b1010, 0b100)
+
+
+def test_graph6_code_is_cached_and_ignored_by_equality():
+    path = parse_graph6("Cq")
+    g = next(h for h in connected_graphs_up_to(4) if h == path)
+    code = g.__dict__["_graph6"]
+    assert code == "Cq" and encode_graph6(g) is code
+    assert g == path and hash(g) == hash(path) and repr(g) == repr(path)
+    assert "_graph6" not in path.__dict__
+    assert encode_graph6(path) == "Cq" and path.__dict__["_graph6"] == "Cq"
+    # derived graphs are new instances and encode their own edges
+    for derived, edges in ((g.relabel([1, 0, 2, 3]), [(0, 1), (1, 2), (0, 3)]),
+                           (g.with_edges([(2, 3)]), [(0, 1), (0, 2), (1, 3), (2, 3)])):
+        assert "_graph6" not in derived.__dict__
+        assert encode_graph6(derived) == reference_graph6(Graph.of(4, edges))
 
 
 def reachable(edges, s) -> set[int]:

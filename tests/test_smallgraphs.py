@@ -1,13 +1,20 @@
 import functools
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from movability.canon import canonical_chunks, canonical_form
-from movability.graphs import Graph, components, encode_graph6, parse_graph6
-from movability.smallgraphs import _grow_layer, connected_graphs_up_to
+from movability.graphs import Graph, component_masks, components, encode_graph6, parse_graph6
+from movability.smallgraphs import (
+    _grow_layer,
+    _least_key_filter,
+    _least_of_each_orbit,
+    connected_graphs_up_to,
+)
 
+import graph6_oracle
 import smallgraphs_oracle
 from conftest import connected_graphs
 
@@ -64,8 +71,57 @@ def test_grown_from_the_graph_minus_its_least_key_non_cut_vertex(g):
     keys, cut = _keys_and_cut_vertices(g)
     m = min((v for v in range(g.n) if v not in cut), key=keys.__getitem__)
     parent = parse_graph6(canonical_form(g.induced_subgraph(v for v in range(g.n) if v != m)))
-    layer = {encode_graph6(parent): (parent, canonical_chunks(parent.masks())[1])}
+    generators = canonical_chunks(parent.masks())[1]
+    _filter_agrees_with_the_oracle(parent, generators)
+    layer = {encode_graph6(parent): (parent, generators)}
     assert canonical_form(g) in _grow_layer(layer, g.n)
+
+
+def _filter_agrees_with_the_oracle(parent: Graph, generators: list[list[int]]) -> int:
+    """Assert that the per-parent key filter and the reference filter agree
+    on every subset generation tries for this parent; return how many."""
+    masks = parent.masks()
+    x = parent.n
+    degrees = [m.bit_count() for m in masks]
+    parts = [component_masks(masks, (1 << x) - 1 ^ 1 << v) for v in range(x)]
+    keep = _least_key_filter(masks)
+    subsets = list(_least_of_each_orbit(generators, x))
+    assert [keep(s) for s in subsets] == [
+        smallgraphs_oracle._new_vertex_has_least_key(masks, degrees, parts, s) for s in subsets
+    ]
+    return len(subsets)
+
+
+def test_key_filter_agrees_with_the_oracle_up_to_8_vertices():
+    layer = {"@": (Graph(1, frozenset()), [])}
+    calls = 0
+    for size in range(2, 9):
+        calls += sum(_filter_agrees_with_the_oracle(g, generators) for g, generators in layer.values())
+        if size < 8:
+            layer = _grow_layer(layer, size)
+    assert calls == 71_300
+
+
+# vertex 0 joins one vertex of each of two K5s.  With x joined to 2, 7 and 8,
+# vertex 0 alone has a smaller key than x, and it is a cut vertex of the
+# parent that the subset makes non-cut; no parent with at most 8 vertices
+# has a subset rejected by such a vertex alone
+TWO_CLIQUES_ON_A_VERTEX = Graph.of(
+    11, [(0, 1), (0, 6), *combinations(range(1, 6), 2), *combinations(range(6, 11), 2)]
+)
+
+
+def test_key_filter_rejects_through_a_cut_vertex():
+    assert not _least_key_filter(TWO_CLIQUES_ON_A_VERTEX.masks())(1 << 2 | 1 << 7 | 1 << 8)
+    assert _filter_agrees_with_the_oracle(TWO_CLIQUES_ON_A_VERTEX, []) == 2047
+
+
+def test_generation_seeds_the_graph6_code():
+    for g in connected_graphs_up_to(7):
+        code = g.__dict__["_graph6"]
+        parsed = graph6_oracle.parse_graph6(code)
+        assert parsed == g and "_graph6" not in parsed.__dict__
+        assert encode_graph6(parsed) == code
 
 
 def test_orbit_pruning_loses_no_code():

@@ -13,8 +13,9 @@ labeling, details, motion JSON, the axes motion (signed axis parameters and
 extension coefficients, as exact strings), embedding and the parent chain,
 so no float is rounded by the record.
 The README's 8-vertex `gen` + `census --jobs 4` pair alone takes about a
-minute on 2 cores.  Malformed-input cases live in tests/test_cli.py, not
-here.  `compare` (of two `run` or two `certs` outputs) prints the cases whose records differ and exits nonzero
+minute on 2 cores.  Malformed-input cases live in tests/test_cli.py; the
+only ones here are `--max-n` values below 1, which trees before the bound
+accepted (exit 0 for `gen`, 4 for `census`).  `compare` (of two `run` or two `certs` outputs) prints the cases whose records differ and exits nonzero
 when any does.  Comparing the runs of two commits shows whether a refactor
 kept the command-line output byte-identical.
 """
@@ -108,6 +109,10 @@ def cases() -> list[tuple[str, list[list[str]]]]:
                             ["motion", "refix", "out/refixed.json", "--edge", "5,7", "--out", "out/twice.json"]]),
         ("census-6", [["gen", "--max-n", "6", "--out", "graphs.g6"],
                       ["census", "--graphs", "graphs.g6", "--max-n", "6", "--out", "report.json"]]),
+        ("gen-max-n-negative", [["gen", "--max-n", "-3"]]),
+        ("gen-max-n-0", [["gen", "--max-n", "0"]]),
+        ("census-max-n-negative", [["gen", "--max-n", "3", "--out", "graphs.g6"],
+                                   ["census", "--graphs", "graphs.g6", "--max-n", "-1"]]),
     ]
     def queries(path):
         return [["motion", "verify", path],
