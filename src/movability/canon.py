@@ -21,7 +21,7 @@ generate the whole group.
 
 from __future__ import annotations
 
-from .graphs import Graph, _graph6_of_columns
+from .graphs import Graph, _graph6_of_columns, bits
 
 MAX_N = 10
 
@@ -136,7 +136,7 @@ def find_spanning_embedding(h: Graph, g: Graph) -> list[int] | None:
         return None
     hdeg = h.degrees()
     gdeg = g.degrees()
-    hadj = h.adjacency()
+    hadj = [bits(m) for m in h.masks()]
     gmask = g.masks()
     # high-degree, early-connected vertices first
     order: list[int] = []
@@ -151,7 +151,7 @@ def find_spanning_embedding(h: Graph, g: Graph) -> list[int] | None:
             queue.sort(key=lambda v: -hdeg[v])
             u = queue.pop(0)
             order.append(u)
-            for w in sorted(hadj[u]):
+            for w in hadj[u]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)

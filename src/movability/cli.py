@@ -29,7 +29,7 @@ from .constructions import (
     two_nac_embedding,
     two_nac_search,
 )
-from .decide import census, classify
+from .decide import TOO_LARGE, census, classify
 from .graphs import Graph, Graph6Error, encode_graph6, graph_from_json, parse_graph6
 from .motion import (
     MotionError,
@@ -157,7 +157,7 @@ def cmd_classify(args) -> int:
     if not g.edges:
         raise CliParseError("classification needs a graph with an edge")
     verdict = classify(g, cap=args.cap)
-    if verdict.kind == "UNDECIDED" and "too large" in (verdict.reason or ""):
+    if verdict.reason == TOO_LARGE:
         print(verdict.to_json())
         return EXIT_CAP
     out = json.loads(verdict.to_json())

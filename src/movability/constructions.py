@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .exact import GaussianRational, Poly
-from .graphs import Edge, Graph, components, edge
+from .graphs import Edge, Graph, bits, component_masks, edge
 from .nac import BLUE, RED, NacColoring, is_nac
 from .motion import Labeling, MotionError, ParametrizedMotion, verify_injectivity, w_function
 from .ratfunc import RationalFunction
@@ -261,15 +261,14 @@ def grid_construction(
     keep j, so all edge lengths are angle-independent.  Applicable iff no two vertices share the
     same (i, j) cell.
     """
-    if coloring.graph != g:
-        raise ValueError("coloring belongs to a different graph")
     if not is_nac(g, coloring):
         raise ConstructionInapplicable("the supplied coloring is not a NAC-coloring")
     # isolated vertices are singleton components and do get indices
-    red_comps = components(range(g.n), coloring.red)
-    blue_comps = components(range(g.n), coloring.blue)
-    red_index = {v: i for i, comp in enumerate(red_comps) for v in comp}
-    blue_index = {v: j for j, comp in enumerate(blue_comps) for v in comp}
+    full = (1 << g.n) - 1
+    red_comps = component_masks(Graph(g.n, coloring.red).masks(), full)
+    blue_comps = component_masks(Graph(g.n, coloring.blue).masks(), full)
+    red_index = {v: i for i, comp in enumerate(red_comps) for v in bits(comp)}
+    blue_index = {v: j for j, comp in enumerate(blue_comps) for v in bits(comp)}
     coords = [(red_index[v], blue_index[v]) for v in range(g.n)]
     seen: dict[tuple[int, int], int] = {}
     for v, cell in enumerate(coords):
@@ -355,8 +354,6 @@ def direction_class(d: Sequence[Fraction]) -> int:
 
 def _check_colorings(g: Graph, first: NacColoring, second: NacColoring) -> None:
     for coloring in (first, second):
-        if coloring.graph != g:
-            raise ValueError("coloring belongs to a different graph")
         if not is_nac(g, coloring):
             raise ConstructionInapplicable("a supplied coloring is not a NAC-coloring")
 
@@ -376,7 +373,7 @@ def _tree_kernel(
     `_insert`, kept primitive by gcd in the manner of Bareiss's fraction-free
     elimination, and never become `Fraction`s.
     """
-    adj = g.adjacency()
+    masks = g.masks()
     klass = {
         e: _PAIR_INDEX[RED if e in first.red else BLUE, RED if e in second.red else BLUE]
         for e in g.edges
@@ -394,7 +391,7 @@ def _tree_kernel(
             direction += (0, 1, 2)  # DIRECTIONS[0..2] are the unit vectors
         queue = [root]
         for u in queue:
-            for w in sorted(adj[u]):
+            for w in bits(masks[u]):
                 if path[w] is None:
                     e = edge(u, w)
                     tree.add(e)

@@ -33,6 +33,7 @@ from .constructions import (
 )
 from .graphs import (
     Graph,
+    bits,
     edge,
     encode_graph6,
     parse_graph6,
@@ -54,6 +55,7 @@ NOT_MOVABLE_NO_NAC = "NOT_MOVABLE_NO_NAC"
 NOT_MOVABLE_CDC_COMPLETE = "NOT_MOVABLE_CDC_COMPLETE"
 MOVABLE = "MOVABLE"
 UNDECIDED = "UNDECIDED"
+TOO_LARGE = "too large; use certify_no_unicolor_pairs"  # UNDECIDED past the cap: CLI exit 3
 
 
 @dataclass
@@ -286,7 +288,7 @@ def classify(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> Verdict:
     try:
         reps = enumerate_nac(reduced, non_conjugated=True, cap=cap)
     except EnumerationCapExceeded:
-        return reduced_verdict(UNDECIDED, reason="too large; use certify_no_unicolor_pairs")
+        return reduced_verdict(UNDECIDED, reason=TOO_LARGE)
     if not reps:
         return reduced_verdict(NOT_MOVABLE_NO_NAC)
     closure = constant_distance_closure(reduced, cap=cap, reps=reps)
@@ -331,16 +333,11 @@ def certify_no_unicolor_pairs(g: Graph, witnesses: Iterable[NacColoring]) -> boo
             raise ValueError("witness colors a different graph")
         if not is_nac(g, witness):
             raise ValueError(f"witness with red class {sorted(witness.red)[:4]}... is not a NAC-coloring")
-    adj = g.adjacency()
-    for v in range(g.n):
-        nbrs = sorted(adj[v])
-        for i, u in enumerate(nbrs):
-            for w in nbrs[i + 1 :]:
-                e1, e2 = edge(u, v), edge(v, w)
-                if not any(
-                    (e1 in wit.red) != (e2 in wit.red) for wit in listed
-                ):
-                    return False
+    for v, mask in enumerate(g.masks()):
+        for u, w in combinations(bits(mask), 2):
+            e1, e2 = edge(u, v), edge(v, w)
+            if not any((e1 in wit.red) != (e2 in wit.red) for wit in listed):
+                return False
     return True
 
 
@@ -422,7 +419,7 @@ def census(
     Lines with more than max_n vertices are skipped; the count is read past
     the optional ``>>graph6<<`` header.  Filters to graphs with a spanning
     Laman subgraph (`has_spanning_laman`: its edge-count and degree screens,
-    then the pebble game on the graph's cached adjacency masks), discards
+    then the pebble game on the graph's adjacency masks), discards
     closures that are complete or keep a degree-two vertex, groups the rest
     by isomorphism and keeps the classes maximal under spanning-subgraph
     containment.  With a catalog, asserts the maximal classes match it

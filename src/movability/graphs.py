@@ -1,9 +1,10 @@
 """Undirected simple graphs on vertices 0..n-1, with graph6 and JSON I/O.
 
 Everything downstream (coloring enumeration, closures, motions) consumes the
-immutable :class:`Graph` defined here.  Connectivity is deliberately not an
-invariant of the type; operations that need it check it, with the one
-bitmask search `component_masks`.
+immutable :class:`Graph` defined here.  A graph has two adjacency forms, its
+edge set and the bitmasks of `Graph.masks()`, both fixed by the constructor.
+Connectivity is deliberately not an invariant of the type; operations that
+need it check it, with the one bitmask search `component_masks`.
 """
 
 from __future__ import annotations
@@ -42,11 +43,16 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self):
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise ValueError("negative vertex count")
+        masks = [0] * n
         for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        object.__setattr__(self, "_masks", tuple(masks))
 
     @staticmethod
     def of(n: int, edges: Iterable[Iterable[int]]) -> "Graph":
@@ -57,26 +63,13 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def masks(self) -> tuple[int, ...]:
         """Adjacency bitmasks: bit w of masks[v] is set iff vw is an edge.
 
-        Computed on first use and cached on the instance (outside the
-        dataclass fields, so equality and hashing ignore it)."""
-        cached = self.__dict__.get("_masks")
-        if cached is None:
-            out = [0] * self.n
-            for u, v in self.edges:
-                out[u] |= 1 << v
-                out[v] |= 1 << u
-            cached = self.__dict__["_masks"] = tuple(out)
-        return cached
+        Built by the constructor in the loop that range-checks the edges, and
+        kept on the instance outside the dataclass fields, so equality,
+        hashing and repr ignore them."""
+        return self._masks
 
     def degrees(self) -> list[int]:
         return [m.bit_count() for m in self.masks()]
@@ -100,7 +93,7 @@ class Graph:
 
     def is_bipartite(self) -> tuple[bool, tuple[set[int], set[int]] | None]:
         """2-colorability check; returns the parts on success."""
-        adj = self.adjacency()
+        masks = self.masks()
         color = [-1] * self.n
         for s in range(self.n):
             if color[s] != -1:
@@ -109,7 +102,7 @@ class Graph:
             queue = [s]
             while queue:
                 u = queue.pop()
-                for w in adj[u]:
+                for w in bits(masks[u]):
                     if color[w] == -1:
                         color[w] = 1 - color[u]
                         queue.append(w)
@@ -140,6 +133,12 @@ class Graph:
         return Graph(self.n, frozenset(edge(perm[u], perm[v]) for u, v in self.edges))
 
 
+def bits(mask: int) -> list[int]:
+    """The set bits of `mask` in ascending order: the vertices of a vertex
+    bitmask, or the neighbours of a vertex given its adjacency bitmask."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
 def component_masks(masks: Sequence[int], within: int) -> list[int]:
     """Connected components of the subgraph induced on the vertex bitmask
     `within`, each a vertex bitmask, ordered by their lowest vertex.
@@ -159,26 +158,6 @@ def component_masks(masks: Sequence[int], within: int) -> list[int]:
         out.append(seen)
         rest &= ~seen
     return out
-
-
-def components(vertices: Iterable[int], edges: Iterable[Edge]) -> list[list[int]]:
-    """Connected components of the graph on `vertices` with `edges`, as
-    vertex lists: `component_masks` for callers that need the lists.
-
-    Each component is sorted and components are ordered by their smallest
-    vertex; isolated vertices are singleton components.
-    """
-    within = 0
-    for v in vertices:
-        within |= 1 << v
-    masks = [0] * within.bit_length()
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return [
-        [v for v in range(comp.bit_length()) if comp >> v & 1]
-        for comp in component_masks(masks, within)
-    ]
 
 
 def reduce_degree_two(g: Graph) -> tuple[Graph, list[int]]:
@@ -214,7 +193,7 @@ def reduce_degree_two(g: Graph) -> tuple[Graph, list[int]]:
             raise ReductionCollapse(
                 "degree-two reduction disconnected the graph; the flex is trivial"
             )
-    vertices = [v for v in range(g.n) if alive >> v & 1]
+    vertices = bits(alive)
     return g.induced_subgraph(vertices), vertices
 
 
@@ -241,21 +220,15 @@ def _graph6_of_columns(columns: list[int]) -> str:
 
 def _graph_of_columns(columns: list[int], code: str | None = None) -> Graph:
     """The graph whose upper triangle has column d = columns[d], row 0 its
-    high bit, built by walking the set bits and with `masks()` seeded; a
-    given `code`, which must be `_graph6_of_columns(columns)`, seeds
-    `encode_graph6`."""
-    masks = [0] * len(columns)
+    high bit, built by walking the set bits; a given `code`, which must be
+    `_graph6_of_columns(columns)`, seeds `encode_graph6`."""
     edges = []
     for v, column in enumerate(columns):
         while column:
             low = column & -column
             column ^= low
-            u = v - low.bit_length()
-            edges.append((u, v))
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            edges.append((v - low.bit_length(), v))
     g = Graph(len(columns), frozenset(edges))
-    g.__dict__["_masks"] = tuple(masks)
     if code is not None:
         g.__dict__["_graph6"] = code
     return g
@@ -264,7 +237,7 @@ def _graph_of_columns(columns: list[int], code: str | None = None) -> Graph:
 def encode_graph6(g: Graph) -> str:
     """The short-form graph6 code of g.
 
-    Cached on the instance like `Graph.masks()`, outside the dataclass
+    Cached on the instance beside `Graph.masks()`, outside the dataclass
     fields, so equality, hashing and repr ignore it.  Census generation
     seeds it with the code it computed from the canonical columns, so its
     graphs are encoded without testing each vertex pair."""

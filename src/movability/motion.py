@@ -40,7 +40,7 @@ from .exact import (
     fraction_sqrt,
     gaussian_rational_roots,
 )
-from .graphs import Edge, Graph, edge, graph_of_json
+from .graphs import Edge, Graph, edge, graph_of_json, json_edges
 from .nac import NacColoring, is_nac
 from .ratfunc import INFINITY, Place, RationalFunction, valuation
 
@@ -406,7 +406,8 @@ def motion_from_json(text: str) -> ParametrizedMotion:
         _require_real(x, f"x_{v}")
         _require_real(y, f"y_{v}")
         coords.append(x + _I * y)
-    return ParametrizedMotion(g, tuple(data["fixed_edge"]), tuple(coords))
+    fixed_edge = tuple(json_edges([data["fixed_edge"]])[0])
+    return ParametrizedMotion(g, fixed_edge, tuple(coords))
 
 
 def labeling_to_json(labeling: Labeling) -> str:

@@ -10,6 +10,7 @@ the same chunks.
 
 from __future__ import annotations
 
+from conftest import adjacency_sets
 from movability.graphs import Graph
 
 MAX_N = 10
@@ -17,7 +18,7 @@ MAX_N = 10
 
 def _neighbor_degree_key(g: Graph) -> list[tuple[int, tuple[int, ...]]]:
     deg = g.degrees()
-    adj = g.adjacency()
+    adj = adjacency_sets(g)
     return [(deg[v], tuple(sorted((deg[w] for w in adj[v]), reverse=True))) for v in range(g.n)]
 
 

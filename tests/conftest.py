@@ -38,6 +38,29 @@ def random_connected_graph(rng, n, extra_edges=2):
     return Graph.of(n, edges)
 
 
+def adjacency_sets(g: Graph) -> list[set[int]]:
+    """The neighbour sets of g, built from its edge set alone, for oracles
+    that must not read `Graph.masks()`."""
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def reachable(edges, s) -> set[int]:
+    """Brute-force oracle: grow the set reached from s until no edge leaves it."""
+    reached = {s}
+    grown = True
+    while grown:
+        grown = False
+        for u, v in edges:
+            if (u in reached) != (v in reached):
+                reached |= {u, v}
+                grown = True
+    return reached
+
+
 @st.composite
 def connected_graphs(draw, min_n=1, max_n=10):
     """Hypothesis strategy: a random tree plus any set of extra edges."""

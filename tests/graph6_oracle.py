@@ -2,9 +2,8 @@
 
 It tests all n(n - 1)/2 pairs of the payload integer and builds the edge
 set from them; `movability.graphs.parse_graph6` walks the set bits of each
-column and seeds `Graph.masks()`.  `tests/test_graphs.py` and
-`tests/test_acceptance.py` assert that the two give equal graphs, equal
-masks and the same `Graph6Error` messages.
+column.  `tests/test_graphs.py` and `tests/test_acceptance.py` assert that
+the two give equal graphs, equal masks and the same `Graph6Error` messages.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ agrees with them, including where round one's enumeration raises
 
 from __future__ import annotations
 
+from conftest import adjacency_sets
 from movability.graphs import Edge, Graph, edge
 from movability.nac import (
     DEFAULT_ENUMERATION_CAP,
@@ -45,7 +46,7 @@ class _DSU:
 
 
 def _dfs_edge_order(g: Graph) -> list[Edge]:
-    adj = g.adjacency()
+    adj = adjacency_sets(g)
     order: list[Edge] = []
     seen_edges: set[Edge] = set()
     visited = [False] * g.n

@@ -293,6 +293,16 @@ def test_output_is_deterministic(capsys):
     assert third == fourth
 
 
+def test_census_progress_goes_to_stderr_only(tmp_path, capsys):
+    stream = tmp_path / "graphs.g6"
+    run(["gen", "--max-n", "7", "--out", str(stream)], capsys)
+    argv = ["census", "--graphs", str(stream), "--max-n", "7"]
+    code, out, err = run(argv, capsys)
+    assert run([*argv, "--progress"], capsys) == (
+        code, out, "census: 0/995\ncensus: 500/995\n" + err
+    )
+
+
 def test_census_jobs_agree(tmp_path, capsys):
     stream = tmp_path / "graphs.g6"
     run(["gen", "--max-n", "6", "--out", str(stream)], capsys)
@@ -495,6 +505,10 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["motion", "verify", "coeff-bool.json"],
         ["motion", "verify", "coeff-float.json"],
         ["motion", "verify", "coeff-short.json"],
+        ["motion", "verify", "fixed-bool-first.json"],
+        ["motion", "refix", "fixed-bool-first.json", "--edge", "1,2"],
+        ["motion", "verify", "fixed-bool-second.json"],
+        ["motion", "verify", "fixed-float.json"],
         *(["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1",
            "--step-size", size] for size in ("inf", "1e300", "0", "-0.1", "nan")),
         *(["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1",
@@ -516,7 +530,9 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "coloring-float-vertex", "coloring-bool-vertex", "grid-coloring-float-vertex",
          "track-rigid-triangle", "two-nac-lone-first", "two-nac-lone-second", "lambda-bool",
          "lambda-float", "motion-coefficient-1e999", "motion-coefficient-bool",
-         "motion-coefficient-float", "motion-coefficient-one-element", "step-size-inf",
+         "motion-coefficient-float", "motion-coefficient-one-element",
+         "motion-fixed-edge-bool-first", "refix-fixed-edge-bool-first",
+         "motion-fixed-edge-bool-second", "motion-fixed-edge-float", "step-size-inf",
          "step-size-1e300", "step-size-0", "step-size-negative", "step-size-nan", "steps-negative",
          "steps-0", "tol-inf", "tol-nan", "tol-0", "tol-negative"],
 )
@@ -555,6 +571,11 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
             slot = slot[i]
         slot[index[-1]] = "@"
         coefficient_texts[f"coeff-{name}.json"] = json.dumps(bad).replace('"@"', value)
+    # the deltoid's fixed edge is (0, 1), and False == 0, True == 1 and 0.0 == 0
+    fixed_edges = {}
+    for name, fixed in (("bool-first", [False, 1]), ("bool-second", [0, True]),
+                        ("float", [0.0, 1])):
+        fixed_edges[f"fixed-{name}.json"] = {**json.loads(motion_to_json(motion)), "fixed_edge": fixed}
     files = {
         "lab.json": lab,
         "negative.json": {"edges": lab["edges"], "lambda_sq": ["-1"] + lab["lambda_sq"][1:]},
@@ -598,6 +619,7 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         "lambda-float.json": {"edges": lab["edges"], "lambda_sq": [0.5, "1/2", "1/2", "1/2"]},
         "diamond.json": [[0.0, 0.0], [0.5, 0.5], [0.0, 1.0], [-0.5, 0.5]],
         # a NAC-coloring of Q1 (FLr@w), given without its partner
+        **fixed_edges,
         "q1-coloring.json": {
             "edges": [[0, 3], [0, 4], [0, 5], [1, 2], [1, 4], [1, 5], [2, 3], [2, 6], [3, 6],
                       [4, 6], [5, 6]],
@@ -628,5 +650,7 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     if "--tol" in argv:
         assert err.startswith("error: cannot track")
         assert "tol must be finite and positive" in err
+    if any(arg.startswith("fixed-") for arg in argv):
+        assert "needs two integer vertices" in err
     if argv[-2] == "--max-n" and int(argv[-1]) < 1:
         assert f"--max-n must be at least 1, got {argv[-1]}" in err

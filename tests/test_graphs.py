@@ -8,7 +8,8 @@ from movability.graphs import (
     Graph,
     Graph6Error,
     ReductionCollapse,
-    components,
+    bits,
+    component_masks,
     encode_graph6,
     graph_from_json,
     parse_graph6,
@@ -17,7 +18,7 @@ from movability.graphs import (
 from movability.smallgraphs import connected_graphs_up_to
 
 import graph6_oracle
-from conftest import random_connected_graph
+from conftest import adjacency_sets, random_connected_graph, reachable
 
 
 def graph_to_json(g: Graph) -> str:
@@ -137,6 +138,43 @@ def test_masks_are_cached_and_ignored_by_equality():
     assert g.relabel([3, 2, 1, 0]).masks() == (0b10, 0b101, 0b1010, 0b100)
 
 
+def _masks_of_edges(g: Graph) -> tuple[int, ...]:
+    return tuple(sum(1 << w for w in nbrs) for nbrs in adjacency_sets(g))
+
+
+@given(graphs(), st.data())
+@settings(max_examples=200)
+def test_masks_are_those_of_the_edges_however_the_graph_is_built(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    keep = data.draw(st.sets(st.integers(0, g.n - 1)))
+    extra = data.draw(st.lists(st.sampled_from(g.non_edges()))) if g.non_edges() else []
+    built = [g, Graph.of(g.n, list(g.edges)), parse_graph6(encode_graph6(g)),
+             g.with_edges(extra), g.induced_subgraph(keep), g.relabel(perm)]
+    for h in built:
+        assert h.masks() == _masks_of_edges(h), h
+
+
+def test_generated_graphs_have_the_masks_of_their_edges():
+    graphs_up_to_6 = list(connected_graphs_up_to(6))
+    assert len(graphs_up_to_6) == 1 + 2 + 6 + 21 + 112
+    for g in graphs_up_to_6:
+        assert g.masks() == _masks_of_edges(g), g
+
+
+@pytest.mark.parametrize("n, edges", [(3, [(0, 3)]), (3, [(-1, 2)]), (3, [(2, 1)]), (0, [(0, 1)])])
+def test_an_edge_out_of_range_is_rejected(n, edges):
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(n, frozenset(edges))
+
+
+def test_graph_of_rejects_a_vertex_out_of_range():
+    for edges in ([(4, 1)], [(0, -2)], [(0, 1), (1, 3)]):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.of(3, edges)
+    with pytest.raises(ValueError, match="negative vertex count"):
+        Graph(-1, frozenset())
+
+
 def test_graph6_code_is_cached_and_ignored_by_equality():
     path = parse_graph6("Cq")
     g = next(h for h in connected_graphs_up_to(4) if h == path)
@@ -152,19 +190,6 @@ def test_graph6_code_is_cached_and_ignored_by_equality():
         assert encode_graph6(derived) == reference_graph6(Graph.of(4, edges))
 
 
-def reachable(edges, s) -> set[int]:
-    """Brute-force oracle: grow the set reached from s until no edge leaves it."""
-    reached = {s}
-    grown = True
-    while grown:
-        grown = False
-        for u, v in edges:
-            if (u in reached) != (v in reached):
-                reached |= {u, v}
-                grown = True
-    return reached
-
-
 @given(graphs(), st.integers(min_value=0, max_value=5), st.integers(min_value=1, max_value=3))
 @settings(max_examples=200)
 def test_components_match_reachability(g, offset, stride):
@@ -173,7 +198,11 @@ def test_components_match_reachability(g, offset, stride):
     label = [offset + stride * v for v in range(g.n)]
     vertices = list(reversed(label))
     edges = [(label[u], label[v]) for u, v in g.edges]
-    comps = components(vertices, edges)
+    masks = [0] * (label[-1] + 1)
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    comps = [bits(c) for c in component_masks(masks, sum(1 << v for v in vertices))]
     expected = sorted({tuple(sorted(reachable(edges, v))) for v in vertices})
     assert [tuple(c) for c in comps] == expected
     assert g.is_connected() == (len(reachable(g.edges, 0)) == g.n)

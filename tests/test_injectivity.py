@@ -10,7 +10,7 @@ two copies of a vertex.
 
 import pytest
 
-from conftest import bundled_motion
+from conftest import adjacency_sets, bundled_motion
 from injectivity_oracle import verify_injectivity as oracle
 from movability.graphs import Graph
 from movability.motion import (
@@ -30,7 +30,7 @@ def q1_with_copies(*originals: int) -> ParametrizedMotion:
     original for every parameter."""
     m = bundled_motion("q1")
     g = m.graph
-    adjacency = g.adjacency()
+    adjacency = adjacency_sets(g)
     copy_edges = [(v, g.n + k) for k, u in enumerate(originals) for v in adjacency[u]]
     dup = Graph.of(g.n + len(originals), [*g.edges, *copy_edges])
     return ParametrizedMotion(dup, m.fixed_edge, (*m.coords, *(m.coords[u] for u in originals)))

@@ -21,7 +21,7 @@ from movability.nac import (
     unicolor_pairs,
 )
 
-from conftest import connected_graphs, random_connected_graph
+from conftest import adjacency_sets, connected_graphs, random_connected_graph
 from nac_oracle import oracle_closure, oracle_enumerate_nac, oracle_unicolor_pairs
 
 
@@ -30,7 +30,7 @@ from nac_oracle import oracle_closure, oracle_enumerate_nac, oracle_unicolor_pai
 
 def all_simple_cycles(g: Graph):
     """Every simple cycle exactly once (lowest vertex first, fixed orientation)."""
-    adj = g.adjacency()
+    adj = adjacency_sets(g)
     cycles = []
 
     def extend(path, visited):
@@ -208,7 +208,7 @@ def test_unicolor_pairs_against_path_search(rng):
 
     def oracle(g):
         reps = enumerate_nac(g, non_conjugated=True)
-        adj = g.adjacency()
+        adj = adjacency_sets(g)
         found = set()
 
         def paths(u, v):
@@ -341,7 +341,7 @@ def _assert_triangles_monochromatic(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP
     colorings = _outcome(enumerate_nac, g, cap=cap)
     if not isinstance(colorings, list):
         return
-    adj = g.adjacency()
+    adj = adjacency_sets(g)
     triangles = [
         (edge(u, v), edge(u, w), edge(v, w))
         for u, v in g.edges

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from movability.canon import canonical_chunks, canonical_form
-from movability.graphs import Graph, component_masks, components, encode_graph6, parse_graph6
+from movability.graphs import Graph, component_masks, encode_graph6, parse_graph6
 from movability.smallgraphs import (
     _grow_layer,
     _least_key_filter,
@@ -16,7 +16,7 @@ from movability.smallgraphs import (
 
 import graph6_oracle
 import smallgraphs_oracle
-from conftest import connected_graphs
+from conftest import adjacency_sets, connected_graphs, reachable
 
 
 @pytest.mark.parametrize("max_n", range(1, 8))
@@ -41,11 +41,12 @@ def test_every_connected_graph_is_generated(g, rnd):
 
 def _keys_and_cut_vertices(g: Graph) -> tuple[list, set[int]]:
     deg = g.degrees()
-    adj = g.adjacency()
+    adj = adjacency_sets(g)
     keys = [(deg[v], sorted(deg[w] for w in adj[v])) for v in range(g.n)]
+    # v is a cut vertex when the other vertices are not all reached from one of them
     cut = {
         v for v in range(g.n)
-        if len(components([w for w in range(g.n) if w != v], [e for e in g.edges if v not in e])) > 1
+        if len(reachable([e for e in g.edges if v not in e], int(v == 0))) < g.n - 1
     }
     return keys, cut
 
