@@ -191,28 +191,6 @@ def _constructed_certificate(g: Graph, reps: list[NacColoring]) -> MovabilityCer
 _RECIPE_ENTRIES = ("S1", "S2", "S3", "S4", "S5")
 
 
-def _recipe_certificate(name: str) -> MovabilityCertificate:
-    """Certificate of S1..S5 from its bespoke route, pulled back from the
-    recipe's vertex labels to the catalog entry's."""
-    if name == "S5":
-        labeling, motion = s5_motion(Fraction(2))
-        source = s5_graph_motion_labels()
-        cert = MovabilityCertificate(
-            construction="closed_form:S5", labeling=labeling, motion=motion
-        )
-    else:
-        axes = axes_recipe(name)
-        source = axes.graph
-        cert = MovabilityCertificate(
-            construction=f"axes_extension:{name}", labeling=axes.labeling(), axes=axes
-        )
-    target = catalog_graph(name)
-    phi = find_spanning_embedding(target, source)
-    if phi is None:
-        raise RuntimeError(f"recipe graph for {name} is not isomorphic to the catalog entry")
-    return _pullback(target, phi, source, cert, cert.construction, {"catalog_vertex_map": phi})
-
-
 def _pullback(
     g: Graph,
     phi: list[int],
@@ -240,17 +218,33 @@ def _pullback(
 _CATALOG_CERT_CACHE: dict[str, MovabilityCertificate] = {}
 
 
-def catalog_certificate(name: str) -> MovabilityCertificate | None:
-    """Verified labeling for a catalog entry (cached)."""
+def catalog_certificate(name: str) -> MovabilityCertificate:
+    """Verified certificate of the catalog entry S1..S5 (cached), from its
+    bespoke route, pulled back from the recipe's vertex labels to the
+    entry's.  Every other entry is certified by `classify`'s constructions,
+    so any other name raises ValueError."""
+    if name not in _RECIPE_ENTRIES:
+        raise ValueError(f"{name!r} is not a recipe entry (S1..S5)")
     if name in _CATALOG_CERT_CACHE:
         return _CATALOG_CERT_CACHE[name]
-    if name in _RECIPE_ENTRIES:
-        cert = _recipe_certificate(name)
+    if name == "S5":
+        labeling, motion = s5_motion(Fraction(2))
+        source = s5_graph_motion_labels()
+        cert = MovabilityCertificate(
+            construction="closed_form:S5", labeling=labeling, motion=motion
+        )
     else:
-        g = catalog_graph(name)
-        cert = _constructed_certificate(g, enumerate_nac(g, non_conjugated=True))
-    if cert is not None:
-        _CATALOG_CERT_CACHE[name] = cert
+        axes = axes_recipe(name)
+        source = axes.graph
+        cert = MovabilityCertificate(
+            construction=f"axes_extension:{name}", labeling=axes.labeling(), axes=axes
+        )
+    target = catalog_graph(name)
+    phi = find_spanning_embedding(target, source)
+    if phi is None:
+        raise RuntimeError(f"recipe graph for {name} is not isomorphic to the catalog entry")
+    cert = _pullback(target, phi, source, cert, cert.construction, {"catalog_vertex_map": phi})
+    _CATALOG_CERT_CACHE[name] = cert
     return cert
 
 

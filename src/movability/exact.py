@@ -3,9 +3,10 @@
 The motion machinery needs the field Q(i) because the complex edge functions
 (dx + i*dy) live there, and it needs every Gaussian-rational root of their
 numerators and denominators (those are the candidate places where valuations
-can separate edges).  Roots are found exactly: square-free reduction, then a
-divisor search over Z[i] driven by Gaussian-integer factorization, with the
-quadratic formula as a shortcut.  Whatever resists splitting into linear
+can separate edges).  Roots are found exactly: square-free reduction, then
+one loop that peels a root per pass, by -c0/c1 at degree one, the quadratic
+formula at degree two and otherwise a divisor search over Z[i] driven by
+Gaussian-integer factorization.  Whatever resists splitting into linear
 factors over Q(i) is returned unfactored, never dropped.
 """
 
@@ -264,10 +265,15 @@ P_ONE = Poly.of([1])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm (Q(i) is a field)."""
+    """Monic gcd by the Euclidean algorithm (Q(i) is a field).
+
+    A nonzero constant on either side gives 1 without a division, the
+    common case in rational-function arithmetic; gcd(0, b) is b made monic."""
+    if a.degree == 0 or b.degree == 0:
+        return P_ONE
     while not b.is_zero():
         a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
+    return a.monic()
 
 
 def square_free_part(f: Poly) -> Poly:
@@ -378,7 +384,7 @@ def _poly_to_gaussian_ints(f: Poly) -> list[tuple[int, int]]:
     return [(int(c.re * lcm), int(c.im * lcm)) for c in f.coeffs]
 
 
-def _quadratic_roots(f: Poly) -> list[GaussianRational] | None:
+def _quadratic_roots(f: Poly) -> list[GaussianRational]:
     c0, c1, c2 = f.coeffs
     disc = c1 * c1 - GaussianRational.of(4) * c2 * c0
     s = disc.sqrt()
@@ -387,6 +393,24 @@ def _quadratic_roots(f: Poly) -> list[GaussianRational] | None:
     two_a = GaussianRational.of(2) * c2
     roots = [(-c1 + s) / two_a, (-c1 - s) / two_a]
     return sorted(set(roots), key=lambda z: (z.re, z.im))
+
+
+def _divisor_root(work: Poly) -> list[GaussianRational]:
+    """The first root of work in Q(i) by the rational-root theorem over Z[i]
+    (a unit times a divisor of the trailing coefficient over a divisor of
+    the leading one), as a one-element list, or [] when there is none.
+    Everything divides a zero trailing coefficient, and 0 is then a root."""
+    if work.coeffs[0].is_zero():
+        return [GR_ZERO]
+    ints = _poly_to_gaussian_ints(work)
+    for p in gaussian_integer_divisors(ints[0]):
+        for q in gaussian_integer_divisors(ints[-1]):
+            base = GaussianRational.of(*p) / GaussianRational.of(*q)
+            for u in _UNITS:
+                cand = base * GaussianRational.of(*u)
+                if work(cand).is_zero():
+                    return [cand]
+    return []
 
 
 @dataclass(frozen=True)
@@ -400,58 +424,30 @@ class RootReport:
 def gaussian_rational_roots(f: Poly) -> RootReport:
     """Every root of f in Q(i), with multiplicity, found exactly.
 
-    Strategy: strip powers of t, pass to the square-free part, peel roots by
-    the rational-root theorem over Z[i] (divisors of the trailing and leading
-    coefficients, times units), with the quadratic formula finishing degree
-    two.  The monic product of factors that admit no Q(i) root is reported
-    as unresolved.
+    Strategy: pass to the square-free part, then one loop peels roots off
+    it.  Each pass picks a finder by degree: -c0/c1 for a linear factor, the
+    quadratic formula for degree two, and otherwise the first root of the
+    divisor search over Z[i].  Every root found, 0 included, is recorded
+    with its multiplicity in f and divided out in one place; the loop stops
+    when the finder finds none.  The monic product of factors that admit no
+    Q(i) root is reported as unresolved.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     roots: list[tuple[GaussianRational, int]] = []
-    k = 0
-    while f.coeffs[0].is_zero():
-        f = Poly(f.coeffs[1:])
-        k += 1
-    if k:
-        roots.append((GR_ZERO, k))
-    if f.degree <= 0:
-        return RootReport(tuple(roots), P_ONE)
-    original = f
     work = square_free_part(f)
     while work.degree >= 1:
         if work.degree == 1:
-            r = -work.coeffs[0] / work.coeffs[1]
-            roots.append((r, root_multiplicity(original, r)))
-            work = P_ONE
-            break
-        if work.degree == 2:
+            found = [-work.coeffs[0] / work.coeffs[1]]
+        elif work.degree == 2:
             found = _quadratic_roots(work)
-            for r in found:
-                roots.append((r, root_multiplicity(original, r)))
-                work = work // Poly.of([-r, 1])
+        else:
+            found = _divisor_root(work)
+        if not found:
             break
-        ints = _poly_to_gaussian_ints(work)
-        trailing, leading = ints[0], ints[-1]
-        hit = None
-        for p in gaussian_integer_divisors(trailing):
-            for q in gaussian_integer_divisors(leading):
-                base = GaussianRational(Fraction(p[0], 1), Fraction(p[1], 1)) / GaussianRational(
-                    Fraction(q[0], 1), Fraction(q[1], 1)
-                )
-                for u in _UNITS:
-                    cand = base * GaussianRational.of(u[0], u[1])
-                    if work(cand).is_zero():
-                        hit = cand
-                        break
-                if hit is not None:
-                    break
-            if hit is not None:
-                break
-        if hit is None:
-            break
-        roots.append((hit, root_multiplicity(original, hit)))
-        work = work // Poly.of([-hit, 1])
+        for r in found:
+            roots.append((r, root_multiplicity(f, r)))
+            work = work // Poly.of([-r, 1])
     unresolved = work.monic() if work.degree >= 1 else P_ONE
     roots.sort(key=lambda pair: (pair[0].re, pair[0].im))
     return RootReport(tuple(roots), unresolved)

@@ -230,7 +230,7 @@ def _graph_of_columns(columns: list[int], code: str | None = None) -> Graph:
             edges.append((v - low.bit_length(), v))
     g = Graph(len(columns), frozenset(edges))
     if code is not None:
-        g.__dict__["_graph6"] = code
+        object.__setattr__(g, "_graph6", code)
     return g
 
 
@@ -241,7 +241,7 @@ def encode_graph6(g: Graph) -> str:
     fields, so equality, hashing and repr ignore it.  Census generation
     seeds it with the code it computed from the canonical columns, so its
     graphs are encoded without testing each vertex pair."""
-    cached = g.__dict__.get("_graph6")
+    cached = getattr(g, "_graph6", None)
     if cached is None:
         if g.n > GRAPH6_MAX_N:
             raise Graph6Error("short-form graph6 supports at most 62 vertices")
@@ -250,7 +250,8 @@ def encode_graph6(g: Graph) -> str:
         for v in range(1, g.n):
             for u in range(v):
                 columns[v] = columns[v] << 1 | (masks[v] >> u & 1)
-        cached = g.__dict__["_graph6"] = _graph6_of_columns(columns)
+        cached = _graph6_of_columns(columns)
+        object.__setattr__(g, "_graph6", cached)
     return cached
 
 

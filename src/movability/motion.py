@@ -267,8 +267,7 @@ def candidate_places(m: ParametrizedMotion) -> PlacesReport:
     unresolved rather than silently dropped; when any are present the active
     set computed from the resolved places is only a lower bound.
     """
-    seen: set[tuple[Fraction, Fraction]] = set()
-    places: list[Place] = []
+    points: set[GaussianRational] = set()
     unresolved: list[Poly] = []
     for u, v in m.graph.sorted_edges():
         w = w_function(m, u, v)
@@ -276,14 +275,10 @@ def candidate_places(m: ParametrizedMotion) -> PlacesReport:
             if poly.degree < 1:
                 continue
             report = gaussian_rational_roots(poly)
-            for root, _mult in report.roots:
-                key = (root.re, root.im)
-                if key not in seen:
-                    seen.add(key)
-                    places.append(Place(root))
+            points.update(root for root, _mult in report.roots)
             if report.unresolved.degree >= 1 and report.unresolved not in unresolved:
                 unresolved.append(report.unresolved)
-    places.sort(key=lambda p: (p.point.re, p.point.im))
+    places = [Place(z) for z in sorted(points, key=lambda z: (z.re, z.im))]
     places.append(INFINITY)
     return PlacesReport(tuple(places), tuple(unresolved))
 

@@ -73,28 +73,29 @@ class NacColoring:
         data = json.loads(text)
         listed = [edge(u, v) for u, v in json_edges(data["edges"])]
         colors = data["colors"]
-        if len(listed) != len(colors) or set(listed) != graph.edges:
-            raise ValueError("coloring does not cover the edge set exactly")
-        red = frozenset(e for e, c in zip(listed, colors) if c == RED)
-        for c in colors:
-            if c not in (RED, BLUE):
-                raise ValueError(f"unknown color {c!r}")
-        return NacColoring(graph, red)
+        if len(listed) != len(colors):
+            raise ValueError("coloring must assign every edge exactly once")
+        return NacColoring(graph, _red_of_pairs(graph, list(zip(listed, colors))))
 
 
-def _as_red_set(g: Graph, coloring) -> frozenset[Edge]:
+def _red_of_pairs(g: Graph, pairs: list[tuple[Edge, str]]) -> frozenset[Edge]:
+    """The red class of a coloring given as (normalized edge, color) pairs,
+    which must name every edge of g exactly once, each red or blue."""
+    edges = {e for e, _ in pairs}
+    if len(edges) != len(pairs) or edges != g.edges:
+        raise ValueError("coloring must assign every edge exactly once")
+    for _, c in pairs:
+        if c not in (RED, BLUE):
+            raise ValueError(f"unknown color {c!r}")
+    return frozenset(e for e, c in pairs if c == RED)
+
+
+def _as_red_set(g: Graph, coloring: NacColoring | Mapping) -> frozenset[Edge]:
     if isinstance(coloring, NacColoring):
         if coloring.graph != g:
             raise ValueError("coloring belongs to a different graph")
         return coloring.red
-    colors: Mapping = coloring
-    keyed = {edge(u, v): c for (u, v), c in colors.items()}
-    if set(keyed) != g.edges:
-        raise ValueError("coloring must assign every edge exactly once")
-    for c in keyed.values():
-        if c not in (RED, BLUE):
-            raise ValueError(f"unknown color {c!r}")
-    return frozenset(e for e, c in keyed.items() if c == RED)
+    return _red_of_pairs(g, [(edge(u, v), c) for (u, v), c in coloring.items()])
 
 
 def is_nac(g: Graph, coloring) -> bool:

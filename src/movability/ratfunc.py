@@ -57,7 +57,7 @@ class RationalFunction:
     def of(num: Poly, den: Poly = P_ONE) -> "RationalFunction":
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        g = _gcd(num, den)
+        g = poly_gcd(num, den)
         if g.degree > 0:
             num, den = num // g, den // g
         return _canonical(num, den)
@@ -73,12 +73,12 @@ class RationalFunction:
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         # Henrici: a/b + c/d with g = gcd(b, d) can only cancel a factor of g
         a, b, c, d = self.num, self.den, other.num, other.den
-        g = _gcd(b, d)
+        g = poly_gcd(b, d)
         if g.degree == 0:
             return _canonical(a * d + c * b, b * d)
         b, d = b // g, d // g
         t = a * d + c * b
-        h = _gcd(t, g)
+        h = poly_gcd(t, g)
         if h.degree > 0:
             t, g = t // h, g // h
         return _canonical(t, b * d * g)
@@ -94,7 +94,7 @@ class RationalFunction:
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
             return ZERO
-        g1, g2 = _gcd(a, d), _gcd(c, b)
+        g1, g2 = poly_gcd(a, d), poly_gcd(c, b)
         if g1.degree > 0:
             a, d = a // g1, d // g1
         if g2.degree > 0:
@@ -136,14 +136,6 @@ class RationalFunction:
         if self.den == P_ONE:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
-
-
-def _gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd, or 1 without a division when either side is a nonzero
-    constant."""
-    if p.degree == 0 or q.degree == 0:
-        return P_ONE
-    return poly_gcd(p, q)
 
 
 def _canonical(num: Poly, den: Poly) -> RationalFunction:

@@ -494,6 +494,7 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["nac", "enum", '{"n": 3, "edges": null}'],
         ["nac", "check", "Cl", "--coloring", "coloring-float.json"],
         ["nac", "check", "Cl", "--coloring", "coloring-bool.json"],
+        ["nac", "check", "Cl", "--coloring", "coloring-twice.json"],
         ["construct", "grid", "ElNG", "--coloring", "grid-coloring-float.json", "--out", "out"],
         ["motion", "track", "--labeling", "triangle.json", "--start", "triangle-start.json",
          "--fixed", "0,1"],
@@ -527,7 +528,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "json-graph-float-vertex", "json-graph-string-vertex",
          "json-graph-float-n", "motion-float-n", "motion-complex-x", "json-graph-edges-int",
          "json-graph-edges-null",
-         "coloring-float-vertex", "coloring-bool-vertex", "grid-coloring-float-vertex",
+         "coloring-float-vertex", "coloring-bool-vertex", "coloring-edge-twice",
+         "grid-coloring-float-vertex",
          "track-rigid-triangle", "two-nac-lone-first", "two-nac-lone-second", "lambda-bool",
          "lambda-float", "motion-coefficient-1e999", "motion-coefficient-bool",
          "motion-coefficient-float", "motion-coefficient-one-element",
@@ -606,6 +608,9 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
                                 "colors": ["blue", "red", "red", "blue"]},
         "coloring-bool.json": {"edges": [[0, 1], [0, 3], [True, 2], [2, 3]],
                                "colors": ["blue", "red", "red", "blue"]},
+        # edge [0, 1] once red and once blue; its red entry made a NAC-coloring
+        "coloring-twice.json": {"edges": [[0, 1], [0, 1], [0, 3], [1, 2], [2, 3]],
+                                "colors": ["red", "blue", "blue", "red", "blue"]},
         "grid-coloring-float.json": {
             "edges": [[0.0, 1], [0, 3], [0, 5], [1, 2], [1, 5], [2, 3], [2, 4], [3, 4], [4, 5]],
             "colors": ["blue", "red", "blue", "red", "blue", "blue", "blue", "blue", "red"],
@@ -650,6 +655,8 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     if "--tol" in argv:
         assert err.startswith("error: cannot track")
         assert "tol must be finite and positive" in err
+    if "coloring-twice.json" in argv:
+        assert "every edge exactly once" in err
     if any(arg.startswith("fixed-") for arg in argv):
         assert "needs two integer vertices" in err
     if argv[-2] == "--max-n" and int(argv[-1]) < 1:

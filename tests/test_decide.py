@@ -118,18 +118,25 @@ def test_classify_catalog_entries():
         assert verdict.certificate.verify(verdict.reduced), name
 
 
-@pytest.mark.parametrize("name", ["K33", "L1", "Q1"])
+@pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
 def test_catalog_certificate_matches_classify(name):
-    # the catalog and classify build K, L and Q certificates through one
-    # construction chain
+    # classify certifies each recipe entry by pulling back its catalog
+    # certificate along a spanning embedding of the entry into itself
     g = catalog_graph(name)
     verdict = classify(g)
     assert verdict.reduced == g
     cert = catalog_certificate(name)
-    assert cert.construction == verdict.certificate.construction
-    assert cert.labeling == verdict.certificate.labeling
-    assert cert.details == verdict.certificate.details
+    pulled = verdict.certificate
+    assert pulled.parent == (g, cert) and pulled.details["catalog_entry"] == name
+    phi = pulled.embedding
+    assert pulled.labeling == {(u, v): cert.labeling[edge(phi[u], phi[v])] for u, v in g.edges}
     assert cert.verify(g)
+
+
+@pytest.mark.parametrize("name", ["K33", "L1", "Q1"])
+def test_catalog_certificate_covers_only_the_recipe_entries(name):
+    with pytest.raises(ValueError, match="not a recipe entry"):
+        catalog_certificate(name)
 
 
 # -- certificates must belong to the graph they certify ---------------------------
@@ -137,7 +144,8 @@ def test_catalog_certificate_matches_classify(name):
 
 def test_pullback_rejects_an_embedding_of_another_size():
     # a single edge is rigid; Q1's evidence says nothing about it
-    q1, q1_cert = catalog_graph("Q1"), catalog_certificate("Q1")
+    q1 = catalog_graph("Q1")
+    q1_cert = classify(q1).certificate
     phi = [0, 3, 1, 2, 4, 5, 6]
     cert = MovabilityCertificate(
         construction="catalog:Q1",
@@ -150,7 +158,8 @@ def test_pullback_rejects_an_embedding_of_another_size():
 
 def test_pullback_rejects_a_short_embedding_without_raising():
     # Q1 plus vertex 7, with edge (0, 3) moved to (0, 7): phi has no entry 7
-    q1, q1_cert = catalog_graph("Q1"), catalog_certificate("Q1")
+    q1 = catalog_graph("Q1")
+    q1_cert = classify(q1).certificate
     g = Graph.of(8, (q1.edges - {(0, 3)}) | {(0, 7)})
     labeling = {e: q1_cert.labeling.get(e, Fraction(1)) for e in g.edges}
     cert = MovabilityCertificate(
@@ -161,7 +170,7 @@ def test_pullback_rejects_a_short_embedding_without_raising():
 
 @pytest.mark.parametrize("n", [7, 4])
 def test_motion_of_another_graph_is_no_evidence(n):
-    motion = catalog_certificate("Q1").motion
+    motion = classify(catalog_graph("Q1")).certificate.motion
     g = Graph.of(n, [(0, 3)])
     cert = MovabilityCertificate(
         construction="two_nac",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roots_oracle
 from movability.exact import (
     GR_I,
     GR_ONE,
@@ -18,6 +19,7 @@ from movability.exact import (
     root_multiplicity,
     square_free_part,
 )
+from movability.motion import w_function
 from movability.ratfunc import (
     INFINITY,
     RationalFunction,
@@ -25,6 +27,7 @@ from movability.ratfunc import (
     rf,
     valuation,
 )
+from test_edge_table import _motions
 
 small_fractions = st.fractions(
     min_value=-8, max_value=8, max_denominator=6
@@ -70,6 +73,11 @@ def test_poly_divmod_and_gcd():
     b = Poly.of([1, 0, 1]) * Poly.of([-3, 1])
     g = poly_gcd(a, b)
     assert g == Poly.of([1, 0, 1])
+    # a nonzero constant on either side gives 1, and 0 gives the other side monic
+    for c in (Poly.const(gr(3, -2)), Poly.const(gr(Fraction(1, 2)))):
+        assert poly_gcd(c, a) == poly_gcd(a, c) == Poly.of([1])
+    assert poly_gcd(Poly.of([]), b) == poly_gcd(b, Poly.of([])) == b.monic()
+    assert poly_gcd(Poly.of([]), b.scale(gr(0, 2))) == b.monic()
     q, r = divmod(a, Poly.of([2, 1]))
     assert r.is_zero() and q == Poly.of([1, 0, 1])
 
@@ -127,6 +135,46 @@ def test_higher_degree_divisor_search():
     f = Poly.of([-1, 1]) * Poly.of([-2, 1]) * Poly.of([-3, 1]) * Poly.of([(0, 5), 1])
     report = gaussian_rational_roots(f)
     assert {str(r) for r, _ in report.roots} == {"1", "2", "3", "-5i"}
+
+
+# small coefficients keep the divisor search over Z[i] fast
+small_parts = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+small_gaussians = st.builds(GaussianRational, small_parts, small_parts)
+small_integers = st.builds(GaussianRational.of, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def products_over_q_i(draw):
+    """A product over Q(i) of linear factors with multiplicity, irreducible
+    quadratics (t - s)^2 - c with c no square in Q(i), and a cubic."""
+    f = Poly.const(draw(small_gaussians.filter(bool)))
+    for _ in range(draw(st.integers(0, 3))):
+        linear = Poly.of([-draw(small_gaussians), 1])
+        for _ in range(draw(st.integers(1, 2))):
+            f = f * linear
+    if draw(st.booleans()):
+        s = draw(small_integers)
+        c = draw(small_integers.filter(lambda c: c.sqrt() is None))
+        f = f * Poly.of([s * s - c, -(s + s), 1])
+    if draw(st.booleans()):
+        f = f * Poly.of([*draw(st.lists(small_integers, min_size=3, max_size=3)), 1])
+    return f
+
+
+@given(products_over_q_i())
+@settings(max_examples=200, deadline=None)
+def test_root_search_matches_the_oracle(f):
+    assert gaussian_rational_roots(f) == roots_oracle.gaussian_rational_roots(f)
+
+
+@pytest.mark.parametrize("name", ["deltoid", "q1", "s5-2"])
+def test_root_search_matches_the_oracle_on_motions(name):
+    # every W numerator and denominator of the motion and of its refixes
+    for m in _motions(name):
+        for u, v in m.graph.sorted_edges():
+            w = w_function(m, u, v)
+            for poly in (w.num, w.den):
+                assert gaussian_rational_roots(poly) == roots_oracle.gaussian_rational_roots(poly)
 
 
 def test_rational_function_canonical_form():

@@ -178,15 +178,15 @@ def test_graph_of_rejects_a_vertex_out_of_range():
 def test_graph6_code_is_cached_and_ignored_by_equality():
     path = parse_graph6("Cq")
     g = next(h for h in connected_graphs_up_to(4) if h == path)
-    code = g.__dict__["_graph6"]
+    code = getattr(g, "_graph6")
     assert code == "Cq" and encode_graph6(g) is code
     assert g == path and hash(g) == hash(path) and repr(g) == repr(path)
-    assert "_graph6" not in path.__dict__
-    assert encode_graph6(path) == "Cq" and path.__dict__["_graph6"] == "Cq"
+    assert not hasattr(path, "_graph6")
+    assert encode_graph6(path) == "Cq" and getattr(path, "_graph6") == "Cq"
     # derived graphs are new instances and encode their own edges
     for derived, edges in ((g.relabel([1, 0, 2, 3]), [(0, 1), (1, 2), (0, 3)]),
                            (g.with_edges([(2, 3)]), [(0, 1), (0, 2), (1, 3), (2, 3)])):
-        assert "_graph6" not in derived.__dict__
+        assert not hasattr(derived, "_graph6")
         assert encode_graph6(derived) == reference_graph6(Graph.of(4, edges))
 
 

@@ -8,10 +8,11 @@
 PYTHONPATH=SRC_DIR and records, per command, the exit code, stdout, stderr
 (or, when it holds a traceback, only that it does), and the contents of
 every file the case wrote.  `certs` records, for every catalog entry, the
-certificate `decide.catalog_certificate` builds in SRC_DIR: construction,
-labeling, details, motion JSON, the axes motion (signed axis parameters and
-extension coefficients, as exact strings), embedding and the parent chain,
-so no float is rounded by the record.
+certificate SRC_DIR builds for it: `decide.catalog_certificate` for the
+recipe entries S1-S5, and `decide.classify`'s for the other 16.  A record
+holds the construction, labeling, details, motion JSON, the axes motion
+(signed axis parameters and extension coefficients, as exact strings),
+embedding and the parent chain, so no float is rounded by the record.
 The README's 8-vertex `gen` + `census --jobs 4` pair alone takes about a
 minute on 2 cores.  Malformed-input cases live in tests/test_cli.py; the
 only ones here are `--max-n` values below 1, which trees before the bound
@@ -226,12 +227,15 @@ def cert_record(cert) -> dict:
 
 def certs(src: str, out: str) -> None:
     sys.path.insert(0, str(pathlib.Path(src).resolve()))
-    from movability.catalog import CATALOG_NAMES
-    from movability.decide import catalog_certificate
+    from movability.catalog import CATALOG_NAMES, catalog_graph
+    from movability.decide import catalog_certificate, classify
 
     results = {}
     for name in CATALOG_NAMES:
-        cert = catalog_certificate(name)
+        if name.startswith("S"):
+            cert = catalog_certificate(name)
+        else:
+            cert = classify(catalog_graph(name)).certificate
         results[name] = None if cert is None else cert_record(cert)
     pathlib.Path(out).write_text(json.dumps(results, indent=1, sort_keys=True))
     print(f"{len(results)} catalog certificates written to {out}")
