@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .exact import GaussianRational, Poly
+from .exact import GaussianRational, Poly, _fraction_str
 from .graphs import Edge, Graph, bits, component_masks, edge
 from .nac import BLUE, RED, NacColoring, is_nac
 from .motion import Labeling, MotionError, ParametrizedMotion, verify_injectivity, w_function
@@ -243,26 +243,17 @@ def axes_parameters(g: Graph) -> tuple[dict[int, Fraction], dict[int, Fraction]]
 # -- grid construction from one NAC-coloring ---------------------------------
 
 
-@dataclass(frozen=True)
-class GridEmbedding:
-    """Vertex -> (red component index, blue component index)."""
-
-    graph: Graph
-    coords: tuple[tuple[int, int], ...]
-
-
 def grid_construction(
     g: Graph, coloring: NacColoring
-) -> tuple[GridEmbedding, Labeling, ParametrizedMotion]:
-    """Grid realization induced by one NAC-coloring.
+) -> tuple[tuple[tuple[int, int], ...], Labeling, ParametrizedMotion]:
+    """Grid realization induced by one NAC-coloring: (points, labeling, motion).
 
-    Vertex v goes to z = i + j*E, with E on the unit circle, where i indexes
-    its red component and j its blue component; red edges keep i, blue edges
-    keep j, so all edge lengths are angle-independent.  Applicable iff no two vertices share the
-    same (i, j) cell.
+    Vertex v goes to z = i + j*E, with E on the unit circle, where
+    points[v] = (i, j): i indexes its red component and j its blue one; red
+    edges keep i, blue edges keep j, so all edge lengths are
+    angle-independent.  Applicable iff no two vertices share a cell.
     """
-    if not is_nac(g, coloring):
-        raise ConstructionInapplicable("the supplied coloring is not a NAC-coloring")
+    _check_colorings(g, coloring)
     # isolated vertices are singleton components and do get indices
     full = (1 << g.n) - 1
     red_comps = component_masks(Graph(g.n, coloring.red).masks(), full)
@@ -278,13 +269,12 @@ def grid_construction(
                 f"|R_{cell[0]} ∩ B_{cell[1]}| >= 2"
             )
         seen[cell] = v
-    embedding = GridEmbedding(graph=g, coords=tuple(coords))
     e = unit_circle()
     base, tip = _horizontal_pin(coloring, coords)
     ib, jb = coords[base]
     z = tuple(_const(i - ib) + _const(j - jb) * e for i, j in coords)
     motion = ParametrizedMotion(g, (base, tip), z)
-    return embedding, motion.induced_labeling(), motion
+    return tuple(coords), motion.induced_labeling(), motion
 
 
 def _horizontal_pin(coloring: NacColoring, coords) -> tuple[int, int]:
@@ -298,9 +288,10 @@ def _horizontal_pin(coloring: NacColoring, coords) -> tuple[int, int]:
 
 def grid_search(
     g: Graph, colorings: Iterable[NacColoring]
-) -> tuple[NacColoring, GridEmbedding, Labeling, ParametrizedMotion]:
-    """The grid construction from the first coloring, in order, that admits
-    it; raises the last ConstructionInapplicable when none does."""
+) -> tuple[NacColoring, tuple[tuple[int, int], ...], Labeling, ParametrizedMotion]:
+    """(coloring, points, labeling, motion) of the grid construction from the
+    first coloring, in order, that admits it; raises the last
+    ConstructionInapplicable when none does."""
     last_error = ConstructionInapplicable("no NAC-coloring to try")
     for coloring in colorings:
         try:
@@ -336,7 +327,7 @@ class EmbeddingR3:
     def to_json(self) -> str:
         return json.dumps(
             {
-                str(v): [f"{c.numerator}/{c.denominator}" for c in p]
+                str(v): [_fraction_str(c) for c in p]
                 for v, p in enumerate(self.points)
             }
         )
@@ -352,8 +343,8 @@ def direction_class(d: Sequence[Fraction]) -> int:
     raise ValueError(f"direction {d} matches no class")
 
 
-def _check_colorings(g: Graph, first: NacColoring, second: NacColoring) -> None:
-    for coloring in (first, second):
+def _check_colorings(g: Graph, *colorings: NacColoring) -> None:
+    for coloring in colorings:
         if not is_nac(g, coloring):
             raise ConstructionInapplicable("a supplied coloring is not a NAC-coloring")
 

@@ -31,6 +31,7 @@ from .constructions import (
     s5_motion,
     two_nac_search,
 )
+from .exact import _fraction_str
 from .graphs import (
     Graph,
     bits,
@@ -138,7 +139,7 @@ class Verdict:
             cert: dict = {
                 "construction": self.certificate.construction,
                 "lambda_sq": {
-                    f"{u},{v}": f"{q.numerator}/{q.denominator}"
+                    f"{u},{v}": _fraction_str(q)
                     for (u, v), q in sorted(self.certificate.labeling.items())
                 },
             }
@@ -163,14 +164,14 @@ def _constructed_certificate(g: Graph, reps: list[NacColoring]) -> MovabilityCer
             },
         )
     with suppress(ConstructionInapplicable):
-        coloring, embedding, labeling, motion = grid_search(g, reps)
+        coloring, points, labeling, motion = grid_search(g, reps)
         return MovabilityCertificate(
             construction="grid",
             labeling=labeling,
             motion=motion,
             details={
                 "coloring_red": sorted(coloring.red),
-                "grid_points": list(embedding.coords),
+                "grid_points": list(points),
             },
         )
     with suppress(ConstructionInapplicable):

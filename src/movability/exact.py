@@ -19,13 +19,18 @@ from typing import Iterable
 
 
 def _as_fraction(x) -> Fraction:
+    """The one exact-number reader: a Fraction, or an int or str by exact type,
+    since a float only approximates its value and Fraction(True) == 1."""
+    if type(x) is int or type(x) is str:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _fraction_str(x: Fraction) -> str:
+    """The one exact-number writer: "p/q", which _as_fraction reads back."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def fraction_sqrt(x: Fraction) -> Fraction | None:

@@ -22,13 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constructions import S1_EDGES, S2_EDGES, S3_EDGES, AxesMotion, axes_recipe, grid_construction
-from .graphs import Edge, Graph
+from .constructions import S1_EDGES, S2_EDGES, S3_EDGES, AxesMotion, Triple, axes_recipe, grid_construction
+from .graphs import Graph
 from .motion import Labeling
 from .nac import NacColoring
 from .track import TrackedPath, labeling_residual, normalize_start, sampled_path, track_motion
-
-Triple = tuple[Fraction, Fraction, Fraction]
 
 
 class GlueError(ValueError):
@@ -49,14 +47,13 @@ PIECE_STEP_SIZE = 0.02
 class GluePiece:
     """One movable subgraph with its labeling and a sampled motion.
 
-    Vertices and edges carry the labels of the ambient graph; samples is a
-    (k, n, 2) array of positions at successive parameter values shared with
-    the partner piece, one row per ambient vertex (rows of vertices outside
-    the piece are not read).
+    Vertices and edges, the labeling's keys, carry the labels of the ambient
+    graph; samples is a (k, n, 2) array of positions at successive parameter
+    values shared with the partner piece, one row per ambient vertex (rows of
+    vertices outside the piece are not read).
     """
 
     vertices: tuple[int, ...]
-    edges: frozenset[Edge]
     labeling: Labeling
     samples: np.ndarray
 
@@ -84,12 +81,9 @@ def glue_labelings(
     v1, v2 = set(piece1.vertices), set(piece2.vertices)
     if v1 | v2 != set(range(g.n)):
         raise GlueError("pieces do not cover the vertex set")
-    if piece1.edges | piece2.edges != g.edges:
+    if piece1.labeling.keys() | piece2.labeling.keys() != g.edges:
         raise GlueError("pieces do not cover the edge set")
-    for k, piece in ((1, piece1), (2, piece2)):
-        if set(piece.labeling) != set(piece.edges):
-            raise GlueError(f"piece {k} labeling does not match its edge set")
-    shared_edges = piece1.edges & piece2.edges
+    shared_edges = piece1.labeling.keys() & piece2.labeling.keys()
     if not shared_edges:
         raise GlueError("pieces share no edge")
     for e in shared_edges:
@@ -171,7 +165,7 @@ def _tracked_piece(
     )
     samples = np.full((len(path.samples), g.n, 2), np.nan)
     samples[:, list(vertices)] = [s.coords for s in path.samples]
-    return GluePiece(vertices, edges, labeling, samples)
+    return GluePiece(vertices, labeling, samples)
 
 
 # -- S1: triangular-prism part (grid motion) + bipartite part (tracked) ------
@@ -187,7 +181,6 @@ def glued_s1(*, samples: int = 60) -> TrackedPath:
     """
     g = Graph.of(8, S1_EDGES)
     prism_vertices = tuple(range(6))
-    prism_edges = frozenset(e for e in g.edges if e[0] < 6 and e[1] < 6)
     prism = g.induced_subgraph(prism_vertices)  # identity labels
     coloring = NacColoring(prism, frozenset({(0, 1), (2, 5), (3, 4)}))
     _, grid_lab, grid_motion = grid_construction(prism, coloring)
@@ -206,7 +199,7 @@ def glued_s1(*, samples: int = 60) -> TrackedPath:
         u = sθ / (1 + c)
         prism_samples[k, :6] = normalize_start(grid_motion.realize_float(u), (4, 5))
 
-    piece1 = GluePiece(prism_vertices, prism_edges, dict(grid_lab), prism_samples)
+    piece1 = GluePiece(prism_vertices, dict(grid_lab), prism_samples)
     return sampled_path(*glue_labelings(g, piece1, k_piece), (4, 5), (0, 7))
 
 
@@ -247,7 +240,7 @@ def _embedded_glue(
         w1, w2, w3 = (float(x) for x in omega[v])
         emb_samples[:, v] = base + w1 * f1 + w2 * f2 + w3 * f3
 
-    piece1 = GluePiece(emb_vertices, emb_edges, emb_lab, emb_samples)
+    piece1 = GluePiece(emb_vertices, emb_lab, emb_samples)
     return sampled_path(*glue_labelings(g, piece1, k_piece), (c0, c1), watched_pair)
 
 

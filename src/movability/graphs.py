@@ -305,15 +305,15 @@ def json_edges(edges) -> list[list[int]]:
 
 
 def graph_of_json(n, edges) -> Graph:
-    """Graph.of for an int vertex count and an edge list read from JSON."""
+    """Graph.of for a vertex count and an edge list from a JSON graph or motion
+    file: n must be an int of at most GRAPH6_MAX_N, checked before any allocation."""
     if type(n) is not int:
         raise ValueError(f"the vertex count {n!r} is not an integer")
+    if n > GRAPH6_MAX_N:
+        raise ValueError(f"a JSON graph has at most {GRAPH6_MAX_N} vertices, got {n}")
     return Graph.of(n, json_edges(edges))
 
 
 def graph_from_json(text: str) -> Graph:
     data = json.loads(text)
-    n = data["n"]
-    if type(n) is int and n > GRAPH6_MAX_N:
-        raise ValueError(f"a JSON graph has at most {GRAPH6_MAX_N} vertices, got {n}")
-    return graph_of_json(n, data["edges"])
+    return graph_of_json(data["n"], data["edges"])

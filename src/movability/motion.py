@@ -37,6 +37,8 @@ from .exact import (
     GR_I,
     GaussianRational,
     Poly,
+    _as_fraction,
+    _fraction_str,
     fraction_sqrt,
     gaussian_rational_roots,
 )
@@ -341,22 +343,10 @@ def active_nac_colorings(m: ParametrizedMotion) -> ActiveNacReport:
 # -- JSON interchange --------------------------------------------------------
 
 
-def _fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _poly_json(p: Poly) -> list[list[str]]:
     if p.is_zero():
         return [["0/1", "0/1"]]
     return [[_fraction_str(c.re), _fraction_str(c.im)] for c in p.coeffs]
-
-
-def _exact_part(x) -> Fraction:
-    # as in labeling_from_json: a JSON float only approximates a value, and
-    # Fraction(True) == 1
-    if not (type(x) is str or type(x) is int):
-        raise ValueError(f"coefficient part {x!r} must be a string or an integer")
-    return Fraction(x)
 
 
 def _poly_from_json(data) -> Poly:
@@ -364,7 +354,7 @@ def _poly_from_json(data) -> Poly:
     for pair in data:
         if not (type(pair) is list and len(pair) == 2):
             raise ValueError(f"coefficient {pair!r} must be a [real, imaginary] pair")
-        coeffs.append(GaussianRational.of(_exact_part(pair[0]), _exact_part(pair[1])))
+        coeffs.append(GaussianRational.of(*pair))
     return Poly.of(coeffs)
 
 
@@ -417,16 +407,14 @@ def labeling_to_json(labeling: Labeling) -> str:
 
 def labeling_from_json(text: str) -> Labeling:
     data = json.loads(text)
-    edges, values = data["edges"], data["lambda_sq"]
+    edges, values = json_edges(data["edges"]), data["lambda_sq"]
     if len(edges) != len(values):
         raise ValueError(f"{len(edges)} edges but {len(values)} squared lengths")
     out: Labeling = {}
     for (u, v), s in zip(edges, values):
-        if not (type(u) is int and type(v) is int and min(u, v) >= 0):
+        if min(u, v) < 0:
             raise ValueError(f"edge ({u},{v}) needs two nonnegative integer vertices")
-        if not (type(s) is str or type(s) is int):
-            raise ValueError(f"edge ({u},{v}) needs its squared length as a string or an integer")
-        val = Fraction(s)
+        val = _as_fraction(s)
         if val <= 0:
             raise ValueError(f"edge ({u},{v}) has non-positive squared length")
         if edge(u, v) in out:

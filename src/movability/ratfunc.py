@@ -32,9 +32,6 @@ class Place:
     def is_infinity(self) -> bool:
         return self.point is None
 
-    def conjugate(self) -> "Place":
-        return self if self.is_infinity else Place(self.point.conjugate())
-
     def __str__(self) -> str:
         return "oo" if self.is_infinity else str(self.point)
 

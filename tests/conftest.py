@@ -12,8 +12,11 @@ from movability.constructions import (
     s5_motion,
     two_nac_embedding,
 )
+from movability.exact import Poly
 from movability.graphs import Graph, edge
+from movability.motion import ParametrizedMotion
 from movability.nac import NacColoring, enumerate_nac
+from movability.ratfunc import RationalFunction
 
 
 @pytest.fixture
@@ -85,3 +88,13 @@ def bundled_motion(name: str):
         return s5_motion(Fraction(name.split("-")[1]))[1]
     g = catalog_graph(name)
     return grid_search(g, enumerate_nac(g, non_conjugated=True))[3]
+
+
+def unresolved_motion() -> ParametrizedMotion:
+    """The path 0-1-2 with z0 = 0, z1 = 1 and z2 = 1 + p/conj(p), where
+    p = t^2 + i t + 1: |p/conj(p)| = 1 for real t, and the discriminant of p
+    is -5, so neither p nor conj(p) has a root in Q(i)."""
+    p = Poly.of([1, (0, 1), 1])
+    one = RationalFunction.const(1)
+    z2 = one + RationalFunction.of(p, p.conjugate_coeffs())
+    return ParametrizedMotion(Graph.of(3, [(0, 1), (1, 2)]), (0, 1), (RationalFunction.const(0), one, z2))

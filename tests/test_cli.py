@@ -9,6 +9,8 @@ from movability.cli import main
 from movability.catalog import catalog_graph
 from movability.graphs import encode_graph6
 
+from conftest import unresolved_motion
+
 
 Q1 = encode_graph6(catalog_graph("Q1"))
 C4 = "Cl"
@@ -201,6 +203,17 @@ def test_motion_active_nac_and_refix(tmp_path, capsys):
     code, out, _ = run(["motion", "verify", str(refixed)], capsys)
     assert code == 0
     assert json.loads(out)["compatible"]
+
+
+def test_active_nac_warns_when_places_are_unresolved(tmp_path, capsys):
+    from movability.motion import motion_to_json
+
+    path = tmp_path / "motion.json"
+    path.write_text(motion_to_json(unresolved_motion()))
+    code, out, err = run(["motion", "active-nac", str(path), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == []
+    assert err == "warning: unresolved places; active set is a lower bound\n"
 
 
 def test_track_cli(tmp_path, capsys):
@@ -510,6 +523,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["motion", "refix", "fixed-bool-first.json", "--edge", "1,2"],
         ["motion", "verify", "fixed-bool-second.json"],
         ["motion", "verify", "fixed-float.json"],
+        ["motion", "verify", "n-huge.json"],
+        ["motion", "verify", "n-63.json"],
         *(["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1",
            "--step-size", size] for size in ("inf", "1e300", "0", "-0.1", "nan")),
         *(["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1",
@@ -534,7 +549,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "lambda-float", "motion-coefficient-1e999", "motion-coefficient-bool",
          "motion-coefficient-float", "motion-coefficient-one-element",
          "motion-fixed-edge-bool-first", "refix-fixed-edge-bool-first",
-         "motion-fixed-edge-bool-second", "motion-fixed-edge-float", "step-size-inf",
+         "motion-fixed-edge-bool-second", "motion-fixed-edge-float", "motion-n-huge",
+         "motion-n-63", "step-size-inf",
          "step-size-1e300", "step-size-0", "step-size-negative", "step-size-nan", "steps-negative",
          "steps-0", "tol-inf", "tol-nan", "tol-0", "tol-negative"],
 )
@@ -578,6 +594,11 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     for name, fixed in (("bool-first", [False, 1]), ("bool-second", [0, True]),
                         ("float", [0.0, 1])):
         fixed_edges[f"fixed-{name}.json"] = {**json.loads(motion_to_json(motion)), "fixed_edge": fixed}
+    # without the vertex cap, 10**20 ends in an OverflowError in the graph
+    # constructor before anything is allocated; a count that fits an index
+    # would allocate for real, so none is used here
+    vertex_counts = {f"n-{name}.json": {**json.loads(motion_to_json(motion)), "n": n}
+                     for name, n in (("huge", 10**20), ("63", 63))}
     files = {
         "lab.json": lab,
         "negative.json": {"edges": lab["edges"], "lambda_sq": ["-1"] + lab["lambda_sq"][1:]},
@@ -625,6 +646,7 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         "diamond.json": [[0.0, 0.0], [0.5, 0.5], [0.0, 1.0], [-0.5, 0.5]],
         # a NAC-coloring of Q1 (FLr@w), given without its partner
         **fixed_edges,
+        **vertex_counts,
         "q1-coloring.json": {
             "edges": [[0, 3], [0, 4], [0, 5], [1, 2], [1, 4], [1, 5], [2, 3], [2, 6], [3, 6],
                       [4, 6], [5, 6]],
@@ -659,5 +681,7 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         assert "every edge exactly once" in err
     if any(arg.startswith("fixed-") for arg in argv):
         assert "needs two integer vertices" in err
+    if any(arg.startswith("n-") for arg in argv):
+        assert "at most 62 vertices" in err
     if argv[-2] == "--max-n" and int(argv[-1]) < 1:
         assert f"--max-n must be at least 1, got {argv[-1]}" in err

@@ -109,11 +109,11 @@ def test_dixon_rejects_triangle_and_zero_parameters():
 def test_grid_on_l1_with_the_prism_coloring():
     l1 = catalog_graph("L1")
     coloring = NacColoring(l1, frozenset({(0, 3), (1, 2), (4, 5)}))
-    embedding, lab, motion = grid_construction(l1, coloring)
-    assert len(set(embedding.coords)) == 6
+    points, lab, motion = grid_construction(l1, coloring)
+    assert len(set(points)) == 6
     # three red components of two vertices, two blue ones of three
-    assert sorted(Counter(i for i, _ in embedding.coords).values()) == [2, 2, 2]
-    assert sorted(Counter(j for _, j in embedding.coords).values()) == [3, 3]
+    assert sorted(Counter(i for i, _ in points).values()) == [2, 2, 2]
+    assert sorted(Counter(j for _, j in points).values()) == [3, 3]
     assert verify_injectivity(motion).proper
     assert motion.induced_labeling() == lab
 
@@ -139,9 +139,9 @@ def test_grid_labeling_matches_the_grid_formula():
     # its blue component (same j), so its squared length is di^2 + dj^2
     for name in ("L1", "L2", "L3", "L4", "L5", "L6"):
         g = catalog_graph(name)
-        coloring, embedding, lab, _ = grid_search(g, enumerate_nac(g, non_conjugated=True))
+        coloring, points, lab, _ = grid_search(g, enumerate_nac(g, non_conjugated=True))
         for u, v in g.sorted_edges():
-            (iu, ju), (iv, jv) = embedding.coords[u], embedding.coords[v]
+            (iu, ju), (iv, jv) = points[u], points[v]
             red = (u, v) in coloring.red
             assert (iu == iv, ju == jv) == (red, not red)
             assert lab[(u, v)] == (iu - iv) ** 2 + (ju - jv) ** 2
@@ -150,10 +150,10 @@ def test_grid_labeling_matches_the_grid_formula():
 def test_grid_edge_direction_invariants():
     l1 = catalog_graph("L1")
     coloring = NacColoring(l1, frozenset({(0, 3), (1, 2), (4, 5)}))
-    embedding, _, _ = grid_construction(l1, coloring)
+    points, _, _ = grid_construction(l1, coloring)
     for u, v in l1.sorted_edges():
-        di = embedding.coords[u][0] - embedding.coords[v][0]
-        dj = embedding.coords[u][1] - embedding.coords[v][1]
+        di = points[u][0] - points[v][0]
+        dj = points[u][1] - points[v][1]
         if (u, v) in coloring.red:
             assert di == 0 and dj != 0
         else:
@@ -259,9 +259,10 @@ def _non_nac(g, coloring, partner):
 def test_direct_calls_check_the_colorings(q1_pair):
     g, first, second = q1_pair
     bad = _non_nac(g, first, second)
-    for call in (two_nac_embedding, two_nac_solution_space):
+    for call, args in ((two_nac_embedding, (bad, second)), (two_nac_solution_space, (bad, second)),
+                       (grid_construction, (bad,))):
         with pytest.raises(ConstructionInapplicable, match="a supplied coloring is not a NAC-coloring"):
-            call(g, bad, second)
+            call(g, *args)
 
 
 def test_search_does_not_check_enumerated_colorings_again(monkeypatch):

@@ -50,6 +50,15 @@ def test_conjugation_norm(a):
     assert (a * a.conjugate()).im == 0
 
 
+@pytest.mark.parametrize("make", [lambda: GaussianRational.of(True), lambda: GaussianRational.of(1, False),
+                                  lambda: Poly.of([True]), lambda: GaussianRational.of(0.5)],
+                         ids=["of-true", "of-imaginary-false", "poly-of-true", "of-float"])
+def test_exact_reader_refuses_bools_and_floats(make):
+    # Fraction(True) == 1 and Fraction(0.5) == 1/2, so only the type decides
+    with pytest.raises(TypeError, match="as an exact rational"):
+        make()
+
+
 def test_gaussian_sqrt():
     assert gr(-1).sqrt() == GR_I
     assert gr(Fraction(9, 4)).sqrt() == gr(Fraction(3, 2))

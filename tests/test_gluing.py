@@ -123,8 +123,8 @@ def test_glue_rejects_disagreeing_labelings(s1):
     k_edges = frozenset(e for e in g.edges if min(e) >= 2)
     lab2 = {e: s1.labeling[e] for e in k_edges}
     lab2[(2, 3)] = lab2[(2, 3)] + 1  # clash on a shared edge
-    p1 = GluePiece(piece_vertices, piece_edges, lab1, np.zeros((25, 8, 2)))
-    p2 = GluePiece(k_vertices, k_edges, lab2, np.zeros((25, 8, 2)))
+    p1 = GluePiece(piece_vertices, lab1, np.zeros((25, 8, 2)))
+    p2 = GluePiece(k_vertices, lab2, np.zeros((25, 8, 2)))
     with pytest.raises(GlueError, match="disagree"):
         glue_labelings(g, p1, p2)
 
@@ -138,8 +138,8 @@ def test_glue_rejects_unsynced_paths(s1):
     samples1 = np.array([s.coords for s in s1.samples])
     samples2 = samples1.copy()
     samples2[:, 3, 0] += 0.5
-    p1 = GluePiece(tuple(range(6)), piece_edges, lab1, samples1)
-    p2 = GluePiece((2, 3, 4, 5, 6, 7), k_edges, lab2, samples2)
+    p1 = GluePiece(tuple(range(6)), lab1, samples1)
+    p2 = GluePiece((2, 3, 4, 5, 6, 7), lab2, samples2)
     with pytest.raises(GlueError):
         glue_labelings(g, p1, p2)
 
@@ -154,8 +154,8 @@ def test_glue_rejects_coinciding_cross_pair(s1):
     # vertex 7 copies the trajectory of vertex 0: condition 2 must fire
     samples2 = samples1.copy()
     samples2[:, 7] = samples2[:, 0]
-    p1 = GluePiece(tuple(range(6)), piece_edges, lab1, samples1)
-    p2 = GluePiece((2, 3, 4, 5, 6, 7), k_edges, lab2, samples2)
+    p1 = GluePiece(tuple(range(6)), lab1, samples1)
+    p2 = GluePiece((2, 3, 4, 5, 6, 7), lab2, samples2)
     with pytest.raises(GlueError, match="coincide|violates"):
         glue_labelings(g, p1, p2)
 
@@ -185,7 +185,7 @@ def test_glue_rejects_non_finite_samples(s1_pieces, piece, vertex):
     assert vertex in bad.vertices
     samples = bad.samples.copy()
     samples[5, vertex] = np.nan
-    pieces[piece - 1] = GluePiece(bad.vertices, bad.edges, bad.labeling, samples)
+    pieces[piece - 1] = GluePiece(bad.vertices, bad.labeling, samples)
     glue_labelings(g, p1, p2)  # the captured pieces glue as they are
     with pytest.raises(GlueError, match=f"piece {piece} samples hold a non-finite"):
         glue_labelings(g, *pieces)
@@ -194,13 +194,8 @@ def test_glue_rejects_non_finite_samples(s1_pieces, piece, vertex):
 def test_glue_needs_shared_edges(s1):
     g = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
     lab = {e: Fraction(1) for e in g.edges}
-    p1 = GluePiece((0, 1), frozenset({(0, 1)}), {(0, 1): Fraction(1)}, np.zeros((25, 4, 2)))
-    p2 = GluePiece(
-        (1, 2, 3),
-        frozenset({(1, 2), (2, 3)}),
-        {(1, 2): Fraction(1), (2, 3): Fraction(1)},
-        np.zeros((25, 4, 2)),
-    )
+    p1 = GluePiece((0, 1), {(0, 1): Fraction(1)}, np.zeros((25, 4, 2)))
+    p2 = GluePiece((1, 2, 3), {(1, 2): Fraction(1), (2, 3): Fraction(1)}, np.zeros((25, 4, 2)))
     with pytest.raises(GlueError, match="share no edge"):
         glue_labelings(g, p1, p2)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from movability.constructions import deltoid_motion
-from movability.exact import GR_I, GaussianRational, gr
+from movability.exact import GR_I, GaussianRational, Poly, gr
 from movability.graphs import Graph
 from movability.motion import (
     MotionError,
@@ -24,6 +24,7 @@ from movability.motion import (
 from movability.nac import NacColoring, enumerate_nac
 from movability.ratfunc import INFINITY, RationalFunction, place_at, rf, valuation
 
+from conftest import unresolved_motion
 from test_nac import all_simple_cycles
 
 
@@ -250,3 +251,16 @@ def test_constant_motion_has_only_the_infinite_place():
     report = candidate_places(m)
     assert [str(p) for p in report.places] == ["oo"]
     assert report.complete
+
+
+def test_unresolved_factors_leave_a_lower_bound():
+    m = unresolved_motion()
+    p = Poly.of([1, (0, 1), 1])
+    report = candidate_places(m)
+    assert report.places == (INFINITY,)
+    assert report.unresolved == (p, p.conjugate_coeffs())
+    assert not report.complete
+    active = active_nac_colorings(m)
+    assert active.colorings == frozenset()
+    assert not active.complete
+    assert verify_injectivity(m).proper

@@ -135,15 +135,19 @@ def cases() -> list[tuple[str, list[list[str]]]]:
     out.append(("motion-improper", [["motion", "verify", "improper.json"],
                                     ["motion", "valuations", "improper.json"],
                                     ["motion", "active-nac", "improper.json"]]))
+    # the one motion with unresolved places, so active-nac warns on stderr
+    out.append(("motion-unresolved", queries("unresolved.json")))
     return out
 
 
 def input_files() -> dict[str, str]:
     from movability.catalog import catalog_graph, q1_embedding_example
     from movability.constructions import deltoid_motion, motion_from_embedding, two_nac_embedding
+    from movability.exact import Poly
     from movability.graphs import Graph
     from movability.motion import ParametrizedMotion, labeling_to_json, motion_to_json
     from movability.nac import NacColoring, enumerate_nac
+    from movability.ratfunc import RationalFunction
 
     motion = deltoid_motion().motion
     # the Q1 two-NAC motion plus vertex 7, a copy of vertex 0 joined to 0's neighbours
@@ -152,11 +156,18 @@ def input_files() -> dict[str, str]:
     q1 = motion_from_embedding(emb, deltoid_motion())
     dup = Graph.of(g.n + 1, [*g.edges, *((v, g.n) for v in range(g.n) if (0, v) in g.edges)])
     improper = ParametrizedMotion(dup, q1.fixed_edge, (*q1.coords, q1.coords[0]))
+    # the path 0-1-2 with z2 = 1 + p/conj(p), p = t^2 + i t + 1 of discriminant
+    # -5: neither p nor conj(p) has a root in Q(i)
+    p = Poly.of([1, (0, 1), 1])
+    zs = (RationalFunction.const(0), RationalFunction.const(1),
+          RationalFunction.const(1) + RationalFunction.of(p, p.conjugate_coeffs()))
+    unresolved = ParametrizedMotion(Graph.of(3, [(0, 1), (1, 2)]), (0, 1), zs)
     s2 = enumerate_nac(catalog_graph("S2"), non_conjugated=True)
     return {
         "lab.json": labeling_to_json(motion.induced_labeling()),
         "start.json": json.dumps(motion.realize_float(1.0)),
         "improper.json": motion_to_json(improper),
+        "unresolved.json": motion_to_json(unresolved),
         **{f"s2-{i}.json": s2[i].to_json() for i in (0, 1, 10)},
     }
 
