@@ -87,14 +87,9 @@ def q1_embedding_example() -> tuple[Graph, frozenset[Edge], frozenset[Edge]]:
     return g, first_red, second_red
 
 
-def ring_of_complete_bipartite(parts: int = 5, size: int = 5) -> Graph:
-    """Disjoint groups arranged in a cycle, complete bipartite between
-    neighbors.  With 5 groups of 5 this is the 25-vertex, 125-edge graph
-    that satisfies the necessary condition yet is not movable."""
-    n = parts * size
-    edges = []
-    for k in range(parts):
-        a = range(k * size, (k + 1) * size)
-        b = range(((k + 1) % parts) * size, ((k + 1) % parts + 1) * size)
-        edges.extend((u, v) for u in a for v in b)
-    return Graph.of(n, edges)
+def ring_of_complete_bipartite() -> Graph:
+    """Five groups of five arranged in a cycle, complete bipartite between
+    neighbors: the 25-vertex, 125-edge graph that satisfies the necessary
+    condition yet is not movable."""
+    # vertex u is in group u // 5 and joined to every vertex of the next group (mod 5)
+    return Graph.of(25, [(u, (u // 5 + 1) % 5 * 5 + j) for u in range(25) for j in range(5)])

@@ -311,7 +311,6 @@ def cmd_construct(args) -> int:
         margin, samples = path.injectivity_margin, len(path.samples)
         print(json.dumps({"out": str(outdir), "injectivity_margin": margin, "samples": samples}))
         return EXIT_OK
-    raise CliParseError(f"unknown construction {args.method}")
 
 
 def cmd_motion(args) -> int:
@@ -396,7 +395,6 @@ def cmd_motion(args) -> int:
         else:
             print(text)
         return EXIT_OK
-    raise CliParseError(f"unknown motion action {args.action}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -188,11 +188,7 @@ class AxesMotion:
         points = self.positions_at_zero()
         if len(set(points)) != len(points):
             return False
-        return any(
-            self.squared_distance(u, v) is None
-            for u, v in combinations(range(self.graph.n), 2)
-            if (u, v) not in self.graph.edges
-        )
+        return any(self.squared_distance(u, v) is None for u, v in self.graph.non_edges())
 
 
 def dixon_one(
@@ -270,20 +266,19 @@ def grid_construction(
             )
         seen[cell] = v
     e = unit_circle()
-    base, tip = _horizontal_pin(coloring, coords)
+    base, tip = _horizontal_pin(sorted(coloring.blue), [i for i, _ in coords])
     ib, jb = coords[base]
     z = tuple(_const(i - ib) + _const(j - jb) * e for i, j in coords)
     motion = ParametrizedMotion(g, (base, tip), z)
     return tuple(coords), motion.induced_labeling(), motion
 
 
-def _horizontal_pin(coloring: NacColoring, coords) -> tuple[int, int]:
-    # blue edges are horizontal segments of the grid motion; pin the first,
-    # oriented so the free endpoint sits on the positive x-axis
-    if not coloring.blue:
-        raise ConstructionInapplicable("coloring has no blue edge")
-    u, v = min(coloring.blue)
-    return (u, v) if coords[u][0] < coords[v][0] else (v, u)
+def _horizontal_pin(edges: Iterable[Edge], x: Sequence) -> tuple[int, int]:
+    """The pinned edge of a motion whose horizontal edges, in ascending order,
+    are `edges`: the first, oriented so that the free endpoint sits on the
+    positive x-axis (x[u] < x[v] for the returned (u, v))."""
+    u, v = next(iter(edges))
+    return (u, v) if x[u] < x[v] else (v, u)
 
 
 def grid_search(
@@ -613,8 +608,9 @@ def motion_from_embedding(omega: EmbeddingR3, quad: QuadMotion) -> ParametrizedM
     g = omega.graph
     frames = quad.frames()
     # EmbeddingR3 guarantees the (1,0,0) class is nonempty
-    u, v = next(e for e in sorted(g.edges) if omega.direction_class(*e) == 0)
-    pin = (u, v) if omega.points[v][0] > omega.points[u][0] else (v, u)
+    pin = _horizontal_pin(
+        (e for e in sorted(g.edges) if omega.direction_class(*e) == 0), [p[0] for p in omega.points]
+    )
     origin = omega.points[pin[0]]
     z = tuple(
         sum((_const(w - o) * f for w, o, f in zip(p, origin, frames)), _const(0))

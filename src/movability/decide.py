@@ -254,8 +254,6 @@ def _catalog_lookup(g: Graph) -> MovabilityCertificate | None:
     whatever the other entries span (acceptance criterion 3, n <= 8)."""
     for name in _RECIPE_ENTRIES:
         entry = catalog_graph(name)
-        if entry.n != g.n or len(entry.edges) < len(g.edges):
-            continue
         phi = find_spanning_embedding(g, entry)
         if phi is None:
             continue

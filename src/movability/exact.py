@@ -46,9 +46,10 @@ def fraction_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class GaussianRational:
-    """Element re + im*i of Q(i), both parts exact fractions."""
+    """Element re + im*i of Q(i), both parts exact fractions, ordered by
+    (re, im)."""
 
     re: Fraction
     im: Fraction
@@ -187,9 +188,6 @@ class Poly:
 
     def __neg__(self) -> "Poly":
         return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
@@ -397,7 +395,7 @@ def _quadratic_roots(f: Poly) -> list[GaussianRational]:
         return []
     two_a = GaussianRational.of(2) * c2
     roots = [(-c1 + s) / two_a, (-c1 - s) / two_a]
-    return sorted(set(roots), key=lambda z: (z.re, z.im))
+    return sorted(set(roots))
 
 
 def _divisor_root(work: Poly) -> list[GaussianRational]:
@@ -454,5 +452,5 @@ def gaussian_rational_roots(f: Poly) -> RootReport:
             roots.append((r, root_multiplicity(f, r)))
             work = work // Poly.of([-r, 1])
     unresolved = work.monic() if work.degree >= 1 else P_ONE
-    roots.sort(key=lambda pair: (pair[0].re, pair[0].im))
+    roots.sort()
     return RootReport(tuple(roots), unresolved)

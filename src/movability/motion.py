@@ -280,7 +280,7 @@ def candidate_places(m: ParametrizedMotion) -> PlacesReport:
             points.update(root for root, _mult in report.roots)
             if report.unresolved.degree >= 1 and report.unresolved not in unresolved:
                 unresolved.append(report.unresolved)
-    places = [Place(z) for z in sorted(points, key=lambda z: (z.re, z.im))]
+    places = [Place(z) for z in sorted(points)]
     places.append(INFINITY)
     return PlacesReport(tuple(places), tuple(unresolved))
 
@@ -384,9 +384,14 @@ def motion_to_json(m: ParametrizedMotion) -> str:
 def motion_from_json(text: str) -> ParametrizedMotion:
     data = json.loads(text)
     g = graph_of_json(data["n"], data["edges"])
+    vertices = data["vertices"]
+    if not isinstance(vertices, dict):
+        raise ValueError("vertices must be an object keyed by vertex")
     coords = []
     for v in range(g.n):
-        entry = data["vertices"][str(v)]
+        entry = vertices.get(str(v))
+        if not isinstance(entry, dict) or "x" not in entry or "y" not in entry:
+            raise ValueError(f"vertex {v} needs an entry with x and y in vertices")
         x, y = _rf_from_json(entry["x"]), _rf_from_json(entry["y"])
         _require_real(x, f"x_{v}")
         _require_real(y, f"y_{v}")

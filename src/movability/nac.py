@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .graphs import Edge, Graph, component_masks, edge, json_edges
 
@@ -70,37 +70,25 @@ class NacColoring:
 
     @staticmethod
     def from_json(graph: Graph, text: str) -> "NacColoring":
+        """The coloring a `to_json` file holds, which must name every edge of
+        graph exactly once, each red or blue."""
         data = json.loads(text)
         listed = [edge(u, v) for u, v in json_edges(data["edges"])]
         colors = data["colors"]
-        if len(listed) != len(colors):
+        edges = set(listed)
+        if len(listed) != len(colors) or len(edges) != len(listed) or edges != graph.edges:
             raise ValueError("coloring must assign every edge exactly once")
-        return NacColoring(graph, _red_of_pairs(graph, list(zip(listed, colors))))
+        for c in colors:
+            if c not in (RED, BLUE):
+                raise ValueError(f"unknown color {c!r}")
+        return NacColoring(graph, frozenset(e for e, c in zip(listed, colors) if c == RED))
 
 
-def _red_of_pairs(g: Graph, pairs: list[tuple[Edge, str]]) -> frozenset[Edge]:
-    """The red class of a coloring given as (normalized edge, color) pairs,
-    which must name every edge of g exactly once, each red or blue."""
-    edges = {e for e, _ in pairs}
-    if len(edges) != len(pairs) or edges != g.edges:
-        raise ValueError("coloring must assign every edge exactly once")
-    for _, c in pairs:
-        if c not in (RED, BLUE):
-            raise ValueError(f"unknown color {c!r}")
-    return frozenset(e for e, c in pairs if c == RED)
-
-
-def _as_red_set(g: Graph, coloring: NacColoring | Mapping) -> frozenset[Edge]:
-    if isinstance(coloring, NacColoring):
-        if coloring.graph != g:
-            raise ValueError("coloring belongs to a different graph")
-        return coloring.red
-    return _red_of_pairs(g, [(edge(u, v), c) for (u, v), c in coloring.items()])
-
-
-def is_nac(g: Graph, coloring) -> bool:
+def is_nac(g: Graph, coloring: NacColoring) -> bool:
     """Surjectivity plus the component condition of the module docstring."""
-    return _is_nac_red(g, _as_red_set(g, coloring))
+    if coloring.graph != g:
+        raise ValueError("coloring belongs to a different graph")
+    return _is_nac_red(g, coloring.red)
 
 
 def _is_nac_red(g: Graph, red: frozenset[Edge]) -> bool:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from movability.cli import main
-from movability.catalog import catalog_graph
+from movability.catalog import catalog_graph, graph_with_unicolor_path
 from movability.graphs import encode_graph6
 
 from conftest import unresolved_motion
@@ -72,11 +72,59 @@ def test_cdc_of_unicolor_path_graph(capsys):
 
 
 def test_classify_verdicts(capsys):
-    from movability.catalog import graph_with_unicolor_path
+    cases = [
+        (
+            encode_graph6(graph_with_unicolor_path()),
+            "NOT_MOVABLE_CDC_COMPLETE",
+            {"reduced_graph6": "FxMQW", "closure_graph6": "F~~~w", "closure_iterations": 2},
+        ),
+        (C4, "GENERICALLY_MOVABLE", {"reason": "no spanning Laman subgraph"}),
+        # K4 plus vertex 4 joined to 0 and 3: the degree-two vertex goes first
+        ("D~c", "NOT_MOVABLE_NO_NAC", {"reduced_graph6": "C~", "removed_vertices": [4]}),
+    ]
+    for graph, verdict, extra in cases:
+        code, out, _ = run(["classify", graph], capsys)
+        assert code == 0
+        assert json.loads(out) == {"verdict": verdict, **extra}
 
-    code, out, _ = run(["classify", encode_graph6(graph_with_unicolor_path())], capsys)
+
+def test_classify_past_the_cap_exits_3_with_its_verdict(capsys):
+    from itertools import combinations
+
+    from movability.decide import TOO_LARGE
+    from movability.graphs import Graph
+
+    k10 = encode_graph6(Graph.of(10, combinations(range(10), 2)))
+    code, out, _ = run(["classify", k10], capsys)
+    assert code == 3
+    assert json.loads(out) == {"verdict": "UNDECIDED", "reason": TOO_LARGE, "reduced_graph6": k10}
+
+
+@pytest.mark.parametrize("red, expected", [([[0, 1], [2, 3]], True), ([[0, 1]], False)])
+def test_nac_check_prints_the_verdict(red, expected, tmp_path, capsys):
+    edges = [[0, 1], [0, 3], [1, 2], [2, 3]]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"edges": edges, "colors": ["red" if e in red else "blue" for e in edges]}))
+    code, out, _ = run(["nac", "check", C4, "--coloring", str(path)], capsys)
     assert code == 0
-    assert json.loads(out)["verdict"] == "NOT_MOVABLE_CDC_COMPLETE"
+    assert json.loads(out) == {"is_nac": expected}
+
+
+def test_graph_specs_from_a_file_and_stdin(tmp_path, monkeypatch, capsys):
+    import io
+
+    (tmp_path / "g.g6").write_text(f"{Q1}\nCl\n")
+    _, literal, _ = run(["classify", Q1], capsys)
+    code, from_file, _ = run(["classify", f"@{tmp_path / 'g.g6'}"], capsys)
+    assert code == 0 and from_file == literal
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{Q1}\n"))
+    code, from_stdin, _ = run(["classify", "-"], capsys)
+    assert code == 0 and from_stdin == literal
+    _, report, _ = run(["census", "--graphs", str(tmp_path / "g.g6"), "--max-n", "7"], capsys)
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{Q1}\nCl\n"))
+    _, piped, _ = run(["census", "--graphs", "-", "--max-n", "7"], capsys)
+    assert json.loads(piped) == json.loads(report)
+    assert json.loads(piped)["graphs_seen"] == 2
 
 
 def test_classify_writes_certificates(tmp_path, capsys):
@@ -163,6 +211,39 @@ def test_construct_dixon_with_coinciding_vertices_fails(tmp_path, capsys):
     assert "not proper" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("recipe", ["s1", "s2", "s3"])
+def test_construct_glue_writes_labeling_and_path(recipe, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, printed, _ = run(["construct", "glue", "--recipe", recipe, "--out", str(out)], capsys)
+    assert code == 0
+    report = json.loads(printed)
+    assert report["out"] == str(out) and report["samples"] == 60
+    assert report["injectivity_margin"] > 0
+    assert (out / "labeling.json").exists()
+    rows = (out / "path.csv").read_text().splitlines()
+    assert rows[0].startswith("sample,x0,y0") and len(rows) == 1 + 60
+
+
+def test_refix_on_an_edge_of_irrational_length_exits_2(tmp_path, capsys):
+    # the path 0-1-2 with z1 = 1 and z2 = 1 + (1 + i)E: edge (1, 2) has length sqrt(2)
+    from movability.constructions import unit_circle
+    from movability.exact import GaussianRational
+    from movability.graphs import Graph
+    from movability.motion import ParametrizedMotion, motion_to_json
+    from movability.ratfunc import RationalFunction
+
+    one = RationalFunction.const(GaussianRational.of(1))
+    z2 = one + RationalFunction.const(GaussianRational.of(1, 1)) * unit_circle()
+    motion = ParametrizedMotion(
+        Graph.of(3, [(0, 1), (1, 2)]), (0, 1), (RationalFunction.const(GaussianRational.of(0)), one, z2)
+    )
+    path = tmp_path / "motion.json"
+    path.write_text(motion_to_json(motion))
+    code, _, err = run(["motion", "refix", str(path), "--edge", "1,2"], capsys)
+    assert code == 2
+    assert "irrational length sqrt(2)" in err
 
 
 def test_motion_valuations_table_layout(tmp_path, capsys):
@@ -525,6 +606,9 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["motion", "verify", "fixed-float.json"],
         ["motion", "verify", "n-huge.json"],
         ["motion", "verify", "n-63.json"],
+        ["motion", "verify", "n-10.json"],
+        ["motion", "verify", "no-y.json"],
+        ["motion", "verify", "vertices-list.json"],
         *(["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1",
            "--step-size", size] for size in ("inf", "1e300", "0", "-0.1", "nan")),
         *(["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1",
@@ -550,7 +634,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "motion-coefficient-float", "motion-coefficient-one-element",
          "motion-fixed-edge-bool-first", "refix-fixed-edge-bool-first",
          "motion-fixed-edge-bool-second", "motion-fixed-edge-float", "motion-n-huge",
-         "motion-n-63", "step-size-inf",
+         "motion-n-63", "motion-missing-vertex", "motion-missing-y", "motion-vertices-list",
+         "step-size-inf",
          "step-size-1e300", "step-size-0", "step-size-negative", "step-size-nan", "steps-negative",
          "steps-0", "tol-inf", "tol-nan", "tol-0", "tol-negative"],
 )
@@ -598,7 +683,9 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     # constructor before anything is allocated; a count that fits an index
     # would allocate for real, so none is used here
     vertex_counts = {f"n-{name}.json": {**json.loads(motion_to_json(motion)), "n": n}
-                     for name, n in (("huge", 10**20), ("63", 63))}
+                     for name, n in (("huge", 10**20), ("63", 63), ("10", 10))}
+    no_y = json.loads(motion_to_json(motion))
+    del no_y["vertices"]["2"]["y"]
     files = {
         "lab.json": lab,
         "negative.json": {"edges": lab["edges"], "lambda_sq": ["-1"] + lab["lambda_sq"][1:]},
@@ -624,6 +711,8 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         "poly-zero-den.json": poly_zero_den,
         "float-n.json": float_n,
         "complex-x.json": complex_x,
+        "no-y.json": no_y,
+        "vertices-list.json": {**json.loads(motion_to_json(motion)), "vertices": []},
         # 0.0 == 0 and True == 1, so only a type check keeps these out
         "coloring-float.json": {"edges": [[0.0, 1], [0, 3], [1, 2], [2, 3]],
                                 "colors": ["blue", "red", "red", "blue"]},
@@ -681,7 +770,13 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         assert "every edge exactly once" in err
     if any(arg.startswith("fixed-") for arg in argv):
         assert "needs two integer vertices" in err
-    if any(arg.startswith("n-") for arg in argv):
+    if "n-huge.json" in argv or "n-63.json" in argv:
         assert "at most 62 vertices" in err
+    if "n-10.json" in argv:
+        assert "vertex 4 needs an entry with x and y" in err
+    if "no-y.json" in argv:
+        assert "vertex 2 needs an entry with x and y" in err
+    if "vertices-list.json" in argv:
+        assert "vertices must be an object" in err
     if argv[-2] == "--max-n" and int(argv[-1]) < 1:
         assert f"--max-n must be at least 1, got {argv[-1]}" in err

@@ -195,6 +195,42 @@ def test_axes_sampler_needs_its_own_graph_with_three_vertices():
     assert not MovabilityCertificate("dixon_one", restricted, axes=axes).verify(smaller)
 
 
+@pytest.mark.parametrize(
+    "case", ["missing-edge", "zero-label", "frozen", "non-edge", "label-off", "no-evidence"]
+)
+def test_verify_rejects_broken_evidence(case):
+    # exact evidence is checked with zero tolerance: each case breaks one
+    # check of MovabilityCertificate.verify that the intact pullback passes
+    from movability.constructions import deltoid_motion
+    from movability.exact import GaussianRational
+    from movability.motion import ParametrizedMotion
+    from movability.ratfunc import RationalFunction
+
+    motion = deltoid_motion().motion
+    c4, labeling = motion.graph, motion.induced_labeling()
+    parent = (c4, MovabilityCertificate("deltoid", labeling, motion=motion))
+    assert MovabilityCertificate("catalog:C4", labeling, parent=parent, embedding=[0, 1, 2, 3]).verify(c4)
+    square = ((0, 0), (1, 0), (1, 1), (0, 1))
+    frozen = ParametrizedMotion(
+        c4, (0, 1), tuple(RationalFunction.const(GaussianRational.of(*z)) for z in square)
+    )
+    broken = {
+        "missing-edge": MovabilityCertificate(
+            "deltoid", {e: labeling[e] for e in sorted(c4.edges)[1:]}, motion=motion
+        ),
+        "zero-label": MovabilityCertificate("deltoid", {**labeling, (0, 1): Fraction(0)}, motion=motion),
+        "frozen": MovabilityCertificate("frozen", frozen.induced_labeling(), motion=frozen),
+        # swapping 1 and 2 sends edge (0, 1) to the diagonal (0, 2)
+        "non-edge": MovabilityCertificate("catalog:C4", labeling, parent=parent, embedding=[0, 2, 1, 3]),
+        "label-off": MovabilityCertificate(
+            "catalog:C4", {**labeling, (0, 1): labeling[(0, 1)] + Fraction(1, 10**9)},
+            parent=parent, embedding=[0, 1, 2, 3],
+        ),
+        "no-evidence": MovabilityCertificate("none", labeling),
+    }[case]
+    assert broken.verify(c4) is False
+
+
 # -- the exact evidence of S1-S4 ---------------------------------------------------
 
 
