@@ -381,7 +381,7 @@ def cmd_motion(args) -> int:
         return EXIT_OK
     if args.action == "active-nac":
         report = active_nac_colorings(motion)
-        ordered = sorted(report.colorings, key=lambda c: sorted(c.red))
+        ordered = sorted(report.colorings, key=NacColoring.sort_key)
         _print_colorings(motion.graph, ordered, args.format)
         if not report.complete:
             print("warning: unresolved places; active set is a lower bound", file=sys.stderr)

@@ -3,7 +3,10 @@
 The motion machinery needs the field Q(i) because the complex edge functions
 (dx + i*dy) live there, and it needs every Gaussian-rational root of their
 numerators and denominators (those are the candidate places where valuations
-can separate edges).  Roots are found exactly: square-free reduction, then
+can separate edges).  A polynomial keeps Gaussian-integer coefficients over
+one denominator (Knuth, TAOCP vol. 2, 4.6.1), so its arithmetic is int
+arithmetic; Gaussian rationals are points, places and the coefficients read
+out of a polynomial.  Roots are found exactly: square-free reduction, then
 one loop that peels a root per pass, by -c0/c1 at degree one, the quadratic
 formula at degree two and otherwise a divisor search over Z[i] driven by
 Gaussian-integer factorization.  Whatever resists splitting into linear
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 
@@ -139,9 +143,15 @@ def gr(re, im=0) -> GaussianRational:
 
 @dataclass(frozen=True)
 class Poly:
-    """Dense polynomial, coefficients low degree first, no trailing zeros."""
+    """Dense polynomial over Q(i) held as Gaussian integers over one
+    denominator: the value is sum (z[k][0] + z[k][1] i) t^k / d, with z low
+    degree first and no trailing zeros, d a positive int and the gcd of d
+    and every part 1.  That form is unique, so dataclass equality and
+    hashing compare values.  Build one with `of`, `const` or `variable`.
+    """
 
-    coeffs: tuple[GaussianRational, ...]
+    z: tuple[tuple[int, int], ...]
+    d: int = 1
 
     @staticmethod
     def of(coeffs: Iterable) -> "Poly":
@@ -153,9 +163,7 @@ class Poly:
                 out.append(GaussianRational.of(*c))
             else:
                 out.append(GaussianRational.of(c))
-        while out and out[-1].is_zero():
-            out.pop()
-        return Poly(tuple(out))
+        return _poly(*_integer_pairs(out))
 
     @staticmethod
     def const(c) -> "Poly":
@@ -165,62 +173,92 @@ class Poly:
     def variable() -> "Poly":
         return Poly.of([0, 1])
 
+    @cached_property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        """The coefficients as Gaussian rationals, low degree first."""
+        d = self.d
+        return tuple(GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in self.z)
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.z) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.z
 
     def leading(self) -> GaussianRational:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        a, b = self.z[-1]
+        return GaussianRational(Fraction(a, self.d), Fraction(b, self.d))
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        d = math.lcm(self.d, other.d)
+        a, b = _times(self.z, d // self.d), _times(other.z, d // other.d)
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly.of(out)
+        for k, (x, y) in enumerate(b):
+            u, v = out[k]
+            out[k] = (u + x, v + y)
+        return _poly(out, d)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple(_times(self.z, -1)), self.d)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():
-            return Poly(())
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+            return P_ZERO
+        size = len(self.z) + len(other.z) - 1
+        re, im = [0] * size, [0] * size
+        for i, (x, y) in enumerate(self.z):
+            if not (x or y):
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly.of(out)
+            for j, (u, v) in enumerate(other.z):
+                re[i + j] += x * u - y * v
+                im[i + j] += x * v + y * u
+        return _poly(list(zip(re, im)), self.d * other.d)
 
     def scale(self, c: GaussianRational) -> "Poly":
-        return Poly.of([a * c for a in self.coeffs])
+        return self * Poly.const(c)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """Pseudo-division by the monic divisor M/m, whose leading pair is
+        (m, 0): the remainder is multiplied by m only when m does not divide
+        its leading pair, and s counts those factors, so that
+        s*z = Q*M + R over Z[i].  The quotient by other is Q*m/(s*d) over
+        other's leading coefficient."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [GR_ZERO] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading()
-        # one inverse per call, none for a monic divisor (gcds, denominators)
-        inverse = None if lead == GR_ONE else GR_ONE / lead
-        while len(rem) - 1 >= d and rem:
-            k = len(rem) - 1 - d
-            factor = rem[-1] if inverse is None else rem[-1] * inverse
-            quot[k] = factor
-            for j, c in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - factor * c
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return Poly.of(quot), Poly.of(rem)
+        monic = other.monic()
+        divisor, m = monic.z, monic.d
+        n = len(divisor) - 1
+        steps = len(self.z) - n
+        if steps <= 0:
+            return P_ZERO, self
+        rem = list(self.z)
+        quot = [(0, 0)] * steps
+        s = 1
+        for k in range(steps - 1, -1, -1):
+            a, b = rem.pop()
+            if not (a or b):
+                continue
+            if a % m or b % m:
+                rem, quot, s = _times(rem, m), _times(quot, m), s * m
+            else:
+                a, b = a // m, b // m
+            quot[k] = (a, b)
+            for j in range(n):
+                u, v = divisor[j]
+                x, y = rem[k + j]
+                rem[k + j] = (x - a * u + b * v, y - a * v - b * u)
+        if monic is other:
+            q = _poly(_times(quot, m), s * self.d)
+        else:
+            # 1/lead = other.d * conj(L) / N(L) for the leading pair L
+            lead = other.z[-1]
+            q = _poly(_by_conjugate(_times(quot, m * other.d), lead), s * self.d * _gi_norm(lead))
+        return q, _poly(rem, s * self.d)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -229,23 +267,25 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        """z*conj(L)/N(L) for the leading pair L; self when already monic."""
+        if self.is_zero() or self.z[-1] == (self.d, 0):
             return self
-        return self.scale(GR_ONE / self.leading())
+        lead = self.z[-1]
+        return _poly(_by_conjugate(self.z, lead), _gi_norm(lead))
 
     def derivative(self) -> "Poly":
-        return Poly.of(
-            [c * GaussianRational.of(k) for k, c in enumerate(self.coeffs)][1:]
-        )
+        return _poly([(k * x, k * y) for k, (x, y) in enumerate(self.z)][1:], self.d)
 
     def __call__(self, t: GaussianRational) -> GaussianRational:
-        acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        if self.is_zero():
+            return GR_ZERO
+        (point,), den = _integer_pairs([t])
+        re, im = _homogeneous(self.z, point, den)
+        den = den ** self.degree * self.d
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     def conjugate_coeffs(self) -> "Poly":
-        return Poly(tuple(c.conjugate() for c in self.coeffs))
+        return Poly(tuple((x, -y) for x, y in self.z), self.d)
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -264,18 +304,63 @@ class Poly:
 
 
 P_ZERO = Poly(())
-P_ONE = Poly.of([1])
+P_ONE = Poly(((1, 0),))
+
+
+def _times(z, k: int) -> list[tuple[int, int]]:
+    """z times the int k, or z itself when k is 1."""
+    return z if k == 1 else [(x * k, y * k) for x, y in z]
+
+
+def _by_conjugate(z, pair: tuple[int, int]) -> list[tuple[int, int]]:
+    """Each Gaussian integer of z times the conjugate of pair."""
+    la, lb = pair
+    return [(x * la + y * lb, y * la - x * lb) for x, y in z]
+
+
+def _integer_pairs(cs: list[GaussianRational]) -> tuple[list[tuple[int, int]], int]:
+    """Gaussian-integer pairs z and the least positive d with cs = z/d."""
+    d = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+    return [(c.re.numerator * (d // c.re.denominator), c.im.numerator * (d // c.im.denominator))
+            for c in cs], d
+
+
+def _poly(z: list[tuple[int, int]], d: int) -> Poly:
+    """z/d in lowest terms: trailing zeros dropped, then z and d divided by
+    the gcd of d and every part."""
+    while z and z[-1] == (0, 0):
+        z.pop()
+    if not z:
+        return P_ZERO
+    g = d
+    for x, y in z:
+        g = math.gcd(g, x, y)
+        if g == 1:
+            return Poly(tuple(z), d)
+    return Poly(tuple((x // g, y // g) for x, y in z), d // g)
+
+
+def _homogeneous(z, point: tuple[int, int], den: int) -> tuple[int, int]:
+    """sum z[k] p^k den^(n-k) over Z[i] by Horner, for the point p/den."""
+    pr, pi = point
+    re, im = z[-1]
+    power = 1
+    for x, y in reversed(z[:-1]):
+        power *= den
+        re, im = re * pr - im * pi + x * power, re * pi + im * pr + y * power
+    return re, im
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm (Q(i) is a field).
+    """Monic gcd by the Euclidean algorithm (Q(i) is a field), each
+    remainder made monic to keep its integers small.
 
     A nonzero constant on either side gives 1 without a division, the
     common case in rational-function arithmetic; gcd(0, b) is b made monic."""
     if a.degree == 0 or b.degree == 0:
         return P_ONE
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, (a % b).monic()
     return a.monic()
 
 
@@ -290,7 +375,8 @@ def square_free_part(f: Poly) -> Poly:
 def root_multiplicity(f: Poly, r: GaussianRational) -> int:
     count = 0
     lin = Poly.of([-r, 1])
-    while not f.is_zero() and f(r).is_zero():
+    (point,), den = _integer_pairs([r])
+    while not f.is_zero() and _homogeneous(f.z, point, den) == (0, 0):
         f = f // lin
         count += 1
     return count
@@ -380,13 +466,6 @@ def gaussian_integer_divisors(z: tuple[int, int]) -> list[tuple[int, int]]:
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def _poly_to_gaussian_ints(f: Poly) -> list[tuple[int, int]]:
-    lcm = 1
-    for c in f.coeffs:
-        lcm = math.lcm(lcm, c.re.denominator, c.im.denominator)
-    return [(int(c.re * lcm), int(c.im * lcm)) for c in f.coeffs]
-
-
 def _quadratic_roots(f: Poly) -> list[GaussianRational]:
     c0, c1, c2 = f.coeffs
     disc = c1 * c1 - GaussianRational.of(4) * c2 * c0
@@ -402,17 +481,27 @@ def _divisor_root(work: Poly) -> list[GaussianRational]:
     """The first root of work in Q(i) by the rational-root theorem over Z[i]
     (a unit times a divisor of the trailing coefficient over a divisor of
     the leading one), as a one-element list, or [] when there is none.
-    Everything divides a zero trailing coefficient, and 0 is then a root."""
-    if work.coeffs[0].is_zero():
+    Each candidate is reduced to (re + im i)/den with gcd(re, im, den) = 1,
+    skipped if already tried, and tested by sum z[k] p^k den^(n-k) = 0 over
+    Z[i].  Everything divides a zero trailing coefficient, and 0 is then a
+    root."""
+    z = work.z
+    if z[0] == (0, 0):
         return [GR_ZERO]
-    ints = _poly_to_gaussian_ints(work)
-    for p in gaussian_integer_divisors(ints[0]):
-        for q in gaussian_integer_divisors(ints[-1]):
-            base = GaussianRational.of(*p) / GaussianRational.of(*q)
+    tried = set()
+    for p in gaussian_integer_divisors(z[0]):
+        for q in gaussian_integer_divisors(z[-1]):
+            # p/q = p*conj(q)/N(q)
+            base, norm = _gi_mul(p, (q[0], -q[1])), _gi_norm(q)
             for u in _UNITS:
-                cand = base * GaussianRational.of(*u)
-                if work(cand).is_zero():
-                    return [cand]
+                re, im = _gi_mul(base, u)
+                g = math.gcd(re, im, norm)
+                cand = (re // g, im // g, norm // g)
+                if cand in tried:
+                    continue
+                tried.add(cand)
+                if _homogeneous(z, cand[:2], cand[2]) == (0, 0):
+                    return [GaussianRational(Fraction(cand[0], cand[2]), Fraction(cand[1], cand[2]))]
     return []
 
 

@@ -269,17 +269,15 @@ def candidate_places(m: ParametrizedMotion) -> PlacesReport:
     unresolved rather than silently dropped; when any are present the active
     set computed from the resolved places is only a lower bound.
     """
+    # motions repeat polynomials across edges, so each is searched once
+    polys = dict.fromkeys(p for w in m._w.values() for p in (w.num, w.den) if p.degree >= 1)
     points: set[GaussianRational] = set()
     unresolved: list[Poly] = []
-    for u, v in m.graph.sorted_edges():
-        w = w_function(m, u, v)
-        for poly in (w.num, w.den):
-            if poly.degree < 1:
-                continue
-            report = gaussian_rational_roots(poly)
-            points.update(root for root, _mult in report.roots)
-            if report.unresolved.degree >= 1 and report.unresolved not in unresolved:
-                unresolved.append(report.unresolved)
+    for poly in polys:
+        report = gaussian_rational_roots(poly)
+        points.update(root for root, _mult in report.roots)
+        if report.unresolved.degree >= 1 and report.unresolved not in unresolved:
+            unresolved.append(report.unresolved)
     places = [Place(z) for z in sorted(points)]
     places.append(INFINITY)
     return PlacesReport(tuple(places), tuple(unresolved))

@@ -56,6 +56,10 @@ class NacColoring:
             raise ValueError(f"{e} is not an edge")
         return RED if e in self.red else BLUE
 
+    def sort_key(self) -> list[Edge]:
+        """The order in which colorings are listed: by sorted red class."""
+        return sorted(self.red)
+
     def conjugate(self) -> "NacColoring":
         return NacColoring(self.graph, self.blue)
 
@@ -237,11 +241,11 @@ def enumerate_nac(
 
     rec(0, list(range(g.n)), list(range(g.n)))
     colorings = [NacColoring(g, red) for red in results]
-    colorings.sort(key=lambda c: sorted(c.red))
+    colorings.sort(key=NacColoring.sort_key)
     if non_conjugated:
         return colorings
     full = colorings + [c.conjugate() for c in colorings]
-    full.sort(key=lambda c: sorted(c.red))
+    full.sort(key=NacColoring.sort_key)
     return full
 
 
@@ -306,7 +310,6 @@ def unicolor_pairs(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> set[Edge]
 class ClosureReport:
     """Result of the constant distance closure fixpoint."""
 
-    graph: Graph
     closure: Graph
     added: tuple[tuple[Edge, ...], ...]
 
@@ -361,4 +364,4 @@ def constant_distance_closure(
             for i, red in enumerate(reds)
         )
         reds = [red for red in extended if _is_nac_red(current, red)]
-    return ClosureReport(graph=g, closure=current, added=tuple(rounds))
+    return ClosureReport(closure=current, added=tuple(rounds))

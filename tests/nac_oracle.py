@@ -166,4 +166,4 @@ def oracle_closure(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> ClosureRe
             break
         rounds.append(tuple(sorted(pairs)))
         current = current.with_edges(pairs)
-    return ClosureReport(graph=g, closure=current, added=tuple(rounds))
+    return ClosureReport(closure=current, added=tuple(rounds))

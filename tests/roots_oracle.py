@@ -4,11 +4,13 @@
 divides it out in one place.  This is the earlier form, kept verbatim: it
 records a root in three places (the degree-one branch, the degree-two
 branch and the divisor search).  `tests/test_exact.py` asserts that both
-return the same report.
+return the same report.  `_poly_to_gaussian_ints`, which the package no
+longer needs, lives on here with it.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from movability.exact import (
@@ -18,12 +20,18 @@ from movability.exact import (
     GaussianRational,
     Poly,
     RootReport,
-    _poly_to_gaussian_ints,
     _quadratic_roots,
     gaussian_integer_divisors,
     root_multiplicity,
     square_free_part,
 )
+
+
+def _poly_to_gaussian_ints(f: Poly) -> list[tuple[int, int]]:
+    lcm = 1
+    for c in f.coeffs:
+        lcm = math.lcm(lcm, c.re.denominator, c.im.denominator)
+    return [(int(c.re * lcm), int(c.im * lcm)) for c in f.coeffs]
 
 
 def gaussian_rational_roots(f: Poly) -> RootReport:
@@ -40,7 +48,7 @@ def gaussian_rational_roots(f: Poly) -> RootReport:
     roots: list[tuple[GaussianRational, int]] = []
     k = 0
     while f.coeffs[0].is_zero():
-        f = Poly(f.coeffs[1:])
+        f = Poly.of(f.coeffs[1:])
         k += 1
     if k:
         roots.append((GR_ZERO, k))

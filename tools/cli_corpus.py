@@ -87,6 +87,14 @@ def cases() -> list[tuple[str, list[list[str]]]]:
         out.append((f"classify-pullback-{code}", [["classify", code]]))
     for seed in range(4):
         out.append((f"two-nac-seed-{seed}", [["construct", "two-nac", "FLr@w", "--seed", str(seed), "--out", "out/"]]))
+
+    def queries(path):
+        return [["motion", "verify", path],
+                ["motion", "valuations", path],
+                ["motion", "valuations", path, "--format", "json"],
+                ["motion", "active-nac", path],
+                ["motion", "active-nac", path, "--format", "json"]]
+
     out += [
         ("dixon-params", [["construct", "dixon1", "EFz_", "--x", "1,2,3", "--y", "3/2,5,7", "--out", "out/"]]),
         ("dixon-bad-count", [["construct", "dixon1", "EFz_", "--x", "1,2", "--out", "out/"]]),
@@ -104,10 +112,12 @@ def cases() -> list[tuple[str, list[list[str]]]]:
         # a non-integer shape parameter, and its motion pinned at another edge
         ("s5-a-7/2", [["construct", "s5", "--a", "7/2", "--out", "out/"],
                       ["motion", "refix", "out/motion.json", "--edge", "3,4", "--out", "out/refixed.json"]]),
-        # a refix of a refix: the second starts from the first one's file
+        # a refix of a refix: the second starts from the first one's file, and
+        # the twice-refixed motion, with the corpus's largest denominators, is queried
         ("s5-a-7/2-twice", [["construct", "s5", "--a", "7/2", "--out", "out/"],
                             ["motion", "refix", "out/motion.json", "--edge", "3,4", "--out", "out/refixed.json"],
-                            ["motion", "refix", "out/refixed.json", "--edge", "5,7", "--out", "out/twice.json"]]),
+                            ["motion", "refix", "out/refixed.json", "--edge", "5,7", "--out", "out/twice.json"],
+                            *queries("out/twice.json")]),
         ("census-6", [["gen", "--max-n", "6", "--out", "graphs.g6"],
                       ["census", "--graphs", "graphs.g6", "--max-n", "6", "--out", "report.json"]]),
         ("gen-max-n-negative", [["gen", "--max-n", "-3"]]),
@@ -115,13 +125,6 @@ def cases() -> list[tuple[str, list[list[str]]]]:
         ("census-max-n-negative", [["gen", "--max-n", "3", "--out", "graphs.g6"],
                                    ["census", "--graphs", "graphs.g6", "--max-n", "-1"]]),
     ]
-    def queries(path):
-        return [["motion", "verify", path],
-                ["motion", "valuations", path],
-                ["motion", "valuations", path, "--format", "json"],
-                ["motion", "active-nac", path],
-                ["motion", "active-nac", path, "--format", "json"]]
-
     # each motion is queried as built and again after pinning another edge
     for name, construct, unpinned in (("grid", ["grid", "ElNG"], "1,2"),
                                       ("two-nac", ["two-nac", "FLr@w", "--seed", "0"], "1,2"),
