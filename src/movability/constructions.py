@@ -301,7 +301,9 @@ def grid_search(
 
 @dataclass(frozen=True)
 class EmbeddingR3:
-    """Injective vertex embedding whose edge directions lie in four classes."""
+    """Injective vertex embedding in R^3.  `two_nac_embedding` builds one in
+    which every edge is parallel to the direction its color pair selects;
+    the class itself checks only injectivity."""
 
     graph: Graph
     points: tuple[Triple, ...]
@@ -309,15 +311,6 @@ class EmbeddingR3:
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
             raise ValueError("embedding is not injective")
-        present = set()
-        for u, v in self.graph.edges:
-            present.add(self.direction_class(u, v))
-        if present != {0, 1, 2, 3}:
-            missing = sorted(set(range(4)) - present)
-            raise ValueError(f"direction classes {missing} are empty")
-
-    def direction_class(self, u: int, v: int) -> int:
-        return direction_class(tuple(a - b for a, b in zip(self.points[u], self.points[v])))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -328,27 +321,32 @@ class EmbeddingR3:
         )
 
 
-def direction_class(d: Sequence[Fraction]) -> int:
-    """Index k of the DIRECTIONS entry that the nonzero vector d is parallel
-    to: d is orthogonal to both vectors of _NORMALS[k]."""
-    if any(d):
-        for k, normals in enumerate(_NORMALS):
-            if all(sum(c * x for c, x in zip(normal, d)) == 0 for normal in normals):
-                return k
-    raise ValueError(f"direction {d} matches no class")
-
-
 def _check_colorings(g: Graph, *colorings: NacColoring) -> None:
     for coloring in colorings:
         if not is_nac(g, coloring):
             raise ConstructionInapplicable("a supplied coloring is not a NAC-coloring")
 
 
-def _tree_kernel(
-    g: Graph, first: NacColoring, second: NacColoring
-) -> list[tuple[tuple[int, int, int], ...]]:
+def _pair_classes(g: Graph, first: NacColoring, second: NacColoring) -> dict[Edge, int]:
+    """The DIRECTIONS index of each edge: the one its color pair selects."""
+    return {
+        e: _PAIR_INDEX[RED if e in first.red else BLUE, RED if e in second.red else BLUE]
+        for e in g.edges
+    }
+
+
+def _require_every_class(classes: Mapping[Edge, int]) -> None:
+    present = set(classes.values())
+    missing = [p for p, k in _PAIR_INDEX.items() if k not in present]
+    if missing:
+        raise ConstructionInapplicable(
+            f"direction classes for color pairs {missing} are empty"
+        )
+
+
+def _tree_kernel(g: Graph, classes: Mapping[Edge, int]) -> list[tuple[tuple[int, int, int], ...]]:
     """Integer basis of the positions with p_0 = 0 and every edge parallel to
-    the direction its color pair selects, as vertex triples.
+    the direction of its class in `classes`, as vertex triples.
 
     A BFS forest rooted at the lowest vertex of each component fixes the
     unknowns: one scalar s_e per tree edge e of class k, so p_w - p_u =
@@ -360,10 +358,6 @@ def _tree_kernel(
     elimination, and never become `Fraction`s.
     """
     masks = g.masks()
-    klass = {
-        e: _PAIR_INDEX[RED if e in first.red else BLUE, RED if e in second.red else BLUE]
-        for e in g.edges
-    }
     path: list[frozenset[int] | None] = [None] * g.n  # tree scalars above each vertex
     direction: list[int] = []  # the DIRECTIONS index of each unknown
     steps: list[tuple[int, int, int]] = []  # (vertex, parent or -1, its unknown), BFS order
@@ -383,11 +377,11 @@ def _tree_kernel(
                     tree.add(e)
                     steps.append((w, u, len(direction)))
                     path[w] = path[u] | {len(direction)}
-                    direction.append(klass[e])
+                    direction.append(classes[e])
                     queue.append(w)
     nvar = len(direction)
     kept: dict[int, list[int]] = {}
-    for e, k in klass.items():
+    for e, k in classes.items():
         if e in tree:
             continue
         u, v = e
@@ -480,7 +474,7 @@ def two_nac_solution_space(
     vertex triples.
     """
     _check_colorings(g, first, second)
-    return _echelon_on_last(_tree_kernel(g, first, second))
+    return _echelon_on_last(_tree_kernel(g, _pair_classes(g, first, second)))
 
 
 def two_nac_embedding(
@@ -492,7 +486,9 @@ def two_nac_embedding(
 ) -> EmbeddingR3:
     """Injective embedding from a pair of NAC-colorings, or a precise failure.
 
-    Empty direction classes are rejected first, then colorings that are not
+    The color pair of each edge selects its direction class (`_pair_classes`);
+    the embedding keeps every edge parallel to its class's direction.  Empty
+    direction classes are rejected first, then colorings that are not
     NAC-colorings of g.  Past those, a zero solution space and two vertices
     that coincide on the whole space are read off the integer kernel,
     whatever its basis.  Otherwise a generic point of the space is sampled
@@ -500,23 +496,15 @@ def two_nac_embedding(
     `two_nac_solution_space` returns; sampling only fails persistently when
     the space is too degenerate.
     """
-    _check_classes(g, first, second)
+    classes = _pair_classes(g, first, second)
+    _require_every_class(classes)
     _check_colorings(g, first, second)
-    return _pair_embedding(g, first, second, seed)
+    return _pair_embedding(g, classes, seed)
 
 
-def _check_classes(g: Graph, first: NacColoring, second: NacColoring) -> None:
-    pairs_seen = {(first.color(u, v), second.color(u, v)) for u, v in g.edges}
-    missing = [p for p in _PAIR_INDEX if p not in pairs_seen]
-    if missing:
-        raise ConstructionInapplicable(
-            f"direction classes for color pairs {missing} are empty"
-        )
-
-
-def _pair_embedding(g: Graph, first: NacColoring, second: NacColoring, seed: int) -> EmbeddingR3:
+def _pair_embedding(g: Graph, classes: Mapping[Edge, int], seed: int) -> EmbeddingR3:
     """`two_nac_embedding` past its checks of the colorings."""
-    kernel = _tree_kernel(g, first, second)
+    kernel = _tree_kernel(g, classes)
     if not kernel:
         raise ConstructionInapplicable("the linear system has only the zero solution")
     groups: dict[tuple, list[int]] = {}
@@ -602,19 +590,23 @@ def motion_from_embedding(omega: EmbeddingR3, quad: QuadMotion) -> ParametrizedM
     Vertex u moves as w1(u) f1 + w2(u) f2 + w3(u) f3; an edge parallel to a
     coordinate direction moves as a multiple of one frame function (or of
     their sum for the (-1,-1,-1) class), so its length is constant.  The
-    result is pinned at an edge of the (1,0,0) class, which is horizontal,
-    by subtracting the pinned vertex's coefficients.
+    result is pinned at the least edge whose endpoints differ only in x, an
+    edge of the (1,0,0) class, which is horizontal, by subtracting the
+    pinned vertex's coefficients.  An embedding with no such edge is
+    rejected; one with an edge outside the four classes gives no motion
+    (ParametrizedMotion raises MotionError).
     """
     g = omega.graph
     frames = quad.frames()
-    # EmbeddingR3 guarantees the (1,0,0) class is nonempty
-    pin = _horizontal_pin(
-        (e for e in sorted(g.edges) if omega.direction_class(*e) == 0), [p[0] for p in omega.points]
-    )
-    origin = omega.points[pin[0]]
+    points = omega.points
+    horizontal = [(u, v) for u, v in sorted(g.edges) if points[u][1:] == points[v][1:]]
+    if not horizontal:
+        raise ConstructionInapplicable("no edge of the embedding differs only in x")
+    pin = _horizontal_pin(horizontal, [x for x, _, _ in points])
+    origin = points[pin[0]]
     z = tuple(
         sum((_const(w - o) * f for w, o, f in zip(p, origin, frames)), _const(0))
-        for p in omega.points
+        for p in points
     )
     return ParametrizedMotion(g, pin, z)
 
@@ -635,8 +627,9 @@ def two_nac_search(
     last_error = ConstructionInapplicable("no pair of NAC-colorings to try")
     for first, second in pairs:
         try:
-            _check_classes(g, first, second)
-            embedding = _pair_embedding(g, first, second, seed)
+            classes = _pair_classes(g, first, second)
+            _require_every_class(classes)
+            embedding = _pair_embedding(g, classes, seed)
         except ConstructionInapplicable as exc:
             last_error = exc
             continue

@@ -15,11 +15,11 @@ from movability.catalog import (
 from movability.constructions import (
     DIRECTIONS,
     _NORMALS,
+    _PAIR_INDEX,
     AxesMotion,
     ConstructionInapplicable,
     EmbeddingR3,
     deltoid_motion,
-    direction_class,
     dixon_one,
     grid_construction,
     grid_search,
@@ -32,6 +32,7 @@ from movability.constructions import (
 from movability.exact import gr
 from movability.graphs import Graph, edge
 from movability.motion import (
+    MotionError,
     active_nac_colorings,
     candidate_places,
     collinear_triples,
@@ -39,7 +40,7 @@ from movability.motion import (
 )
 from movability.nac import NacColoring, enumerate_nac, is_nac
 
-from two_nac_oracle import _nullspace
+from two_nac_oracle import _nullspace, direction_class
 
 
 K33 = Graph.of(6, [(a, b) for a in range(3) for b in range(3, 6)])
@@ -282,7 +283,7 @@ def test_parallel_edges_share_color_pairs(q1_pair):
     emb = two_nac_embedding(g, first, second, seed=0)
     pair_of = {}
     for u, v in g.sorted_edges():
-        klass = emb.direction_class(u, v)
+        klass = direction_class([p - q for p, q in zip(emb.points[u], emb.points[v])])
         colors = (first.color(u, v), second.color(u, v))
         pair_of.setdefault(klass, set()).add(colors)
     for klass, pairs in pair_of.items():
@@ -418,13 +419,59 @@ def test_direction_class_agrees_with_normals_on_q1(q1_pair):
         d = [p - q for p, q in zip(emb.points[u], emb.points[v])]
         for k, normals in enumerate(_NORMALS):
             orthogonal = all(sum(x * y for x, y in zip(n, d)) == 0 for n in normals)
-            assert orthogonal == (k == emb.direction_class(u, v))
+            assert orthogonal == (k == direction_class(d))
+
+
+def test_color_pairs_are_the_geometric_classes_on_q_graphs():
+    # the class the coloring pair selects for each edge is the class its
+    # endpoint difference lies in, and the motion is pinned at the least
+    # class-0 edge, oriented so that x grows from the base to the tip
+    embedded = []
+    for name in ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6"):
+        g = catalog_graph(name)
+        for first, second in combinations(enumerate_nac(g, non_conjugated=True), 2):
+            try:
+                embedded.append((first, second, two_nac_embedding(g, first, second, seed=0)))
+            except ConstructionInapplicable:
+                pass
+    assert len(embedded) == 27
+    for first, second, emb in embedded:
+        g = emb.graph
+        geometric = {}
+        for u, v in g.sorted_edges():
+            d = [p - q for p, q in zip(emb.points[u], emb.points[v])]
+            geometric[u, v] = direction_class(d)
+            assert geometric[u, v] == _PAIR_INDEX[first.color(u, v), second.color(u, v)]
+        u, v = min(e for e, k in geometric.items() if k == 0)
+        pin = (u, v) if emb.points[u][0] < emb.points[v][0] else (v, u)
+        assert motion_from_embedding(emb, deltoid_motion()).fixed_edge == pin
 
 
 def test_embedding_validation():
     g = Graph.of(2, [(0, 1)])
     with pytest.raises(ValueError):
         EmbeddingR3(g, ((Fraction(0),) * 3, (Fraction(0),) * 3))  # not injective
+
+
+def _square(*points):
+    return EmbeddingR3(Graph.of(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+                       tuple(tuple(map(Fraction, p)) for p in points))
+
+
+def test_motion_from_embedding_needs_an_edge_along_x():
+    # the embedding checks only injectivity, so the pin's absence is
+    # reported by the motion construction itself
+    emb = _square((0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 1))
+    with pytest.raises(ConstructionInapplicable, match="differs only in x"):
+        motion_from_embedding(emb, deltoid_motion())
+
+
+def test_motion_from_embedding_rejects_an_edge_outside_the_classes():
+    # (2, 3) and (0, 3) are parallel to no DIRECTIONS entry, so their
+    # lengths change as the frame moves
+    emb = _square((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1))
+    with pytest.raises(MotionError):
+        motion_from_embedding(emb, deltoid_motion())
 
 
 # -- the deltoid frame ---------------------------------------------------------

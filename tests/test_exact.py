@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roots_oracle
+from movability import exact
+from movability.constructions import s5_motion
 from movability.exact import (
     GR_I,
     GR_ONE,
     GR_ZERO,
+    P_ONE,
     GaussianRational,
     Poly,
+    _divisor_root,
     fraction_sqrt,
     gaussian_integer_divisors,
     gaussian_rational_roots,
@@ -174,6 +180,82 @@ def products_over_q_i(draw):
 @settings(max_examples=200, deadline=None)
 def test_root_search_matches_the_oracle(f):
     assert gaussian_rational_roots(f) == roots_oracle.gaussian_rational_roots(f)
+
+
+def _wide_gaussian(rng, keep=lambda c: True):
+    """The first drawn Gaussian rational that `keep` accepts, with parts up
+    to +-40 over denominators up to 12: where the divisor search has the
+    most candidates at degree one and two."""
+    while True:
+        c = gr(Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+               Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+        if keep(c):
+            return c
+
+
+def _low_degree_polys():
+    """102 seeded polynomials of degree one and two with the roots they were
+    built from, each times a nonzero constant: 34 linear factors, 34
+    products of two linear factors (nine of them a double root) and 34
+    irreducible (t - s)^2 - c."""
+    rng = random.Random(0)
+    out = []
+    for k in range(102):
+        lead = Poly.const(_wide_gaussian(rng, bool))
+        r = _wide_gaussian(rng)
+        if k % 3 == 0:
+            out.append((lead * Poly.of([-r, 1]), ((r, 1),)))
+        elif k % 3 == 1:
+            s = r if k % 12 == 1 else _wide_gaussian(rng)
+            roots = ((r, 2),) if s == r else tuple(sorted(((r, 1), (s, 1))))
+            out.append((lead * Poly.of([-r, 1]) * Poly.of([-s, 1]), roots))
+        else:
+            c = _wide_gaussian(rng, lambda c: c.sqrt() is None)
+            out.append((lead * Poly.of([r * r - c, -(r + r), 1]), ()))
+    return out
+
+
+def _divisor_search_roots(f):
+    """Every root of f in Q(i) that the divisor search alone peels off."""
+    work, found = square_free_part(f), []
+    while work.degree >= 1 and (hit := _divisor_root(work)):
+        found += hit
+        work = work // Poly.of([-hit[0], 1])
+    return sorted(found)
+
+
+def test_low_degree_roots_with_wide_coefficients():
+    # -c0/c1 and the quadratic formula against the roots each polynomial was
+    # built from and against the divisor search over Z[i], on coefficients
+    # far larger than the strategy above draws
+    shapes = Counter()
+    for f, roots in _low_degree_polys():
+        report = gaussian_rational_roots(f)
+        assert report.roots == roots
+        assert report.unresolved == (P_ONE if roots else f.monic())
+        assert _divisor_search_roots(f) == [r for r, _ in roots]
+        shapes[f.degree, tuple(m for _, m in roots)] += 1
+    assert shapes == {(1, (1,)): 34, (2, (1, 1)): 25, (2, (2,)): 9, (2, ()): 34}
+
+
+def test_low_degree_roots_skip_the_divisor_search(monkeypatch):
+    # a double root with a 20-digit prime in both parts, and the W
+    # polynomials of degree at most two of S5 at a = 10^12 (among them
+    # (a+1)+(a-1)it, whose root is i(a+1)/(a-1)), are solved in closed form,
+    # without the trial division of their norms
+    a = Fraction(10**12)
+    _, m = s5_motion(a)
+    low = {p for w in m._w.values() for p in (w.num, w.den) if 1 <= p.degree <= 2}
+
+    def refuse(z):
+        raise AssertionError(f"divisor search on {z}")
+
+    monkeypatch.setattr(exact, "gaussian_integer_divisors", refuse)
+    big = gr(Fraction(10**19 + 51, 3), Fraction(-(10**19 + 51), 7))  # 10^19 + 51 is prime
+    f = Poly.const(gr(5, 11)) * Poly.of([-big, 1]) * Poly.of([-big, 1])
+    assert gaussian_rational_roots(f).roots == ((big, 2),)
+    roots = {r for p in low for r, _ in gaussian_rational_roots(p).roots}
+    assert len(low) == 12 and gr(0, (a + 1) / (a - 1)) in roots
 
 
 @pytest.mark.parametrize("name", ["deltoid", "q1", "s5-2"])

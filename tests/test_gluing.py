@@ -87,7 +87,8 @@ def test_embedded_piece_labeling_matches_direction_classes(monkeypatch):
     # the direction-class formula: an edge with omega difference
     # d = c * DIRECTIONS[k] moves as c times frame vector k
     from movability import gluing
-    from movability.constructions import DIRECTIONS, direction_class
+    from movability.constructions import DIRECTIONS
+    from two_nac_oracle import direction_class
 
     calls = []
     original = gluing._embedded_glue

@@ -10,13 +10,18 @@ elimination with vertex 0's columns dropped.  For a fixed column order the
 reduced row echelon form is unique, so `tests/test_constructions.py` asserts
 that all of them return the same basis and that both embeddings have the
 same outcome.
+
+`direction_class` is the geometric classifier the package used before the
+coloring pair alone fixed each edge's class, kept verbatim:
+`tests/test_constructions.py` asserts that every embedding the package
+builds puts each edge in the class its color pair selects.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from movability.constructions import (
     _EMBEDDING_TRIES,
@@ -27,6 +32,16 @@ from movability.constructions import (
 )
 from movability.graphs import Graph
 from movability.nac import NacColoring, is_nac
+
+
+def direction_class(d: Sequence[Fraction]) -> int:
+    """Index k of the DIRECTIONS entry that the nonzero vector d is parallel
+    to: d is orthogonal to both vectors of _NORMALS[k]."""
+    if any(d):
+        for k, normals in enumerate(_NORMALS):
+            if all(sum(c * x for c, x in zip(normal, d)) == 0 for normal in normals):
+                return k
+    raise ValueError(f"direction {d} matches no class")
 
 
 def two_nac_solution_space(g: Graph, first: NacColoring, second: NacColoring):

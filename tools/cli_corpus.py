@@ -107,6 +107,10 @@ def cases() -> list[tuple[str, list[list[str]]]]:
                                   "--second", "s2-1.json", "--out", "out/"]]),
         ("two-nac-S2-zero", [["construct", "two-nac", g6["S2"], "--first", "s2-0.json",
                               "--second", "s2-10.json", "--out", "out/"]]),
+        # one coloring twice fills two direction classes only: the empty-class
+        # message, ahead of the NAC check, for a file-given pair
+        ("two-nac-S2-same-pair", [["construct", "two-nac", g6["S2"], "--first", "s2-0.json",
+                                   "--second", "s2-0.json", "--out", "out/"]]),
         *((f"glue-{r}", [["construct", "glue", "--recipe", r, "--out", "out/"]]) for r in ("s1", "s2", "s3")),
         *((f"s5-a-{a}", [["construct", "s5", "--a", a, "--out", "out/"]]) for a in ("1", "2", "3")),
         # a non-integer shape parameter, and its motion pinned at another edge
