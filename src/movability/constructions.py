@@ -623,18 +623,112 @@ def two_nac_search(
     them, and are not checked again.  The motion is proper: the frame
     functions are linearly independent (rank 3 at t = 0..4, at any scale), so
     two vertices coincide for every t only if their embedding points are
-    equal."""
-    last_error = ConstructionInapplicable("no pair of NAC-colorings to try")
+    equal.
+
+    A twin test rejects most pairs before the exact solve.  For classes
+    a != b the normal N = DIRECTIONS[a] x DIRECTIONS[b] is orthogonal to both
+    directions, so N . p is constant on each connected component of the
+    union of the edges of classes a and b.  The six class pairs give six
+    edge sets: each coloring's red edges and its blue edges (two classes
+    that share a color of that coloring), and the edges where the two
+    colorings agree and where they differ.  If two vertices share a
+    component in three sets whose normals are linearly independent, their
+    difference is orthogonal to three independent vectors, so they coincide
+    at every solution, and the exact solve would reject the pair too.
+    Sixteen of the twenty triples are independent (`_TWIN_TRIPLES`); the
+    other four are the triples of class pairs through one class, whose
+    normals all lie in the plane orthogonal to its direction.  The test is
+    sufficient only: a pair it passes is decided by `_pair_embedding`, and
+    a pair it rejects would never have embedded, so the first pair that
+    embeds, and its embedding and motion, are the ones the exact solves
+    alone give.  When every pair fails and the test rejected the last one,
+    that pair is solved exactly so that the error raised is the exact
+    solve's.  A coloring's red and blue partitions are built once, when the
+    search first reaches it; the agree and differ partitions once per pair.
+    """
+    last_error: ConstructionInapplicable | None = ConstructionInapplicable(
+        "no pair of NAC-colorings to try"
+    )
+    sides: dict[frozenset[Edge], dict[str, tuple[Sequence[int], list[int]]]] = {}
     for first, second in pairs:
         try:
             classes = _pair_classes(g, first, second)
             _require_every_class(classes)
+            if _has_twins(g, sides, first, second):
+                last_error = None  # the exact solve's message is taken after the loop
+                continue
             embedding = _pair_embedding(g, classes, seed)
         except ConstructionInapplicable as exc:
             last_error = exc
             continue
         return first, second, embedding, motion_from_embedding(embedding, deltoid_motion())
+    if last_error is None:
+        _pair_embedding(g, classes, seed)  # raises: the last pair has twins
     raise last_error
+
+
+def _cross(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+# the six class pairs (a, b), a < b, and their normals: N . p is constant on
+# each component of the edges of classes a and b
+_CLASS_PAIRS = tuple(combinations(range(len(DIRECTIONS)), 2))
+_PAIR_NORMALS = tuple(_cross(DIRECTIONS[a], DIRECTIONS[b]) for a, b in _CLASS_PAIRS)
+# the triples of class pairs whose normals are linearly independent
+_TWIN_TRIPLES = tuple(
+    (i, j, k)
+    for i, j, k in combinations(range(len(_CLASS_PAIRS)), 3)
+    if sum(x * y for x, y in zip(_PAIR_NORMALS[i], _cross(_PAIR_NORMALS[j], _PAIR_NORMALS[k])))
+)
+# the color pair (first, second) of each class
+_CLASS_COLORS = {k: pair for pair, k in _PAIR_INDEX.items()}
+
+
+def _component_of(masks: Sequence[int]) -> list[int]:
+    """The component mask holding each vertex, for the adjacency masks."""
+    out = [0] * len(masks)
+    for comp in component_masks(masks, (1 << len(masks)) - 1):
+        for v in bits(comp):
+            out[v] = comp
+    return out
+
+
+def _color_sides(g: Graph, coloring: NacColoring) -> dict[str, tuple[Sequence[int], list[int]]]:
+    """Per color of coloring: the adjacency masks of its edges, and the
+    component mask of those edges holding each vertex."""
+    red = Graph(g.n, coloring.red).masks()
+    blue = [m & ~r for m, r in zip(g.masks(), red)]
+    return {RED: (red, _component_of(red)), BLUE: (blue, _component_of(blue))}
+
+
+def _has_twins(g: Graph, sides: dict, first: NacColoring, second: NacColoring) -> bool:
+    """The twin test of `two_nac_search`: whether two vertices share a
+    component in three edge sets with independent normals.  `sides` caches
+    `_color_sides` by red class."""
+    pair = []
+    for coloring in (first, second):
+        if coloring.red not in sides:
+            sides[coloring.red] = _color_sides(g, coloring)
+        pair.append(sides[coloring.red])
+    partitions = []
+    for a, b in _CLASS_PAIRS:
+        (a1, a2), (b1, b2) = _CLASS_COLORS[a], _CLASS_COLORS[b]
+        if a1 == b1:
+            partitions.append(pair[0][a1][1])
+        elif a2 == b2:
+            partitions.append(pair[1][a2][1])
+        else:  # the colorings agree on both classes, or differ on both
+            (ma, _), (na, _) = pair[0][a1], pair[1][a2]
+            (mb, _), (nb, _) = pair[0][b1], pair[1][b2]
+            masks = [(x & y) | (z & w) for x, y, z, w in zip(ma, na, mb, nb)]
+            partitions.append(_component_of(masks))
+    for i, j, k in _TWIN_TRIPLES:
+        p, q, r = partitions[i], partitions[j], partitions[k]
+        for v in range(g.n):
+            if p[v] & q[v] & r[v] != 1 << v:
+                return True
+    return False
 
 
 # -- exact axes motions of S1-S4 ----------------------------------------------

@@ -77,6 +77,9 @@ class NacColoring:
         """The coloring a `to_json` file holds, which must name every edge of
         graph exactly once, each red or blue."""
         data = json.loads(text)
+        if not (isinstance(data, dict) and isinstance(data.get("edges"), list)
+                and isinstance(data.get("colors"), list)):
+            raise ValueError("a coloring must be an object with edges and colors lists")
         listed = [edge(u, v) for u, v in json_edges(data["edges"])]
         colors = data["colors"]
         edges = set(listed)

@@ -252,11 +252,30 @@ def test_criterion_3_census(graph_stream_8):
     _ok(f"3 census over {report.graphs_seen} graphs = 21-entry catalog ({elapsed:.0f}s)")
 
 
+def _keeps_squared_distance(cert, u: int, v: int) -> bool:
+    """Whether |p_u - p_v|^2 is constant along the certificate's motion,
+    exactly: d * conj(d) over Q(i) for a parametrized motion, the axes
+    motion's own test for an axes core; a pullback maps u and v into its
+    parent graph and asks the parent's evidence."""
+    while cert.parent is not None:
+        u, v = cert.embedding[u], cert.embedding[v]
+        cert = cert.parent[1]
+    if cert.axes is not None:
+        return cert.axes.squared_distance(u, v) is not None
+    d = cert.motion.coords[v] - cert.motion.coords[u]
+    return (d * d.conjugate_coeffs()).is_constant()
+
+
 def _verdict_histograms(graphs):
     """Verdict kinds, MOVABLE routes and MOVABLE reduced vertex counts of
     classify over graphs; on the way, every graph spanned by a Laman graph
-    must be MOVABLE exactly when the closure of its reduction is not complete."""
+    must be MOVABLE exactly when the closure of its reduction is not complete,
+    and every pair the closure of a MOVABLE verdict adds to its reduced graph
+    must keep a constant distance along the certified motion (the lemma behind
+    the closure).  Also returns the number of such pairs and of the verdicts
+    that have one."""
     kinds, routes, sizes = Counter(), Counter(), Counter()
+    added_pairs = added_verdicts = 0
     for g in graphs:
         verdict = classify(g)
         kinds[verdict.kind] += 1
@@ -267,7 +286,12 @@ def _verdict_histograms(graphs):
         if verdict.kind == MOVABLE:
             routes[verdict.certificate.construction] += 1
             sizes[verdict.reduced.n] += 1
-    return kinds, routes, sizes
+            added = sorted(closure.edges - verdict.reduced.edges)
+            for u, v in added:
+                assert _keeps_squared_distance(verdict.certificate, u, v), (encode_graph6(g), u, v)
+            added_pairs += len(added)
+            added_verdicts += bool(added)
+    return kinds, routes, sizes, (added_pairs, added_verdicts)
 
 
 def test_criterion_3_classify_decides_every_graph(graph_stream_8):
@@ -275,7 +299,9 @@ def test_criterion_3_classify_decides_every_graph(graph_stream_8):
     connected graph, and a graph spanned by a Laman graph is movable iff the
     constant distance closure of its degree-two reduction is not complete.
     The constructions' search order depends on labels, so one relabeled
-    pass must give the same counts."""
+    pass must give the same counts.  Each of the 65 pairs that the closures
+    of 42 MOVABLE verdicts add keeps a constant distance along the
+    certificate's motion."""
     from movability.graphs import parse_graph6
 
     expected_kinds = {
@@ -304,11 +330,12 @@ def test_criterion_3_classify_decides_every_graph(graph_stream_8):
         rng.shuffle(perm)
         relabeled.append(g.relabel(perm))
     for stream in (graphs, relabeled):
-        kinds, routes, sizes = _verdict_histograms(stream)
+        kinds, routes, sizes, added = _verdict_histograms(stream)
         assert kinds[UNDECIDED] == 0
         assert dict(kinds) == expected_kinds
         assert dict(routes) == expected_routes
         assert dict(sizes) == expected_sizes
+        assert added == (65, 42)
     _ok(f"3 classify decides all {len(graphs)} graphs, twice ({time.monotonic() - t0:.0f}s)")
 
 

@@ -589,6 +589,8 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
         ["nac", "check", "Cl", "--coloring", "coloring-float.json"],
         ["nac", "check", "Cl", "--coloring", "coloring-bool.json"],
         ["nac", "check", "Cl", "--coloring", "coloring-twice.json"],
+        *(["nac", "check", "Cl", "--coloring", f"coloring-{name}.json"]
+          for name in ("no-edges", "list", "colors-int")),
         ["construct", "grid", "ElNG", "--coloring", "grid-coloring-float.json", "--out", "out"],
         ["motion", "track", "--labeling", "triangle.json", "--start", "triangle-start.json",
          "--fixed", "0,1"],
@@ -628,6 +630,7 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "json-graph-float-n", "motion-float-n", "motion-complex-x", "json-graph-edges-int",
          "json-graph-edges-null",
          "coloring-float-vertex", "coloring-bool-vertex", "coloring-edge-twice",
+         "coloring-no-edges", "coloring-list", "coloring-colors-int",
          "grid-coloring-float-vertex",
          "track-rigid-triangle", "two-nac-lone-first", "two-nac-lone-second", "lambda-bool",
          "lambda-float", "motion-coefficient-1e999", "motion-coefficient-bool",
@@ -721,6 +724,9 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         # edge [0, 1] once red and once blue; its red entry made a NAC-coloring
         "coloring-twice.json": {"edges": [[0, 1], [0, 1], [0, 3], [1, 2], [2, 3]],
                                 "colors": ["red", "blue", "blue", "red", "blue"]},
+        "coloring-no-edges.json": {"colors": ["blue", "red", "red", "blue"]},
+        "coloring-list.json": [],
+        "coloring-colors-int.json": {"edges": [[0, 1], [0, 3], [1, 2], [2, 3]], "colors": 5},
         "grid-coloring-float.json": {
             "edges": [[0.0, 1], [0, 3], [0, 5], [1, 2], [1, 5], [2, 3], [2, 4], [3, 4], [4, 5]],
             "colors": ["blue", "red", "blue", "red", "blue", "blue", "blue", "blue", "red"],
@@ -768,6 +774,8 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         assert "tol must be finite and positive" in err
     if "coloring-twice.json" in argv:
         assert "every edge exactly once" in err
+    if any(f"coloring-{name}.json" in argv for name in ("no-edges", "list", "colors-int")):
+        assert "a coloring must be an object with edges and colors lists" in err
     if any(arg.startswith("fixed-") for arg in argv):
         assert "needs two integer vertices" in err
     if "n-huge.json" in argv or "n-63.json" in argv:

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from movability.canon import canonical_form
 from movability.catalog import (
@@ -14,8 +16,13 @@ from movability.catalog import (
 )
 from movability.constructions import (
     DIRECTIONS,
+    _CLASS_PAIRS,
     _NORMALS,
     _PAIR_INDEX,
+    _TWIN_TRIPLES,
+    _has_twins,
+    _pair_classes,
+    _pair_embedding,
     AxesMotion,
     ConstructionInapplicable,
     EmbeddingR3,
@@ -27,6 +34,7 @@ from movability.constructions import (
     s5_graph_motion_labels,
     s5_motion,
     two_nac_embedding,
+    two_nac_search,
     two_nac_solution_space,
 )
 from movability.exact import gr
@@ -36,6 +44,7 @@ from movability.motion import (
     active_nac_colorings,
     candidate_places,
     collinear_triples,
+    motion_to_json,
     verify_injectivity,
 )
 from movability.nac import NacColoring, enumerate_nac, is_nac
@@ -400,6 +409,110 @@ def test_tree_solve_matches_the_old_sparse_solve(source):
         assert _embedding_outcome(two_nac_embedding, g, first, second) == _embedding_outcome(
             old_embedding, g, first, second
         )
+
+
+def _search_outcome(search, g, pairs):
+    try:
+        first, second, emb, motion = search(g, pairs)
+    except ConstructionInapplicable as exc:
+        return str(exc)
+    return first, second, emb.points, motion_to_json(motion)
+
+
+def _check_twin_test(g) -> Counter:
+    """On g's non-conjugate pairs: the twin test never rejects a pair that
+    the exact solve embeds, and the search agrees with the oracle's, which
+    solves every pair exactly.  Counts the pairs with four nonempty classes
+    by (embeds, rejected by the twin test)."""
+    from two_nac_oracle import two_nac_search as oracle_search
+
+    pairs = list(combinations(enumerate_nac(g, non_conjugated=True), 2))
+    counts, sides = Counter(), {}
+    for first, second in pairs:
+        classes = _pair_classes(g, first, second)
+        if len(set(classes.values())) < len(DIRECTIONS):
+            continue
+        try:
+            _pair_embedding(g, classes, 0)
+            embeds = True
+        except ConstructionInapplicable:
+            embeds = False
+        twins = _has_twins(g, sides, first, second)
+        assert not (embeds and twins), (g.sorted_edges(), first.sort_key(), second.sort_key())
+        counts[embeds, twins] += 1
+    assert _search_outcome(two_nac_search, g, pairs) == _search_outcome(oracle_search, g, pairs)
+    return counts
+
+
+def _twin_test_graphs(source):
+    if source == "up-to-7":
+        from movability.smallgraphs import connected_graphs_up_to
+
+        return [g for g in connected_graphs_up_to(7)
+                if len(enumerate_nac(g, non_conjugated=True)) >= 2]
+    if source == "catalog":
+        return [catalog_graph(name) for name in CATALOG_NAMES]
+    classes = _deletion_classes()
+    assert len(classes) == 87
+    return classes
+
+
+@pytest.mark.parametrize("source", ["up-to-7", "catalog", "deletions"])
+def test_twin_test_never_rejects_an_embedding_pair(source):
+    # the twin test is sufficient only, so the search returns what the old
+    # search, which solved every pair exactly, returned; the counts, keyed
+    # by (embeds, rejected by the twin test), pin how often it spares the
+    # exact solve
+    counts = Counter()
+    for g in _twin_test_graphs(source):
+        counts += _check_twin_test(g)
+    assert dict(counts) == {
+        "up-to-7": {(True, False): 16833, (False, True): 14148, (False, False): 276},
+        "catalog": {(True, False): 27, (False, True): 5103, (False, False): 78},
+        "deletions": {(True, False): 636, (False, True): 17285, (False, False): 273},
+    }[source]
+
+
+@st.composite
+def _graphs_8_to_10(draw):
+    """A random tree on 8-10 vertices plus n - 2 to n + 3 extra edges, the
+    density of classify-mix's random graphs."""
+    n = draw(st.integers(8, 10))
+    tree = {edge(v, draw(st.integers(0, v - 1))) for v in range(1, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), min_size=n - 2, max_size=n + 3, unique=True))
+    return Graph.of(n, tree | set(extra))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs_8_to_10())
+def test_twin_test_never_rejects_an_embedding_pair_beyond_7_vertices(g):
+    # a pair needs two colorings; at most 22, as in classify-mix, keeps the
+    # pairs to 231 per graph
+    assume(2 <= len(enumerate_nac(g, non_conjugated=True)) <= 22)
+    _check_twin_test(g)
+
+
+def test_twin_triples_are_the_independent_ones():
+    # the four dependent triples of class pairs are those through one class
+    through_one = {
+        triple for triple in combinations(range(len(_CLASS_PAIRS)), 3)
+        if set.intersection(*(set(_CLASS_PAIRS[i]) for i in triple))
+    }
+    assert len(through_one) == 4
+    assert set(_TWIN_TRIPLES) == set(combinations(range(len(_CLASS_PAIRS)), 3)) - through_one
+
+
+def test_search_raises_the_exact_message_of_a_twin_rejected_last_pair():
+    # S1's last pair is rejected by the twin test; the message is the exact
+    # solve's, as `construct two-nac` prints it
+    g = catalog_graph("S1")
+    pairs = list(combinations(enumerate_nac(g, non_conjugated=True), 2))
+    first, second = pairs[-1]
+    assert _has_twins(g, {}, first, second)
+    with pytest.raises(ConstructionInapplicable,
+                       match="vertices 4 and 6 coincide on the whole solution space"):
+        two_nac_search(g, pairs)
 
 
 def test_disconnected_pair_translates_components_freely():

@@ -15,6 +15,12 @@ same outcome.
 coloring pair alone fixed each edge's class, kept verbatim:
 `tests/test_constructions.py` asserts that every embedding the package
 builds puts each edge in the class its color pair selects.
+
+`two_nac_search` is the pair search before the twin test ran ahead of each
+exact solve, kept verbatim: every pair with four nonempty classes goes to
+`_pair_embedding`.  `tests/test_constructions.py` asserts that both
+searches return the same pair, embedding and motion, or raise the same
+message.
 """
 
 from __future__ import annotations
@@ -29,8 +35,14 @@ from movability.constructions import (
     _PAIR_INDEX,
     ConstructionInapplicable,
     EmbeddingR3,
+    _pair_classes,
+    _pair_embedding,
+    _require_every_class,
+    deltoid_motion,
+    motion_from_embedding,
 )
 from movability.graphs import Graph
+from movability.motion import ParametrizedMotion
 from movability.nac import NacColoring, is_nac
 
 
@@ -184,3 +196,22 @@ def _dense_nullspace(rows: list[list[Fraction]], nvar: int) -> list[list[Fractio
             vec[pc] = -m[i][fc]
         basis.append(vec)
     return basis
+
+
+def two_nac_search(
+    g: Graph,
+    pairs: Iterable[tuple[NacColoring, NacColoring]],
+    *,
+    seed: int = 0,
+) -> tuple[NacColoring, NacColoring, EmbeddingR3, ParametrizedMotion]:
+    last_error = ConstructionInapplicable("no pair of NAC-colorings to try")
+    for first, second in pairs:
+        try:
+            classes = _pair_classes(g, first, second)
+            _require_every_class(classes)
+            embedding = _pair_embedding(g, classes, seed)
+        except ConstructionInapplicable as exc:
+            last_error = exc
+            continue
+        return first, second, embedding, motion_from_embedding(embedding, deltoid_motion())
+    raise last_error
