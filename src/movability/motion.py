@@ -7,11 +7,13 @@ length.  Each edge's W is built once, when the motion is constructed, and
 the labeling is read off it as the constant W*Z; every query below reads
 that table, and a refix rotates its parent's table and keeps its labeling.
 The real coordinates x = (z + conj z)/2 and y = (z - conj z)/2i are derived
-only for JSON and floats.  The valuations of W at Gaussian-rational places
+only for JSON and floats.  The valuations of W at the places of the curve
 induce NAC-colorings: choosing a threshold between attained valuation
 levels and coloring an edge red when its valuation exceeds the threshold
 always yields a NAC-coloring, and the colorings collected this way over all
-places are the active ones.
+places are the active ones.  The places are read off a gcd-free base of
+the W numerators and denominators, so none is missed and no root search
+is needed.
 
 A motion is proper when no two vertices share their coordinate function, so
 one driven by linearly independent frame functions is proper exactly when
@@ -41,6 +43,7 @@ from .exact import (
     _fraction_str,
     fraction_sqrt,
     gaussian_rational_roots,
+    gcd_free_base,
 )
 from .graphs import Edge, Graph, edge, graph_of_json, json_edges
 from .nac import NacColoring, is_nac
@@ -251,36 +254,29 @@ def _rotated(
 
 @dataclass(frozen=True)
 class PlacesReport:
-    """Candidate places plus any factor the root search could not split."""
+    """The places where an edge function can have a nonzero valuation."""
 
     places: tuple[Place, ...]
-    unresolved: tuple[Poly, ...]
-
-    @property
-    def complete(self) -> bool:
-        return not self.unresolved
 
 
 def candidate_places(m: ParametrizedMotion) -> PlacesReport:
-    """All Gaussian-rational roots of all W numerators/denominators, plus oo.
+    """One place per valuation vector the W functions can have, plus oo.
 
-    Nontrivial valuations of edge functions can only occur at these places.
-    Irreducible factors of degree two or more over Q(i) are reported
-    unresolved rather than silently dropped; when any are present the active
-    set computed from the resolved places is only a lower bound.
+    The distinct W numerators and denominators are cut into a gcd-free
+    base; all roots of one element share their valuations, and every other
+    finite point has valuation 0 on every W.  An element that
+    `gaussian_rational_roots` splits gives its roots as points, sorted;
+    any other element is one place named by its polynomial, after them.
     """
-    # motions repeat polynomials across edges, so each is searched once
-    polys = dict.fromkeys(p for w in m._w.values() for p in (w.num, w.den) if p.degree >= 1)
-    points: set[GaussianRational] = set()
-    unresolved: list[Poly] = []
-    for poly in polys:
-        report = gaussian_rational_roots(poly)
-        points.update(root for root, _mult in report.roots)
-        if report.unresolved.degree >= 1 and report.unresolved not in unresolved:
-            unresolved.append(report.unresolved)
-    places = [Place(z) for z in sorted(points)]
-    places.append(INFINITY)
-    return PlacesReport(tuple(places), tuple(unresolved))
+    polys = dict.fromkeys(p for w in m._w.values() for p in (w.num, w.den))
+    points: list[GaussianRational] = []
+    factors: list[Place] = []
+    for element in gcd_free_base(polys):
+        roots = gaussian_rational_roots(element).roots
+        points += [root for root, _mult in roots]
+        if not roots:
+            factors.append(Place(None, element))
+    return PlacesReport((*(Place(z) for z in sorted(points)), *factors, INFINITY))
 
 
 @dataclass(frozen=True)
@@ -309,11 +305,10 @@ def all_valuation_tables(m: ParametrizedMotion) -> list[ValuationTable]:
 @dataclass(frozen=True)
 class ActiveNacReport:
     colorings: frozenset[NacColoring]
-    complete: bool  # False when unresolved factors may hide further places
 
 
 def active_nac_colorings(m: ParametrizedMotion) -> ActiveNacReport:
-    """Colorings induced by thresholding valuations at every resolved place.
+    """Colorings induced by thresholding valuations at every place.
 
     At each place the thresholds tried are exactly the attained valuation
     levels that have a strictly larger level present (red = strictly above
@@ -335,7 +330,7 @@ def active_nac_colorings(m: ParametrizedMotion) -> ActiveNacReport:
                     "the motion data is inconsistent"
                 )
             found.add(coloring)
-    return ActiveNacReport(frozenset(found), complete=report.complete)
+    return ActiveNacReport(frozenset(found))
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -1,9 +1,10 @@
 """Rational functions of one variable over Q(i), places, and valuations.
 
-A place is either a Gaussian-rational point of the parameter line or the
-point at infinity; the valuation of a function at a place is the order of
-vanishing there (pole orders negative).  This is exactly the discrete data
-the edge functions of a motion are probed for.
+A place is a Gaussian-rational point of the parameter line, the roots of
+an element of a gcd-free base (see `exact.gcd_free_base`), which share
+every valuation, or the point at infinity; the valuation of a function at
+a place is the order of vanishing there (pole orders negative).  This is
+exactly the discrete data the edge functions of a motion are probed for.
 """
 
 from __future__ import annotations
@@ -17,23 +18,28 @@ from .exact import (
     P_ONE,
     P_ZERO,
     Poly,
+    multiplicity,
     poly_gcd,
-    root_multiplicity,
 )
 
 
 @dataclass(frozen=True)
 class Place:
-    """A Gaussian-rational point t0, or infinity when point is None."""
+    """A Gaussian-rational point t0; else, when poly is set, the roots of
+    poly, a monic square-free base element no closed form splits; else
+    infinity.  A polynomial place is named by its polynomial."""
 
     point: GaussianRational | None
+    poly: Poly | None = None
 
     @property
     def is_infinity(self) -> bool:
-        return self.point is None
+        return self.point is None and self.poly is None
 
     def __str__(self) -> str:
-        return "oo" if self.is_infinity else str(self.point)
+        if self.point is not None:
+            return str(self.point)
+        return "oo" if self.poly is None else str(self.poly)
 
 
 INFINITY = Place(None)
@@ -156,12 +162,13 @@ def rf(num_coeffs, den_coeffs=(1,)) -> RationalFunction:
 def valuation(f: RationalFunction, place: Place) -> int:
     """Order of vanishing of f at the place; poles count negative.
 
-    At a finite point this is the multiplicity of (t - t0) in the numerator
-    minus the denominator; at infinity it is deg(den) - deg(num).
+    At a finite place this is the exponent of the place's polynomial
+    (t - t0, or the base element) in the numerator minus that in the
+    denominator; at infinity it is deg(den) - deg(num).
     """
     if f.is_zero():
         raise ValueError("the zero function has no valuation")
     if place.is_infinity:
         return f.den.degree - f.num.degree
-    t0 = place.point
-    return root_multiplicity(f.num, t0) - root_multiplicity(f.den, t0)
+    p = place.poly if place.point is None else Poly.of([-place.point, 1])
+    return multiplicity(f.num, p) - multiplicity(f.den, p)

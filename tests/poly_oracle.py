@@ -3,7 +3,8 @@
 `exact.Poly` now keeps Gaussian-integer coefficients over one denominator.
 This is the earlier form, kept verbatim: a tuple of `GaussianRational`
 coefficients with every operation in `Fraction` arithmetic, and the
-Euclidean gcd on it.  `square_free_part` is the package's, over this class.
+Euclidean gcd on it.  `square_free_part` is the package's former one, over
+this class.
 `tests/test_poly.py` asserts that both classes give the same coefficients.
 """
 

@@ -46,6 +46,7 @@ from movability.decide import (
 )
 from movability.graphs import Graph, encode_graph6
 from movability.motion import (
+    ParametrizedMotion,
     active_nac_colorings,
     all_valuation_tables,
     collinear_triples,
@@ -94,7 +95,7 @@ def test_criterion_1_deltoid_table(tmp_path, capsys):
         seen += len(rows)
     assert seen == 16
     active = active_nac_colorings(m)
-    assert active.complete and len(active.colorings) == 4
+    assert len(active.colorings) == 4
     assert {c.red for c in active.colorings} == {
         frozenset({(2, 3), (0, 3)}),  # delta_1
         frozenset({(0, 1), (1, 2)}),  # conj delta_1
@@ -272,10 +273,12 @@ def _verdict_histograms(graphs):
     must be MOVABLE exactly when the closure of its reduction is not complete,
     and every pair the closure of a MOVABLE verdict adds to its reduced graph
     must keep a constant distance along the certified motion (the lemma behind
-    the closure).  Also returns the number of such pairs and of the verdicts
-    that have one."""
+    the closure).  A motion certificate's coordinates are then also a motion
+    of the closure graph, whose active colorings must be NAC-colorings of
+    the closure.  Also returns the number of such pairs, of the verdicts that
+    have one, and of the motions checked on their closure."""
     kinds, routes, sizes = Counter(), Counter(), Counter()
-    added_pairs = added_verdicts = 0
+    added_pairs = added_verdicts = closure_motions = 0
     for g in graphs:
         verdict = classify(g)
         kinds[verdict.kind] += 1
@@ -291,7 +294,14 @@ def _verdict_histograms(graphs):
                 assert _keeps_squared_distance(verdict.certificate, u, v), (encode_graph6(g), u, v)
             added_pairs += len(added)
             added_verdicts += bool(added)
-    return kinds, routes, sizes, (added_pairs, added_verdicts)
+            m = verdict.certificate.motion
+            if added and m is not None:
+                assert m.graph == verdict.reduced
+                on_closure = ParametrizedMotion(closure, m.fixed_edge, m.coords)
+                for coloring in active_nac_colorings(on_closure).colorings:
+                    assert is_nac(closure, coloring), (encode_graph6(g), sorted(coloring.red))
+                closure_motions += 1
+    return kinds, routes, sizes, (added_pairs, added_verdicts, closure_motions)
 
 
 def test_criterion_3_classify_decides_every_graph(graph_stream_8):
@@ -301,7 +311,9 @@ def test_criterion_3_classify_decides_every_graph(graph_stream_8):
     The constructions' search order depends on labels, so one relabeled
     pass must give the same counts.  Each of the 65 pairs that the closures
     of 42 MOVABLE verdicts add keeps a constant distance along the
-    certificate's motion."""
+    certificate's motion, and the 41 of those verdicts with a motion
+    certificate give motions of their closure graphs whose active colorings
+    are all NAC-colorings of the closure."""
     from movability.graphs import parse_graph6
 
     expected_kinds = {
@@ -335,7 +347,7 @@ def test_criterion_3_classify_decides_every_graph(graph_stream_8):
         assert dict(kinds) == expected_kinds
         assert dict(routes) == expected_routes
         assert dict(sizes) == expected_sizes
-        assert added == (65, 42)
+        assert added == (65, 42, 41)
     _ok(f"3 classify decides all {len(graphs)} graphs, twice ({time.monotonic() - t0:.0f}s)")
 
 

@@ -286,15 +286,17 @@ def test_motion_active_nac_and_refix(tmp_path, capsys):
     assert json.loads(out)["compatible"]
 
 
-def test_active_nac_warns_when_places_are_unresolved(tmp_path, capsys):
+def test_active_nac_on_unsplit_places(tmp_path, capsys):
+    # the places of unresolved_motion are the roots of p and of conj(p),
+    # neither split over Q(i); each activates one coloring, with no warning
     from movability.motion import motion_to_json
 
     path = tmp_path / "motion.json"
     path.write_text(motion_to_json(unresolved_motion()))
     code, out, err = run(["motion", "active-nac", str(path), "--format", "json"], capsys)
     assert code == 0
-    assert json.loads(out) == []
-    assert err == "warning: unresolved places; active set is a lower bound\n"
+    assert [c["colors"] for c in json.loads(out)] == [["red", "blue"], ["blue", "red"]]
+    assert err == ""
 
 
 def test_track_cli(tmp_path, capsys):

@@ -40,7 +40,7 @@ def _motions(name: str):
     return tuple(out)
 
 
-NAMES = ("deltoid", "q1", "s5-2", "s5-5/2", *L_GRAPHS)
+NAMES = ("deltoid", "q1", "s5-2", "s5-5/2", "s5-7/2", *L_GRAPHS)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from movability.constructions import deltoid_motion
+from movability.constructions import deltoid_motion, s5_motion
 from movability.exact import GR_I, GaussianRational, Poly, gr
 from movability.graphs import Graph
 from movability.motion import (
@@ -22,7 +23,7 @@ from movability.motion import (
     z_function,
 )
 from movability.nac import NacColoring, enumerate_nac
-from movability.ratfunc import INFINITY, RationalFunction, place_at, rf, valuation
+from movability.ratfunc import INFINITY, Place, RationalFunction, place_at, rf, valuation
 
 from conftest import unresolved_motion
 from test_nac import all_simple_cycles
@@ -86,7 +87,6 @@ def test_cycle_sums_vanish(deltoid):
 
 def test_deltoid_candidate_places(deltoid):
     report = candidate_places(deltoid)
-    assert report.complete
     finite = {str(p) for p in report.places if not p.is_infinity}
     assert finite == {"i", "-i", "2i", "-2i"}
     assert report.places[-1].is_infinity
@@ -114,7 +114,6 @@ def test_valuation_minimum_attained_twice(deltoid):
 
 def test_deltoid_active_colorings(deltoid):
     report = active_nac_colorings(deltoid)
-    assert report.complete
     assert len(report.colorings) == 4
     g = deltoid.graph
     expected = {
@@ -250,17 +249,34 @@ def test_constant_motion_has_only_the_infinite_place():
     m = ParametrizedMotion(g, (0, 1), (zero, RationalFunction.const(1)))
     report = candidate_places(m)
     assert [str(p) for p in report.places] == ["oo"]
-    assert report.complete
 
 
-def test_unresolved_factors_leave_a_lower_bound():
+def test_unsplit_factors_are_places():
+    # W of edge (1, 2) is p/conj(p) with p irreducible over Q(i): the roots
+    # of p are one place with valuations 0, +1 and those of conj(p) one with
+    # 0, -1, so each activates a coloring (a conjugate pair)
     m = unresolved_motion()
     p = Poly.of([1, (0, 1), 1])
     report = candidate_places(m)
-    assert report.places == (INFINITY,)
-    assert report.unresolved == (p, p.conjugate_coeffs())
-    assert not report.complete
+    assert report.places == (Place(None, p), Place(None, p.conjugate_coeffs()), INFINITY)
+    assert [str(place) for place in report.places] == [str(p), str(p.conjugate_coeffs()), "oo"]
+    assert not any(place.is_infinity for place in report.places[:-1])
+    tables = [t.as_dict() for t in all_valuation_tables(m)]
+    assert tables == [{(0, 1): 0, (1, 2): 1}, {(0, 1): 0, (1, 2): -1}, {(0, 1): 0, (1, 2): 0}]
     active = active_nac_colorings(m)
-    assert active.colorings == frozenset()
-    assert not active.complete
+    assert {c.red for c in active.colorings} == {frozenset({(1, 2)}), frozenset({(0, 1)})}
     assert verify_injectivity(m).proper
+
+
+@pytest.mark.parametrize("a", [Fraction(10**12), Fraction(10**19 + 52)])
+def test_places_of_s5_with_large_a(a):
+    # a root search that trial-divides the norms of the end coefficients of
+    # S5's cubic W polynomials stalls here (a^2 - 1 carries 99990001 at
+    # 10^12); the gcd-free base needs no factorization
+    m = s5_motion(a)[1]
+    t0 = time.monotonic()
+    places = candidate_places(m).places
+    assert time.monotonic() - t0 < 2.0
+    assert all(place.point is not None for place in places[:-1])
+    reference = active_nac_colorings(s5_motion(Fraction(2))[1]).colorings
+    assert len(active_nac_colorings(m).colorings) == len(reference) == 6

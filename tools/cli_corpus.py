@@ -142,7 +142,8 @@ def cases() -> list[tuple[str, list[list[str]]]]:
     out.append(("motion-improper", [["motion", "verify", "improper.json"],
                                     ["motion", "valuations", "improper.json"],
                                     ["motion", "active-nac", "improper.json"]]))
-    # the one motion with unresolved places, so active-nac warns on stderr
+    # the one motion with places that are not points: the roots of two
+    # quadratics that do not split over Q(i)
     out.append(("motion-unresolved", queries("unresolved.json")))
     return out
 
