@@ -11,9 +11,7 @@ only for JSON and floats.  The valuations of W at the places of the curve
 induce NAC-colorings: choosing a threshold between attained valuation
 levels and coloring an edge red when its valuation exceeds the threshold
 always yields a NAC-coloring, and the colorings collected this way over all
-places are the active ones.  The places are read off a gcd-free base of
-the W numerators and denominators, so none is missed and no root search
-is needed.
+places are the active ones.
 
 A motion is proper when no two vertices share their coordinate function, so
 one driven by linearly independent frame functions is proper exactly when
@@ -260,22 +258,28 @@ class PlacesReport:
 
 
 def candidate_places(m: ParametrizedMotion) -> PlacesReport:
-    """One place per valuation vector the W functions can have, plus oo.
+    """All Gaussian-rational roots of all W numerators/denominators, the
+    elements of a gcd-free base of what has no such root, then oo.
 
-    The distinct W numerators and denominators are cut into a gcd-free
-    base; all roots of one element share their valuations, and every other
-    finite point has valuation 0 on every W.  An element that
-    `gaussian_rational_roots` splits gives its roots as points, sorted;
-    any other element is one place named by its polynomial, after them.
+    Nontrivial valuations of edge functions can only occur at these places.
+    A polynomial the root search leaves a residue in is divided by its
+    roots, each to its multiplicity, and the quotients are cut into a
+    gcd-free base: all roots of one element share every valuation, so the
+    element is one place, named by its polynomial, and none is missed.
     """
-    polys = dict.fromkeys(p for w in m._w.values() for p in (w.num, w.den))
-    points: list[GaussianRational] = []
-    factors: list[Place] = []
-    for element in gcd_free_base(polys):
-        roots = gaussian_rational_roots(element).roots
-        points += [root for root, _mult in roots]
-        if not roots:
-            factors.append(Place(None, element))
+    # motions repeat polynomials across edges, so each is searched once
+    polys = dict.fromkeys(p for w in m._w.values() for p in (w.num, w.den) if p.degree >= 1)
+    points: set[GaussianRational] = set()
+    rests: list[Poly] = []
+    for poly in polys:
+        report = gaussian_rational_roots(poly)
+        points.update(root for root, _mult in report.roots)
+        if report.unresolved.degree >= 1:
+            for root, mult in report.roots:
+                for _ in range(mult):
+                    poly = poly // Poly.of([-root, 1])
+            rests.append(poly)
+    factors = [Place(None, element) for element in gcd_free_base(rests)]
     return PlacesReport((*(Place(z) for z in sorted(points)), *factors, INFINITY))
 
 

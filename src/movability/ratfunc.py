@@ -20,13 +20,14 @@ from .exact import (
     Poly,
     multiplicity,
     poly_gcd,
+    root_multiplicity,
 )
 
 
 @dataclass(frozen=True)
 class Place:
     """A Gaussian-rational point t0; else, when poly is set, the roots of
-    poly, a monic square-free base element no closed form splits; else
+    poly, a monic square-free base element with no root in Q(i); else
     infinity.  A polynomial place is named by its polynomial."""
 
     point: GaussianRational | None
@@ -162,13 +163,15 @@ def rf(num_coeffs, den_coeffs=(1,)) -> RationalFunction:
 def valuation(f: RationalFunction, place: Place) -> int:
     """Order of vanishing of f at the place; poles count negative.
 
-    At a finite place this is the exponent of the place's polynomial
-    (t - t0, or the base element) in the numerator minus that in the
-    denominator; at infinity it is deg(den) - deg(num).
+    At a finite point this is the multiplicity of (t - t0) in the numerator
+    minus the denominator, at a polynomial place the exponent of its
+    polynomial in each; at infinity it is deg(den) - deg(num).
     """
     if f.is_zero():
         raise ValueError("the zero function has no valuation")
     if place.is_infinity:
         return f.den.degree - f.num.degree
-    p = place.poly if place.point is None else Poly.of([-place.point, 1])
-    return multiplicity(f.num, p) - multiplicity(f.den, p)
+    if place.point is None:
+        return multiplicity(f.num, place.poly) - multiplicity(f.den, place.poly)
+    t0 = place.point
+    return root_multiplicity(f.num, t0) - root_multiplicity(f.den, t0)

@@ -3,8 +3,7 @@
 `exact.Poly` now keeps Gaussian-integer coefficients over one denominator.
 This is the earlier form, kept verbatim: a tuple of `GaussianRational`
 coefficients with every operation in `Fraction` arithmetic, and the
-Euclidean gcd on it.  `square_free_part` is the package's former one, over
-this class.
+Euclidean gcd on it.  `square_free_part` is the package's, over this class.
 `tests/test_poly.py` asserts that both classes give the same coefficients.
 """
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roots_oracle
+from movability import exact
 from movability.constructions import s5_motion
 from movability.exact import (
     GR_I,
@@ -16,15 +17,18 @@ from movability.exact import (
     P_ONE,
     GaussianRational,
     Poly,
-    RootReport,
+    _divisor_root,
     fraction_sqrt,
+    gaussian_integer_divisors,
     gaussian_rational_roots,
     gcd_free_base,
     gr,
     multiplicity,
     poly_gcd,
+    root_multiplicity,
+    square_free_part,
 )
-from movability.motion import candidate_places, w_function
+from movability.motion import w_function
 from movability.ratfunc import (
     INFINITY,
     Place,
@@ -98,6 +102,15 @@ def test_poly_divmod_and_gcd():
 
 
 def test_square_free_part():
+    f = Poly.of([1, 1]) * Poly.of([1, 1]) * Poly.of([-2, 1])
+    sf = square_free_part(f)
+    assert sf == (Poly.of([1, 1]) * Poly.of([-2, 1])).monic()
+    assert root_multiplicity(f, gr(-1)) == 2
+    assert root_multiplicity(f, gr(2)) == 1
+    assert root_multiplicity(f, gr(5)) == 0
+
+
+def test_gcd_free_base_and_multiplicity():
     # Yun's pieces of 3(t+1)^2(t-2), the roots of multiplicity one first
     f = Poly.const(3) * Poly.of([1, 1]) * Poly.of([1, 1]) * Poly.of([-2, 1])
     assert gcd_free_base([f]) == (Poly.of([-2, 1]), Poly.of([1, 1]))
@@ -108,22 +121,18 @@ def test_square_free_part():
     with pytest.raises(ValueError):
         multiplicity(Poly.of([]), Poly.of([-2, 1]))
 
-
 def test_gaussian_integer_divisors():
-    divs = roots_oracle.gaussian_integer_divisors((5, 0))
+    divs = gaussian_integer_divisors((5, 0))
     norms = sorted({d[0] * d[0] + d[1] * d[1] for d in divs})
     assert norms == [1, 5, 25]  # units, 2+-i, 5
-    divs2 = roots_oracle.gaussian_integer_divisors((1, 1))
+    divs2 = gaussian_integer_divisors((1, 1))
     assert sorted({d[0] * d[0] + d[1] * d[1] for d in divs2}) == [1, 2]
 
 
 def test_roots_of_deltoid_denominator():
-    # (t^2+1)(t^2+4) is one square-free piece, which the closed forms leave
-    # whole; the divisor search of the oracle splits it
-    f = Poly.of([4, 0, 5, 0, 1])
-    assert gaussian_rational_roots(f) == RootReport((), f)
-    report = roots_oracle.gaussian_rational_roots(f)
-    assert {str(r) for r, _ in report.roots} == {"i", "-i", "2i", "-2i"}
+    report = gaussian_rational_roots(Poly.of([4, 0, 5, 0, 1]))
+    roots = {str(r) for r, _ in report.roots}
+    assert roots == {"i", "-i", "2i", "-2i"}
     assert report.unresolved.degree <= 0
 
 
@@ -141,23 +150,20 @@ def test_roots_with_multiplicity_and_zero():
 
 
 def test_unresolved_factor_is_reported():
-    # t^2 - i is irreducible over Q(i), so it is the residue
-    q = Poly.of([(0, -1), 0, 1])
-    assert gaussian_rational_roots(q) == RootReport((), q)
-    # (t-1)^2(t^2-i): the pieces t^2-i and t-1 are apart
-    line = Poly.of([-1, 1])
-    assert gaussian_rational_roots(q * line * line) == RootReport(((gr(1), 2),), q)
-    # (t-1)(t^2-i) is one piece of degree three: the residue, which only
-    # the oracle's divisor search splits
-    assert gaussian_rational_roots(q * line) == RootReport((), q * line)
-    report = roots_oracle.gaussian_rational_roots(q * line)
-    assert report.roots == ((gr(1), 1),) and report.unresolved == q
+    # t^2 - i is irreducible over Q(i)
+    report = gaussian_rational_roots(Poly.of([(0, -1), 0, 1]))
+    assert not report.roots
+    assert report.unresolved.degree == 2
+    # mixed: (t-1)(t^2-i)
+    report2 = gaussian_rational_roots(Poly.of([(0, -1), 0, 1]) * Poly.of([-1, 1]))
+    assert {str(r) for r, _ in report2.roots} == {"1"}
+    assert report2.unresolved.degree == 2
 
 
 def test_higher_degree_divisor_search():
     # (t-1)(t-2)(t-3)(t+5i) needs the Z[i] divisor route at degree 4
     f = Poly.of([-1, 1]) * Poly.of([-2, 1]) * Poly.of([-3, 1]) * Poly.of([(0, 5), 1])
-    report = roots_oracle.gaussian_rational_roots(f)
+    report = gaussian_rational_roots(f)
     assert {str(r) for r, _ in report.roots} == {"1", "2", "3", "-5i"}
 
 
@@ -188,13 +194,8 @@ def products_over_q_i(draw):
 @given(products_over_q_i())
 @settings(max_examples=200, deadline=None)
 def test_root_search_matches_the_oracle(f):
-    # the closed forms find some of the oracle's roots, with the oracle's
-    # multiplicities, and leave every other one to the residue
-    report, oracle = gaussian_rational_roots(f), roots_oracle.gaussian_rational_roots(f)
-    assert set(report.roots) <= set(oracle.roots)
-    found = dict(report.roots)
-    assert all(report.residue(r).is_zero() for r, _ in oracle.roots if r not in found)
-    assert report.residue.degree + len(found) == roots_oracle.square_free_part(f).degree
+    assert gaussian_rational_roots(f) == roots_oracle.gaussian_rational_roots(f)
+
 
 
 # factors with no root in Q(i): i, 2 and -3 are no squares there, and 2 no cube
@@ -236,12 +237,11 @@ def test_gcd_free_base_is_square_free_coprime_and_exact(family):
             for _ in range(multiplicity(f, e)):
                 product = product * e
         assert product == f
-        # each root the oracle finds lies on one element, whose exponent in
+        # each root the search finds lies on one element, whose exponent in
         # f is the root's multiplicity
-        for r, k in roots_oracle.gaussian_rational_roots(f).roots:
+        for r, k in gaussian_rational_roots(f).roots:
             on = [e for e in base if e(r).is_zero()]
             assert len(on) == 1 and multiplicity(f, on[0]) == k
-
 
 def _wide_gaussian(rng, keep=lambda c: True):
     """The first drawn Gaussian rational that `keep` accepts, with parts up
@@ -278,8 +278,8 @@ def _low_degree_polys():
 
 def _divisor_search_roots(f):
     """Every root of f in Q(i) that the divisor search alone peels off."""
-    work, found = roots_oracle.square_free_part(f), []
-    while work.degree >= 1 and (hit := roots_oracle._divisor_root(work)):
+    work, found = square_free_part(f), []
+    while work.degree >= 1 and (hit := _divisor_root(work)):
         found += hit
         work = work // Poly.of([-hit[0], 1])
     return sorted(found)
@@ -293,20 +293,25 @@ def test_low_degree_roots_with_wide_coefficients():
     for f, roots in _low_degree_polys():
         report = gaussian_rational_roots(f)
         assert report.roots == roots
-        assert report.residue == (P_ONE if roots else f.monic())
+        assert report.unresolved == (P_ONE if roots else f.monic())
         assert _divisor_search_roots(f) == [r for r, _ in roots]
         shapes[f.degree, tuple(m for _, m in roots)] += 1
     assert shapes == {(1, (1,)): 34, (2, (1, 1)): 25, (2, (2,)): 9, (2, ()): 34}
 
 
-def test_low_degree_roots_skip_the_divisor_search():
+def test_low_degree_roots_skip_the_divisor_search(monkeypatch):
     # a double root with a 20-digit prime in both parts, and the W
     # polynomials of degree at most two of S5 at a = 10^12 (among them
-    # (a+1)+(a-1)it, whose root is i(a+1)/(a-1)), are solved in closed form;
-    # the package has no divisor search, which would trial-divide their norms
+    # (a+1)+(a-1)it, whose root is i(a+1)/(a-1)), are solved in closed form,
+    # without the trial division of their norms
     a = Fraction(10**12)
     _, m = s5_motion(a)
     low = {p for w in m._w.values() for p in (w.num, w.den) if 1 <= p.degree <= 2}
+
+    def refuse(z):
+        raise AssertionError(f"divisor search on {z}")
+
+    monkeypatch.setattr(exact, "gaussian_integer_divisors", refuse)
     big = gr(Fraction(10**19 + 51, 3), Fraction(-(10**19 + 51), 7))  # 10^19 + 51 is prime
     f = Poly.const(gr(5, 11)) * Poly.of([-big, 1]) * Poly.of([-big, 1])
     assert gaussian_rational_roots(f).roots == ((big, 2),)
@@ -314,19 +319,26 @@ def test_low_degree_roots_skip_the_divisor_search():
     assert len(low) == 12 and gr(0, (a + 1) / (a - 1)) in roots
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", ["deltoid", "q1", "s5-2"])
 def test_root_search_matches_the_oracle_on_motions(name):
+    # every W numerator and denominator of the motion and of its refixes
+    for m in _motions(name):
+        for u, v in m.graph.sorted_edges():
+            w = w_function(m, u, v)
+            for poly in (w.num, w.den):
+                assert gaussian_rational_roots(poly) == roots_oracle.gaussian_rational_roots(poly)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_gcd_free_base_of_motions_matches_the_oracle(name):
     # on the motion and each of its refixes, every root the oracle finds in
     # a W numerator or denominator lies on exactly one element of the base
-    # of all of them, has its valuation vector and, as multiplicity, its
-    # exponent; the bundled motions' bases split into points, one per element
+    # of all of them, has that element's valuation vector and, as
+    # multiplicity, its exponent; every element of these bases is linear
     for m in _motions(name):
-        polys = [p for w in m._w.values() for p in (w.num, w.den)]
-        base = gcd_free_base(polys)
-        places = candidate_places(m).places
-        assert all(p.point is not None for p in places[:-1])
-        assert len(places) - 1 == sum(e.degree for e in base)
-        for (u, v), w in m._w.items():
+        base = gcd_free_base([p for w in m._w.values() for p in (w.num, w.den)])
+        assert all(e.degree == 1 for e in base)
+        for w in m._w.values():
             for poly in (w.num, w.den):
                 for r, k in roots_oracle.gaussian_rational_roots(poly).roots:
                     on = [e for e in base if e(r).is_zero()]

@@ -1,9 +1,8 @@
-import time
 from fractions import Fraction
 
 import pytest
 
-from movability.constructions import deltoid_motion, s5_motion
+from movability.constructions import deltoid_motion
 from movability.exact import GR_I, GaussianRational, Poly, gr
 from movability.graphs import Graph
 from movability.motion import (
@@ -268,15 +267,19 @@ def test_unsplit_factors_are_places():
     assert verify_injectivity(m).proper
 
 
-@pytest.mark.parametrize("a", [Fraction(10**12), Fraction(10**19 + 52)])
-def test_places_of_s5_with_large_a(a):
-    # a root search that trial-divides the norms of the end coefficients of
-    # S5's cubic W polynomials stalls here (a^2 - 1 carries 99990001 at
-    # 10^12); the gcd-free base needs no factorization
-    m = s5_motion(a)[1]
-    t0 = time.monotonic()
-    places = candidate_places(m).places
-    assert time.monotonic() - t0 < 2.0
-    assert all(place.point is not None for place in places[:-1])
-    reference = active_nac_colorings(s5_motion(Fraction(2))[1]).colorings
-    assert len(active_nac_colorings(m).colorings) == len(reference) == 6
+def test_residue_places_leave_out_the_roots():
+    # W of edge (1, 2) is f/conj(f) with f = (t - i)^2 (t^2 - i): the roots
+    # +-i are points with valuations +-2, and what the root search leaves,
+    # t^2 - i and t^2 + i once the roots are divided out, are places with +-1
+    lin, q = Poly.of([(0, -1), 1]), Poly.of([(0, -1), 0, 1])
+    f = lin * lin * q
+    one = RationalFunction.const(1)
+    z2 = one + RationalFunction.of(f, f.conjugate_coeffs())
+    m = ParametrizedMotion(Graph.of(3, [(0, 1), (1, 2)]), (0, 1), (RationalFunction.const(0), one, z2))
+    report = candidate_places(m)
+    assert report.places == (place_at(0, -1), place_at(0, 1), Place(None, q),
+                             Place(None, q.conjugate_coeffs()), INFINITY)
+    assert [t.as_dict()[(1, 2)] for t in all_valuation_tables(m)] == [-2, 2, 1, -1, 0]
+    active = active_nac_colorings(m)
+    assert {c.red for c in active.colorings} == {frozenset({(1, 2)}), frozenset({(0, 1)})}
+    assert verify_injectivity(m).proper

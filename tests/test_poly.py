@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poly_oracle as oracle
-from movability.exact import GaussianRational, Poly, gcd_free_base, poly_gcd
+from movability.exact import GaussianRational, Poly, poly_gcd, square_free_part
 
 parts = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 gaussians = st.builds(GaussianRational, parts, parts)
@@ -78,11 +78,7 @@ def test_gcd_and_square_free_part_match_the_oracle(common, a, b):
     # a shared factor, so the gcd is not always 1
     (nc, oc), (na, oa), (nb, ob) = both(common), both(a), both(b)
     assert same(poly_gcd(nc * na, nc * nb), oracle.poly_gcd(oc * oa, oc * ob))
-    # the product of Yun's square-free pieces is the square-free part
-    pieces = Poly.of([1])
-    for piece in gcd_free_base([nc * nc * na]):
-        pieces = pieces * piece
-    assert same(pieces, oracle.square_free_part(oc * oc * oa))
+    assert same(square_free_part(nc * nc * na), oracle.square_free_part(oc * oc * oa))
 
 
 @given(coefficient_lists, st.lists(gaussians, min_size=1, max_size=3), large_gaussians)
