@@ -499,6 +499,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "cap", 0) < 0:
+            raise CliParseError(f"--cap must be at least 0, got {args.cap}")
         return _HANDLERS[args.command](args)
     except (CliParseError, Graph6Error, MotionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .exact import GaussianRational, Poly, _fraction_str
-from .graphs import Edge, Graph, bits, component_masks, edge
+from .graphs import Edge, Graph, bits, component_of, edge
 from .nac import BLUE, RED, NacColoring, is_nac
 from .motion import Labeling, MotionError, ParametrizedMotion, verify_injectivity, w_function
 from .ratfunc import RationalFunction
@@ -250,21 +250,21 @@ def grid_construction(
     angle-independent.  Applicable iff no two vertices share a cell.
     """
     _check_colorings(g, coloring)
-    # isolated vertices are singleton components and do get indices
-    full = (1 << g.n) - 1
-    red_comps = component_masks(Graph(g.n, coloring.red).masks(), full)
-    blue_comps = component_masks(Graph(g.n, coloring.blue).masks(), full)
-    red_index = {v: i for i, comp in enumerate(red_comps) for v in bits(comp)}
-    blue_index = {v: j for j, comp in enumerate(blue_comps) for v in bits(comp)}
-    coords = [(red_index[v], blue_index[v]) for v in range(g.n)]
+    # components are numbered as vertex order first meets them, which is the
+    # order of their lowest vertex; isolated vertices are singletons
+    (_, red_comp), (_, blue_comp) = coloring._sides
+    red_index: dict[int, int] = {}
+    blue_index: dict[int, int] = {}
     seen: dict[tuple[int, int], int] = {}
-    for v, cell in enumerate(coords):
+    for v, (r, b) in enumerate(zip(red_comp, blue_comp)):
+        cell = (red_index.setdefault(r, len(red_index)), blue_index.setdefault(b, len(blue_index)))
         if cell in seen:
             raise ConstructionInapplicable(
                 f"vertices {seen[cell]} and {v} share grid cell {cell}: "
                 f"|R_{cell[0]} ∩ B_{cell[1]}| >= 2"
             )
         seen[cell] = v
+    coords = list(seen)  # one cell per vertex, in vertex order
     e = unit_circle()
     base, tip = _horizontal_pin(sorted(coloring.blue), [i for i, _ in coords])
     ib, jb = coords[base]
@@ -643,18 +643,18 @@ def two_nac_search(
     embeds, and its embedding and motion, are the ones the exact solves
     alone give.  When every pair fails and the test rejected the last one,
     that pair is solved exactly so that the error raised is the exact
-    solve's.  A coloring's red and blue partitions are built once, when the
-    search first reaches it; the agree and differ partitions once per pair.
+    solve's.  The red and blue partitions are the colorings' own sides,
+    built once per coloring when first read; the agree and differ
+    partitions are built once per pair.
     """
     last_error: ConstructionInapplicable | None = ConstructionInapplicable(
         "no pair of NAC-colorings to try"
     )
-    sides: dict[frozenset[Edge], dict[str, tuple[Sequence[int], list[int]]]] = {}
     for first, second in pairs:
         try:
             classes = _pair_classes(g, first, second)
             _require_every_class(classes)
-            if _has_twins(g, sides, first, second):
+            if _has_twins(g, first, second):
                 last_error = None  # the exact solve's message is taken after the loop
                 continue
             embedding = _pair_embedding(g, classes, seed)
@@ -681,48 +681,20 @@ _TWIN_TRIPLES = tuple(
     for i, j, k in combinations(range(len(_CLASS_PAIRS)), 3)
     if sum(x * y for x, y in zip(_PAIR_NORMALS[i], _cross(_PAIR_NORMALS[j], _PAIR_NORMALS[k])))
 )
-# the color pair (first, second) of each class
-_CLASS_COLORS = {k: pair for pair, k in _PAIR_INDEX.items()}
 
 
-def _component_of(masks: Sequence[int]) -> list[int]:
-    """The component mask holding each vertex, for the adjacency masks."""
-    out = [0] * len(masks)
-    for comp in component_masks(masks, (1 << len(masks)) - 1):
-        for v in bits(comp):
-            out[v] = comp
-    return out
-
-
-def _color_sides(g: Graph, coloring: NacColoring) -> dict[str, tuple[Sequence[int], list[int]]]:
-    """Per color of coloring: the adjacency masks of its edges, and the
-    component mask of those edges holding each vertex."""
-    red = Graph(g.n, coloring.red).masks()
-    blue = [m & ~r for m, r in zip(g.masks(), red)]
-    return {RED: (red, _component_of(red)), BLUE: (blue, _component_of(blue))}
-
-
-def _has_twins(g: Graph, sides: dict, first: NacColoring, second: NacColoring) -> bool:
+def _has_twins(g: Graph, first: NacColoring, second: NacColoring) -> bool:
     """The twin test of `two_nac_search`: whether two vertices share a
-    component in three edge sets with independent normals.  `sides` caches
-    `_color_sides` by red class."""
-    pair = []
-    for coloring in (first, second):
-        if coloring.red not in sides:
-            sides[coloring.red] = _color_sides(g, coloring)
-        pair.append(sides[coloring.red])
-    partitions = []
-    for a, b in _CLASS_PAIRS:
-        (a1, a2), (b1, b2) = _CLASS_COLORS[a], _CLASS_COLORS[b]
-        if a1 == b1:
-            partitions.append(pair[0][a1][1])
-        elif a2 == b2:
-            partitions.append(pair[1][a2][1])
-        else:  # the colorings agree on both classes, or differ on both
-            (ma, _), (na, _) = pair[0][a1], pair[1][a2]
-            (mb, _), (nb, _) = pair[0][b1], pair[1][b2]
-            masks = [(x & y) | (z & w) for x, y, z, w in zip(ma, na, mb, nb)]
-            partitions.append(_component_of(masks))
+    component in three edge sets with independent normals."""
+    (first_red, first_red_comp), (_, first_blue_comp) = first._sides
+    (second_red, second_red_comp), (_, second_blue_comp) = second._sides
+    differ = [x ^ y for x, y in zip(first_red, second_red)]
+    agree = [m ^ d for m, d in zip(g.masks(), differ)]
+    # in the order of _CLASS_PAIRS: (0, 1) share first's blue, (0, 2)
+    # second's blue, (0, 3) agree, (1, 2) differ, (1, 3) share second's red
+    # and (2, 3) first's red
+    partitions = (first_blue_comp, second_blue_comp, component_of(agree),
+                  component_of(differ), second_red_comp, first_red_comp)
     for i, j, k in _TWIN_TRIPLES:
         p, q, r = partitions[i], partitions[j], partitions[k]
         for v in range(g.n):

@@ -4,7 +4,8 @@ Everything downstream (coloring enumeration, closures, motions) consumes the
 immutable :class:`Graph` defined here.  A graph has two adjacency forms, its
 edge set and the bitmasks of `Graph.masks()`, both fixed by the constructor.
 Connectivity is deliberately not an invariant of the type; operations that
-need it check it, with the one bitmask search `component_masks`.
+need it check it, with the one bitmask search `component_masks` (or
+`component_of`, its per-vertex form).
 """
 
 from __future__ import annotations
@@ -157,6 +158,20 @@ def component_masks(masks: Sequence[int], within: int) -> list[int]:
             frontier |= new
         out.append(seen)
         rest &= ~seen
+    return out
+
+
+def component_of(masks: Sequence[int]) -> list[int]:
+    """The component mask holding each vertex, for the adjacency masks of a
+    graph on vertices 0..len(masks)-1; an isolated vertex is its own
+    component."""
+    out = [0] * len(masks)
+    for comp in component_masks(masks, (1 << len(masks)) - 1):
+        rest = comp
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            out[low.bit_length() - 1] = comp
     return out
 
 

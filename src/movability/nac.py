@@ -21,14 +21,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
-from .graphs import Edge, Graph, component_masks, edge, json_edges
+from .graphs import Edge, Graph, component_of, edge, json_edges
 
 DEFAULT_ENUMERATION_CAP = 40
 
 RED = "red"
 BLUE = "blue"
+
+# one color's side of a coloring: the adjacency masks of its edges, and the
+# component mask of those edges that holds each vertex
+Side = tuple[list[int], list[int]]
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -49,6 +54,12 @@ class NacColoring:
     @property
     def blue(self) -> frozenset[Edge]:
         return self.graph.edges - self.red
+
+    @cached_property
+    def _sides(self) -> tuple[Side, Side]:
+        """The red side, then the blue side.  Built when first read and kept
+        outside the dataclass fields, so equality, hashing and repr ignore it."""
+        return _sides_of(self.graph, self.red)
 
     def color(self, u: int, v: int) -> str:
         e = edge(u, v)
@@ -95,31 +106,27 @@ def is_nac(g: Graph, coloring: NacColoring) -> bool:
     """Surjectivity plus the component condition of the module docstring."""
     if coloring.graph != g:
         raise ValueError("coloring belongs to a different graph")
-    return _is_nac_red(g, coloring.red)
+    return _separates(coloring._sides)
 
 
-def _is_nac_red(g: Graph, red: frozenset[Edge]) -> bool:
-    blue = g.edges - red
-    if not red or not blue:
-        return False
-    red_comp = _merge(list(range(g.n)), red)
-    if any(red_comp[u] == red_comp[v] for u, v in blue):
-        return False
-    blue_comp = _merge(list(range(g.n)), blue)
-    return not any(blue_comp[u] == blue_comp[v] for u, v in red)
+def _sides_of(g: Graph, red: Iterable[Edge]) -> tuple[Side, Side]:
+    """The red and the blue side of the coloring of g with red class `red`."""
+    red_masks = [0] * g.n
+    for u, v in red:
+        red_masks[u] |= 1 << v
+        red_masks[v] |= 1 << u
+    blue_masks = [m ^ r for m, r in zip(g.masks(), red_masks)]
+    return (red_masks, component_of(red_masks)), (blue_masks, component_of(blue_masks))
 
 
-def _merge(labels: list[int], edges: Iterable[Edge]) -> list[int]:
-    """Component label of each vertex after joining `edges`.
-
-    The input list is never modified; it is returned as is when no edge
-    joins two components.
-    """
-    for u, v in edges:
-        a, b = labels[u], labels[v]
-        if a != b:
-            labels = [a if c == b else c for c in labels]
-    return labels
+def _separates(sides: tuple[Side, Side]) -> bool:
+    """Both colors are used, and no edge of one color joins two vertices of
+    one component of the other."""
+    (red, red_comp), (blue, blue_comp) = sides
+    for r, rc, b, bc in zip(red, red_comp, blue, blue_comp):
+        if r & bc or b & rc:
+            return False
+    return any(red) and any(blue)
 
 
 def _dfs_edge_order(g: Graph) -> list[Edge]:
@@ -192,11 +199,13 @@ def enumerate_nac(
     A triangle is monochromatic in every NAC-coloring (a 2+1 split is an
     almost cycle), so the search colors triangle-connected classes of edges
     rather than single edges.  It backtracks over the classes in DFS edge
-    order keeping the vertex components of each color; a branch dies as
-    soon as an almost cycle is unavoidable.  The class of the first DFS edge
-    is pinned blue (conjugation halves the tree) and the full set is
-    restored by mirroring unless ``non_conjugated`` is set.  The cap counts
-    edges, not classes.
+    order keeping, per color, the component mask that holds each vertex, as
+    `NacColoring`'s sides do; a class is connected, so coloring it joins
+    every component of its color that it touches.  A branch dies as soon as
+    an almost cycle is unavoidable.  The class of the first DFS edge is
+    pinned blue (conjugation halves the tree) and the full set is restored
+    by mirroring unless ``non_conjugated`` is set.  The cap counts edges,
+    not classes.
     """
     if len(g.edges) == 0:
         return []
@@ -211,17 +220,17 @@ def enumerate_nac(
     blue_acc: list[Edge] = []
 
     def try_color(same: list[int], other: list[int], cls: list[Edge], other_edges: list[Edge]):
+        joined = 0
         for u, v in cls:
-            if other[u] == other[v]:
+            if other[u] >> v & 1:
                 return None  # the class would close an almost cycle of the other color
-        merged = _merge(same, cls)
-        if merged is not same:
-            # merging may trap an existing other-colored edge inside one
-            # component of this color
-            for x, y in other_edges:
-                if merged[x] == merged[y]:
-                    return None
-        return merged
+            joined |= same[u] | same[v]
+        if same[cls[0][0]] == joined:
+            return same
+        for x, y in other_edges:  # the joined component may trap an other-colored edge
+            if joined >> x & joined >> y & 1:
+                return None
+        return [joined if c & joined else c for c in same]
 
     def rec(k: int, red_comp: list[int], blue_comp: list[int]):
         if k == m:
@@ -242,7 +251,8 @@ def enumerate_nac(
             rec(k + 1, red_next, blue_comp)
             del red_acc[-len(cls) :]
 
-    rec(0, list(range(g.n)), list(range(g.n)))
+    singletons = [1 << v for v in range(g.n)]
+    rec(0, singletons, singletons)
     colorings = [NacColoring(g, red) for red in results]
     colorings.sort(key=NacColoring.sort_key)
     if non_conjugated:
@@ -277,19 +287,15 @@ def _closing_pairs(g: Graph, reds: list[frozenset[Edge]]) -> dict[Edge, int]:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     adj = g.masks()
-    everyone = (1 << g.n) - 1
     found: dict[Edge, int] = {}
     for sig, masks in classes.items():
-        for comp in component_masks(masks, everyone):
-            while comp:
-                low = comp & -comp
-                comp ^= low
-                u = low.bit_length() - 1
-                far = comp & ~adj[u]  # the later vertices of the component not adjacent to u
-                while far:
-                    w = far & -far
-                    far ^= w
-                    found.setdefault((u, w.bit_length() - 1), sig)
+        for u, comp in enumerate(component_of(masks)):
+            # the later vertices of u's component that are not adjacent to u
+            far = comp & ~adj[u] & (-2 << u)
+            while far:
+                w = far & -far
+                far ^= w
+                found.setdefault((u, w.bit_length() - 1), sig)
     return found
 
 
@@ -366,5 +372,5 @@ def constant_distance_closure(
             red | {pair for pair, sig in closing.items() if sig >> i & 1}
             for i, red in enumerate(reds)
         )
-        reds = [red for red in extended if _is_nac_red(current, red)]
+        reds = [red for red in extended if _separates(_sides_of(current, red))]
     return ClosureReport(closure=current, added=tuple(rounds))

@@ -619,6 +619,11 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
            "--steps", steps] for steps in ("-5", "0")),
         *(["motion", "track", "--labeling", "lab.json", "--start", "start.json", "--fixed", "0,1",
            "--tol", tol] for tol in ("inf", "nan", "0", "-0.5")),
+        ["nac", "enum", "Bw", "--cap", "-1"],
+        ["cdc", "Bw", "--cap", "-1"],
+        ["classify", "Bw", "--cap", "-1"],
+        ["construct", "grid", "ElNG", "--cap", "-1", "--out", "out"],
+        ["construct", "two-nac", "FLr@w", "--cap", "-1", "--out", "out"],
     ],
     ids=["lambda-negative", "lambda-short", "edge-twice", "fixed-zero", "fixed-non-edge",
          "start-words", "start-off-labeling", "start-nan", "start-infinity", "start-three-columns",
@@ -642,7 +647,9 @@ def test_construct_matches_classify(method, graph, construction, tmp_path, capsy
          "motion-n-63", "motion-missing-vertex", "motion-missing-y", "motion-vertices-list",
          "step-size-inf",
          "step-size-1e300", "step-size-0", "step-size-negative", "step-size-nan", "steps-negative",
-         "steps-0", "tol-inf", "tol-nan", "tol-0", "tol-negative"],
+         "steps-0", "tol-inf", "tol-nan", "tol-0", "tol-negative", "nac-enum-cap-negative",
+         "cdc-cap-negative", "classify-cap-negative", "grid-cap-negative",
+         "two-nac-cap-negative"],
 )
 def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
     from movability.constructions import deltoid_motion
@@ -788,5 +795,7 @@ def test_malformed_input_exits_2(argv, tmp_path, monkeypatch, capsys):
         assert "vertex 2 needs an entry with x and y" in err
     if "vertices-list.json" in argv:
         assert "vertices must be an object" in err
+    if "--cap" in argv:
+        assert err == "error: --cap must be at least 0, got -1\n"
     if argv[-2] == "--max-n" and int(argv[-1]) < 1:
         assert f"--max-n must be at least 1, got {argv[-1]}" in err

@@ -157,6 +157,34 @@ def test_grid_labeling_matches_the_grid_formula():
             assert lab[(u, v)] == (iu - iv) ** 2 + (ju - jv) ** 2
 
 
+@pytest.mark.parametrize("source", ["up-to-6", "catalog"])
+def test_grid_points_match_the_rebuilt_graph_oracle(source):
+    # the cells come from the coloring's own component masks; the oracle
+    # rebuilds each color as a graph and lists its components by lowest vertex
+    from grid_oracle import grid_points
+
+    if source == "up-to-6":
+        from movability.smallgraphs import connected_graphs_up_to
+
+        graphs = list(connected_graphs_up_to(6))
+    else:
+        graphs = [catalog_graph(name) for name in CATALOG_NAMES]
+    outcomes = Counter()
+    for g in graphs:
+        for coloring in enumerate_nac(g):
+            try:
+                expected = grid_points(g, coloring)
+            except ConstructionInapplicable as exc:
+                expected = str(exc)
+            try:
+                got = grid_construction(g, coloring)[0]
+            except ConstructionInapplicable as exc:
+                got = str(exc)
+            assert got == expected, (g.sorted_edges(), coloring.sort_key())
+            outcomes[isinstance(got, str)] += 1
+    assert outcomes[False] and outcomes[True]
+
+
 def test_grid_edge_direction_invariants():
     l1 = catalog_graph("L1")
     coloring = NacColoring(l1, frozenset({(0, 3), (1, 2), (4, 5)}))
@@ -427,7 +455,7 @@ def _check_twin_test(g) -> Counter:
     from two_nac_oracle import two_nac_search as oracle_search
 
     pairs = list(combinations(enumerate_nac(g, non_conjugated=True), 2))
-    counts, sides = Counter(), {}
+    counts = Counter()
     for first, second in pairs:
         classes = _pair_classes(g, first, second)
         if len(set(classes.values())) < len(DIRECTIONS):
@@ -437,7 +465,7 @@ def _check_twin_test(g) -> Counter:
             embeds = True
         except ConstructionInapplicable:
             embeds = False
-        twins = _has_twins(g, sides, first, second)
+        twins = _has_twins(g, first, second)
         assert not (embeds and twins), (g.sorted_edges(), first.sort_key(), second.sort_key())
         counts[embeds, twins] += 1
     assert _search_outcome(two_nac_search, g, pairs) == _search_outcome(oracle_search, g, pairs)
@@ -509,7 +537,7 @@ def test_search_raises_the_exact_message_of_a_twin_rejected_last_pair():
     g = catalog_graph("S1")
     pairs = list(combinations(enumerate_nac(g, non_conjugated=True), 2))
     first, second = pairs[-1]
-    assert _has_twins(g, {}, first, second)
+    assert _has_twins(g, first, second)
     with pytest.raises(ConstructionInapplicable,
                        match="vertices 4 and 6 coincide on the whole solution space"):
         two_nac_search(g, pairs)

@@ -10,6 +10,7 @@ from movability.graphs import (
     ReductionCollapse,
     bits,
     component_masks,
+    component_of,
     encode_graph6,
     graph_from_json,
     parse_graph6,
@@ -206,6 +207,32 @@ def test_components_match_reachability(g, offset, stride):
     expected = sorted({tuple(sorted(reachable(edges, v))) for v in vertices})
     assert [tuple(c) for c in comps] == expected
     assert g.is_connected() == (len(reachable(g.edges, 0)) == g.n)
+
+
+@st.composite
+def adjacency_masks(draw):
+    """Adjacency masks of a random simple graph on 0-12 vertices; edges are
+    sparse enough that isolated vertices and several components are common."""
+    n = draw(st.integers(0, 12))
+    masks = [0] * n
+    if n > 1:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for u, v in draw(st.lists(st.sampled_from(pairs), max_size=n)):
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return masks
+
+
+@given(adjacency_masks())
+@settings(max_examples=300)
+def test_component_of_expands_component_masks(masks):
+    expected = [0] * len(masks)
+    for comp in component_masks(masks, (1 << len(masks)) - 1):
+        for v in bits(comp):
+            expected[v] = comp
+    comp = component_of(masks)
+    assert comp == expected
+    assert all(comp[v] == 1 << v for v, m in enumerate(masks) if not m)
 
 
 def test_induced_subgraph_relabels_in_order():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -177,6 +178,20 @@ def test_conjugate_involution():
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_nac(ring_of_complete_bipartite())
+
+
+def test_cached_sides_leave_equality_hashing_and_fields_alone():
+    # the sides an is_nac call builds live outside the dataclass fields
+    g = catalog_graph("Q1")
+    accessed = enumerate_nac(g)[0]
+    assert is_nac(g, accessed) and "_sides" in vars(accessed)
+    fresh = NacColoring(g, accessed.red)
+    assert "_sides" not in vars(fresh)
+    assert accessed == fresh and hash(accessed) == hash(fresh)
+    assert repr(accessed) == repr(fresh)
+    assert dataclasses.fields(accessed) == dataclasses.fields(fresh)
+    assert [f.name for f in dataclasses.fields(NacColoring)] == ["graph", "red"]
+    assert accessed._sides == fresh._sides
 
 
 def test_coloring_json_round_trip():
