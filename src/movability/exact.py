@@ -1,19 +1,18 @@
-"""Exact arithmetic over Q(i): Gaussian rationals, polynomials, root finding.
+"""Exact arithmetic over Q(i): Gaussian rationals, polynomials, roots.
 
 The motion machinery needs the field Q(i) because the complex edge functions
-(dx + i*dy) live there, and it needs every Gaussian-rational root of their
-numerators and denominators (those are the candidate places where valuations
-can separate edges).  A polynomial keeps Gaussian-integer coefficients over
-one denominator (Knuth, TAOCP vol. 2, 4.6.1), so its arithmetic is int
-arithmetic; Gaussian rationals are points, places and the coefficients read
-out of a polynomial.  Roots are found exactly: square-free reduction, then
-one loop that peels a root per pass, by -c0/c1 at degree one, the quadratic
-formula at degree two and otherwise a divisor search over Z[i] driven by
-Gaussian-integer factorization.  Whatever resists splitting into linear
-factors over Q(i) is returned unfactored, never dropped, and a gcd-free
-base (monic, square-free, pairwise coprime elements, built by gcds and
-exact division alone) cuts such residues into pieces whose roots share one
-multiplicity in each polynomial.
+(dx + i*dy) live there, and it needs the places of their numerators and
+denominators (where valuations can separate edges).  A polynomial keeps
+Gaussian-integer coefficients over one denominator (Knuth, TAOCP vol. 2,
+4.6.1), so its arithmetic is int arithmetic; Gaussian rationals are points,
+places and the coefficients read out of a polynomial.  Places come from
+closed forms, then the gcd-free base: the square-free part of a polynomial
+is split by -c0/c1 at degree one and the quadratic formula at degree two,
+and what those leave is returned whole, never dropped.  A gcd-free base
+(monic, square-free, pairwise coprime elements, built by gcds and exact
+division alone) cuts such residues into pieces whose roots share one
+multiplicity in each polynomial; the same closed forms split its elements
+of degree one and two.
 """
 
 from __future__ import annotations
@@ -321,6 +320,10 @@ def _by_conjugate(z, pair: tuple[int, int]) -> list[tuple[int, int]]:
     return [(x * la + y * lb, y * la - x * lb) for x, y in z]
 
 
+def _gi_norm(z: tuple[int, int]) -> int:
+    return z[0] * z[0] + z[1] * z[1]
+
+
 def _integer_pairs(cs: list[GaussianRational]) -> tuple[list[tuple[int, int]], int]:
     """Gaussian-integer pairs z and the least positive d with cs = z/d."""
     d = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
@@ -436,88 +439,7 @@ def gcd_free_base(polys: Iterable[Poly]) -> tuple[Poly, ...]:
     return tuple(base)
 
 
-# -- Gaussian integers -------------------------------------------------------
-
-
-def _gi_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gi_norm(z: tuple[int, int]) -> int:
-    return z[0] * z[0] + z[1] * z[1]
-
-
-def _gi_divide(z: tuple[int, int], d: tuple[int, int]) -> tuple[int, int] | None:
-    """Exact quotient z/d in Z[i], None when d does not divide z."""
-    n = _gi_norm(d)
-    if n == 0:
-        raise ZeroDivisionError
-    re = z[0] * d[0] + z[1] * d[1]
-    im = z[1] * d[0] - z[0] * d[1]
-    if re % n or im % n:
-        return None
-    return (re // n, im // n)
-
-
-def _prime_factors(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _split_prime(p: int) -> tuple[int, int]:
-    """Gaussian prime over a rational prime p = 1 mod 4 (or p = 2)."""
-    if p == 2:
-        return (1, 1)
-    for a in range(1, math.isqrt(p) + 1):
-        b2 = p - a * a
-        b = math.isqrt(b2)
-        if b * b == b2:
-            return (max(a, b), min(a, b))
-    raise ArithmeticError(f"prime {p} has no two-square split")
-
-
-def gaussian_integer_divisors(z: tuple[int, int]) -> list[tuple[int, int]]:
-    """All divisors of z in Z[i], one per associate class (unit multiples omitted)."""
-    if z == (0, 0):
-        raise ValueError("zero has no divisor list")
-    primes: list[tuple[tuple[int, int], int]] = []
-    rest = z
-    for p in sorted(_prime_factors(_gi_norm(z))):
-        if p % 4 == 3:
-            candidates = [(p, 0)]
-        else:
-            pi = _split_prime(p)
-            # 1+i and 1-i are associates
-            candidates = [pi] if p == 2 else [pi, (pi[0], -pi[1])]
-        for prime in candidates:
-            count = 0
-            while (q := _gi_divide(rest, prime)) is not None:
-                rest = q
-                count += 1
-            if count:
-                primes.append((prime, count))
-    divisors: list[tuple[int, int]] = [(1, 0)]
-    for prime, count in primes:
-        grown = []
-        for d in divisors:
-            power = d
-            grown.append(power)
-            for _ in range(count):
-                power = _gi_mul(power, prime)
-                grown.append(power)
-        divisors = grown
-    return divisors
-
-
-_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+# -- roots in closed form ---------------------------------------------------
 
 
 def _quadratic_roots(f: Poly) -> list[GaussianRational]:
@@ -531,69 +453,36 @@ def _quadratic_roots(f: Poly) -> list[GaussianRational]:
     return sorted(set(roots))
 
 
-def _divisor_root(work: Poly) -> list[GaussianRational]:
-    """The first root of work in Q(i) by the rational-root theorem over Z[i]
-    (a unit times a divisor of the trailing coefficient over a divisor of
-    the leading one), as a one-element list, or [] when there is none.
-    Each candidate is reduced to (re + im i)/den with gcd(re, im, den) = 1,
-    skipped if already tried, and tested by sum z[k] p^k den^(n-k) = 0 over
-    Z[i].  Everything divides a zero trailing coefficient, and 0 is then a
-    root."""
-    z = work.z
-    if z[0] == (0, 0):
-        return [GR_ZERO]
-    tried = set()
-    for p in gaussian_integer_divisors(z[0]):
-        for q in gaussian_integer_divisors(z[-1]):
-            # p/q = p*conj(q)/N(q)
-            base, norm = _gi_mul(p, (q[0], -q[1])), _gi_norm(q)
-            for u in _UNITS:
-                re, im = _gi_mul(base, u)
-                g = math.gcd(re, im, norm)
-                cand = (re // g, im // g, norm // g)
-                if cand in tried:
-                    continue
-                tried.add(cand)
-                if _homogeneous(z, cand[:2], cand[2]) == (0, 0):
-                    return [GaussianRational(Fraction(cand[0], cand[2]), Fraction(cand[1], cand[2]))]
-    return []
-
-
 @dataclass(frozen=True)
 class RootReport:
-    """Gaussian-rational roots with multiplicities plus the unsplit residue."""
+    """The roots in Q(i) that closed forms give, with multiplicities, plus
+    the residue they leave whole."""
 
     roots: tuple[tuple[GaussianRational, int], ...]
-    unresolved: Poly  # monic product of irreducible factors of degree >= 2
+    # monic square-free part of degree >= 3, whose roots may lie in Q(i),
+    # or a quadratic irreducible over Q(i); 1 when every root is found
+    unresolved: Poly
 
 
 def gaussian_rational_roots(f: Poly) -> RootReport:
-    """Every root of f in Q(i), with multiplicity, found exactly.
+    """The roots of f in Q(i) that closed forms give, with multiplicity.
 
-    Strategy: pass to the square-free part, then one loop peels roots off
-    it.  Each pass picks a finder by degree: -c0/c1 for a linear factor, the
-    quadratic formula for degree two, and otherwise the first root of the
-    divisor search over Z[i].  Every root found, 0 included, is recorded
-    with its multiplicity in f and divided out in one place; the loop stops
-    when the finder finds none.  The monic product of factors that admit no
-    Q(i) root is reported as unresolved.
+    f passes to its square-free part.  At degree one its root is -c0/c1,
+    at degree two the quadratic formula gives both roots when the
+    discriminant is a square in Q(i), and each root is recorded with its
+    multiplicity in f.  Any other square-free part, of degree 3 or more or
+    an irreducible quadratic, is returned whole as unresolved:
+    `motion.candidate_places` cuts such residues with a gcd-free base and
+    splits its elements by these same closed forms.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    roots: list[tuple[GaussianRational, int]] = []
     work = square_free_part(f)
-    while work.degree >= 1:
-        if work.degree == 1:
-            found = [-work.coeffs[0] / work.coeffs[1]]
-        elif work.degree == 2:
-            found = _quadratic_roots(work)
-        else:
-            found = _divisor_root(work)
-        if not found:
-            break
-        for r in found:
-            roots.append((r, root_multiplicity(f, r)))
-            work = work // Poly.of([-r, 1])
-    unresolved = work.monic() if work.degree >= 1 else P_ONE
-    roots.sort()
-    return RootReport(tuple(roots), unresolved)
+    if work.degree == 1:
+        found = [-work.coeffs[0] / work.coeffs[1]]
+    elif work.degree == 2:
+        found = _quadratic_roots(work)
+    else:
+        found = []
+    unresolved = P_ONE if found or work.degree < 1 else work
+    return RootReport(tuple((r, root_multiplicity(f, r)) for r in found), unresolved)

@@ -258,28 +258,36 @@ class PlacesReport:
 
 
 def candidate_places(m: ParametrizedMotion) -> PlacesReport:
-    """All Gaussian-rational roots of all W numerators/denominators, the
-    elements of a gcd-free base of what has no such root, then oo.
+    """The places of all W numerators and denominators: points of Q(i)
+    from closed forms, then the gcd-free base, then oo.
 
     Nontrivial valuations of edge functions can only occur at these places.
-    A polynomial the root search leaves a residue in is divided by its
-    roots, each to its multiplicity, and the quotients are cut into a
-    gcd-free base: all roots of one element share every valuation, so the
-    element is one place, named by its polynomial, and none is missed.
+    Each polynomial is split by the closed forms of `gaussian_rational_roots`.
+    One they leave a residue in is divided by every point found, each to
+    its multiplicity, by a Horner test and exact division, and the
+    quotients are cut into a gcd-free base.  The same closed forms split
+    each element of degree one, and of degree two when its roots lie in
+    Q(i); every other element is one place, named by its polynomial: all
+    its roots share every valuation, so none is missed.  Such an element
+    of degree 3 or more may have roots in Q(i).
     """
-    # motions repeat polynomials across edges, so each is searched once
+    # motions repeat polynomials across edges, so each is split once
     polys = dict.fromkeys(p for w in m._w.values() for p in (w.num, w.den) if p.degree >= 1)
-    points: set[GaussianRational] = set()
+    reports = {poly: gaussian_rational_roots(poly) for poly in polys}
+    points = {root for report in reports.values() for root, _mult in report.roots}
     rests: list[Poly] = []
-    for poly in polys:
-        report = gaussian_rational_roots(poly)
+    for poly, report in reports.items():
+        if report.unresolved.degree >= 1:
+            for point in points:
+                while poly(point).is_zero():
+                    poly = poly // Poly.of([-point, 1])
+            rests.append(poly)
+    factors = []
+    for element in gcd_free_base(rests):
+        report = gaussian_rational_roots(element)
         points.update(root for root, _mult in report.roots)
         if report.unresolved.degree >= 1:
-            for root, mult in report.roots:
-                for _ in range(mult):
-                    poly = poly // Poly.of([-root, 1])
-            rests.append(poly)
-    factors = [Place(None, element) for element in gcd_free_base(rests)]
+            factors.append(Place(None, element))
     return PlacesReport((*(Place(z) for z in sorted(points)), *factors, INFINITY))
 
 

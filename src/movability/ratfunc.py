@@ -1,10 +1,11 @@
 """Rational functions of one variable over Q(i), places, and valuations.
 
 A place is a Gaussian-rational point of the parameter line, the roots of
-an element of a gcd-free base (see `exact.gcd_free_base`), which share
-every valuation, or the point at infinity; the valuation of a function at
-a place is the order of vanishing there (pole orders negative).  This is
-exactly the discrete data the edge functions of a motion are probed for.
+an element of a gcd-free base (see `exact.gcd_free_base`) that no closed
+form splits, which share every valuation, or the point at infinity; the
+valuation of a function at a place is the order of vanishing there (pole
+orders negative).  This is exactly the discrete data the edge functions
+of a motion are probed for.
 """
 
 from __future__ import annotations
@@ -27,8 +28,10 @@ from .exact import (
 @dataclass(frozen=True)
 class Place:
     """A Gaussian-rational point t0; else, when poly is set, the roots of
-    poly, a monic square-free base element with no root in Q(i); else
-    infinity.  A polynomial place is named by its polynomial."""
+    poly, a monic square-free base element that closed forms leave whole:
+    a quadratic irreducible over Q(i), or of degree 3 or more, whose roots
+    may lie in Q(i); else infinity.  A polynomial place is named by its
+    polynomial."""
 
     point: GaussianRational | None
     poly: Poly | None = None

@@ -76,25 +76,37 @@ def connected_graphs(draw, min_n=1, max_n=10):
 
 def bundled_motion(name: str):
     """An exact motion the library builds: "deltoid" or "deltoid-<scale>",
-    "q1" (the two-NAC motion of Q1's embedding example), "s5-<a>", or a
-    catalog graph's grid motion by name (L1-L6)."""
+    "q1" or "q1-<scale>" (the two-NAC motion of Q1's embedding example on
+    the frame of that deltoid), "s5-<a>", or a catalog graph's grid motion
+    by name (L1-L6)."""
     if name.startswith("deltoid"):
         return deltoid_motion(Fraction(name.partition("-")[2] or 1)).motion
-    if name == "q1":
+    if name.startswith("q1"):
         g, first_red, second_red = q1_embedding_example()
         emb = two_nac_embedding(g, NacColoring(g, first_red), NacColoring(g, second_red), seed=0)
-        return motion_from_embedding(emb, deltoid_motion())
+        return motion_from_embedding(emb, deltoid_motion(Fraction(name.partition("-")[2] or 1)))
     if name.startswith("s5"):
         return s5_motion(Fraction(name.split("-")[1]))[1]
     g = catalog_graph(name)
     return grid_search(g, enumerate_nac(g, non_conjugated=True))[3]
 
 
-def unresolved_motion() -> ParametrizedMotion:
-    """The path 0-1-2 with z0 = 0, z1 = 1 and z2 = 1 + p/conj(p), where
-    p = t^2 + i t + 1: |p/conj(p)| = 1 for real t, and the discriminant of p
-    is -5, so neither p nor conj(p) has a root in Q(i)."""
-    p = Poly.of([1, (0, 1), 1])
+def conjugate_ratio_motion(p: Poly) -> ParametrizedMotion:
+    """The path 0-1-2 with z0 = 0, z1 = 1 and z2 = 1 + p/conj(p), a motion
+    since |p/conj(p)| = 1 for real t: W of edge (1, 2) is p/conj(p)."""
     one = RationalFunction.const(1)
     z2 = one + RationalFunction.of(p, p.conjugate_coeffs())
     return ParametrizedMotion(Graph.of(3, [(0, 1), (1, 2)]), (0, 1), (RationalFunction.const(0), one, z2))
+
+
+def unresolved_motion() -> ParametrizedMotion:
+    """conjugate_ratio_motion of p = t^2 + i t + 1, whose discriminant is
+    -5, so neither p nor conj(p) has a root in Q(i)."""
+    return conjugate_ratio_motion(Poly.of([1, (0, 1), 1]))
+
+
+def cubic_motion() -> ParametrizedMotion:
+    """conjugate_ratio_motion of p = (t - i)(t - 2i)(t - 1 - i): the
+    numerator and denominator of W are cubics with all their roots in Q(i)
+    and no root shared with any other polynomial of the motion."""
+    return conjugate_ratio_motion(Poly.of([(0, -1), 1]) * Poly.of([(0, -2), 1]) * Poly.of([(-1, -1), 1]))

@@ -299,6 +299,20 @@ def test_active_nac_on_unsplit_places(tmp_path, capsys):
     assert err == ""
 
 
+def test_active_nac_of_s5_at_large_a(tmp_path):
+    # at a = 10^40 the cubic W polynomials of S5 carry a^2 - 1 in their end
+    # coefficients; their places need no factorization, so the query ends
+    # well inside the timeout
+    cli = [sys.executable, "-m", "movability.cli"]
+    outdir = tmp_path / "s5"
+    subprocess.run([*cli, "construct", "s5", "--a", "1e40", "--out", str(outdir)],
+                   check=True, capture_output=True, timeout=60)
+    result = subprocess.run([*cli, "motion", "active-nac", str(outdir / "motion.json"), "--format", "json"],
+                            capture_output=True, text=True, timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert len(json.loads(result.stdout)) == 6
+
+
 def test_track_cli(tmp_path, capsys):
     from movability.constructions import deltoid_motion
     from movability.motion import labeling_to_json

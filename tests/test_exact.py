@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import roots_oracle
-from movability import exact
 from movability.constructions import s5_motion
 from movability.exact import (
     GR_I,
@@ -17,9 +16,8 @@ from movability.exact import (
     P_ONE,
     GaussianRational,
     Poly,
-    _divisor_root,
+    RootReport,
     fraction_sqrt,
-    gaussian_integer_divisors,
     gaussian_rational_roots,
     gcd_free_base,
     gr,
@@ -28,7 +26,7 @@ from movability.exact import (
     root_multiplicity,
     square_free_part,
 )
-from movability.motion import w_function
+from movability.motion import ParametrizedMotion, candidate_places, w_function
 from movability.ratfunc import (
     INFINITY,
     Place,
@@ -122,49 +120,53 @@ def test_gcd_free_base_and_multiplicity():
         multiplicity(Poly.of([]), Poly.of([-2, 1]))
 
 def test_gaussian_integer_divisors():
-    divs = gaussian_integer_divisors((5, 0))
+    divs = roots_oracle.gaussian_integer_divisors((5, 0))
     norms = sorted({d[0] * d[0] + d[1] * d[1] for d in divs})
     assert norms == [1, 5, 25]  # units, 2+-i, 5
-    divs2 = gaussian_integer_divisors((1, 1))
+    divs2 = roots_oracle.gaussian_integer_divisors((1, 1))
     assert sorted({d[0] * d[0] + d[1] * d[1] for d in divs2}) == [1, 2]
 
 
 def test_roots_of_deltoid_denominator():
-    report = gaussian_rational_roots(Poly.of([4, 0, 5, 0, 1]))
-    roots = {str(r) for r, _ in report.roots}
-    assert roots == {"i", "-i", "2i", "-2i"}
-    assert report.unresolved.degree <= 0
+    # (t^2 + 1)(t^2 + 4) is square-free of degree 4, so no closed form
+    # applies and it is left whole; each quadratic factor splits
+    f = Poly.of([4, 0, 5, 0, 1])
+    assert gaussian_rational_roots(f) == RootReport((), f)
+    for factor, roots in ((Poly.of([1, 0, 1]), (gr(0, -1), gr(0, 1))),
+                          (Poly.of([4, 0, 1]), (gr(0, -2), gr(0, 2)))):
+        assert gaussian_rational_roots(factor) == RootReport(tuple((r, 1) for r in roots), P_ONE)
 
 
 def test_roots_with_multiplicity_and_zero():
-    # t^2 (t - 3/2)^2 (t + i)
-    f = (
-        Poly.of([0, 0, 1])
-        * Poly.of([Fraction(-3, 2), 1])
-        * Poly.of([Fraction(-3, 2), 1])
-        * Poly.of([(0, 1), 1])
-    )
-    report = gaussian_rational_roots(f)
-    as_dict = {str(r): m for r, m in report.roots}
-    assert as_dict == {"0": 2, "3/2": 2, "-i": 1}
+    # t^2 (t - 3/2)^2: a square-free part of degree two, split with each
+    # root's multiplicity in f, 0 included
+    f = Poly.of([0, 0, 1]) * Poly.of([Fraction(-3, 2), 1]) * Poly.of([Fraction(-3, 2), 1])
+    assert gaussian_rational_roots(f) == RootReport(((gr(0), 2), (gr(Fraction(3, 2)), 2)), P_ONE)
+    # times (t + i), the square-free part t (t - 3/2)(t + i) is a cubic, left
+    # whole as the residue
+    g = f * Poly.of([(0, 1), 1])
+    cubic = Poly.of([0, 1]) * Poly.of([Fraction(-3, 2), 1]) * Poly.of([(0, 1), 1])
+    assert gaussian_rational_roots(g) == RootReport((), cubic)
 
 
 def test_unresolved_factor_is_reported():
     # t^2 - i is irreducible over Q(i)
     report = gaussian_rational_roots(Poly.of([(0, -1), 0, 1]))
     assert not report.roots
-    assert report.unresolved.degree == 2
-    # mixed: (t-1)(t^2-i)
-    report2 = gaussian_rational_roots(Poly.of([(0, -1), 0, 1]) * Poly.of([-1, 1]))
-    assert {str(r) for r, _ in report2.roots} == {"1"}
-    assert report2.unresolved.degree == 2
+    assert report.unresolved == Poly.of([(0, -1), 0, 1])
+    # mixed: (t-1)(t^2-i) is a cubic, left whole, root 1 and all
+    f = Poly.of([(0, -1), 0, 1]) * Poly.of([-1, 1])
+    report2 = gaussian_rational_roots(Poly.const(3) * f)
+    assert not report2.roots
+    assert report2.unresolved == f
 
 
 def test_higher_degree_divisor_search():
     # (t-1)(t-2)(t-3)(t+5i) needs the Z[i] divisor route at degree 4
     f = Poly.of([-1, 1]) * Poly.of([-2, 1]) * Poly.of([-3, 1]) * Poly.of([(0, 5), 1])
-    report = gaussian_rational_roots(f)
+    report = roots_oracle.gaussian_rational_roots(f)
     assert {str(r) for r, _ in report.roots} == {"1", "2", "3", "-5i"}
+    assert [str(r) for r in _divisor_search_roots(f)] == ["-5i", "1", "2", "3"]
 
 
 # small coefficients keep the divisor search over Z[i] fast
@@ -191,10 +193,33 @@ def products_over_q_i(draw):
     return f
 
 
-@given(products_over_q_i())
-@settings(max_examples=200, deadline=None)
-def test_root_search_matches_the_oracle(f):
-    assert gaussian_rational_roots(f) == roots_oracle.gaussian_rational_roots(f)
+def _places_of(polys):
+    """`candidate_places` of a motion-shaped stand-in whose edge table holds
+    each polynomial as a W numerator over 1: the places read only that
+    table, and no motion has W numerators drawn at will."""
+    m = object.__new__(ParametrizedMotion)
+    object.__setattr__(m, "_w", {(0, k): RationalFunction.of(f) for k, f in enumerate(polys, 1)})
+    return candidate_places(m).places
+
+
+def _on_one_place(places, r, functions):
+    """Assert that the point r lies on exactly one of the places and that
+    each function has the same valuation there as at r."""
+    on = [p for p in places if p.point == r or (p.poly is not None and p.poly(r).is_zero())]
+    assert len(on) == 1
+    assert [valuation(f, on[0]) for f in functions] == [valuation(f, place_at(r.re, r.im)) for f in functions]
+
+
+@given(st.lists(products_over_q_i(), min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_root_search_matches_the_oracle(polys):
+    # every root the Z[i] divisor search finds in any input lies on exactly
+    # one place, with the valuations of every input it has there
+    places = _places_of(polys)
+    functions = [RationalFunction.of(f) for f in polys]
+    for f in polys:
+        for r, _ in roots_oracle.gaussian_rational_roots(f).roots:
+            _on_one_place(places, r, functions)
 
 
 
@@ -279,7 +304,7 @@ def _low_degree_polys():
 def _divisor_search_roots(f):
     """Every root of f in Q(i) that the divisor search alone peels off."""
     work, found = square_free_part(f), []
-    while work.degree >= 1 and (hit := _divisor_root(work)):
+    while work.degree >= 1 and (hit := roots_oracle._divisor_root(work)):
         found += hit
         work = work // Poly.of([-hit[0], 1])
     return sorted(found)
@@ -299,19 +324,13 @@ def test_low_degree_roots_with_wide_coefficients():
     assert shapes == {(1, (1,)): 34, (2, (1, 1)): 25, (2, (2,)): 9, (2, ()): 34}
 
 
-def test_low_degree_roots_skip_the_divisor_search(monkeypatch):
+def test_low_degree_roots_skip_the_divisor_search():
     # a double root with a 20-digit prime in both parts, and the W
     # polynomials of degree at most two of S5 at a = 10^12 (among them
-    # (a+1)+(a-1)it, whose root is i(a+1)/(a-1)), are solved in closed form,
-    # without the trial division of their norms
+    # (a+1)+(a-1)it, whose root is i(a+1)/(a-1)), are solved in closed form
     a = Fraction(10**12)
     _, m = s5_motion(a)
     low = {p for w in m._w.values() for p in (w.num, w.den) if 1 <= p.degree <= 2}
-
-    def refuse(z):
-        raise AssertionError(f"divisor search on {z}")
-
-    monkeypatch.setattr(exact, "gaussian_integer_divisors", refuse)
     big = gr(Fraction(10**19 + 51, 3), Fraction(-(10**19 + 51), 7))  # 10^19 + 51 is prime
     f = Poly.const(gr(5, 11)) * Poly.of([-big, 1]) * Poly.of([-big, 1])
     assert gaussian_rational_roots(f).roots == ((big, 2),)
@@ -321,23 +340,39 @@ def test_low_degree_roots_skip_the_divisor_search(monkeypatch):
 
 @pytest.mark.parametrize("name", ["deltoid", "q1", "s5-2"])
 def test_root_search_matches_the_oracle_on_motions(name):
-    # every W numerator and denominator of the motion and of its refixes
+    # on the motion and each of its refixes, every root the oracle finds in
+    # a W numerator or denominator lies on exactly one place, with the
+    # valuation vector it has there; a polynomial the closed forms split
+    # whole gets the oracle's report
     for m in _motions(name):
-        for u, v in m.graph.sorted_edges():
-            w = w_function(m, u, v)
+        places = candidate_places(m).places
+        for w in m._w.values():
             for poly in (w.num, w.den):
-                assert gaussian_rational_roots(poly) == roots_oracle.gaussian_rational_roots(poly)
+                oracle = roots_oracle.gaussian_rational_roots(poly)
+                for r, _ in oracle.roots:
+                    _on_one_place(places, r, m._w.values())
+                report = gaussian_rational_roots(poly)
+                if report.unresolved == P_ONE:
+                    assert report == oracle
 
 
-@pytest.mark.parametrize("name", NAMES)
+# the scales and S5 parameters that perfbench's exact_inputs draws
+BENCH_NAMES = (*(f"{kind}-{k}/2" for kind in ("deltoid", "q1") for k in range(1, 10, 2)),
+               "s5-3/2", "s5-9/2")
+
+
+@pytest.mark.parametrize("name", NAMES + BENCH_NAMES)
 def test_gcd_free_base_of_motions_matches_the_oracle(name):
     # on the motion and each of its refixes, every root the oracle finds in
     # a W numerator or denominator lies on exactly one element of the base
     # of all of them, has that element's valuation vector and, as
-    # multiplicity, its exponent; every element of these bases is linear
+    # multiplicity, its exponent; every element of these bases is linear,
+    # and every place is a point or oo, since the benchmark's summary reads
+    # the point of each finite place
     for m in _motions(name):
         base = gcd_free_base([p for w in m._w.values() for p in (w.num, w.den)])
         assert all(e.degree == 1 for e in base)
+        assert all(place.poly is None for place in candidate_places(m).places)
         for w in m._w.values():
             for poly in (w.num, w.den):
                 for r, k in roots_oracle.gaussian_rational_roots(poly).roots:

@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from movability.constructions import deltoid_motion
+import roots_oracle
+from movability.constructions import deltoid_motion, s5_motion
 from movability.exact import GR_I, GaussianRational, Poly, gr
 from movability.graphs import Graph
 from movability.motion import (
@@ -24,7 +26,7 @@ from movability.motion import (
 from movability.nac import NacColoring, enumerate_nac
 from movability.ratfunc import INFINITY, Place, RationalFunction, place_at, rf, valuation
 
-from conftest import unresolved_motion
+from conftest import cubic_motion, unresolved_motion
 from test_nac import all_simple_cycles
 
 
@@ -267,10 +269,58 @@ def test_unsplit_factors_are_places():
     assert verify_injectivity(m).proper
 
 
+def _oracle_active(m):
+    """The red sets of thresholding the valuations at oo and at every root
+    the Z[i] divisor search finds in a W numerator or denominator."""
+    roots = {r for w in m._w.values() for poly in (w.num, w.den)
+             for r, _ in roots_oracle.gaussian_rational_roots(poly).roots}
+    found = set()
+    for place in (*(place_at(r.re, r.im) for r in roots), INFINITY):
+        vals = valuation_table(m, place).as_dict()
+        for alpha in sorted(set(vals.values()))[:-1]:
+            found.add(frozenset(e for e, v in vals.items() if v > alpha))
+    return found
+
+
+def test_cubic_factors_are_polynomial_places():
+    # W of edge (1, 2) is p/conj(p) with p = (t - i)(t - 2i)(t - 1 - i): no
+    # closed form splits a cubic and no other polynomial yields a point, so
+    # p and conj(p), whose roots all lie in Q(i), are one place each, with
+    # valuations +1 and -1; the active set is the one read off their six
+    # roots
+    m = cubic_motion()
+    p = Poly.of([(0, -1), 1]) * Poly.of([(0, -2), 1]) * Poly.of([(-1, -1), 1])
+    assert w_function(m, 1, 2) == RationalFunction.of(p, p.conjugate_coeffs())
+    report = candidate_places(m)
+    assert report.places == (Place(None, p), Place(None, p.conjugate_coeffs()), INFINITY)
+    tables = [t.as_dict() for t in all_valuation_tables(m)]
+    assert tables == [{(0, 1): 0, (1, 2): 1}, {(0, 1): 0, (1, 2): -1}, {(0, 1): 0, (1, 2): 0}]
+    active = {c.red for c in active_nac_colorings(m).colorings}
+    assert active == {frozenset({(1, 2)}), frozenset({(0, 1)})} == _oracle_active(m)
+
+
+@pytest.mark.parametrize("a", [10**12, 10**19 + 52])
+def test_s5_places_at_large_a(a):
+    # the W numerator and denominator of S5's edge (4, 7) are cubics whose
+    # end coefficients carry a^2 - 1; closed forms and the gcd-free base
+    # find their places without factoring such numbers
+    _, m = s5_motion(Fraction(a))
+    start = time.perf_counter()
+    places = candidate_places(m).places
+    assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    active = active_nac_colorings(m).colorings
+    assert time.perf_counter() - start < 2
+    assert all(place.poly is None for place in places)
+    at_two = active_nac_colorings(s5_motion(Fraction(2))[1]).colorings
+    assert len(active) == 6 and {c.red for c in active} == {c.red for c in at_two}
+
+
 def test_residue_places_leave_out_the_roots():
-    # W of edge (1, 2) is f/conj(f) with f = (t - i)^2 (t^2 - i): the roots
-    # +-i are points with valuations +-2, and what the root search leaves,
-    # t^2 - i and t^2 + i once the roots are divided out, are places with +-1
+    # W of edge (1, 2) is f/conj(f) with f = (t - i)^2 (t^2 - i): the closed
+    # forms leave f's square-free part, a cubic, whole, and the gcd-free base
+    # parts the double root from t^2 - i, so +-i are points with valuations
+    # +-2 and t^2 - i and t^2 + i are places with +-1
     lin, q = Poly.of([(0, -1), 1]), Poly.of([(0, -1), 0, 1])
     f = lin * lin * q
     one = RationalFunction.const(1)
