@@ -136,10 +136,6 @@ GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 
-def gr(re, im=0) -> GaussianRational:
-    return GaussianRational.of(re, im)
-
-
 # -- polynomials in one variable over Q(i) ----------------------------------
 
 
@@ -149,7 +145,7 @@ class Poly:
     denominator: the value is sum (z[k][0] + z[k][1] i) t^k / d, with z low
     degree first and no trailing zeros, d a positive int and the gcd of d
     and every part 1.  That form is unique, so dataclass equality and
-    hashing compare values.  Build one with `of`, `const` or `variable`.
+    hashing compare values.  Build one with `of` or `const`.
     """
 
     z: tuple[tuple[int, int], ...]
@@ -170,10 +166,6 @@ class Poly:
     @staticmethod
     def const(c) -> "Poly":
         return Poly.of([c])
-
-    @staticmethod
-    def variable() -> "Poly":
-        return Poly.of([0, 1])
 
     @cached_property
     def coeffs(self) -> tuple[GaussianRational, ...]:

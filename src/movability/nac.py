@@ -61,12 +61,6 @@ class NacColoring:
         outside the dataclass fields, so equality, hashing and repr ignore it."""
         return _sides_of(self.graph, self.red)
 
-    def color(self, u: int, v: int) -> str:
-        e = edge(u, v)
-        if e not in self.graph.edges:
-            raise ValueError(f"{e} is not an edge")
-        return RED if e in self.red else BLUE
-
     def sort_key(self) -> list[Edge]:
         """The order in which colorings are listed: by sorted red class."""
         return sorted(self.red)
@@ -350,8 +344,11 @@ def constant_distance_closure(
     report keeps the per-round additions so experiments can see how many
     rounds graphs actually need.
 
-    A caller that already holds ``enumerate_nac(g, non_conjugated=True,
-    cap=cap)`` passes it as ``reps`` and the enumeration is skipped.
+    ``reps`` is any list of NAC-colorings of g, conjugates allowed; NAC(G)
+    by default, and then the enumeration is skipped.  A conjugate only
+    complements a signature bit, so it changes no signature class.  On a
+    subset of NAC(G) the rounds give the closure that subset proves: the
+    witness certificate and the active colorings of one motion run it so.
     """
     if not g.is_connected():
         raise ValueError("unicolor pairs require a connected graph")

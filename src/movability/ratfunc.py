@@ -49,10 +49,6 @@ class Place:
 INFINITY = Place(None)
 
 
-def place_at(re, im=0) -> Place:
-    return Place(GaussianRational.of(re, im))
-
-
 @dataclass(frozen=True)
 class RationalFunction:
     """num/den in canonical form: gcd(num, den) = 1 and den monic."""
@@ -72,10 +68,6 @@ class RationalFunction:
     @staticmethod
     def const(c) -> "RationalFunction":
         return RationalFunction.of(Poly.const(c))
-
-    @staticmethod
-    def variable() -> "RationalFunction":
-        return RationalFunction.of(Poly.variable())
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         # Henrici: a/b + c/d with g = gcd(b, d) can only cancel a factor of g
@@ -157,10 +149,6 @@ def _canonical(num: Poly, den: Poly) -> RationalFunction:
 
 
 ZERO = RationalFunction(P_ZERO, P_ONE)
-
-
-def rf(num_coeffs, den_coeffs=(1,)) -> RationalFunction:
-    return RationalFunction.of(Poly.of(num_coeffs), Poly.of(den_coeffs))
 
 
 def valuation(f: RationalFunction, place: Place) -> int:

@@ -49,11 +49,6 @@ class TrackedPath:
     def injectivity_margin(self) -> float:
         return min(s.min_pair_distance for s in self.samples)
 
-    @property
-    def watched_variation(self) -> float:
-        values = [s.watched_distance for s in self.samples]
-        return max(values) - min(values)
-
     def to_csv(self) -> str:
         n = self.samples[0].coords.shape[0]
         header = ["step"]

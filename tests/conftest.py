@@ -12,11 +12,40 @@ from movability.constructions import (
     s5_motion,
     two_nac_embedding,
 )
-from movability.exact import Poly
+from movability.exact import GaussianRational, Poly
 from movability.graphs import Graph, edge
 from movability.motion import ParametrizedMotion
-from movability.nac import NacColoring, enumerate_nac
-from movability.ratfunc import RationalFunction
+from movability.nac import BLUE, RED, NacColoring, enumerate_nac
+from movability.ratfunc import Place, RationalFunction
+
+
+# -- shorthands the tests build values with ------------------------------------
+
+
+def gr(re, im=0) -> GaussianRational:
+    return GaussianRational.of(re, im)
+
+
+def rf(num_coeffs, den_coeffs=(1,)) -> RationalFunction:
+    return RationalFunction.of(Poly.of(num_coeffs), Poly.of(den_coeffs))
+
+
+def place_at(re, im=0) -> Place:
+    return Place(GaussianRational.of(re, im))
+
+
+def color(coloring: NacColoring, u: int, v: int) -> str:
+    """RED or BLUE, the color of the edge uv; ValueError when uv is no edge."""
+    e = edge(u, v)
+    if e not in coloring.graph.edges:
+        raise ValueError(f"{e} is not an edge")
+    return RED if e in coloring.red else BLUE
+
+
+def watched_variation(path) -> float:
+    """How far the watched distance of a tracked path strays."""
+    values = [s.watched_distance for s in path.samples]
+    return max(values) - min(values)
 
 
 @pytest.fixture

@@ -4,13 +4,18 @@ The enumerator backtracks over single edges instead of triangle classes,
 and the closure enumerates NAC(G) afresh in every round instead of
 filtering extensions.  `tests/test_nac.py` asserts that `movability.nac`
 agrees with them, including where round one's enumeration raises
-`EnumerationCapExceeded`.
+`EnumerationCapExceeded`.  The incident-pair rule is the witness
+certificate `decide.certify_no_unicolor_pairs` used before it ran the
+closure on the witnesses; `tests/test_decide.py` checks that the closure
+rule accepts whatever this one does.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from conftest import adjacency_sets
-from movability.graphs import Edge, Graph, edge
+from movability.graphs import Edge, Graph, bits, edge
 from movability.nac import (
     DEFAULT_ENUMERATION_CAP,
     ClosureReport,
@@ -167,3 +172,19 @@ def oracle_closure(g: Graph, *, cap: int = DEFAULT_ENUMERATION_CAP) -> ClosureRe
         rounds.append(tuple(sorted(pairs)))
         current = current.with_edges(pairs)
     return ClosureReport(closure=current, added=tuple(rounds))
+
+
+def oracle_separates_incident_pairs(g: Graph, witnesses: list[NacColoring]) -> bool:
+    """True when the witnesses separate every pair of incident edges.
+
+    Any unicolor path of length two or more contains two incident edges, so
+    the rule is sound; but a triangle is one color in every NAC-coloring, so
+    it fails on every graph with a triangle, unicolor pair or not.
+    """
+    listed = list(witnesses)
+    for v, mask in enumerate(g.masks()):
+        for u, w in combinations(bits(mask), 2):
+            e1, e2 = edge(u, v), edge(v, w)
+            if not any((e1 in wit.red) != (e2 in wit.red) for wit in listed):
+                return False
+    return True

@@ -57,10 +57,10 @@ from movability.motion import (
     z_function,
 )
 from movability.nac import NacColoring, constant_distance_closure, enumerate_nac, is_nac
-from movability.ratfunc import RationalFunction, place_at
+from movability.ratfunc import RationalFunction
 from movability.track import track_motion
 
-from conftest import random_connected_graph
+from conftest import place_at, random_connected_graph, watched_variation
 from test_gluing import track_from_the_middle
 from test_nac import all_simple_cycles, oracle_is_nac
 
@@ -255,16 +255,35 @@ def test_criterion_3_census(graph_stream_8):
 
 def _keeps_squared_distance(cert, u: int, v: int) -> bool:
     """Whether |p_u - p_v|^2 is constant along the certificate's motion,
-    exactly: d * conj(d) over Q(i) for a parametrized motion, the axes
-    motion's own test for an axes core; a pullback maps u and v into its
-    parent graph and asks the parent's evidence."""
+    exactly: the axes motion's own test for an axes core, the motion's for
+    a parametrized motion; a pullback maps u and v into its parent graph
+    and asks the parent's evidence."""
     while cert.parent is not None:
         u, v = cert.embedding[u], cert.embedding[v]
         cert = cert.parent[1]
     if cert.axes is not None:
         return cert.axes.squared_distance(u, v) is not None
-    d = cert.motion.coords[v] - cert.motion.coords[u]
+    return _motion_keeps_squared_distance(cert.motion, u, v)
+
+
+def _motion_keeps_squared_distance(m, u: int, v: int) -> bool:
+    """Whether d * conj(d) over Q(i) is constant for d = p_v - p_u along m."""
+    d = m.coords[v] - m.coords[u]
     return (d * d.conjugate_coeffs()).is_constant()
+
+
+def _active_closure(m) -> tuple[int, list[tuple[int, int]]]:
+    """The number of active colorings of motion m and the pairs that the
+    constant distance closure run on them adds to m's graph.  By the
+    closure lemma for the colorings of one motion, each pair keeps a
+    constant distance along m; a place the places code misses drops its
+    colorings and tends to show up here as a pair whose distance varies."""
+    active = sorted(active_nac_colorings(m).colorings, key=NacColoring.sort_key)
+    report = constant_distance_closure(m.graph, reps=active)
+    pairs = [pair for added in report.added for pair in added]
+    for u, v in pairs:
+        assert _motion_keeps_squared_distance(m, u, v), (encode_graph6(m.graph), u, v)
+    return len(active), pairs
 
 
 def _verdict_histograms(graphs):
@@ -275,10 +294,15 @@ def _verdict_histograms(graphs):
     must keep a constant distance along the certified motion (the lemma behind
     the closure).  A motion certificate's coordinates are then also a motion
     of the closure graph, whose active colorings must be NAC-colorings of
-    the closure.  Also returns the number of such pairs, of the verdicts that
-    have one, and of the motions checked on their closure."""
-    kinds, routes, sizes = Counter(), Counter(), Counter()
+    the closure.  Every motion certificate also gets the closure run on its
+    active colorings (`_active_closure`).  Also returns the number of the
+    closure's pairs, of the verdicts that have one, and of the motions
+    checked on their closure; then the number of motion certificates, their
+    active set sizes, and the number of active closure pairs and of those
+    outside the verdict's closure graph."""
+    kinds, routes, sizes, active_sizes = Counter(), Counter(), Counter(), Counter()
     added_pairs = added_verdicts = closure_motions = 0
+    motions = active_pairs = beyond_closure = 0
     for g in graphs:
         verdict = classify(g)
         kinds[verdict.kind] += 1
@@ -295,13 +319,23 @@ def _verdict_histograms(graphs):
             added_pairs += len(added)
             added_verdicts += bool(added)
             m = verdict.certificate.motion
-            if added and m is not None:
-                assert m.graph == verdict.reduced
+            if m is None:
+                continue
+            assert m.graph == verdict.reduced
+            if added:
                 on_closure = ParametrizedMotion(closure, m.fixed_edge, m.coords)
                 for coloring in active_nac_colorings(on_closure).colorings:
                     assert is_nac(closure, coloring), (encode_graph6(g), sorted(coloring.red))
                 closure_motions += 1
-    return kinds, routes, sizes, (added_pairs, added_verdicts, closure_motions)
+            size, pairs = _active_closure(m)
+            motions += 1
+            active_sizes[size] += 1
+            active_pairs += len(pairs)
+            beyond_closure += sum(pair not in closure.edges for pair in pairs)
+    return kinds, routes, sizes, (
+        added_pairs, added_verdicts, closure_motions,
+        motions, dict(active_sizes), active_pairs, beyond_closure,
+    )
 
 
 def test_criterion_3_classify_decides_every_graph(graph_stream_8):
@@ -313,7 +347,10 @@ def test_criterion_3_classify_decides_every_graph(graph_stream_8):
     of 42 MOVABLE verdicts add keeps a constant distance along the
     certificate's motion, and the 41 of those verdicts with a motion
     certificate give motions of their closure graphs whose active colorings
-    are all NAC-colorings of the closure."""
+    are all NAC-colorings of the closure.  The 104 motion certificates have
+    2 active colorings on 83 and 4 on 21; the closures on their active
+    colorings add 72 pairs, 8 of them outside the verdict's closure graph,
+    and each keeps a constant distance along its motion."""
     from movability.graphs import parse_graph6
 
     expected_kinds = {
@@ -347,7 +384,7 @@ def test_criterion_3_classify_decides_every_graph(graph_stream_8):
         assert dict(kinds) == expected_kinds
         assert dict(routes) == expected_routes
         assert dict(sizes) == expected_sizes
-        assert added == (65, 42, 41)
+        assert added == (65, 42, 41, 104, {2: 83, 4: 21}, 72, 8)
     _ok(f"3 classify decides all {len(graphs)} graphs, twice ({time.monotonic() - t0:.0f}s)")
 
 
@@ -515,6 +552,20 @@ def test_criterion_7e_refix_invariance():
     _ok("7e refix preserves labeling and active set (deltoid, Q1)")
 
 
+def test_criterion_7e_active_closure_on_bundled_motions():
+    # the deltoid, Q1 and S5 at three values of a, each also refixed to
+    # every edge: a refix keeps the active colorings, so the closure on them
+    # must add the same pairs, here none
+    motions = _bundled_motions()
+    for a in (Fraction(3, 2), Fraction(7, 3)):
+        motions[f"s5-{a}"] = s5_motion(a)[1]
+    expected_sizes = {"deltoid": 4, "q1": 4}
+    for name, m in motions.items():
+        for refixed in (m, *(refix_edge(m, *e) for e in sorted(m.graph.edges))):
+            assert _active_closure(refixed) == (expected_sizes.get(name, 6), []), name
+    _ok("7e active closures of the bundled motions and their refixes add nothing")
+
+
 def test_criterion_7f_tracker_agreement():
     quad = deltoid_motion()
     m = quad.motion
@@ -545,11 +596,11 @@ def test_criterion_7g_glued_labelings_track():
     assert len(glued.samples) >= 100
     assert glued.injectivity_margin > 0
     assert max(s.residual for s in glued.samples) < 1e-9
-    assert glued.watched_variation > 1e-3
+    assert watched_variation(glued) > 1e-3
 
     for recipe in (glued_s2, glued_s3):
         path = track_from_the_middle(recipe(), steps=110)
         assert len(path.samples) >= 100
         assert path.injectivity_margin > 0
-        assert path.watched_variation > 1e-3
+        assert watched_variation(path) > 1e-3
     _ok("7g S1-S3 glued labelings: 100+ injective samples, flexing witness")

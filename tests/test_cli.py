@@ -9,7 +9,7 @@ from movability.cli import main
 from movability.catalog import catalog_graph, graph_with_unicolor_path
 from movability.graphs import encode_graph6
 
-from conftest import unresolved_motion
+from conftest import color, unresolved_motion
 
 
 Q1 = encode_graph6(catalog_graph("Q1"))
@@ -515,7 +515,7 @@ def test_construct_two_nac_checks_the_colorings_of_files(tmp_path, capsys):
     first, second = enumerate_nac(g, non_conjugated=True)[:2]
     bad = next(
         c for c in (NacColoring(g, first.red ^ {e}) for e in sorted(g.edges))
-        if not is_nac(g, c) and len({(c.color(*f), second.color(*f)) for f in g.edges}) == 4
+        if not is_nac(g, c) and len({(color(c, *f), color(second, *f)) for f in g.edges}) == 4
     )
     (tmp_path / "first.json").write_text(bad.to_json())
     (tmp_path / "second.json").write_text(second.to_json())

@@ -37,7 +37,6 @@ from movability.constructions import (
     two_nac_search,
     two_nac_solution_space,
 )
-from movability.exact import gr
 from movability.graphs import Graph, edge
 from movability.motion import (
     MotionError,
@@ -49,6 +48,7 @@ from movability.motion import (
 )
 from movability.nac import NacColoring, enumerate_nac, is_nac
 
+from conftest import color, gr
 from two_nac_oracle import _nullspace, direction_class
 
 
@@ -288,7 +288,7 @@ def _non_nac(g, coloring, partner):
     the pair with partner still fills all four direction classes."""
     for e in sorted(g.edges):
         bad = NacColoring(g, coloring.red ^ {e})
-        classes = {(bad.color(*f), partner.color(*f)) for f in g.edges}
+        classes = {(color(bad, *f), color(partner, *f)) for f in g.edges}
         if not is_nac(g, bad) and len(classes) == 4:
             return bad
     raise AssertionError("no such recoloring")
@@ -321,7 +321,7 @@ def test_parallel_edges_share_color_pairs(q1_pair):
     pair_of = {}
     for u, v in g.sorted_edges():
         klass = direction_class([p - q for p, q in zip(emb.points[u], emb.points[v])])
-        colors = (first.color(u, v), second.color(u, v))
+        colors = (color(first, u, v), color(second, u, v))
         pair_of.setdefault(klass, set()).add(colors)
     for klass, pairs in pair_of.items():
         assert len(pairs) == 1
@@ -582,7 +582,7 @@ def test_color_pairs_are_the_geometric_classes_on_q_graphs():
         for u, v in g.sorted_edges():
             d = [p - q for p, q in zip(emb.points[u], emb.points[v])]
             geometric[u, v] = direction_class(d)
-            assert geometric[u, v] == _PAIR_INDEX[first.color(u, v), second.color(u, v)]
+            assert geometric[u, v] == _PAIR_INDEX[color(first, u, v), color(second, u, v)]
         u, v = min(e for e, k in geometric.items() if k == 0)
         pin = (u, v) if emb.points[u][0] < emb.points[v][0] else (v, u)
         assert motion_from_embedding(emb, deltoid_motion()).fixed_edge == pin

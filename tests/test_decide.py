@@ -414,8 +414,8 @@ def test_invalid_witness_rejected():
 
 
 def test_certificate_implies_empty_unicolor_pairs(rng):
-    # the certificate is sound on every graph: separation of all incident
-    # edge pairs forbids unicolor paths of length two or more
+    # the certificate is sound on every graph: the witnesses are NAC-colorings,
+    # so a path unicolor in all of NAC(G) is unicolor in every witness too
     from movability.nac import unicolor_pairs
     from conftest import random_connected_graph
 
@@ -428,47 +428,48 @@ def test_certificate_implies_empty_unicolor_pairs(rng):
             assert unicolor_pairs(g) == set()
 
 
-def test_certificate_equals_empty_unicolor_pairs_when_triangle_free(rng):
-    # on triangle-free graphs the two sides agree exactly: an unseparated
-    # incident pair (uv, vw) forces u,w non-adjacent, hence a unicolor pair.
-    # (With triangles the certificate is strictly stronger: a triangle's
-    # edges are never separated but its vertices are pairwise adjacent.)
+def test_certificate_is_exact_on_every_small_graph():
+    # on all connected graphs with 2-7 vertices: with the full NAC set the
+    # certificate says exactly whether a unicolor pair exists, it accepts
+    # every graph the incident-pair rule accepts and 171 more, and the
+    # closure on the full set, conjugates included, is the default closure
     from movability.nac import unicolor_pairs
+    from movability.smallgraphs import connected_graphs_up_to
+    from nac_oracle import oracle_separates_incident_pairs
 
-    checked = 0
-    attempts = 0
-    while checked < 15 and attempts < 300:
-        attempts += 1
-        n = rng.randint(4, 7)
-        left = rng.randint(1, n - 1)
-        edges = [
-            (u, v)
-            for u in range(left)
-            for v in range(left, n)
-            if rng.random() < 0.75
-        ]
-        g = Graph.of(n, edges)
-        if not g.is_connected() or not g.edges:
-            continue
+    graphs = [g for g in connected_graphs_up_to(7) if g.n >= 2]
+    assert len(graphs) == 995
+    gained = 0
+    for g in graphs:
         full = enumerate_nac(g)
-        if not full:
-            continue
-        checked += 1
-        assert certify_no_unicolor_pairs(g, full) == (unicolor_pairs(g) == set())
-    assert checked >= 10
+        certified = certify_no_unicolor_pairs(g, full)
+        assert certified == (unicolor_pairs(g) == set()), encode_graph6(g)
+        if oracle_separates_incident_pairs(g, full):
+            assert certified, encode_graph6(g)
+        elif certified:
+            gained += 1
+        assert constant_distance_closure(g, reps=full) == constant_distance_closure(g)
+    assert gained == 171
 
 
-def test_certificate_strictly_stronger_with_triangles():
+def test_certificate_stronger_than_the_incident_pair_rule_with_triangles():
     # triangle with two tails: every NAC-coloring keeps the triangle
-    # unicolor, so its incident pairs are never separated, yet no unicolor
-    # path joins non-adjacent vertices
+    # unicolor, so the incident-pair rule never separates its edges, yet no
+    # unicolor path joins non-adjacent vertices and the closure adds nothing
     g = Graph.of(5, [(0, 1), (1, 2), (0, 2), (0, 4), (3, 4), (1, 3)])
     from movability.nac import unicolor_pairs
+    from nac_oracle import oracle_separates_incident_pairs
 
     full = enumerate_nac(g)
     assert full
     assert unicolor_pairs(g) == set()
-    assert not certify_no_unicolor_pairs(g, full)
+    assert not oracle_separates_incident_pairs(g, full)
+    assert certify_no_unicolor_pairs(g, full)
+
+
+def test_certificate_needs_a_connected_graph():
+    with pytest.raises(ValueError):
+        certify_no_unicolor_pairs(Graph.of(4, [(0, 1), (2, 3)]), [])
 
 
 # -- Henneberg-I graphs ------------------------------------------------------------

@@ -20,7 +20,6 @@ from movability.exact import (
     fraction_sqrt,
     gaussian_rational_roots,
     gcd_free_base,
-    gr,
     multiplicity,
     poly_gcd,
     root_multiplicity,
@@ -31,10 +30,9 @@ from movability.ratfunc import (
     INFINITY,
     Place,
     RationalFunction,
-    place_at,
-    rf,
     valuation,
 )
+from conftest import gr, place_at, rf
 from test_edge_table import NAMES, _motions
 
 small_fractions = st.fractions(
@@ -393,7 +391,7 @@ def test_rational_function_canonical_form():
 
 
 def test_rational_function_arithmetic():
-    t = RationalFunction.variable()
+    t = rf([0, 1])
     one = RationalFunction.const(1)
     f = (t * t - one) / (t + one)
     assert f == t - one

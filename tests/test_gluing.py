@@ -19,6 +19,8 @@ from movability.gluing import (
 from movability.graphs import Graph
 from movability.track import TrackerError, labeling_residual, track_motion
 
+from conftest import watched_variation
+
 
 @pytest.fixture(scope="module")
 def s1():
@@ -37,7 +39,7 @@ def test_s1_glue_succeeds(s1):
 
 def test_s1_watched_distance_varies(s1):
     assert s1.watched_pair == (0, 7)
-    assert s1.watched_variation > 1e-3
+    assert watched_variation(s1) > 1e-3
 
 
 @pytest.mark.parametrize("recipe", [glued_s1, glued_s2, glued_s3])
@@ -58,7 +60,7 @@ def test_glued_scores_match_pairwise_formulas(recipe):
             residual = max(residual, abs(dx * dx + dy * dy - float(lam_sq)))
     assert len(glued.samples) == 60
     assert glued.injectivity_margin == margin
-    assert glued.watched_variation == max(watched) - min(watched)
+    assert watched_variation(glued) == max(watched) - min(watched)
     assert abs(max(s.residual for s in glued.samples) - residual) <= 1e-12
 
 
@@ -79,7 +81,7 @@ def test_s2_s3_glue_and_track():
         path = track_from_the_middle(glued, steps=40)
         assert len(path.samples) == 41
         assert path.injectivity_margin > 0.5
-        assert path.watched_variation > 1e-4
+        assert watched_variation(path) > 1e-4
 
 
 def test_embedded_piece_labeling_matches_direction_classes(monkeypatch):
@@ -226,7 +228,7 @@ def test_tracker_follows_the_axes_labeling(name):
     assert len(path.samples) == 51
     assert max(s.residual for s in path.samples) <= 1e-9
     assert path.injectivity_margin > 0.1
-    assert path.watched_variation > 0
+    assert watched_variation(path) > 0
 
 
 def test_s1_axes_core_tracks_and_carries_the_extension():

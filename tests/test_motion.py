@@ -5,7 +5,7 @@ import pytest
 
 import roots_oracle
 from movability.constructions import deltoid_motion, s5_motion
-from movability.exact import GR_I, GaussianRational, Poly, gr
+from movability.exact import GR_I, GaussianRational, Poly
 from movability.graphs import Graph
 from movability.motion import (
     MotionError,
@@ -24,9 +24,9 @@ from movability.motion import (
     z_function,
 )
 from movability.nac import NacColoring, enumerate_nac
-from movability.ratfunc import INFINITY, Place, RationalFunction, place_at, rf, valuation
+from movability.ratfunc import INFINITY, Place, RationalFunction, valuation
 
-from conftest import cubic_motion, unresolved_motion
+from conftest import cubic_motion, gr, place_at, rf, unresolved_motion
 from test_nac import all_simple_cycles
 
 
@@ -157,7 +157,7 @@ def test_verify_compatibility_values(deltoid):
 
 def test_perturbed_motion_rejected(deltoid):
     coords = list(deltoid.coords)
-    coords[2] = coords[2] + RationalFunction.variable()
+    coords[2] = coords[2] + rf([0, 1])
     with pytest.raises(MotionError):
         ParametrizedMotion(deltoid.graph, deltoid.fixed_edge, tuple(coords))
 
@@ -212,7 +212,7 @@ def test_pinning_invariants_enforced():
         ParametrizedMotion(g, (0, 1), (one, one))  # origin broken
     with pytest.raises(MotionError):
         ParametrizedMotion(g, (0, 1), (zero, RationalFunction.const(-1)))
-    t = RationalFunction.variable()
+    t = rf([0, 1])
     with pytest.raises(MotionError):
         ParametrizedMotion(g, (0, 1), (zero, one + i * t))  # off the axis
 

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import ratfunc_oracle as oracle
 from movability.exact import GaussianRational, Poly
-from movability.ratfunc import RationalFunction, rf
+from movability.ratfunc import RationalFunction
+
+from conftest import rf
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 gaussians = st.builds(GaussianRational, rationals, rationals)

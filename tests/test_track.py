@@ -7,6 +7,8 @@ import pytest
 from movability.constructions import deltoid_motion
 from movability.track import TrackerError, sampled_path, track_motion
 
+from conftest import watched_variation
+
 
 def test_deltoid_track_agrees_with_exact_curve():
     quad = deltoid_motion()
@@ -58,7 +60,7 @@ def test_watched_distance_and_margin_reported():
         lab, start, (0, 1), steps=60, step_size=0.05, watched_pair=(0, 2)
     )
     assert path.watched_pair == (0, 2)
-    assert path.watched_variation > 1e-3
+    assert watched_variation(path) > 1e-3
     assert path.injectivity_margin >= 0
     csv = path.to_csv()
     lines = csv.strip().splitlines()

@@ -45,6 +45,8 @@ from movability.graphs import Graph
 from movability.motion import ParametrizedMotion
 from movability.nac import NacColoring, is_nac
 
+from conftest import color
+
 
 def direction_class(d: Sequence[Fraction]) -> int:
     """Index k of the DIRECTIONS entry that the nonzero vector d is parallel
@@ -64,7 +66,7 @@ def two_nac_solution_space(g: Graph, first: NacColoring, second: NacColoring):
             raise ConstructionInapplicable("a supplied coloring is not a NAC-coloring")
     rows: list[dict[int, Fraction]] = [{k: Fraction(1)} for k in range(3)]
     for u, v in g.sorted_edges():
-        for normal in _NORMALS[_PAIR_INDEX[first.color(u, v), second.color(u, v)]]:
+        for normal in _NORMALS[_PAIR_INDEX[color(first, u, v), color(second, u, v)]]:
             rows.append({3 * w + k: Fraction(sign * c) for w, sign in ((u, 1), (v, -1))
                          for k, c in enumerate(normal) if c})
     return [
@@ -115,7 +117,7 @@ def _subtract(row: dict[int, Fraction], factor: Fraction, other: Mapping[int, Fr
 def two_nac_embedding(
     g: Graph, first: NacColoring, second: NacColoring, *, seed: int = 0
 ) -> EmbeddingR3:
-    pairs_seen = {(first.color(u, v), second.color(u, v)) for u, v in g.edges}
+    pairs_seen = {(color(first, u, v), color(second, u, v)) for u, v in g.edges}
     missing = [p for p in _PAIR_INDEX if p not in pairs_seen]
     if missing:
         raise ConstructionInapplicable(
@@ -153,7 +155,7 @@ def dense_solution_space(g: Graph, first: NacColoring, second: NacColoring):
     nvar = 3 * (g.n - 1)
     rows: list[list[Fraction]] = []
     for u, v in g.sorted_edges():
-        for normal in _NORMALS[_PAIR_INDEX[first.color(u, v), second.color(u, v)]]:
+        for normal in _NORMALS[_PAIR_INDEX[color(first, u, v), color(second, u, v)]]:
             row = [Fraction(0)] * nvar
             for w, sign in ((u, 1), (v, -1)):
                 if w:  # vertex 0 is pinned to the origin
