@@ -681,23 +681,35 @@ _TWIN_TRIPLES = tuple(
     for i, j, k in combinations(range(len(_CLASS_PAIRS)), 3)
     if sum(x * y for x, y in zip(_PAIR_NORMALS[i], _cross(_PAIR_NORMALS[j], _PAIR_NORMALS[k])))
 )
+# in the order of _CLASS_PAIRS: (0, 1) share first's blue, (0, 2) second's
+# blue, (0, 3) agree, (1, 2) differ, (1, 3) share second's red and (2, 3)
+# first's red; the partitions 0, 1, 4 and 5 are the colorings' own sides
+_SIDE_TRIPLES = tuple(t for t in _TWIN_TRIPLES if not {2, 3} & set(t))
+_PAIR_TRIPLES = tuple(t for t in _TWIN_TRIPLES if {2, 3} & set(t))
 
 
 def _has_twins(g: Graph, first: NacColoring, second: NacColoring) -> bool:
     """The twin test of `two_nac_search`: whether two vertices share a
-    component in three edge sets with independent normals."""
+    component in three edge sets with independent normals.  The triples of
+    the colorings' own sides go first; the agree and differ partitions are
+    built only for a pair that none of those rejects."""
     (first_red, first_red_comp), (_, first_blue_comp) = first._sides
     (second_red, second_red_comp), (_, second_blue_comp) = second._sides
+    partitions = [first_blue_comp, second_blue_comp, None, None, second_red_comp, first_red_comp]
+    if _twins_in(partitions, _SIDE_TRIPLES, g.n):
+        return True
     differ = [x ^ y for x, y in zip(first_red, second_red)]
     agree = [m ^ d for m, d in zip(g.masks(), differ)]
-    # in the order of _CLASS_PAIRS: (0, 1) share first's blue, (0, 2)
-    # second's blue, (0, 3) agree, (1, 2) differ, (1, 3) share second's red
-    # and (2, 3) first's red
-    partitions = (first_blue_comp, second_blue_comp, component_of(agree),
-                  component_of(differ), second_red_comp, first_red_comp)
-    for i, j, k in _TWIN_TRIPLES:
+    partitions[2], partitions[3] = component_of(agree), component_of(differ)
+    return _twins_in(partitions, _PAIR_TRIPLES, g.n)
+
+
+def _twins_in(partitions, triples, n: int) -> bool:
+    """Whether two of the n vertices share a component in all three
+    partitions of some triple."""
+    for i, j, k in triples:
         p, q, r = partitions[i], partitions[j], partitions[k]
-        for v in range(g.n):
+        for v in range(n):
             if p[v] & q[v] & r[v] != 1 << v:
                 return True
     return False

@@ -409,7 +409,8 @@ def census(
     Lines with more than max_n vertices are skipped; the count is read past
     the optional ``>>graph6<<`` header.  Filters to graphs with a spanning
     Laman subgraph (`has_spanning_laman`: its edge-count and degree screens,
-    then the pebble game on the graph's adjacency masks), discards
+    then `spanning_laman_rank`, whose Henneberg sweep answers most graphs
+    before the pebble game runs on the adjacency masks of the rest), discards
     closures that are complete or keep a degree-two vertex, groups the rest
     by isomorphism and keeps the classes maximal under spanning-subgraph
     containment.  With a catalog, asserts the maximal classes match it

@@ -76,12 +76,16 @@ class Graph:
         return [m.bit_count() for m in self.masks()]
 
     def non_edges(self) -> list[Edge]:
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if (u, v) not in self.edges
-        ]
+        """The pairs uv, u < v, that are not edges, in sorted order."""
+        out = []
+        full = (1 << self.n) - 1
+        for u, m in enumerate(self.masks()):
+            missing = ~m & full & (-2 << u)  # the later vertices not adjacent to u
+            while missing:
+                low = missing & -missing
+                missing ^= low
+                out.append((u, low.bit_length() - 1))
+        return out
 
     # -- predicates ------------------------------------------------------
 

@@ -13,8 +13,9 @@ triangle-connected classes of edges, not single edges.  The constant
 distance closure enumerates once: by the closure lemma each added pair
 takes the color of the unicolor path it closes, so the NAC-colorings of
 the next round are the extensions of the current ones that stay NAC, and a
-round only filters.  The edge-by-edge enumerator and the re-enumerating
-closure live on in the test suite as oracles.
+round only filters.  The edge-by-edge enumerator, the re-enumerating
+closure and the breadth-first triangle classes live on in the test suite
+as oracles.
 """
 
 from __future__ import annotations
@@ -103,13 +104,19 @@ def is_nac(g: Graph, coloring: NacColoring) -> bool:
     return _separates(coloring._sides)
 
 
-def _sides_of(g: Graph, red: Iterable[Edge]) -> tuple[Side, Side]:
-    """The red and the blue side of the coloring of g with red class `red`."""
+def _color_masks(g: Graph, red: Iterable[Edge]) -> tuple[list[int], list[int]]:
+    """The red and the blue adjacency masks of the coloring of g with red
+    class `red`."""
     red_masks = [0] * g.n
     for u, v in red:
         red_masks[u] |= 1 << v
         red_masks[v] |= 1 << u
-    blue_masks = [m ^ r for m, r in zip(g.masks(), red_masks)]
+    return red_masks, [m ^ r for m, r in zip(g.masks(), red_masks)]
+
+
+def _sides_of(g: Graph, red: Iterable[Edge]) -> tuple[Side, Side]:
+    """The red and the blue side of the coloring of g with red class `red`."""
+    red_masks, blue_masks = _color_masks(g, red)
     return (red_masks, component_of(red_masks)), (blue_masks, component_of(blue_masks))
 
 
@@ -121,6 +128,16 @@ def _separates(sides: tuple[Side, Side]) -> bool:
         if r & bc or b & rc:
             return False
     return any(red) and any(blue)
+
+
+def _red_separates(g: Graph, red: Iterable[Edge]) -> bool:
+    """`_separates` for the coloring of g with red class `red`, building the
+    blue components only when no blue edge falls inside a red component."""
+    red_masks, blue_masks = _color_masks(g, red)
+    red_comp = component_of(red_masks)
+    if any(b & rc for b, rc in zip(blue_masks, red_comp)):
+        return False
+    return _separates(((red_masks, red_comp), (blue_masks, component_of(blue_masks))))
 
 
 def _dfs_edge_order(g: Graph) -> list[Edge]:
@@ -154,30 +171,48 @@ def _triangle_classes(g: Graph, order: list[Edge]) -> list[list[Edge]]:
     """The edges of g, listed in `order`, grouped into triangle-connected classes.
 
     Two edges share a class when a chain of triangles, consecutive ones
-    sharing an edge, joins them.  Classes come in the order of their first
-    edge in `order`.  Edge uv (u < v) is bit u*n + v of the seen mask.
+    sharing an edge, joins them.  Edges uv and uw share a triangle exactly
+    when v and w are adjacent, so the edges at u whose far ends lie in one
+    component of G[N(u)] (u's block of v) lie in one class, and a class is
+    the union of the blocks its edges chain through.  Each class grows from
+    its first edge by listing the blocks at both ends of every member; a
+    block is grown once, and an edge in no triangle is its own block at
+    both ends.  Classes come in the order of their first edge in `order`.
     """
-    nbrs = g.masks()
-    n = g.n
-    seen = 0
+    masks = g.masks()
+    listed = [0] * g.n  # bit w of listed[u]: the edge uw is in a class
+    grown = [0] * g.n  # bit w of grown[u]: u's block of w has been listed
     classes: list[list[Edge]] = []
     for first in order:
-        bit = 1 << first[0] * n + first[1]
-        if seen & bit:
+        u, v = first
+        if listed[u] >> v & 1:
             continue
-        seen |= bit
+        listed[u] |= 1 << v
+        listed[v] |= 1 << u
         members = [first]
         for u, v in members:  # the loop also visits the edges appended below
-            common = nbrs[u] & nbrs[v]
-            while common:
-                low = common & -common
-                common ^= low
-                w = low.bit_length() - 1
-                for e in ((u, w) if u < w else (w, u), (v, w) if v < w else (w, v)):
-                    bit = 1 << e[0] * n + e[1]
-                    if not seen & bit:
-                        seen |= bit
-                        members.append(e)
+            if not masks[u] & masks[v]:
+                continue
+            for a, b in ((u, v), (v, u)):
+                if grown[a] >> b & 1:
+                    continue
+                within = masks[a]
+                block = frontier = 1 << b
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    new = masks[low.bit_length() - 1] & within & ~block
+                    block |= new
+                    frontier |= new
+                grown[a] |= block
+                new = block & ~listed[a]
+                listed[a] |= new
+                while new:
+                    low = new & -new
+                    new ^= low
+                    w = low.bit_length() - 1
+                    listed[w] |= 1 << a
+                    members.append((a, w) if a < w else (w, a))
         classes.append(members)
     return classes
 
@@ -336,8 +371,10 @@ def constant_distance_closure(
     take the color of the path it closes in every NAC-coloring, so NAC(G+U)
     is exactly the set of extensions of NAC(G) that are still NAC; each
     round filters the previous representatives instead of enumerating
-    again.  Once none is left, every non-edge is a unicolor pair and the
-    next round completes the graph.  The cap applies only where NAC(G) is
+    again.  Once none is left, from the start or after a round, every
+    non-edge is a unicolor pair and the next round completes the graph: it
+    lists the non-edges and returns one K_n shared by all closures, with no
+    signature classes built.  The cap applies only where NAC(G) is
     enumerated: the later rounds filter, so a graph whose first round passes
     never raises, however many edges its closure gains.  The loop terminates
     because each round adds at least one of finitely many non-edges; the
@@ -357,17 +394,31 @@ def constant_distance_closure(
     reds = [rep.red for rep in reps]
     current = g
     rounds: list[tuple[Edge, ...]] = []
-    while True:
+    while reds:
         closing = _closing_pairs(current, reds)
         if not closing:
             break
         rounds.append(tuple(sorted(closing)))
         current = current.with_edges(closing)
-        if not reds:
-            break  # every non-edge was added: current is complete
         extended = (
             red | {pair for pair, sig in closing.items() if sig >> i & 1}
             for i, red in enumerate(reds)
         )
-        reds = [red for red in extended if _separates(_sides_of(current, red))]
+        reds = [red for red in extended if _red_separates(current, red)]
+    if not reds and not current.is_complete():
+        # with no coloring left every non-edge is a unicolor pair, so one
+        # round completes the graph
+        rounds.append(tuple(current.non_edges()))
+        current = _complete_graph(g.n)
     return ClosureReport(closure=current, added=tuple(rounds))
+
+
+_COMPLETE: dict[int, Graph] = {}
+
+
+def _complete_graph(n: int) -> Graph:
+    """K_n, built once per n: a `Graph` is immutable, so closures share it."""
+    k = _COMPLETE.get(n)
+    if k is None:
+        k = _COMPLETE[n] = Graph(n, frozenset((u, v) for v in range(n) for u in range(v)))
+    return k

@@ -19,12 +19,16 @@ def spanning_laman_rank(g: Graph) -> int:
     the rank of the generic rigidity matroid (order of edges is irrelevant).
     Out-neighbours are bitmasks.  The game stops once the rank reaches
     2n-3, the matroid's maximum (Lee and Streinu 2008), so no later edge can
-    change it.
+    change it.  A Henneberg sweep answers first when it reaches every vertex
+    (`_henneberg_spans`); the game runs on the graphs it does not span.
     """
     n = g.n
     if n < 2:
         raise ValueError("pebble game needs at least two vertices")
     full = 2 * n - 3
+    masks = g.masks()
+    if _henneberg_spans(masks):
+        return full
     pebbles = [2] * n
     out = [0] * n
     prev = [0] * n
@@ -56,7 +60,7 @@ def spanning_laman_rank(g: Graph) -> int:
         return False
 
     rank = 0
-    for u, m in enumerate(g.masks()):
+    for u, m in enumerate(masks):
         later = m >> u + 1 << u + 1  # the neighbours above u
         while later:
             low = later & -later
@@ -76,6 +80,33 @@ def spanning_laman_rank(g: Graph) -> int:
                 if rank == full:
                     return rank
     return rank
+
+
+def _henneberg_spans(masks: tuple[int, ...]) -> bool:
+    """Whether Henneberg type-I steps from the edge between vertex 0 and its
+    lowest neighbour reach every vertex.
+
+    Each step adds a vertex joined to at least two reached vertices by two
+    new edges, which keeps the reached subgraph Laman (Laman 1970), so a
+    sweep that reaches every vertex finds a spanning Laman subgraph.  The
+    reached set only grows, so the order of the steps does not matter.
+    False says nothing: the pebble game decides those graphs.
+    """
+    full = (1 << len(masks)) - 1
+    first = masks[0]
+    reached = 1 | first & -first
+    grown = True
+    while grown and reached != full:
+        grown = False
+        rest = full & ~reached
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            m = masks[low.bit_length() - 1] & reached
+            if m & m - 1:  # two or more reached neighbours
+                reached |= low
+                grown = True
+    return reached == full
 
 
 def has_spanning_laman(g: Graph) -> bool:

@@ -7,7 +7,11 @@ agrees with them, including where round one's enumeration raises
 `EnumerationCapExceeded`.  The incident-pair rule is the witness
 certificate `decide.certify_no_unicolor_pairs` used before it ran the
 closure on the witnesses; `tests/test_decide.py` checks that the closure
-rule accepts whatever this one does.
+rule accepts whatever this one does.  `oracle_triangle_classes` is the
+breadth-first search over the common neighbours of each edge that
+`movability.nac._triangle_classes` used before it grew neighbourhood
+blocks, kept verbatim; `tests/test_nac.py` asserts that both give the same
+classes in the same order.
 """
 
 from __future__ import annotations
@@ -188,3 +192,35 @@ def oracle_separates_incident_pairs(g: Graph, witnesses: list[NacColoring]) -> b
             if not any((e1 in wit.red) != (e2 in wit.red) for wit in listed):
                 return False
     return True
+
+
+def oracle_triangle_classes(g: Graph, order: list[Edge]) -> list[list[Edge]]:
+    """The edges of g, listed in `order`, grouped into triangle-connected classes.
+
+    Two edges share a class when a chain of triangles, consecutive ones
+    sharing an edge, joins them.  Classes come in the order of their first
+    edge in `order`.  Edge uv (u < v) is bit u*n + v of the seen mask.
+    """
+    nbrs = g.masks()
+    n = g.n
+    seen = 0
+    classes: list[list[Edge]] = []
+    for first in order:
+        bit = 1 << first[0] * n + first[1]
+        if seen & bit:
+            continue
+        seen |= bit
+        members = [first]
+        for u, v in members:  # the loop also visits the edges appended below
+            common = nbrs[u] & nbrs[v]
+            while common:
+                low = common & -common
+                common ^= low
+                w = low.bit_length() - 1
+                for e in ((u, w) if u < w else (w, u), (v, w) if v < w else (w, v)):
+                    bit = 1 << e[0] * n + e[1]
+                    if not seen & bit:
+                        seen |= bit
+                        members.append(e)
+        classes.append(members)
+    return classes

@@ -212,12 +212,15 @@ def test_criterion_3_stream_matches_the_reference_search(graph_stream_8):
 
 def test_criterion_3_pebble_game_matches_the_set_game(graph_stream_8):
     from movability.graphs import parse_graph6
-    from movability.pebble import has_spanning_laman, spanning_laman_rank
+    from movability.pebble import _henneberg_spans, has_spanning_laman, spanning_laman_rank
 
     import pebble_oracle
 
     rng = random.Random(8)
     spanned = 0
+    # the graphs that pass has_spanning_laman's screens, those of them the
+    # Henneberg sweep spans, and those the game then finds spanned
+    entered = swept = played_spanned = 0
     for code in graph_stream_8:
         g = parse_graph6(code)
         perm = list(range(g.n))
@@ -227,7 +230,51 @@ def test_criterion_3_pebble_game_matches_the_set_game(graph_stream_8):
         assert spanning_laman_rank(h) == rank, code
         assert has_spanning_laman(h) == (rank == 2 * h.n - 3), code
         spanned += rank == 2 * h.n - 3
+        if len(h.edges) >= 2 * h.n - 3 and (h.n < 3 or min(h.degrees()) >= 2):
+            entered += 1
+            if _henneberg_spans(h.masks()):
+                swept += 1
+            else:
+                played_spanned += rank == 2 * h.n - 3
     assert spanned == 6629
+    assert (entered, swept, played_spanned) == (7073, 5476, 1153)
+
+
+def test_criterion_3_triangle_classes_match_the_breadth_first_search(graph_stream_8):
+    from movability.graphs import parse_graph6
+    from movability.nac import _dfs_edge_order
+
+    from test_nac import assert_triangle_classes_match_the_oracle
+
+    rng = random.Random(8)
+    for code in graph_stream_8:
+        g = parse_graph6(code)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        assert_triangle_classes_match_the_oracle(h, _dfs_edge_order(h))
+
+
+def test_criterion_3_nac_free_closures_add_every_non_edge_at_once(graph_stream_8):
+    # the re-enumerating oracle agrees on every graph up to 7 vertices
+    # (tests/test_nac.py); here each NAC-free graph of the stream must gain
+    # every pair outside its edge set in one round and close to K_n
+    from itertools import combinations
+
+    from movability.graphs import parse_graph6
+    from movability.pebble import has_spanning_laman
+
+    free = 0
+    for code in graph_stream_8:
+        g = parse_graph6(code)
+        if not has_spanning_laman(g) or enumerate_nac(g, non_conjugated=True):
+            continue
+        free += 1
+        pairs = [(u, v) for u, v in combinations(range(g.n), 2) if (u, v) not in g.edges]
+        report = constant_distance_closure(g)
+        assert report.added == ((tuple(pairs),) if pairs else ()), code
+        assert report.closure == Graph(g.n, frozenset(combinations(range(g.n), 2))), code
+    assert free == 3676
 
 
 def test_criterion_3_census(graph_stream_8):

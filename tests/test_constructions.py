@@ -19,10 +19,12 @@ from movability.constructions import (
     _CLASS_PAIRS,
     _NORMALS,
     _PAIR_INDEX,
+    _SIDE_TRIPLES,
     _TWIN_TRIPLES,
     _has_twins,
     _pair_classes,
     _pair_embedding,
+    _twins_in,
     AxesMotion,
     ConstructionInapplicable,
     EmbeddingR3,
@@ -519,6 +521,30 @@ def test_twin_test_never_rejects_an_embedding_pair_beyond_7_vertices(g):
     # pairs to 231 per graph
     assume(2 <= len(enumerate_nac(g, non_conjugated=True)) <= 22)
     _check_twin_test(g)
+
+
+@pytest.mark.parametrize("source", ["catalog", "deletions"])
+def test_twin_test_matches_the_six_partition_test(source):
+    # the colorings' own sides go first, then the agree and differ
+    # partitions; reordering the triples changes no answer.  The counts are
+    # the pairs, those the test rejects and those the sides alone reject.
+    from two_nac_oracle import has_twins
+
+    counts = Counter()
+    for g in _twin_test_graphs(source):
+        for first, second in combinations(enumerate_nac(g), 2):
+            twins = _has_twins(g, first, second)
+            assert twins == has_twins(g, first, second), (g.sorted_edges(), first, second)
+            (_, first_red), (_, first_blue) = first._sides
+            (_, second_red), (_, second_blue) = second._sides
+            sides = [first_blue, second_blue, None, None, second_red, first_red]
+            counts["pairs"] += 1
+            counts["rejected"] += twins
+            counts["by sides"] += _twins_in(sides, _SIDE_TRIPLES, g.n)
+    assert dict(counts) == {
+        "catalog": {"pairs": 21910, "rejected": 21484, "by sides": 21360},
+        "deletions": {"pairs": 80730, "rejected": 77052, "by sides": 75548},
+    }[source]
 
 
 def test_twin_triples_are_the_independent_ones():

@@ -129,6 +129,20 @@ def test_predicates():
     assert not ok
 
 
+@given(graphs())
+@settings(max_examples=200)
+def test_non_edges_are_the_sorted_pairs_outside_the_edge_set(g):
+    assert g.non_edges() == [
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if (u, v) not in g.edges
+    ]
+
+
+def test_non_edges_of_empty_and_complete_graphs():
+    assert Graph.of(0, []).non_edges() == Graph.of(1, []).non_edges() == []
+    assert Graph.of(3, []).non_edges() == [(0, 1), (0, 2), (1, 2)]
+    assert Graph.of(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]).non_edges() == []
+
+
 def test_masks_are_cached_and_ignored_by_equality():
     g = Graph.of(4, [(0, 1), (1, 2), (2, 3)])
     masks = g.masks()

@@ -17,6 +17,8 @@ from movability.nac import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     NacColoring,
+    _dfs_edge_order,
+    _triangle_classes,
     constant_distance_closure,
     enumerate_nac,
     is_nac,
@@ -24,7 +26,12 @@ from movability.nac import (
 )
 
 from conftest import adjacency_sets, connected_graphs, random_connected_graph
-from nac_oracle import oracle_closure, oracle_enumerate_nac, oracle_unicolor_pairs
+from nac_oracle import (
+    oracle_closure,
+    oracle_enumerate_nac,
+    oracle_triangle_classes,
+    oracle_unicolor_pairs,
+)
 
 
 # -- the brute-force cycle oracle ---------------------------------------------
@@ -376,11 +383,36 @@ def test_agrees_with_oracle_on_all_connected_graphs_up_to_7():
 
     graphs = [Graph.of(1, []), *connected_graphs_up_to(7)]
     assert len(graphs) == 996
+    nac_free = 0
     for g in graphs:
         _assert_agrees_with_oracle(g)
         _assert_triangles_monochromatic(g)
         # a cap at the edge count lets round one pass, and no later round raises
         _assert_agrees_with_oracle(g, cap=len(g.edges))
+        nac_free += not enumerate_nac(g)
+    # the closures of these graphs take the one-step path: all non-edges, then K_n
+    assert nac_free == 263
+
+
+def assert_triangle_classes_match_the_oracle(g: Graph, order: list) -> None:
+    """The same classes as the breadth-first search, in the same order."""
+    classes = _triangle_classes(g, order)
+    expected = oracle_triangle_classes(g, order)
+    assert [set(c) for c in classes] == [set(c) for c in expected], (g, order)
+    assert [c[0] for c in classes] == [c[0] for c in expected], (g, order)
+    assert sum(map(len, classes)) == len(g.edges)
+
+
+def test_triangle_classes_match_the_oracle_on_all_connected_graphs_up_to_7():
+    from movability.smallgraphs import connected_graphs_up_to
+
+    rng = random.Random(7)
+    for g in connected_graphs_up_to(7):
+        order = _dfs_edge_order(g)
+        assert_triangle_classes_match_the_oracle(g, order)
+        # any order of the edges fixes the order of the classes
+        rng.shuffle(order)
+        assert_triangle_classes_match_the_oracle(g, order)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,7 @@
 import pytest
 
 from movability.graphs import Graph
-from movability.pebble import has_spanning_laman, is_laman, spanning_laman_rank
+from movability.pebble import _henneberg_spans, has_spanning_laman, is_laman, spanning_laman_rank
 from movability.smallgraphs import connected_graphs_up_to
 
 import pebble_oracle
@@ -70,6 +70,18 @@ def test_agrees_on_random_graphs(rng):
         assert spanning_laman_rank(g) == count_matroid_rank(g)
 
 
+def test_henneberg_sweep_spans_only_from_its_first_edge():
+    # K33 is Laman, but from the edge 03 no vertex has two reached
+    # neighbours, so the sweep stops and the game finds the rank
+    k33 = Graph.of(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    assert not _henneberg_spans(k33.masks())
+    # a triangle with a tail grown by type-I steps is swept
+    g = Graph.of(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (0, 4)])
+    assert _henneberg_spans(g.masks())
+    # an isolated vertex 0 gives the sweep no first edge
+    assert not _henneberg_spans(Graph.of(3, [(1, 2)]).masks())
+
+
 def test_rejects_single_vertex():
     with pytest.raises(ValueError):
         spanning_laman_rank(Graph.of(1, []))
@@ -81,10 +93,18 @@ def test_disconnected_graphs_rank_adds_up():
 
 
 def test_mask_game_matches_the_set_game_on_all_graphs_up_to_7():
+    # the counts pin how many graphs the Henneberg sweep answers and how
+    # many of the rest the game finds spanned, so both paths stay covered
+    swept = played_spanned = 0
     for g in connected_graphs_up_to(7):
         rank = pebble_oracle.spanning_laman_rank(g)
         assert spanning_laman_rank(g) == rank, g
         assert has_spanning_laman(g) == (rank == 2 * g.n - 3), g
+        if _henneberg_spans(g.masks()):
+            swept += 1
+        else:
+            played_spanned += rank == 2 * g.n - 3
+    assert (swept, played_spanned) == (412, 18)
 
 
 def test_screens_keep_k2_and_reject_only_unspanned_graphs():

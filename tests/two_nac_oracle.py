@@ -21,6 +21,12 @@ exact solve, kept verbatim: every pair with four nonempty classes goes to
 `_pair_embedding`.  `tests/test_constructions.py` asserts that both
 searches return the same pair, embedding and motion, or raise the same
 message.
+
+`has_twins` is the twin test before the triples of the colorings' own
+sides ran first, kept verbatim: it builds all six partitions for every
+pair.  `tests/test_constructions.py` asserts that both tests return the
+same boolean on every coloring pair of the catalog entries and of their
+one-edge deletions.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from movability.constructions import (
     _EMBEDDING_TRIES,
     _NORMALS,
     _PAIR_INDEX,
+    _TWIN_TRIPLES,
     ConstructionInapplicable,
     EmbeddingR3,
     _pair_classes,
@@ -41,7 +48,7 @@ from movability.constructions import (
     deltoid_motion,
     motion_from_embedding,
 )
-from movability.graphs import Graph
+from movability.graphs import Graph, component_of
 from movability.motion import ParametrizedMotion
 from movability.nac import NacColoring, is_nac
 
@@ -217,3 +224,23 @@ def two_nac_search(
             continue
         return first, second, embedding, motion_from_embedding(embedding, deltoid_motion())
     raise last_error
+
+
+def has_twins(g: Graph, first: NacColoring, second: NacColoring) -> bool:
+    """The twin test of `two_nac_search`: whether two vertices share a
+    component in three edge sets with independent normals."""
+    (first_red, first_red_comp), (_, first_blue_comp) = first._sides
+    (second_red, second_red_comp), (_, second_blue_comp) = second._sides
+    differ = [x ^ y for x, y in zip(first_red, second_red)]
+    agree = [m ^ d for m, d in zip(g.masks(), differ)]
+    # in the order of _CLASS_PAIRS: (0, 1) share first's blue, (0, 2)
+    # second's blue, (0, 3) agree, (1, 2) differ, (1, 3) share second's red
+    # and (2, 3) first's red
+    partitions = (first_blue_comp, second_blue_comp, component_of(agree),
+                  component_of(differ), second_red_comp, first_red_comp)
+    for i, j, k in _TWIN_TRIPLES:
+        p, q, r = partitions[i], partitions[j], partitions[k]
+        for v in range(g.n):
+            if p[v] & q[v] & r[v] != 1 << v:
+                return True
+    return False
