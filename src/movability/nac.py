@@ -13,9 +13,12 @@ triangle-connected classes of edges, not single edges.  The constant
 distance closure enumerates once: by the closure lemma each added pair
 takes the color of the unicolor path it closes, so the NAC-colorings of
 the next round are the extensions of the current ones that stay NAC, and a
-round only filters.  The edge-by-edge enumerator, the re-enumerating
-closure and the breadth-first triangle classes live on in the test suite
-as oracles.
+round only filters.  Where that closure ends complete it can often be told
+without enumerating: `lite_closure_is_complete` merges the vertex sets of
+the triangle classes, each a clique of the closure, and one set left means
+K_n; the census runs it first.  The edge-by-edge enumerator, the
+re-enumerating closure and the breadth-first triangle classes live on in
+the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -411,6 +414,65 @@ def constant_distance_closure(
         rounds.append(tuple(current.non_edges()))
         current = _complete_graph(g.n)
     return ClosureReport(closure=current, added=tuple(rounds))
+
+
+def lite_closure_is_complete(g: Graph) -> bool:
+    """Whether the constant distance closure of g is complete, decided from
+    vertex sets without enumerating; False says nothing.
+
+    It starts from the vertex set of each triangle class and merges to a
+    fixpoint two sets that share two or more vertices, or three sets that
+    pairwise share three distinct vertices.  Each set stays a clique of the
+    closure: a triangle class is connected and monochromatic in every
+    NAC-coloring, so all pairs of its vertices are unicolor; two cliques that
+    share two vertices share an edge, and a triangle across three cliques is
+    monochromatic, so the closure joins their union too.  One set left that
+    holds every vertex makes the closure K_n.  The answer is "closure
+    complete", not "no NAC-coloring": the closure may complete only after
+    some rounds.  Like the closure it needs a connected graph; on any other
+    it raises ValueError or returns False.
+    """
+    pending = []
+    for cls in _triangle_classes(g, _dfs_edge_order(g)):
+        s = 0
+        for u, v in cls:
+            s |= 1 << u | 1 << v
+        pending.append(s)
+    sets: list[int] = []  # pairwise sharing at most one vertex
+    while True:
+        for s in pending:
+            i = 0
+            while i < len(sets):
+                common = s & sets[i]
+                if common & common - 1:
+                    s |= sets.pop(i)
+                    i = 0
+                else:
+                    i += 1
+            sets.append(s)
+        if len(sets) <= 1:
+            return sets == [(1 << g.n) - 1]
+        triple = _triangle_across(sets)
+        if triple is None:
+            return False
+        i, j, k = triple
+        pending = [sets.pop(k) | sets.pop(j) | sets.pop(i)]
+
+
+def _triangle_across(sets: list[int]) -> tuple[int, int, int] | None:
+    """Indices i < j < k of three sets, pairwise sharing at most one vertex,
+    that pairwise share three distinct vertices; None when there are none."""
+    for i, a in enumerate(sets):
+        for j in range(i + 1, len(sets)):
+            b = sets[j]
+            ab = a & b
+            if not ab:
+                continue
+            for k in range(j + 1, len(sets)):
+                c = sets[k]
+                if c & a and c & b and not c & ab:
+                    return i, j, k
+    return None
 
 
 _COMPLETE: dict[int, Graph] = {}

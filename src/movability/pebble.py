@@ -83,30 +83,39 @@ def spanning_laman_rank(g: Graph) -> int:
 
 
 def _henneberg_spans(masks: tuple[int, ...]) -> bool:
-    """Whether Henneberg type-I steps from the edge between vertex 0 and its
-    lowest neighbour reach every vertex.
+    """Whether Henneberg type-I steps reach every vertex from the edge between
+    vertex 0 and its lowest neighbour or, when that sweep stalls, from the
+    edge between the lowest vertex it left unreached and that vertex's lowest
+    neighbour.
 
     Each step adds a vertex joined to at least two reached vertices by two
     new edges, which keeps the reached subgraph Laman (Laman 1970), so a
     sweep that reaches every vertex finds a spanning Laman subgraph.  The
-    reached set only grows, so the order of the steps does not matter.
-    False says nothing: the pebble game decides those graphs.
+    reached set only grows, so the order of the steps does not matter, but
+    the start edge does.  False says nothing: the pebble game decides those
+    graphs.
     """
     full = (1 << len(masks)) - 1
-    first = masks[0]
-    reached = 1 | first & -first
-    grown = True
-    while grown and reached != full:
-        grown = False
-        rest = full & ~reached
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            m = masks[low.bit_length() - 1] & reached
-            if m & m - 1:  # two or more reached neighbours
-                reached |= low
-                grown = True
-    return reached == full
+    v = 0
+    for _ in range(2):
+        first = masks[v]
+        reached = 1 << v | first & -first
+        grown = True
+        while grown and reached != full:
+            grown = False
+            rest = full & ~reached
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                m = masks[low.bit_length() - 1] & reached
+                if m & m - 1:  # two or more reached neighbours
+                    reached |= low
+                    grown = True
+        if reached == full:
+            return True
+        unreached = full & ~reached
+        v = (unreached & -unreached).bit_length() - 1
+    return False
 
 
 def has_spanning_laman(g: Graph) -> bool:

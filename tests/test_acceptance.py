@@ -3,8 +3,7 @@
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they pass.
 Exact criteria assert integer/rational equality with zero tolerance; numeric
 criteria pin the stated thresholds.  The census criterion processes every
-connected graph on up to eight vertices and is the slow one (a few minutes,
-far under its stated budget).
+connected graph on up to eight vertices, far under its stated budget.
 """
 
 import math
@@ -56,7 +55,13 @@ from movability.motion import (
     w_function,
     z_function,
 )
-from movability.nac import NacColoring, constant_distance_closure, enumerate_nac, is_nac
+from movability.nac import (
+    NacColoring,
+    constant_distance_closure,
+    enumerate_nac,
+    is_nac,
+    lite_closure_is_complete,
+)
 from movability.ratfunc import RationalFunction
 from movability.track import track_motion
 
@@ -237,7 +242,7 @@ def test_criterion_3_pebble_game_matches_the_set_game(graph_stream_8):
             else:
                 played_spanned += rank == 2 * h.n - 3
     assert spanned == 6629
-    assert (entered, swept, played_spanned) == (7073, 5476, 1153)
+    assert (entered, swept, played_spanned) == (7073, 6191, 438)
 
 
 def test_criterion_3_triangle_classes_match_the_breadth_first_search(graph_stream_8):
@@ -275,6 +280,51 @@ def test_criterion_3_nac_free_closures_add_every_non_edge_at_once(graph_stream_8
         assert report.added == ((tuple(pairs),) if pairs else ()), code
         assert report.closure == Graph(g.n, frozenset(combinations(range(g.n), 2))), code
     assert free == 3676
+
+
+def test_criterion_3_lite_closure_decides_most_complete_closures(graph_stream_8):
+    from movability.graphs import parse_graph6
+    from movability.pebble import has_spanning_laman
+
+    rng = random.Random(8)
+    spanned = complete = decided = 0
+    for code in graph_stream_8:
+        g = parse_graph6(code)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = g.relabel(perm)
+        if not has_spanning_laman(h):
+            continue
+        spanned += 1
+        full = constant_distance_closure(h).is_complete()
+        lite = lite_closure_is_complete(h)
+        assert full or not lite, code
+        complete += full
+        decided += lite
+    assert (spanned, complete, decided) == (6629, 6492, 6477)
+
+
+def test_criterion_3_census_runs_the_closure_only_where_the_lite_closure_leaves(
+    graph_stream_8, monkeypatch
+):
+    # a pre-pass that stopped deciding would keep the report and only be slower
+    import hashlib
+
+    from movability import decide
+
+    calls = 0
+    closure = decide.constant_distance_closure
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return closure(g)
+
+    monkeypatch.setattr(decide, "constant_distance_closure", counted)
+    report = census(graph_stream_8, max_n=8, catalog=load_catalog(), jobs=1)
+    assert calls == 6629 - 6477 == 152
+    digest = hashlib.sha1(report.to_json().encode()).hexdigest()
+    assert digest == "9c6305ed40e0b5798dd818742a8fb47d46385724"
 
 
 def test_criterion_3_census(graph_stream_8):

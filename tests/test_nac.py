@@ -22,6 +22,7 @@ from movability.nac import (
     constant_distance_closure,
     enumerate_nac,
     is_nac,
+    lite_closure_is_complete,
     unicolor_pairs,
 )
 
@@ -420,3 +421,68 @@ def test_triangle_classes_match_the_oracle_on_all_connected_graphs_up_to_7():
 def test_agrees_with_oracle_on_random_graphs(g, cap):
     _assert_agrees_with_oracle(g, cap)
     _assert_triangles_monochromatic(g, cap)
+
+
+# -- the closure decided from triangle-class vertex sets -------------------------
+
+
+def test_lite_closure_lies_inside_the_oracle_closure_on_all_connected_graphs_up_to_7():
+    from movability.smallgraphs import connected_graphs_up_to
+
+    decided = complete = 0
+    for g in connected_graphs_up_to(7):
+        full = oracle_closure(g).is_complete()
+        lite = lite_closure_is_complete(g)
+        assert full or not lite, g
+        decided += lite
+        complete += full
+    assert (decided, complete) == (418, 419)
+
+
+def test_lite_closure_lies_inside_the_closure_on_random_graphs_with_9_to_12_vertices():
+    rng = random.Random(12)
+    decided = complete = 0
+    for _ in range(300):
+        n = rng.randint(9, 12)
+        # from 2n - 3 edges, where rigidity starts, to 2n + 3 (at most 27)
+        g = random_connected_graph(rng, n, extra_edges=rng.randint(n - 2, n + 4))
+        full = constant_distance_closure(g).is_complete()
+        lite = lite_closure_is_complete(g)
+        assert full or not lite, g
+        decided += lite
+        complete += full
+    assert (decided, complete) == (196, 196)
+
+
+def _diamond(a: int, x: int, y: int, c: int) -> list:
+    """Two triangles on the edge xy: one triangle class holding the
+    non-adjacent pair ac."""
+    return [(a, x), (a, y), (x, y), (x, c), (y, c)]
+
+
+def test_lite_closure_merges_by_shared_pairs_and_triangles_across():
+    cases = [
+        (Graph.of(2, [(0, 1)]), True),
+        # two classes sharing one vertex: the path's closure adds nothing
+        (Graph.of(3, [(0, 1), (1, 2)]), False),
+        # two diamonds sharing the pair 05 merge
+        (Graph.of(6, _diamond(0, 1, 2, 5) + _diamond(0, 3, 4, 5)), True),
+        # three diamonds with the triangle 012 across them merge
+        (Graph.of(9, _diamond(0, 3, 4, 1) + _diamond(1, 5, 6, 2) + _diamond(2, 7, 8, 0)), True),
+        # three triangles sharing one vertex carry no triangle across them
+        (Graph.of(7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6), (5, 6)]), False),
+    ]
+    for g, decided in cases:
+        assert lite_closure_is_complete(g) == decided, g
+        assert constant_distance_closure(g).is_complete() == decided, g
+    # no set holds an isolated vertex, so K1 and a graph with one are never decided
+    assert not lite_closure_is_complete(Graph.of(1, []))
+    assert not lite_closure_is_complete(Graph.of(3, [(0, 1)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(max_n=9), st.randoms(use_true_random=False))
+def test_lite_closure_is_invariant_under_relabeling(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    assert lite_closure_is_complete(g.relabel(perm)) == lite_closure_is_complete(g)

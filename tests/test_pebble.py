@@ -70,15 +70,23 @@ def test_agrees_on_random_graphs(rng):
         assert spanning_laman_rank(g) == count_matroid_rank(g)
 
 
-def test_henneberg_sweep_spans_only_from_its_first_edge():
-    # K33 is Laman, but from the edge 03 no vertex has two reached
-    # neighbours, so the sweep stops and the game finds the rank
+def test_henneberg_sweep_restarts_once_from_the_lowest_unreached_vertex():
+    # K33 is Laman, but from the edge 03, and again from the edge 13, no
+    # vertex has two reached neighbours, so both sweeps stop and the game
+    # finds the rank
     k33 = Graph.of(6, [(a, b) for a in range(3) for b in range(3, 6)])
     assert not _henneberg_spans(k33.masks())
     # a triangle with a tail grown by type-I steps is swept
     g = Graph.of(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (0, 4)])
     assert _henneberg_spans(g.masks())
-    # an isolated vertex 0 gives the sweep no first edge
+    # from the edge 04 the sweep stalls at once; the restart from the edge
+    # 12 grows K4 on 1-4, then 5 and 0
+    k4 = [(a, b) for a in range(1, 5) for b in range(a + 1, 5)]
+    restart = Graph.of(6, k4 + [(0, 4), (0, 5), (1, 5), (2, 5)])
+    assert _henneberg_spans(restart.masks())
+    assert spanning_laman_rank(restart) == 9 == pebble_oracle.spanning_laman_rank(restart)
+    # an isolated vertex 0 gives the first sweep no edge, and the restart
+    # from the edge 12 cannot reach it
     assert not _henneberg_spans(Graph.of(3, [(1, 2)]).masks())
 
 
@@ -104,7 +112,7 @@ def test_mask_game_matches_the_set_game_on_all_graphs_up_to_7():
             swept += 1
         else:
             played_spanned += rank == 2 * g.n - 3
-    assert (swept, played_spanned) == (412, 18)
+    assert (swept, played_spanned) == (416, 14)
 
 
 def test_screens_keep_k2_and_reject_only_unspanned_graphs():
