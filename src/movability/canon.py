@@ -5,10 +5,14 @@ ordering found by exhaustive search.  Orderings grow one vertex at a time;
 at each depth only the vertices that maximize the next chunk of bits (the
 adjacency to the vertices already placed) and then the invariant (degree,
 neighbor degrees) survive, and interchangeable twin vertices are collapsed.
-No bound prunes a branch: every surviving ordering is expanded to a leaf and
-the lexicographically largest bit string wins.  Both selection criteria are
-isomorphism invariant, so the form is exact for every graph; practical for
-n <= 10.
+The unplaced vertices are kept in cells of equal chunk, ordered by chunk,
+and placing a vertex splits every cell in two, as in the partition
+refinement of nauty (McKay and Piperno, "Practical graph isomorphism, II",
+2014); here it only finds the largest chunk without rescanning, and the
+form is the one the plain search defines.  No bound prunes a branch: every
+surviving ordering is expanded to a leaf and the lexicographically largest
+bit string wins.  Both selection criteria are isomorphism invariant, so the
+form is exact for every graph; practical for n <= 10.
 
 The same search yields generators of the automorphism group.  A leaf whose
 bit string equals the best one differs from the best ordering by an
@@ -32,29 +36,25 @@ def canonical_chunks(masks: list[int]) -> tuple[list[int], list[list[int]]]:
     position d to positions 0..d-1, 0 the high bit, and each generator p maps
     canonical position d to p[d].
 
-    All chunks so far live in one integer, n bits per vertex (w at bit n*w);
-    placing v sets chunk_w <- (chunk_w << 1) | adj(w, v) for every w at once.
-    The key ranks chunk first, then degree, then the number of neighbours of
-    each degree from the highest down, 4 bits each: the order of (degree,
-    sorted neighbour degrees)."""
+    The unplaced vertices sit in cells (vertex mask, chunk), one per chunk
+    value, largest chunk first.  Placing v splits each cell into its part
+    adjacent to v, with chunk*2+1, and the rest, with chunk*2; the cells stay
+    in chunk order, so no node rescans the free vertices.  The candidates are
+    the vertices of the first cell with the largest invariant: degree, then
+    the number of neighbours of each degree from the highest down, 4 bits
+    each, which is the order of (degree, sorted neighbour degrees)."""
     n = len(masks)
     if n > MAX_N:
         raise ValueError(f"canonical labeling supports n <= {MAX_N}, got {n}")
     deg = [m.bit_count() for m in masks]
-    invariant, spread = [], []  # spread[v] has bit n*w for each neighbour w
+    invariant = []
     for v, m in enumerate(masks):
         key = deg[v] << 4 * n
-        bits = 0
         while m:
             low = m & -m
             m ^= low
-            w = low.bit_length() - 1
-            key += 1 << 4 * deg[w]
-            bits |= 1 << n * w
+            key += 1 << 4 * deg[low.bit_length() - 1]
         invariant.append(key)
-        spread.append(bits)
-    shift = 4 * n + 4
-    slot = (1 << n) - 1
     best: list[int] = []
     path: list[int] = []
     order: list[int] = []
@@ -62,46 +62,58 @@ def canonical_chunks(masks: list[int]) -> tuple[list[int], list[list[int]]]:
     ties: list[list[int]] = []  # orderings of the leaves equal to best
     twins: set[tuple[int, int]] = set()
 
-    def rec(free: int, chunks: int):
+    def rec(cells: list[tuple[int, int]]):
         nonlocal best, best_order
-        if not free:
+        if not cells:
             if path > best:
                 best, best_order = path.copy(), order.copy()
                 ties.clear()
             elif path == best:
                 ties.append(order.copy())
             return
-        top = -1
-        rest = free
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            key = (chunks >> n * v & slot) << shift | invariant[v]
-            if key > top:
-                top = key
-                cands = [v]
-            elif key == top:
-                cands.append(v)
-        # collapse twins: identical adjacency outside the pair means the
-        # subtrees are identical, one representative suffices
-        kept: list[int] = []
-        for v in cands:
-            for w in kept:
-                outside = ~(1 << v | 1 << w)
-                if masks[v] & outside == masks[w] & outside:
-                    twins.add((w, v))
-                    break
-            else:
-                kept.append(v)
-        path.append(top >> shift)
+        first, chunk = cells[0]
+        if first & first - 1:
+            top = -1
+            rest = first
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                key = invariant[v]
+                if key > top:
+                    top = key
+                    cands = [v]
+                elif key == top:
+                    cands.append(v)
+            # collapse twins: identical adjacency outside the pair means the
+            # subtrees are identical, one representative suffices
+            kept: list[int] = []
+            for v in cands:
+                for w in kept:
+                    outside = ~(1 << v | 1 << w)
+                    if masks[v] & outside == masks[w] & outside:
+                        twins.add((w, v))
+                        break
+                else:
+                    kept.append(v)
+        else:  # a cell of one vertex: the one candidate
+            kept = [first.bit_length() - 1]
+        path.append(chunk)
         for v in kept:
             order.append(v)
-            rec(free ^ 1 << v, chunks << 1 | spread[v])
+            near = masks[v]
+            far = ~(near | 1 << v)
+            split = []
+            for cell, c in cells:
+                if cell & near:
+                    split.append((cell & near, c << 1 | 1))
+                if cell & far:
+                    split.append((cell & far, c << 1))
+            rec(split)
             order.pop()
         path.pop()
 
-    rec((1 << n) - 1, 0)
+    rec([((1 << n) - 1, 0)] if n else [])
     position = [0] * n
     for d, v in enumerate(best_order):
         position[v] = d

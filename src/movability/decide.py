@@ -410,20 +410,22 @@ def census(
     """Closure census over a graph6 stream.
 
     Lines with more than max_n vertices are skipped; the count is read past
-    the optional ``>>graph6<<`` header.  Filters to graphs with a spanning
-    Laman subgraph (`has_spanning_laman`: its edge-count and degree screens,
-    then `spanning_laman_rank`, whose Henneberg sweep answers most graphs
-    before the pebble game runs on the adjacency masks of the rest), discards
+    the optional ``>>graph6<<`` header.  Each line is parsed into a graph
+    built from adjacency masks alone, and only the enumeration and the
+    classes read an edge set.  Filters to graphs with a spanning Laman
+    subgraph (`has_spanning_laman`: its edge-count and degree screens on the
+    masks, then `spanning_laman_rank`, whose Henneberg sweep answers most
+    graphs before the pebble game runs on the masks of the rest), discards
     closures that are complete or keep a degree-two vertex, groups the rest
     by isomorphism and keeps the classes maximal under spanning-subgraph
     containment.  A pre-pass, `lite_closure_is_complete`, discards most
-    complete closures from triangle-class vertex sets alone; NAC-colorings
-    are enumerated and `constant_distance_closure` is run only on the
-    spanned graphs it leaves (152 of the 6,629 up to 8 vertices), so every
-    kept class and its ``iterations_max`` come from the real closure.  With
-    a catalog, asserts the maximal classes match it exactly.  More than one
-    job runs a pool of at most as many workers as there are CPUs; a single
-    worker runs in this process.
+    complete closures from vertex sets grown from neighbourhood components
+    alone; NAC-colorings are enumerated and `constant_distance_closure` is
+    run only on the spanned graphs it leaves (152 of the 6,629 up to 8
+    vertices), so every kept class and its ``iterations_max`` come from the
+    real closure.  With a catalog, asserts the maximal classes match it
+    exactly.  More than one job runs a pool of at most as many workers as
+    there are CPUs; a single worker runs in this process.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

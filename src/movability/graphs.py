@@ -2,7 +2,10 @@
 
 Everything downstream (coloring enumeration, closures, motions) consumes the
 immutable :class:`Graph` defined here.  A graph has two adjacency forms, its
-edge set and the bitmasks of `Graph.masks()`, both fixed by the constructor.
+edge set and the bitmasks of `Graph.masks()`.  The constructor takes the edge
+set and builds the masks.  Graphs read from graph6, grown by census
+generation or relabeled are built from masks alone (`_graph_of_masks`), and
+their edge set is derived when it is first read.
 Connectivity is deliberately not an invariant of the type; operations that
 need it check it, with the one bitmask search `component_masks` (or
 `component_of`, its per-vertex form).
@@ -55,6 +58,22 @@ class Graph:
             masks[v] |= 1 << u
         object.__setattr__(self, "_masks", tuple(masks))
 
+    def __getattr__(self, name: str):
+        """The edge set of a graph built from masks, derived and stored when
+        first read; any other missing name raises AttributeError.  Normal
+        lookup comes first, so this runs only while `edges` is unset."""
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = []
+        for u, m in enumerate(self._masks):
+            later = m >> u + 1 << u + 1  # the neighbours above u
+            while later:
+                low = later & -later
+                later ^= low
+                edges.append((u, low.bit_length() - 1))
+        object.__setattr__(self, "edges", frozenset(edges))
+        return self.edges
+
     @staticmethod
     def of(n: int, edges: Iterable[Iterable[int]]) -> "Graph":
         return Graph(n, frozenset(edge(u, v) for u, v in edges))
@@ -67,9 +86,9 @@ class Graph:
     def masks(self) -> tuple[int, ...]:
         """Adjacency bitmasks: bit w of masks[v] is set iff vw is an edge.
 
-        Built by the constructor in the loop that range-checks the edges, and
-        kept on the instance outside the dataclass fields, so equality,
-        hashing and repr ignore them."""
+        Built by the constructor in the loop that range-checks the edges, or
+        given to `_graph_of_masks`, and kept on the instance outside the
+        dataclass fields, so equality, hashing and repr ignore them."""
         return self._masks
 
     def degrees(self) -> list[int]:
@@ -133,9 +152,25 @@ class Graph:
     def with_edges(self, extra: Iterable[Edge]) -> "Graph":
         return Graph(self.n, self.edges | {edge(u, v) for u, v in extra})
 
-    def relabel(self, perm: list[int]) -> "Graph":
-        """Apply vertex permutation: vertex v goes to position perm[v]."""
-        return Graph(self.n, frozenset(edge(perm[u], perm[v]) for u, v in self.edges))
+    def relabel(self, perm: Sequence[int]) -> "Graph":
+        """Apply vertex permutation: vertex v goes to position perm[v].
+        ValueError unless perm is a permutation of 0..n-1."""
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"{perm!r} is not a permutation of 0..{self.n - 1}")
+        masks = [0] * self.n
+        for v, m in enumerate(self.masks()):
+            masks[perm[v]] = sum(1 << perm[w] for w in bits(m))
+        return _graph_of_masks(tuple(masks))
+
+
+def _graph_of_masks(masks: tuple[int, ...]) -> Graph:
+    """The graph on vertices 0..len(masks)-1 with adjacency bitmasks `masks`,
+    which must be symmetric and loop free; its edge set is left unset until
+    first read (`Graph.__getattr__`)."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", len(masks))
+    object.__setattr__(g, "_masks", masks)
+    return g
 
 
 def bits(mask: int) -> list[int]:
@@ -239,15 +274,17 @@ def _graph6_of_columns(columns: list[int]) -> str:
 
 def _graph_of_columns(columns: list[int], code: str | None = None) -> Graph:
     """The graph whose upper triangle has column d = columns[d], row 0 its
-    high bit, built by walking the set bits; a given `code`, which must be
-    `_graph6_of_columns(columns)`, seeds `encode_graph6`."""
-    edges = []
+    high bit, built from masks by walking the set bits; a given `code`, which
+    must be `_graph6_of_columns(columns)`, seeds `encode_graph6`."""
+    masks = [0] * len(columns)
     for v, column in enumerate(columns):
         while column:
             low = column & -column
             column ^= low
-            edges.append((v - low.bit_length(), v))
-    g = Graph(len(columns), frozenset(edges))
+            u = v - low.bit_length()
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    g = _graph_of_masks(tuple(masks))
     if code is not None:
         object.__setattr__(g, "_graph6", code)
     return g

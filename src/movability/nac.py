@@ -14,11 +14,12 @@ distance closure enumerates once: by the closure lemma each added pair
 takes the color of the unicolor path it closes, so the NAC-colorings of
 the next round are the extensions of the current ones that stay NAC, and a
 round only filters.  Where that closure ends complete it can often be told
-without enumerating: `lite_closure_is_complete` merges the vertex sets of
-the triangle classes, each a clique of the closure, and one set left means
-K_n; the census runs it first.  The edge-by-edge enumerator, the
-re-enumerating closure and the breadth-first triangle classes live on in
-the test suite as oracles.
+without enumerating: `lite_closure_is_complete` merges vertex sets that are
+cliques of the closure, starting from each vertex with each component of
+its neighbourhood, and one set left means K_n; the census runs it first.
+The edge-by-edge enumerator, the re-enumerating closure, the breadth-first
+triangle classes and the lite closure started from triangle classes live
+on in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .graphs import Edge, Graph, component_of, edge, json_edges
+from .graphs import Edge, Graph, component_masks, component_of, edge, json_edges
 
 DEFAULT_ENUMERATION_CAP = 40
 
@@ -144,7 +145,8 @@ def _red_separates(g: Graph, red: Iterable[Edge]) -> bool:
 
 
 def _dfs_edge_order(g: Graph) -> list[Edge]:
-    """Edges in the order a stack DFS from vertex 0 first meets them.
+    """Edges in the order a stack DFS from vertex 0 first meets them;
+    ValueError unless the DFS reaches every vertex.
 
     Each vertex is popped once, so the edge uw is new when u is popped
     exactly when w has not been popped yet."""
@@ -165,7 +167,7 @@ def _dfs_edge_order(g: Graph) -> list[Edge]:
             if not visited & low:
                 visited |= low
                 stack.append(w)
-    if len(order) != len(g.edges):
+    if visited != (1 << g.n) - 1:
         raise ValueError("graph must be connected")
     return order
 
@@ -420,24 +422,28 @@ def lite_closure_is_complete(g: Graph) -> bool:
     """Whether the constant distance closure of g is complete, decided from
     vertex sets without enumerating; False says nothing.
 
-    It starts from the vertex set of each triangle class and merges to a
-    fixpoint two sets that share two or more vertices, or three sets that
-    pairwise share three distinct vertices.  Each set stays a clique of the
-    closure: a triangle class is connected and monochromatic in every
-    NAC-coloring, so all pairs of its vertices are unicolor; two cliques that
-    share two vertices share an edge, and a triangle across three cliques is
-    monochromatic, so the closure joins their union too.  One set left that
-    holds every vertex makes the closure K_n.  The answer is "closure
-    complete", not "no NAC-coloring": the closure may complete only after
-    some rounds.  Like the closure it needs a connected graph; on any other
-    it raises ValueError or returns False.
+    It starts from the set {u} | B for each vertex u and each component B of
+    G[N(u)] (a lone edge, in no triangle, is listed once, from its lower
+    end) and merges to a fixpoint two sets that share two or more vertices,
+    or three sets that pairwise share three distinct vertices.  Each set
+    stays a clique of the closure: the edges from u to B lie in one
+    triangle class, which is connected and monochromatic in every
+    NAC-coloring, so all pairs of its vertices are unicolor; two cliques
+    that share two vertices share an edge, and a triangle across three
+    cliques is monochromatic, so the closure joins their union too.  The
+    starting sets of one triangle class chain through shared edges and merge
+    into its vertex set, so the fixpoint is the one the class vertex sets
+    give.  One set left that holds every vertex makes the closure K_n.  The
+    answer is "closure complete", not "no NAC-coloring": the closure may
+    complete only after some rounds.  Every set lies in one component of g,
+    so a disconnected graph gives False.
     """
+    masks = g.masks()
     pending = []
-    for cls in _triangle_classes(g, _dfs_edge_order(g)):
-        s = 0
-        for u, v in cls:
-            s |= 1 << u | 1 << v
-        pending.append(s)
+    for u, m in enumerate(masks):
+        for block in component_masks(masks, m):
+            if block & block - 1 or block > 1 << u:
+                pending.append(block | 1 << u)
     sets: list[int] = []  # pairwise sharing at most one vertex
     while True:
         for s in pending:

@@ -119,13 +119,15 @@ def _henneberg_spans(masks: tuple[int, ...]) -> bool:
 
 
 def has_spanning_laman(g: Graph) -> bool:
-    """Rank 2n-3.  Two exact screens answer first: fewer than 2n-3 edges, or
-    (for n >= 3, where every Laman graph has minimum degree 2) a vertex of
-    degree below 2.  K2 passes both and is spanned."""
+    """Rank 2n-3.  Two exact screens answer first, both on the adjacency
+    masks: fewer than 2n-3 edges (degrees summing below 4n-6), or (for
+    n >= 3, where every Laman graph has minimum degree 2) a vertex of degree
+    below 2.  K2 passes both and is spanned."""
     n = g.n
-    if n < 2 or len(g.edges) < 2 * n - 3:
+    if n < 2:
         return False
-    if n >= 3 and any(m.bit_count() < 2 for m in g.masks()):
+    degrees = [m.bit_count() for m in g.masks()]
+    if sum(degrees) < 4 * n - 6 or n >= 3 and min(degrees) < 2:
         return False
     return spanning_laman_rank(g) == 2 * n - 3
 

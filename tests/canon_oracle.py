@@ -1,4 +1,5 @@
-"""Reference canonical search: the vertex-set search the mask search replaced.
+"""Reference canonical searches: the vertex-set search the mask search
+replaced, and the mask search the chunk-cell search replaced.
 
 At each depth it recomputes every unplaced vertex's chunk over all placed
 vertices and ranks the candidates by the tuple (chunk, (degree, neighbour
@@ -6,6 +7,12 @@ degrees sorted high first)); twins are collapsed and every surviving
 ordering is expanded to a leaf, as in `movability.canon.canonical_chunks`.
 `tests/test_canon.py` and `tests/test_acceptance.py` assert that the two give
 the same chunks.
+
+`oracle_canonical_chunks` is the mask search that `canonical_chunks` used
+before it kept the unplaced vertices in cells of equal chunk, kept
+verbatim: at each node it reads every free vertex's chunk out of one
+integer that holds them all.  The tests assert that both return the same
+chunks and the same generators, in the same order.
 """
 
 from __future__ import annotations
@@ -79,3 +86,90 @@ def canonical_search(g: Graph) -> tuple[list[int], list[int]]:
     rec([], [])
     assert best_order is not None and best_chunks is not None
     return best_order, best_chunks
+
+
+def oracle_canonical_chunks(masks: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The canonical chunks of the graph with adjacency bitmasks `masks`, and
+    generators of its automorphism group: chunk d is the adjacency of
+    position d to positions 0..d-1, 0 the high bit, and each generator p maps
+    canonical position d to p[d].
+
+    All chunks so far live in one integer, n bits per vertex (w at bit n*w);
+    placing v sets chunk_w <- (chunk_w << 1) | adj(w, v) for every w at once.
+    The key ranks chunk first, then degree, then the number of neighbours of
+    each degree from the highest down, 4 bits each: the order of (degree,
+    sorted neighbour degrees)."""
+    n = len(masks)
+    if n > MAX_N:
+        raise ValueError(f"canonical labeling supports n <= {MAX_N}, got {n}")
+    deg = [m.bit_count() for m in masks]
+    invariant, spread = [], []  # spread[v] has bit n*w for each neighbour w
+    for v, m in enumerate(masks):
+        key = deg[v] << 4 * n
+        bits = 0
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            key += 1 << 4 * deg[w]
+            bits |= 1 << n * w
+        invariant.append(key)
+        spread.append(bits)
+    shift = 4 * n + 4
+    slot = (1 << n) - 1
+    best: list[int] = []
+    path: list[int] = []
+    order: list[int] = []
+    best_order: list[int] = []
+    ties: list[list[int]] = []  # orderings of the leaves equal to best
+    twins: set[tuple[int, int]] = set()
+
+    def rec(free: int, chunks: int):
+        nonlocal best, best_order
+        if not free:
+            if path > best:
+                best, best_order = path.copy(), order.copy()
+                ties.clear()
+            elif path == best:
+                ties.append(order.copy())
+            return
+        top = -1
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            key = (chunks >> n * v & slot) << shift | invariant[v]
+            if key > top:
+                top = key
+                cands = [v]
+            elif key == top:
+                cands.append(v)
+        # collapse twins: identical adjacency outside the pair means the
+        # subtrees are identical, one representative suffices
+        kept: list[int] = []
+        for v in cands:
+            for w in kept:
+                outside = ~(1 << v | 1 << w)
+                if masks[v] & outside == masks[w] & outside:
+                    twins.add((w, v))
+                    break
+            else:
+                kept.append(v)
+        path.append(top >> shift)
+        for v in kept:
+            order.append(v)
+            rec(free ^ 1 << v, chunks << 1 | spread[v])
+            order.pop()
+        path.pop()
+
+    rec((1 << n) - 1, 0)
+    position = [0] * n
+    for d, v in enumerate(best_order):
+        position[v] = d
+    generators = [[position[v] for v in leaf] for leaf in ties]
+    for v, w in twins:
+        swap = list(range(n))
+        swap[position[v]], swap[position[w]] = position[w], position[v]
+        generators.append(swap)
+    return best, generators

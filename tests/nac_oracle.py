@@ -11,7 +11,11 @@ rule accepts whatever this one does.  `oracle_triangle_classes` is the
 breadth-first search over the common neighbours of each edge that
 `movability.nac._triangle_classes` used before it grew neighbourhood
 blocks, kept verbatim; `tests/test_nac.py` asserts that both give the same
-classes in the same order.
+classes in the same order.  `oracle_lite_closure_is_complete` is
+`movability.nac.lite_closure_is_complete` as it was when it started from
+the vertex sets of the triangle classes, before it started from
+neighbourhood components; only its name and the name of the edge order it
+imports changed.  The tests assert that both give the same answer.
 """
 
 from __future__ import annotations
@@ -25,6 +29,9 @@ from movability.nac import (
     ClosureReport,
     EnumerationCapExceeded,
     NacColoring,
+    _dfs_edge_order as dfs_edge_order,
+    _triangle_across,
+    _triangle_classes,
 )
 
 
@@ -224,3 +231,46 @@ def oracle_triangle_classes(g: Graph, order: list[Edge]) -> list[list[Edge]]:
                         members.append(e)
         classes.append(members)
     return classes
+
+
+def oracle_lite_closure_is_complete(g: Graph) -> bool:
+    """Whether the constant distance closure of g is complete, decided from
+    vertex sets without enumerating; False says nothing.
+
+    It starts from the vertex set of each triangle class and merges to a
+    fixpoint two sets that share two or more vertices, or three sets that
+    pairwise share three distinct vertices.  Each set stays a clique of the
+    closure: a triangle class is connected and monochromatic in every
+    NAC-coloring, so all pairs of its vertices are unicolor; two cliques that
+    share two vertices share an edge, and a triangle across three cliques is
+    monochromatic, so the closure joins their union too.  One set left that
+    holds every vertex makes the closure K_n.  The answer is "closure
+    complete", not "no NAC-coloring": the closure may complete only after
+    some rounds.  Like the closure it needs a connected graph; on any other
+    it raises ValueError or returns False.
+    """
+    pending = []
+    for cls in _triangle_classes(g, dfs_edge_order(g)):
+        s = 0
+        for u, v in cls:
+            s |= 1 << u | 1 << v
+        pending.append(s)
+    sets: list[int] = []  # pairwise sharing at most one vertex
+    while True:
+        for s in pending:
+            i = 0
+            while i < len(sets):
+                common = s & sets[i]
+                if common & common - 1:
+                    s |= sets.pop(i)
+                    i = 0
+                else:
+                    i += 1
+            sets.append(s)
+        if len(sets) <= 1:
+            return sets == [(1 << g.n) - 1]
+        triple = _triangle_across(sets)
+        if triple is None:
+            return False
+        i, j, k = triple
+        pending = [sets.pop(k) | sets.pop(j) | sets.pop(i)]

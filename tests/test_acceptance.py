@@ -202,17 +202,20 @@ def test_criterion_3_stream_matches_the_reference_search(graph_stream_8):
     from movability.canon import canonical_chunks, canonical_form
     from movability.graphs import parse_graph6
 
-    from canon_oracle import canonical_search
+    from canon_oracle import canonical_search, oracle_canonical_chunks
 
     rng = random.Random(8)
-    for code in graph_stream_8:
+    for k, code in enumerate(graph_stream_8):
         g = parse_graph6(code)
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = g.relabel(perm)
         chunks = canonical_search(h)[1]
-        assert canonical_chunks(h.masks())[0] == chunks, code
+        found = canonical_chunks(h.masks())
+        assert found[0] == chunks, code
         assert canonical_form(h) == code, code
+        if k % 4 == 0:  # and the generators of the mask search, on a sample
+            assert found == oracle_canonical_chunks(list(h.masks())), code
 
 
 def test_criterion_3_pebble_game_matches_the_set_game(graph_stream_8):
@@ -286,6 +289,8 @@ def test_criterion_3_lite_closure_decides_most_complete_closures(graph_stream_8)
     from movability.graphs import parse_graph6
     from movability.pebble import has_spanning_laman
 
+    from nac_oracle import oracle_lite_closure_is_complete
+
     rng = random.Random(8)
     spanned = complete = decided = 0
     for code in graph_stream_8:
@@ -299,6 +304,7 @@ def test_criterion_3_lite_closure_decides_most_complete_closures(graph_stream_8)
         full = constant_distance_closure(h).is_complete()
         lite = lite_closure_is_complete(h)
         assert full or not lite, code
+        assert lite == oracle_lite_closure_is_complete(h), code
         complete += full
         decided += lite
     assert (spanned, complete, decided) == (6629, 6492, 6477)

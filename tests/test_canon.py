@@ -11,7 +11,7 @@ from movability.canon import (
 from movability.catalog import catalog_graph, q1_embedding_example
 from movability.graphs import Graph, parse_graph6
 
-from canon_oracle import canonical_search
+from canon_oracle import canonical_search, oracle_canonical_chunks
 from conftest import random_connected_graph
 
 
@@ -107,6 +107,28 @@ def test_matches_the_relabeling_form_on_small_graphs_and_the_catalog(rng):
         h = shuffled(g, rng)
         assert canonical_chunks(h.masks())[0] == canonical_search(h)[1], h
         assert canonical_form(h) == relabel_canonical_form(h), h
+
+
+def test_cell_search_matches_the_mask_search_on_every_generated_child(monkeypatch):
+    from movability import smallgraphs
+    from movability.catalog import load_catalog
+
+    # every child that generation canonizes up to 8 vertices, then the catalog
+    inputs = []
+    search = smallgraphs.canonical_chunks
+
+    def recorded(masks):
+        inputs.append(list(masks))
+        return search(masks)
+
+    monkeypatch.setattr(smallgraphs, "canonical_chunks", recorded)
+    assert sum(1 for _ in smallgraphs.connected_graphs_up_to(8)) == 12112
+    assert len(inputs) == 12858
+    inputs += [list(g.masks()) for g in load_catalog().values()]
+    inputs += [[], [0], [0, 0, 0]]
+    for masks in inputs:
+        # the same chunks and the same generators, in the same order
+        assert canonical_chunks(masks) == oracle_canonical_chunks(masks), masks
 
 
 def _automorphism_count(masks: tuple[int, ...]) -> int:

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,11 @@ from movability.graphs import (
     Graph,
     Graph6Error,
     ReductionCollapse,
+    _graph_of_masks,
     bits,
     component_masks,
     component_of,
+    edge,
     encode_graph6,
     graph_from_json,
     parse_graph6,
@@ -174,6 +178,67 @@ def test_generated_graphs_have_the_masks_of_their_edges():
     assert len(graphs_up_to_6) == 1 + 2 + 6 + 21 + 112
     for g in graphs_up_to_6:
         assert g.masks() == _masks_of_edges(g), g
+
+
+# -- graphs built from masks, whose edge set is derived when first read ------
+
+
+def _built_from_masks(g: Graph, perm: list[int]) -> list[Graph]:
+    """g built from its masks three ways, no edge set read yet: directly, by
+    parsing its graph6 code, and by relabeling its relabeling back."""
+    inverse = [0] * g.n
+    for v, p in enumerate(perm):
+        inverse[p] = v
+    built = [_graph_of_masks(g.masks()), parse_graph6(encode_graph6(g)),
+             _graph_of_masks(g.masks()).relabel(perm).relabel(inverse)]
+    for h in built:
+        assert "edges" not in vars(h)
+    return built
+
+
+@given(graphs(), st.data())
+@settings(max_examples=200)
+def test_graphs_built_from_masks_equal_the_graph_of_their_edges(g, data):
+    for h in _built_from_masks(g, data.draw(st.permutations(range(g.n)))):
+        assert hash(h) == hash(g) and h == g and g == h
+        assert repr(h) == repr(g)
+        assert h.masks() == g.masks() and encode_graph6(h) == encode_graph6(g)
+        assert vars(h)["edges"] == g.edges  # stored once read
+
+
+@given(graphs(), st.data())
+@settings(max_examples=100)
+def test_graphs_built_from_masks_round_trip_before_their_edges_are_read(g, data):
+    for h in _built_from_masks(g, data.draw(st.permutations(range(g.n)))):
+        for twin in (pickle.loads(pickle.dumps(h)), copy.copy(h)):
+            assert "edges" not in vars(twin)
+            assert twin.masks() == g.masks() and twin == g
+        assert "edges" not in vars(h)
+
+
+def test_a_missing_attribute_is_named():
+    for g in (Graph.of(3, [(0, 1)]), parse_graph6("Bw")):
+        with pytest.raises(AttributeError, match="'nothing_here'"):
+            g.nothing_here
+        # getattr with a default sees the same AttributeError
+        assert getattr(g, "_graph6", None) is None
+    assert parse_graph6("Bw").edges == frozenset({(0, 1), (0, 2), (1, 2)})
+
+
+@given(graphs(), st.data())
+@settings(max_examples=200)
+def test_relabel_on_masks_equals_the_edge_relabel(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    want = Graph(g.n, frozenset(edge(perm[u], perm[v]) for u, v in g.edges))
+    h = g.relabel(perm)
+    assert h == want and h.masks() == want.masks()
+    assert _graph_of_masks(g.masks()).relabel(perm) == want
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1], [2, 1, 2]])
+def test_relabel_rejects_a_map_that_is_not_a_permutation(perm):
+    with pytest.raises(ValueError, match="not a permutation"):
+        Graph.of(3, [(0, 1), (1, 2)]).relabel(perm)
 
 
 @pytest.mark.parametrize("n, edges", [(3, [(0, 3)]), (3, [(-1, 2)]), (3, [(2, 1)]), (0, [(0, 1)])])

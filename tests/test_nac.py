@@ -30,6 +30,7 @@ from conftest import adjacency_sets, connected_graphs, random_connected_graph
 from nac_oracle import (
     oracle_closure,
     oracle_enumerate_nac,
+    oracle_lite_closure_is_complete,
     oracle_triangle_classes,
     oracle_unicolor_pairs,
 )
@@ -434,6 +435,7 @@ def test_lite_closure_lies_inside_the_oracle_closure_on_all_connected_graphs_up_
         full = oracle_closure(g).is_complete()
         lite = lite_closure_is_complete(g)
         assert full or not lite, g
+        assert lite == oracle_lite_closure_is_complete(g), g
         decided += lite
         complete += full
     assert (decided, complete) == (418, 419)
@@ -449,6 +451,7 @@ def test_lite_closure_lies_inside_the_closure_on_random_graphs_with_9_to_12_vert
         full = constant_distance_closure(g).is_complete()
         lite = lite_closure_is_complete(g)
         assert full or not lite, g
+        assert lite == oracle_lite_closure_is_complete(g), g
         decided += lite
         complete += full
     assert (decided, complete) == (196, 196)
@@ -478,6 +481,26 @@ def test_lite_closure_merges_by_shared_pairs_and_triangles_across():
     # no set holds an isolated vertex, so K1 and a graph with one are never decided
     assert not lite_closure_is_complete(Graph.of(1, []))
     assert not lite_closure_is_complete(Graph.of(3, [(0, 1)]))
+
+
+@pytest.mark.parametrize("g", [Graph.of(3, [(0, 1)]), Graph.of(3, [(1, 2)]), Graph.of(4, [(0, 1), (2, 3)]),
+                               Graph.of(7, [(0, 1), (0, 2), (1, 2), (4, 5), (4, 6), (5, 6)])],
+                         ids=["isolated-2", "isolated-0", "two-edges", "two-triangles"])
+def test_a_disconnected_graph_is_rejected_wherever_its_components_lie(g):
+    # the DFS from vertex 0 must reach every vertex, not only every edge
+    with pytest.raises(ValueError, match="graph must be connected"):
+        enumerate_nac(g)
+    with pytest.raises(ValueError, match="connected"):
+        constant_distance_closure(g)
+    # each starting set lies in one component, so none can hold every vertex
+    assert lite_closure_is_complete(g) is False
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(max_n=6), connected_graphs(max_n=6))
+def test_the_lite_closure_of_a_disjoint_union_is_never_complete(g, h):
+    union = Graph.of(g.n + h.n, [*g.edges, *((u + g.n, v + g.n) for u, v in h.edges)])
+    assert lite_closure_is_complete(union) is False
 
 
 @settings(max_examples=100, deadline=None)
