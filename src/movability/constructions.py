@@ -16,11 +16,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .exact import GaussianRational, Poly, _fraction_str
+from .exact import P_ONE, P_ZERO, GaussianRational, Poly, _fraction_str, _poly, poly_gcd
 from .graphs import Edge, Graph, bits, component_of, edge
 from .nac import BLUE, RED, NacColoring, is_nac
 from .motion import Labeling, MotionError, ParametrizedMotion, verify_injectivity, w_function
@@ -248,6 +248,13 @@ def grid_construction(
     points[v] = (i, j): i indexes its red component and j its blue one; red
     edges keep i, blue edges keep j, so all edge lengths are
     angle-independent.  Applicable iff no two vertices share a cell.
+
+    Relative to the pinned vertex, z = a + bE with integers a and b, written
+    in closed form: with E = (1 + it)/(1 - it), a + bE is
+    ((a - b)t + i(a + b))/(t + i) when b != 0, and the constant a when
+    b = 0.  The denominator is monic, and the numerator takes the value 2ib
+    at t = -i, so it is prime to t + i: the form is the canonical one that
+    `RationalFunction` arithmetic would reach.
     """
     _check_colorings(g, coloring)
     # components are numbered as vertex order first meets them, which is the
@@ -265,12 +272,21 @@ def grid_construction(
             )
         seen[cell] = v
     coords = list(seen)  # one cell per vertex, in vertex order
-    e = unit_circle()
     base, tip = _horizontal_pin(sorted(coloring.blue), [i for i, _ in coords])
     ib, jb = coords[base]
-    z = tuple(_const(i - ib) + _const(j - jb) * e for i, j in coords)
+    z = tuple(_grid_point(i - ib, j - jb) for i, j in coords)
     motion = ParametrizedMotion(g, (base, tip), z)
     return tuple(coords), motion.induced_labeling(), motion
+
+
+_T_PLUS_I = Poly.of([(0, 1), 1])
+
+
+def _grid_point(a: int, b: int) -> RationalFunction:
+    """a + bE in canonical form (see `grid_construction`)."""
+    if not b:
+        return RationalFunction(_poly([(a, 0)], 1), P_ONE)
+    return RationalFunction(_poly([(0, a + b), (a - b, 0)], 1), _T_PLUS_I)
 
 
 def _horizontal_pin(edges: Iterable[Edge], x: Sequence) -> tuple[int, int]:
@@ -328,10 +344,12 @@ def _check_colorings(g: Graph, *colorings: NacColoring) -> None:
 
 
 def _pair_classes(g: Graph, first: NacColoring, second: NacColoring) -> dict[Edge, int]:
-    """The DIRECTIONS index of each edge: the one its color pair selects."""
+    """The DIRECTIONS index of each edge: the one its color pair selects, in
+    ascending edge order, so that `_tree_kernel` inserts its rows in an
+    order fixed by the labels, not by how the edge set was built."""
     return {
         e: _PAIR_INDEX[RED if e in first.red else BLUE, RED if e in second.red else BLUE]
-        for e in g.edges
+        for e in g.sorted_edges()
     }
 
 
@@ -565,6 +583,16 @@ class QuadMotion:
         m, (c0, c1, c2, c3) = self.motion, self.cycle
         return w_function(m, c0, c1), w_function(m, c1, c2), w_function(m, c2, c3)
 
+    @cached_property
+    def _over_common_denominator(self) -> tuple[Poly, tuple[Poly, Poly, Poly]]:
+        """(D, (N1, N2, N3)): the frames as f_k = N_k / D over their monic
+        least common denominator D."""
+        frames = self.frames()
+        den = P_ONE
+        for f in frames:
+            den = den * (f.den // poly_gcd(den, f.den))
+        return den, tuple(f.num * (den // f.den) for f in frames)
+
 
 def deltoid_motion(scale: Fraction = Fraction(1)) -> QuadMotion:
     """The rational deltoid motion of the 4-cycle, edge lengths (a, 3a, 3a, a).
@@ -595,20 +623,36 @@ def motion_from_embedding(omega: EmbeddingR3, quad: QuadMotion) -> ParametrizedM
     pinned vertex's coefficients.  An embedding with no such edge is
     rejected; one with an edge outside the four classes gives no motion
     (ParametrizedMotion raises MotionError).
+
+    The frames are put over their monic least common denominator D,
+    f_k = N_k / D, once per `QuadMotion`, so vertex u is
+    z = (sum c_k N_k) / D with c_k its coefficients.  One gcd of that
+    numerator with D cancels every common factor and leaves D monic, so z
+    is in canonical form.
     """
     g = omega.graph
-    frames = quad.frames()
     points = omega.points
     horizontal = [(u, v) for u, v in sorted(g.edges) if points[u][1:] == points[v][1:]]
     if not horizontal:
         raise ConstructionInapplicable("no edge of the embedding differs only in x")
     pin = _horizontal_pin(horizontal, [x for x, _, _ in points])
     origin = points[pin[0]]
-    z = tuple(
-        sum((_const(w - o) * f for w, o, f in zip(p, origin, frames)), _const(0))
-        for p in points
-    )
-    return ParametrizedMotion(g, pin, z)
+    den, nums = quad._over_common_denominator
+    z = []
+    for p in points:
+        num = P_ZERO
+        for w, o, n in zip(p, origin, nums):
+            if w != o:
+                num = num + n.scale(GaussianRational(w - o, Fraction(0)))
+        z.append(RationalFunction.of(num, den))
+    return ParametrizedMotion(g, pin, tuple(z))
+
+
+@cache
+def _unit_deltoid() -> QuadMotion:
+    """The unit-scale deltoid frame, built once when first needed; the
+    frames of other scales are built afresh on each call."""
+    return deltoid_motion()
 
 
 def two_nac_search(
@@ -646,6 +690,12 @@ def two_nac_search(
     solve's.  The red and blue partitions are the colorings' own sides,
     built once per coloring when first read; the agree and differ
     partitions are built once per pair.
+
+    Every search drives its embedding with one unit-scale deltoid frame,
+    built the first time it is needed (`_unit_deltoid`), so the frames'
+    common denominator is formed once.  The frame is immutable and the
+    coordinates `motion_from_embedding` returns are canonical, so the
+    motion is the one a freshly built frame gives.
     """
     last_error: ConstructionInapplicable | None = ConstructionInapplicable(
         "no pair of NAC-colorings to try"
@@ -661,7 +711,7 @@ def two_nac_search(
         except ConstructionInapplicable as exc:
             last_error = exc
             continue
-        return first, second, embedding, motion_from_embedding(embedding, deltoid_motion())
+        return first, second, embedding, motion_from_embedding(embedding, _unit_deltoid())
     if last_error is None:
         _pair_embedding(g, classes, seed)  # raises: the last pair has twins
     raise last_error

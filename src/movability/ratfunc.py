@@ -70,7 +70,10 @@ class RationalFunction:
         return RationalFunction.of(Poly.const(c))
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        # Henrici: a/b + c/d with g = gcd(b, d) can only cancel a factor of g
+        """a/b + c/d in canonical form, by Henrici's rule: with
+        g = gcd(b, d), b = b'g and d = d'g, the sum is (a d' + c b')/(b' d' g),
+        and only a factor of g can cancel from it, so one more gcd, with g
+        alone, leaves it canonical."""
         a, b, c, d = self.num, self.den, other.num, other.den
         g = poly_gcd(b, d)
         if g.degree == 0:

@@ -26,6 +26,7 @@ from movability.catalog import (
     ring_of_complete_bipartite,
 )
 from movability.constructions import (
+    EmbeddingR3,
     deltoid_motion,
     motion_from_embedding,
     s5_motion,
@@ -65,6 +66,8 @@ from movability.nac import (
 from movability.ratfunc import RationalFunction
 from movability.track import track_motion
 
+import grid_oracle
+import two_nac_oracle
 from conftest import place_at, random_connected_graph, watched_variation
 from test_gluing import track_from_the_middle
 from test_nac import all_simple_cycles, oracle_is_nac
@@ -389,6 +392,20 @@ def _active_closure(m) -> tuple[int, list[tuple[int, int]]]:
     return len(active), pairs
 
 
+def _old_sum_motion(cert):
+    """The motion the old coordinate sums (`grid_oracle`, `two_nac_oracle`)
+    build from a grid or two-NAC certificate's recorded coloring or
+    embedding, else None."""
+    g = cert.motion.graph
+    if cert.construction == "grid":
+        coloring = NacColoring(g, frozenset(map(tuple, cert.details["coloring_red"])))
+        return grid_oracle.grid_construction(g, coloring)[2]
+    if cert.construction == "two_nac":
+        points = tuple(tuple(map(Fraction, p)) for p in cert.details["embedding"])
+        return two_nac_oracle.motion_from_embedding(EmbeddingR3(g, points), deltoid_motion())
+    return None
+
+
 def _verdict_histograms(graphs):
     """Verdict kinds, MOVABLE routes and MOVABLE reduced vertex counts of
     classify over graphs; on the way, every graph spanned by a Laman graph
@@ -401,11 +418,13 @@ def _verdict_histograms(graphs):
     active colorings (`_active_closure`).  Also returns the number of the
     closure's pairs, of the verdicts that have one, and of the motions
     checked on their closure; then the number of motion certificates, their
-    active set sizes, and the number of active closure pairs and of those
-    outside the verdict's closure graph."""
+    active set sizes, the number of active closure pairs and of those
+    outside the verdict's closure graph, and the number of grid and two-NAC
+    motions checked equal to the ones the old coordinate sums build from
+    the certificate's coloring or embedding (`_old_sum_motion`)."""
     kinds, routes, sizes, active_sizes = Counter(), Counter(), Counter(), Counter()
     added_pairs = added_verdicts = closure_motions = 0
-    motions = active_pairs = beyond_closure = 0
+    motions = active_pairs = beyond_closure = old_sums = 0
     for g in graphs:
         verdict = classify(g)
         kinds[verdict.kind] += 1
@@ -425,6 +444,11 @@ def _verdict_histograms(graphs):
             if m is None:
                 continue
             assert m.graph == verdict.reduced
+            old = _old_sum_motion(verdict.certificate)
+            if old is not None:
+                assert (m.coords, m.fixed_edge, m.induced_labeling()) == (
+                    old.coords, old.fixed_edge, old.induced_labeling()), encode_graph6(g)
+                old_sums += 1
             if added:
                 on_closure = ParametrizedMotion(closure, m.fixed_edge, m.coords)
                 for coloring in active_nac_colorings(on_closure).colorings:
@@ -437,7 +461,7 @@ def _verdict_histograms(graphs):
             beyond_closure += sum(pair not in closure.edges for pair in pairs)
     return kinds, routes, sizes, (
         added_pairs, added_verdicts, closure_motions,
-        motions, dict(active_sizes), active_pairs, beyond_closure,
+        motions, dict(active_sizes), active_pairs, beyond_closure, old_sums,
     )
 
 
@@ -453,7 +477,8 @@ def test_criterion_3_classify_decides_every_graph(graph_stream_8):
     are all NAC-colorings of the closure.  The 104 motion certificates have
     2 active colorings on 83 and 4 on 21; the closures on their active
     colorings add 72 pairs, 8 of them outside the verdict's closure graph,
-    and each keeps a constant distance along its motion."""
+    and each keeps a constant distance along its motion.  All 104 are grid
+    or two-NAC motions, equal to the ones the old coordinate sums build."""
     from movability.graphs import parse_graph6
 
     expected_kinds = {
@@ -487,7 +512,7 @@ def test_criterion_3_classify_decides_every_graph(graph_stream_8):
         assert dict(kinds) == expected_kinds
         assert dict(routes) == expected_routes
         assert dict(sizes) == expected_sizes
-        assert added == (65, 42, 41, 104, {2: 83, 4: 21}, 72, 8)
+        assert added == (65, 42, 41, 104, {2: 83, 4: 21}, 72, 8, 104)
     _ok(f"3 classify decides all {len(graphs)} graphs, twice ({time.monotonic() - t0:.0f}s)")
 
 

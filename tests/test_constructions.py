@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from movability import constructions
 from movability.canon import canonical_form
 from movability.catalog import (
     CATALOG_NAMES,
@@ -24,7 +25,9 @@ from movability.constructions import (
     _has_twins,
     _pair_classes,
     _pair_embedding,
+    _tree_kernel,
     _twins_in,
+    _unit_deltoid,
     AxesMotion,
     ConstructionInapplicable,
     EmbeddingR3,
@@ -50,7 +53,7 @@ from movability.motion import (
 )
 from movability.nac import NacColoring, enumerate_nac, is_nac
 
-from conftest import color, gr
+from conftest import color, gr, rf
 from two_nac_oracle import _nullspace, direction_class
 
 
@@ -555,6 +558,120 @@ def test_twin_triples_are_the_independent_ones():
     }
     assert len(through_one) == 4
     assert set(_TWIN_TRIPLES) == set(combinations(range(len(_CLASS_PAIRS)), 3)) - through_one
+
+
+def _same_motion(got, expected):
+    assert got.coords == expected.coords
+    assert got.fixed_edge == expected.fixed_edge
+    assert got.induced_labeling() == expected.induced_labeling()
+
+
+@pytest.mark.parametrize("source", ["catalog", "deletions"])
+def test_closed_form_motions_match_the_old_sums(source):
+    # every coloring that admits a grid, and every coloring pair that embeds
+    # (the twin test rejects only pairs that do not), gives the motion the
+    # old rational-function sums gave; canonical forms are unique
+    from grid_oracle import grid_construction as old_grid
+    from two_nac_oracle import motion_from_embedding as old_drive
+
+    if source == "catalog":
+        graphs = [catalog_graph(name) for name in CATALOG_NAMES]
+    else:
+        graphs = _deletion_classes()
+    grids = embedded = 0
+    for g in graphs:
+        for coloring in enumerate_nac(g):
+            try:
+                points, labeling, motion = grid_construction(g, coloring)
+            except ConstructionInapplicable:
+                continue
+            old_points, old_labeling, old_motion = old_grid(g, coloring)
+            assert (points, labeling) == (old_points, old_labeling)
+            _same_motion(motion, old_motion)
+            grids += 1
+        for first, second in combinations(enumerate_nac(g, non_conjugated=True), 2):
+            classes = _pair_classes(g, first, second)
+            if len(set(classes.values())) < len(DIRECTIONS) or _has_twins(g, first, second):
+                continue
+            try:
+                emb = _pair_embedding(g, classes, 0)
+            except ConstructionInapplicable:
+                continue
+            motion = motion_from_embedding(emb, _unit_deltoid())
+            _same_motion(motion, old_drive(emb, deltoid_motion()))
+            embedded += 1
+    assert (grids, embedded) == {"catalog": (12, 27), "deletions": (84, 636)}[source]
+
+
+def test_two_nac_search_reuses_one_unit_frame(monkeypatch):
+    built = []
+    fresh = constructions.deltoid_motion
+
+    def counted(*args):
+        built.append(args)
+        return fresh(*args)
+
+    monkeypatch.setattr(constructions, "deltoid_motion", counted)
+    _unit_deltoid.cache_clear()
+    try:
+        motions = []
+        for name in ("Q1", "Q2", "Q1"):
+            g = catalog_graph(name)
+            pairs = combinations(enumerate_nac(g, non_conjugated=True), 2)
+            motions.append(two_nac_search(g, pairs)[3])
+        assert built == [()]
+        assert _unit_deltoid() is _unit_deltoid()
+        assert motions[0] == motions[2]
+    finally:
+        _unit_deltoid.cache_clear()
+
+
+def test_scaled_deltoid_is_built_fresh():
+    # z2 = 4a (t + i)/(t - 2i) and z3 = a (t + i)(t + 2i)/((t - i)(t - 2i))
+    # at a = 3/2, as the deltoid has always been built
+    quad = deltoid_motion(Fraction(3, 2))
+    again = deltoid_motion(Fraction(3, 2))
+    assert quad is not again and quad.motion is not again.motion
+    assert quad == again
+    assert quad.motion.coords == (
+        rf([0]),
+        rf([Fraction(3, 2)]),
+        rf([(0, 6), 6], [(0, -2), 1]),
+        rf([-3, (0, Fraction(9, 2)), Fraction(3, 2)], [-2, (0, -3), 1]),
+    )
+    assert quad.cycle == (0, 1, 2, 3) and quad.motion.fixed_edge == (0, 1)
+
+
+def test_tree_kernel_does_not_depend_on_how_the_edge_set_was_built(monkeypatch):
+    # a relabeled graph's edge set derived from its masks and the same edge
+    # set built edge by edge can iterate in different orders; the rows, the
+    # kernel and the elimination work must not follow that order
+    calls = []
+    eliminate = constructions._eliminate
+
+    def counted(vec, col, by):
+        calls.append((vec, col, by))
+        return eliminate(vec, col, by)
+
+    monkeypatch.setattr(constructions, "_eliminate", counted)
+    rng = random.Random(0)
+    orders_differ = 0
+    for name in CATALOG_NAMES:
+        g = catalog_graph(name)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        from_masks = g.relabel(perm)
+        from_edges = Graph.of(g.n, [edge(perm[u], perm[v]) for u, v in g.edges])
+        assert from_masks == from_edges
+        orders_differ += list(from_masks.edges) != list(from_edges.edges)
+        for first, second in combinations(enumerate_nac(from_masks, non_conjugated=True), 2):
+            outcomes = []
+            for h in (from_masks, from_edges):
+                classes = _pair_classes(h, NacColoring(h, first.red), NacColoring(h, second.red))
+                calls.clear()
+                outcomes.append((list(classes.items()), _tree_kernel(h, classes), list(calls)))
+            assert outcomes[0] == outcomes[1], (name, first.sort_key(), second.sort_key())
+    assert orders_differ
 
 
 def test_search_raises_the_exact_message_of_a_twin_rejected_last_pair():

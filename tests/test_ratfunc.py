@@ -91,3 +91,14 @@ def test_operators_match_the_one_gcd_formulas(pair):
 def test_of_matches_the_one_gcd_formula(num, den, common):
     assert RationalFunction.of(num * common, den * common) == oracle.of(num * common, den * common)
     assert RationalFunction.of(num, den) == oracle.of(num, den)
+
+
+def test_equal_denominators_cancel_a_shared_factor():
+    # b = (t - 1)(t - 2): t/b + (-1)/b = (t - 1)/b = 1/(t - 2), and a sum
+    # equal to b is the constant 1
+    b = [2, -3, 1]
+    total = rf([0, 1], b) + rf([-1], b)
+    assert total == RationalFunction(Poly.of([1]), Poly.of([-2, 1]))
+    assert total == oracle.add(rf([0, 1], b), rf([-1], b))
+    assert rf([2, -4], b) + rf([0, 1, 1], b) == rf([1])
+    assert rf([0, 1], b) - rf([0, 1], b) == rf([0])

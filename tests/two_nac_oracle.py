@@ -22,6 +22,15 @@ exact solve, kept verbatim: every pair with four nonempty classes goes to
 searches return the same pair, embedding and motion, or raise the same
 message.
 
+`motion_from_embedding` is the frame drive before the frames were put over
+one denominator, kept verbatim: each vertex's z is a sum of three
+products of a constant and a frame function, formed by `RationalFunction`
+arithmetic, on a frame the caller builds.  The oracle search above drives
+its embedding with it on a deltoid frame built afresh, as the search did
+before it reused one unit frame.  Canonical forms are unique, so the
+tests assert that both give the same coordinates, fixed edge and
+labeling.
+
 `has_twins` is the twin test before the triples of the colorings' own
 sides ran first, kept verbatim: it builds all six partitions for every
 pair.  `tests/test_constructions.py` asserts that both tests return the
@@ -42,11 +51,13 @@ from movability.constructions import (
     _TWIN_TRIPLES,
     ConstructionInapplicable,
     EmbeddingR3,
+    QuadMotion,
+    _const,
+    _horizontal_pin,
     _pair_classes,
     _pair_embedding,
     _require_every_class,
     deltoid_motion,
-    motion_from_embedding,
 )
 from movability.graphs import Graph, component_of
 from movability.motion import ParametrizedMotion
@@ -224,6 +235,22 @@ def two_nac_search(
             continue
         return first, second, embedding, motion_from_embedding(embedding, deltoid_motion())
     raise last_error
+
+
+def motion_from_embedding(omega: EmbeddingR3, quad: QuadMotion) -> ParametrizedMotion:
+    g = omega.graph
+    frames = quad.frames()
+    points = omega.points
+    horizontal = [(u, v) for u, v in sorted(g.edges) if points[u][1:] == points[v][1:]]
+    if not horizontal:
+        raise ConstructionInapplicable("no edge of the embedding differs only in x")
+    pin = _horizontal_pin(horizontal, [x for x, _, _ in points])
+    origin = points[pin[0]]
+    z = tuple(
+        sum((_const(w - o) * f for w, o, f in zip(p, origin, frames)), _const(0))
+        for p in points
+    )
+    return ParametrizedMotion(g, pin, z)
 
 
 def has_twins(g: Graph, first: NacColoring, second: NacColoring) -> bool:
