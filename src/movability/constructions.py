@@ -91,6 +91,11 @@ class AxesMotion:
     one per distinct (axis, |parameter|).  Their radicands are square-free and
     pairwise coprime polynomials in t, so 1, t^2 and the products r_k r_l
     (k < l) are linearly independent over Q, and every check below is exact.
+
+    Each pair's squared distance is computed once, when first asked, and
+    kept with the positions and the properness outside the dataclass
+    fields.  The motion is immutable: its mappings must not be mutated
+    after construction, since every cached value is read from them.
     """
 
     graph: Graph
@@ -132,8 +137,22 @@ class AxesMotion:
         """The motion is defined for |t| below this, the least |x|."""
         return min(abs(x) for x in self.x_params.values())
 
+    @cached_property
+    def _distances(self) -> dict[Edge, Fraction | None]:
+        """`squared_distance` per unordered pair (u < v), filled as asked."""
+        return {}
+
     def squared_distance(self, u: int, v: int) -> Fraction | None:
-        """|p_u - p_v|^2 when it is constant in t, else None.
+        """|p_u - p_v|^2 when it is constant in t, else None; computed once
+        per unordered pair."""
+        key = (u, v) if u < v else (v, u)
+        memo = self._distances
+        if key not in memo:
+            memo[key] = self._squared_distance(*key)
+        return memo[key]
+
+    def _squared_distance(self, u: int, v: int) -> Fraction | None:
+        """`squared_distance`, computed afresh.
 
         With d_k the coefficient pair of r_k in p_u - p_v, the squared
         distance is sum |d_k|^2 (m_k^2 -+ t^2) + 2 sum_{k<l} (d_k . d_l) r_k r_l:
@@ -185,6 +204,11 @@ class AxesMotion:
     def is_proper(self) -> bool:
         """Injective at t = 0, hence near it, and not a rigid motion: some
         non-edge changes length."""
+        return self._proper
+
+    @cached_property
+    def _proper(self) -> bool:
+        """`is_proper`, decided when first asked."""
         points = self.positions_at_zero()
         if len(set(points)) != len(points):
             return False
@@ -353,9 +377,17 @@ def _pair_classes(g: Graph, first: NacColoring, second: NacColoring) -> dict[Edg
     }
 
 
-def _require_every_class(classes: Mapping[Edge, int]) -> None:
-    present = set(classes.values())
-    missing = [p for p, k in _PAIR_INDEX.items() if k not in present]
+def _require_every_class(g: Graph, first: NacColoring, second: NacColoring) -> None:
+    """Raise unless every color pair selects some edge of g, read off the
+    sizes of the two red classes R1 and R2 (both sets of edges of g): the
+    pair (red, red) needs |R1 & R2| > 0, (red, blue) |R1| > |R1 & R2|,
+    (blue, red) |R2| > |R1 & R2| and (blue, blue) |R1 | R2| < |E|.  The
+    missing pairs are listed in `_PAIR_INDEX` order."""
+    red1, red2 = len(first.red), len(second.red)
+    both = len(first.red & second.red)
+    # in _PAIR_INDEX order: (blue, blue), (blue, red), (red, blue), (red, red)
+    present = (red1 + red2 - both < len(g.edges), red2 > both, red1 > both, both > 0)
+    missing = [p for p, ok in zip(_PAIR_INDEX, present) if not ok]
     if missing:
         raise ConstructionInapplicable(
             f"direction classes for color pairs {missing} are empty"
@@ -506,18 +538,18 @@ def two_nac_embedding(
 
     The color pair of each edge selects its direction class (`_pair_classes`);
     the embedding keeps every edge parallel to its class's direction.  Empty
-    direction classes are rejected first, then colorings that are not
-    NAC-colorings of g.  Past those, a zero solution space and two vertices
-    that coincide on the whole space are read off the integer kernel,
-    whatever its basis.  Otherwise a generic point of the space is sampled
+    direction classes are rejected first, from the sizes of the red classes
+    (`_require_every_class`), then colorings that are not NAC-colorings of
+    g.  Past those, a zero solution space and two vertices that coincide on
+    the whole space are read off the integer kernel, whatever its basis.
+    Otherwise a generic point of the space is sampled
     with small random integer coefficients (seeded) on the basis
     `two_nac_solution_space` returns; sampling only fails persistently when
     the space is too degenerate.
     """
-    classes = _pair_classes(g, first, second)
-    _require_every_class(classes)
+    _require_every_class(g, first, second)
     _check_colorings(g, first, second)
-    return _pair_embedding(g, classes, seed)
+    return _pair_embedding(g, _pair_classes(g, first, second), seed)
 
 
 def _pair_embedding(g: Graph, classes: Mapping[Edge, int], seed: int) -> EmbeddingR3:
@@ -689,7 +721,10 @@ def two_nac_search(
     that pair is solved exactly so that the error raised is the exact
     solve's.  The red and blue partitions are the colorings' own sides,
     built once per coloring when first read; the agree and differ
-    partitions are built once per pair.
+    partitions are built once per pair.  Ahead of the twin test, empty
+    direction classes are read off the sizes of the two red classes
+    (`_require_every_class`), and the per-edge classes (`_pair_classes`)
+    are built only for a pair that goes to the exact solve.
 
     Every search drives its embedding with one unit-scale deltoid frame,
     built the first time it is needed (`_unit_deltoid`), so the frames'
@@ -702,18 +737,18 @@ def two_nac_search(
     )
     for first, second in pairs:
         try:
-            classes = _pair_classes(g, first, second)
-            _require_every_class(classes)
+            _require_every_class(g, first, second)
             if _has_twins(g, first, second):
                 last_error = None  # the exact solve's message is taken after the loop
                 continue
-            embedding = _pair_embedding(g, classes, seed)
+            embedding = _pair_embedding(g, _pair_classes(g, first, second), seed)
         except ConstructionInapplicable as exc:
             last_error = exc
             continue
         return first, second, embedding, motion_from_embedding(embedding, _unit_deltoid())
     if last_error is None:
-        _pair_embedding(g, classes, seed)  # raises: the last pair has twins
+        # raises: the last pair has twins
+        _pair_embedding(g, _pair_classes(g, first, second), seed)
     raise last_error
 
 

@@ -220,10 +220,12 @@ _CATALOG_CERT_CACHE: dict[str, MovabilityCertificate] = {}
 
 
 def catalog_certificate(name: str) -> MovabilityCertificate:
-    """Verified certificate of the catalog entry S1..S5 (cached), from its
-    bespoke route, pulled back from the recipe's vertex labels to the
-    entry's.  Every other entry is certified by `classify`'s constructions,
-    so any other name raises ValueError."""
+    """Certificate of the catalog entry S1..S5 (cached), from its bespoke
+    route, pulled back from the recipe's vertex labels to the entry's.  It
+    is not verified here: `classify` verifies every pullback from it, and
+    through the pullback's parent chain this certificate and the recipe's
+    own.  Every other entry is certified by `classify`'s constructions, so
+    any other name raises ValueError."""
     if name not in _RECIPE_ENTRIES:
         raise ValueError(f"{name!r} is not a recipe entry (S1..S5)")
     if name in _CATALOG_CERT_CACHE:

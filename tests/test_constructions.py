@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,12 +25,15 @@ from movability.constructions import (
     _has_twins,
     _pair_classes,
     _pair_embedding,
+    _require_every_class,
     _tree_kernel,
     _twins_in,
     _unit_deltoid,
     AxesMotion,
     ConstructionInapplicable,
     EmbeddingR3,
+    axes_parameters,
+    axes_recipe,
     deltoid_motion,
     dixon_one,
     grid_construction,
@@ -102,6 +105,35 @@ def test_dixon_sampler_at_zero():
         for v in range(u + 1, 6):
             expected = lab.get((u, v))
             assert axes.squared_distance(u, v) == expected
+    assert axes.is_proper()
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "K33", "K34", "K35", "K44"])
+def test_axes_distance_is_kept_per_unordered_pair(name):
+    # the recipe of S1-S4 after its labeling, or dixon_one's motion with the
+    # default parameters on a bipartite catalog entry: each pair, asked
+    # either way round, reads the value a freshly built motion computes
+    # afresh, None (a pair that changes length) included
+    if name.startswith("S"):
+        axes, fresh = axes_recipe(name), axes_recipe(name)
+        axes.labeling()
+    else:
+        g = catalog_graph(name)
+        x, y = axes_parameters(g)
+        axes, fresh = dixon_one(g, x, y)[1], AxesMotion(g, x, y)
+    pairs = list(combinations(range(axes.graph.n), 2))
+    changing = 0
+    for u, v in pairs:
+        value = axes.squared_distance(u, v)
+        assert axes.squared_distance(v, u) == value
+        assert fresh._squared_distance(u, v) == value
+        assert fresh._squared_distance(v, u) == value
+        changing += value is None
+    assert set(axes._distances) == set(pairs)
+    assert "_distances" not in vars(fresh)
+    # every edge keeps its length; the non-edges that change it make the
+    # motion proper
+    assert 0 < changing <= len(pairs) - len(axes.graph.edges)
     assert axes.is_proper()
 
 
@@ -548,6 +580,45 @@ def test_twin_test_matches_the_six_partition_test(source):
         "catalog": {"pairs": 21910, "rejected": 21484, "by sides": 21360},
         "deletions": {"pairs": 80730, "rejected": 77052, "by sides": 75548},
     }[source]
+
+
+def _class_check_outcome(check, *args):
+    try:
+        check(*args)
+    except ConstructionInapplicable as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("source", ["catalog", "deletions"])
+def test_class_sizes_match_the_mapping_check(source):
+    # on every ordered pair of colorings, conjugates and equal pairs
+    # included, the sizes of the red classes raise exactly when the old
+    # check of the per-edge classes does, with the same message; the counts
+    # are the pairs by the message, None where every class is nonempty
+    from two_nac_oracle import _require_every_class as oracle
+
+    counts = Counter()
+    for g in _twin_test_graphs(source):
+        for first, second in product(enumerate_nac(g), repeat=2):
+            outcome = _class_check_outcome(_require_every_class, g, first, second)
+            expected = _class_check_outcome(oracle, _pair_classes(g, first, second))
+            assert outcome == expected, (g.sorted_edges(), first.sort_key(), second.sort_key())
+            counts[outcome] += 1
+    bb, br, rb, rr = _PAIR_INDEX
+    # a coloring with itself leaves (blue, red) and (red, blue) empty, with
+    # its conjugate (blue, blue) and (red, red)
+    same, conjugate, one = {"catalog": (620, 620, 384), "deletions": (2828, 2828, 3270)}[source]
+    assert dict(counts) == {
+        None: {"catalog": 41664, "deletions": 145552}[source],
+        _missing(br, rb): same,
+        _missing(bb, rr): conjugate,
+        **{_missing(p): one for p in _PAIR_INDEX},
+    }
+
+
+def _missing(*pairs):
+    return f"direction classes for color pairs {list(pairs)} are empty"
 
 
 def test_twin_triples_are_the_independent_ones():

@@ -3,6 +3,7 @@ import dataclasses
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -294,6 +295,53 @@ def _recipe(name):
     """An S-entry's own certificate, in the recipe's labels, and its graph."""
     host, cert = catalog_certificate(name).parent
     return host, cert, cert.axes
+
+
+@pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4"])
+def test_warm_axes_memo_still_checks_every_label(name):
+    # once a verified certificate has filled the motion's memo, a label
+    # changed by 10^-9 fails verify on the same motion, and so does a
+    # pullback from a host certificate with that label changed
+    from movability.decide import _pullback
+
+    host, cert, axes = _recipe(name)
+    assert cert.verify(host)
+    assert set(axes._distances) >= set(host.edges)
+    entry = catalog_certificate(name)
+    target = catalog_graph(name)
+    assert _pullback(target, entry.embedding, host, cert, cert.construction, {}).verify(target)
+    for e, lam in cert.labeling.items():
+        tampered = dataclasses.replace(cert, labeling={**cert.labeling, e: lam + Fraction(1, 10**9)})
+        assert tampered.axes is axes
+        assert not tampered.verify(host), e
+        pullback = _pullback(target, entry.embedding, host, tampered, cert.construction, {})
+        assert not pullback.verify(target), e
+
+
+def test_classify_computes_each_axes_distance_once(monkeypatch):
+    # cold catalog cache: every motion's pair is computed at most once
+    # across dixon_one, catalog_certificate and every verify, the parent
+    # chains of the pullbacks included
+    from movability import decide
+
+    computed = []
+    uncached = AxesMotion._squared_distance
+
+    def counted(self, u, v):
+        computed.append((self, edge(u, v)))
+        return uncached(self, u, v)
+
+    monkeypatch.setattr(AxesMotion, "_squared_distance", counted)
+    monkeypatch.setattr(decide, "_CATALOG_CERT_CACHE", {})
+    for name in CATALOG_NAMES:
+        verdict = classify(catalog_graph(name))
+        assert verdict.kind == MOVABLE, name
+        assert verdict.certificate.verify(verdict.reduced), name
+    # the motions stay referenced in `computed`, so no id is reused
+    counts = Counter((id(axes), pair) for axes, pair in computed)
+    assert max(counts.values()) == 1
+    # dixon_one's motions of K33, K34, K35 and K44 and the recipes of S1-S4
+    assert len({id(axes) for axes, _ in computed}) == 8
 
 
 def test_recipe_rejects_a_changed_extension_coefficient():

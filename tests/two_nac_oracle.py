@@ -36,6 +36,13 @@ sides ran first, kept verbatim: it builds all six partitions for every
 pair.  `tests/test_constructions.py` asserts that both tests return the
 same boolean on every coloring pair of the catalog entries and of their
 one-edge deletions.
+
+`_require_every_class` is the check of nonempty direction classes before
+it read them off the sizes of the two red classes, kept verbatim: it reads
+the class of every edge from the mapping `_pair_classes` builds.
+`tests/test_constructions.py` asserts that both raise on the same ordered
+coloring pairs of the catalog entries and of their one-edge deletions, with
+the same message.
 """
 
 from __future__ import annotations
@@ -56,14 +63,22 @@ from movability.constructions import (
     _horizontal_pin,
     _pair_classes,
     _pair_embedding,
-    _require_every_class,
     deltoid_motion,
 )
-from movability.graphs import Graph, component_of
+from movability.graphs import Edge, Graph, component_of
 from movability.motion import ParametrizedMotion
 from movability.nac import NacColoring, is_nac
 
 from conftest import color
+
+
+def _require_every_class(classes: Mapping[Edge, int]) -> None:
+    present = set(classes.values())
+    missing = [p for p, k in _PAIR_INDEX.items() if k not in present]
+    if missing:
+        raise ConstructionInapplicable(
+            f"direction classes for color pairs {missing} are empty"
+        )
 
 
 def direction_class(d: Sequence[Fraction]) -> int:

@@ -13,7 +13,8 @@ the host's speed falls on both sides alike.  The end-to-end metrics, their
 `better` direction and their bounds are read from the parent's
 BENCHMARK.json; perfbench itself is only run, never changed.
 
-The output holds `machine`, `command`, `claim` and, per workload and seed,
+The output holds `machine` (with whether PYTHONDONTWRITEBYTECODE is set,
+which the runs inherit), `command`, `claim` and, per workload and seed,
 the exit code, `attempted`, `failed` and `correct` of every run, every
 run's metric values, and per metric the medians, the inclusive quartiles,
 the parent's interquartile range, the ratio of the medians and the number
@@ -117,6 +118,9 @@ def main(argv=None) -> int:
             "nproc": len(os.sched_getaffinity(0)),
             "machine": platform.machine(),
             "python": platform.python_version(),
+            # set, no bytecode is cached, and every run compiles the package
+            # afresh inside its setup_s
+            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         },
         "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} "
                     f"--trace 0; {args.pairs} pairs per workload and seed, parent and change "
