@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, zip_longest
 from typing import Iterable, Mapping, Sequence
 
-from .exact import P_ONE, P_ZERO, GaussianRational, Poly, _fraction_str, _poly, poly_gcd
+from .exact import P_ONE, GaussianRational, Poly, _fraction_str, _poly, poly_gcd
 from .graphs import Edge, Graph, bits, component_of, edge
 from .nac import BLUE, RED, NacColoring, is_nac
 from .motion import Labeling, MotionError, ParametrizedMotion, verify_injectivity, w_function
@@ -616,14 +616,20 @@ class QuadMotion:
         return w_function(m, c0, c1), w_function(m, c1, c2), w_function(m, c2, c3)
 
     @cached_property
-    def _over_common_denominator(self) -> tuple[Poly, tuple[Poly, Poly, Poly]]:
-        """(D, (N1, N2, N3)): the frames as f_k = N_k / D over their monic
-        least common denominator D."""
+    def _over_common_denominator(self) -> tuple[Poly, tuple[tuple[tuple[int, int], ...], ...], int]:
+        """(D, columns, e): the frames as f_k = N_k / D over their monic
+        least common denominator D, with the N_k as Gaussian-integer pairs
+        over one positive int e: columns[j][k] is e times the coefficient
+        of t^j in N_k."""
         frames = self.frames()
         den = P_ONE
         for f in frames:
             den = den * (f.den // poly_gcd(den, f.den))
-        return den, tuple(f.num * (den // f.den) for f in frames)
+        nums = [f.num * (den // f.den) for f in frames]
+        e = math.lcm(*(n.d for n in nums))
+        rows = [[(x * (e // n.d), y * (e // n.d)) for x, y in n.z] for n in nums]
+        columns = tuple(zip_longest(*rows, fillvalue=(0, 0)))
+        return den, columns, e
 
 
 def deltoid_motion(scale: Fraction = Fraction(1)) -> QuadMotion:
@@ -658,9 +664,11 @@ def motion_from_embedding(omega: EmbeddingR3, quad: QuadMotion) -> ParametrizedM
 
     The frames are put over their monic least common denominator D,
     f_k = N_k / D, once per `QuadMotion`, so vertex u is
-    z = (sum c_k N_k) / D with c_k its coefficients.  One gcd of that
-    numerator with D cancels every common factor and leaves D monic, so z
-    is in canonical form.
+    z = (sum c_k N_k) / D with c_k its coefficients.  The N_k are Gaussian
+    integers over one int e and the c_k integers over their least common
+    denominator q, so the numerator is an integer sum over q*e.  One gcd of
+    that numerator with D cancels every common factor and leaves D monic,
+    so z is in canonical form.
     """
     g = omega.graph
     points = omega.points
@@ -669,14 +677,15 @@ def motion_from_embedding(omega: EmbeddingR3, quad: QuadMotion) -> ParametrizedM
         raise ConstructionInapplicable("no edge of the embedding differs only in x")
     pin = _horizontal_pin(horizontal, [x for x, _, _ in points])
     origin = points[pin[0]]
-    den, nums = quad._over_common_denominator
+    den, columns, e = quad._over_common_denominator
     z = []
     for p in points:
-        num = P_ZERO
-        for w, o, n in zip(p, origin, nums):
-            if w != o:
-                num = num + n.scale(GaussianRational(w - o, Fraction(0)))
-        z.append(RationalFunction.of(num, den))
+        cs = [w - o for w, o in zip(p, origin)]
+        q = math.lcm(*(c.denominator for c in cs))
+        ks = [c.numerator * (q // c.denominator) for c in cs]
+        num = [(sum(k * x for k, (x, _) in zip(ks, col)), sum(k * y for k, (_, y) in zip(ks, col)))
+               for col in columns]
+        z.append(RationalFunction.of(_poly(num, q * e), den))
     return ParametrizedMotion(g, pin, tuple(z))
 
 

@@ -3,9 +3,12 @@
 A motion assigns each vertex one complex rational function z = x + i*y of
 one real parameter, with one edge pinned to the positive x-axis.  The edge
 function W = z_v - z_u and Z, its conjugate, multiply to the squared edge
-length.  Each edge's W is built once, when the motion is constructed, and
-the labeling is read off it as the constant W*Z; every query below reads
-that table, and a refix rotates its parent's table and keeps its labeling.
+length.  The constructor proves the labeling over one denominator: with D
+the monic lcm of the coordinate denominators and z_v = N_v/D, an edge's
+W*Z is the constant c exactly when dN*conj(dN) = c*D*conj(D) for
+dN = N_v - N_u, an exact polynomial identity checked with no gcd.  The
+table of each edge's W is built when a query below first reads it, and a
+refix rotates its parent's table and keeps its labeling.
 The real coordinates x = (z + conj z)/2 and y = (z - conj z)/2i are derived
 only for JSON and floats.  The valuations of W at the places of the curve
 induce NAC-colorings: choosing a threshold between attained valuation
@@ -29,19 +32,24 @@ agree for every parameter exactly when they are equal.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, zip_longest
+from typing import NoReturn
 from .exact import (
     GR_I,
+    P_ONE,
     GaussianRational,
     Poly,
     _as_fraction,
     _fraction_str,
+    _times,
     fraction_sqrt,
     gaussian_rational_roots,
     gcd_free_base,
+    poly_gcd,
 )
 from .graphs import Edge, Graph, edge, graph_of_json, json_edges
 from .nac import NacColoring, is_nac
@@ -72,14 +80,71 @@ def _require_constant(f: RationalFunction, what: str) -> GaussianRational:
     return f.constant_value()
 
 
+def _edge_labeling(g: Graph, coords: tuple[RationalFunction, ...]) -> Labeling:
+    """Each edge's W*Z, proved a positive rational constant over one
+    denominator.
+
+    With D the monic lcm of the coordinate denominators, z_v = N_v/D, and an
+    edge's W is dN/D with dN = N_v - N_u.  W*Z is a constant c exactly when
+    dN*conj(dN) = c*D*conj(D).  D is monic, so comparing degrees and leading
+    coefficients forces deg dN = deg D and c = |lc dN|^2, and c > 0 since dN
+    is then nonzero.  The identity is checked on integers: the N_v are
+    Gaussian-integer pairs over one int e, and with dN = R/e and D = P/d it
+    reads R*conj(R)*d^2 = |lc R|^2 * P*conj(P), with no gcd and no tolerance.
+    """
+    dens = dict.fromkeys(z.den for z in coords)
+    den = P_ONE
+    for d in dens:
+        den = den * (d // poly_gcd(den, d))
+    cofactor = {d: den // d for d in dens}
+    nums = [z.num * cofactor[z.den] for z in coords]
+    e = math.lcm(*(n.d for n in nums))
+    rows = [_times(n.z, e // n.d) for n in nums]
+    size, target, d2 = len(den.z), _norm_coeffs(den.z), den.d * den.d
+    labeling: Labeling = {}
+    for u, v in g.sorted_edges():
+        dn = [(x - p, y - q) for (x, y), (p, q) in zip_longest(rows[v], rows[u], fillvalue=(0, 0))]
+        while dn and dn[-1] == (0, 0):
+            dn.pop()
+        if len(dn) == size:
+            x, y = dn[-1]
+            lead = x * x + y * y
+            if all(q * d2 == lead * p for q, p in zip(_norm_coeffs(dn), target)):
+                labeling[(u, v)] = Fraction(lead, e * e)
+                continue
+        _raise_edge_error(coords, u, v)
+    return labeling
+
+
+def _norm_coeffs(z) -> list[int]:
+    """The coefficients of p*conj(p) for p = sum z[k] t^k over Z[i], conj
+    acting on the coefficients.  They are real, since the terms z[i]*conj(z[j])
+    and z[j]*conj(z[i]) are conjugate, so only real parts are summed."""
+    out = [0] * (2 * len(z) - 1)
+    for i, (x, y) in enumerate(z):
+        for j, (p, q) in enumerate(z):
+            out[i + j] += x * p + y * q
+    return out
+
+
+def _raise_edge_error(coords: tuple[RationalFunction, ...], u: int, v: int) -> NoReturn:
+    """The error for an edge whose W*Z is not a positive constant, from W*Z
+    itself: it is not constant, or it is 0 when the endpoints coincide."""
+    w = coords[v] - coords[u]
+    val = _require_constant(w * w.conjugate_coeffs(), f"squared distance of edge ({u},{v})")
+    raise MotionError(f"edge ({u},{v}) has squared length {val}, expected positive rational")
+
+
 @dataclass(frozen=True)
 class ParametrizedMotion:
     """One complex coordinate function z = x + i*y per vertex, with a pinned edge.
 
     Invariants checked at construction: the fixed edge (u, v) has z_u = 0
     and z_v a positive rational constant, and every edge's W*Z is a nonzero
-    rational constant (the induced labeling).  Each edge's W is kept for the
-    queries.  A refix derives both from its parent's (`_rotated`).
+    rational constant (the induced labeling), proved by one identity per
+    edge over the coordinates' common denominator (`_edge_labeling`).  The
+    table of each edge's W is built when a query first reads it.  A refix
+    derives its labeling and table from its parent's (`_rotated`).
     """
 
     graph: Graph
@@ -100,22 +165,13 @@ class ParametrizedMotion:
             raise MotionError(f"vertex {vb} of the fixed edge is not on the x-axis")
         if zv.re <= 0:
             raise MotionError(f"fixed edge length must be positive, got {zv}")
-        w_table: dict[Edge, RationalFunction] = {}
-        labeling: Labeling = {}
-        for u, v in g.sorted_edges():
-            w = self.coords[v] - self.coords[u]
-            # W*Z is |W|^2 for real t, so a constant value is real
-            val = _require_constant(
-                w * w.conjugate_coeffs(), f"squared distance of edge ({u},{v})"
-            )
-            if val.re <= 0:
-                raise MotionError(
-                    f"edge ({u},{v}) has squared length {val}, expected positive rational"
-                )
-            w_table[(u, v)] = w
-            labeling[(u, v)] = val.re
-        object.__setattr__(self, "_w", w_table)
-        object.__setattr__(self, "_labeling", labeling)
+        object.__setattr__(self, "_labeling", _edge_labeling(g, self.coords))
+
+    @cached_property
+    def _w(self) -> dict[Edge, RationalFunction]:
+        """Each edge's W = z_v - z_u, built when a query first reads it."""
+        coords = self.coords
+        return {(u, v): coords[v] - coords[u] for u, v in self.graph.sorted_edges()}
 
     # -- derived real coordinates ------------------------------------------
 

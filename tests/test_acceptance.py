@@ -69,6 +69,7 @@ from movability.track import track_motion
 import grid_oracle
 import two_nac_oracle
 from conftest import place_at, random_connected_graph, watched_variation
+from test_edge_table import assert_agrees_with_oracle, with_refixes
 from test_gluing import track_from_the_middle
 from test_nac import all_simple_cycles, oracle_is_nac
 
@@ -444,6 +445,8 @@ def _verdict_histograms(graphs):
             if m is None:
                 continue
             assert m.graph == verdict.reduced
+            for r in with_refixes(m):
+                assert_agrees_with_oracle(r)
             old = _old_sum_motion(verdict.certificate)
             if old is not None:
                 assert (m.coords, m.fixed_edge, m.induced_labeling()) == (

@@ -16,7 +16,10 @@ BENCHMARK.json; perfbench itself is only run, never changed.
 The output holds `machine` (with whether PYTHONDONTWRITEBYTECODE is set,
 which the runs inherit), `command`, `claim` and, per workload and seed,
 the exit code, `attempted`, `failed` and `correct` of every run, every
-run's metric values, and per metric the medians, the inclusive quartiles,
+run's metric values, every run's least `raw_pass_s` (a pass's unnormalized
+time) and least `speed_samples` (read from the record line run.py prints
+before its result line, so the margin above the speed probe's 50 ms tick
+shows), and per metric the medians, the inclusive quartiles,
 the parent's interquartile range, the ratio of the medians and the number
 of pairs in which the change is better (lower, for a lower-is-better
 metric).  A run that exits nonzero or prints no result line counts as
@@ -40,18 +43,36 @@ SIDES = ("parent", "change")
 
 
 def one_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """Exit code and result line of one perfbench run from `tree`."""
+    """Exit code, result line and pass margins of one perfbench run from `tree`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    result = None
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode == 0 and lines:
+    return {"exit_code": proc.returncode, **parse_stdout(proc.stdout, proc.returncode)}
+
+
+def parse_stdout(stdout: str, exit_code: int) -> dict:
+    """The result line (the last line) of a run's stdout, and the least
+    `raw_pass_s` and least `speed_samples` over the passes its record line
+    (the JSON line with a `passes` list, printed before the result) holds;
+    each None when the run failed or the line is missing or malformed."""
+    out = {"result": None, "least_raw_pass_s": None, "least_speed_samples": None}
+    lines = stdout.strip().splitlines()
+    if exit_code != 0 or not lines:
+        return out
+    try:
+        out["result"] = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        pass
+    for line in lines[:-1]:
         try:
-            result = json.loads(lines[-1])
-        except json.JSONDecodeError:
-            pass
-    return {"exit_code": proc.returncode, "result": result}
+            passes = json.loads(line)["passes"]
+            raw = min(p["raw_pass_s"] for p in passes)
+            samples = min(p["speed_samples"] for p in passes)
+        except (json.JSONDecodeError, TypeError, KeyError, ValueError):
+            continue
+        out["least_raw_pass_s"], out["least_speed_samples"] = round(raw, 4), samples
+        break
+    return out
 
 
 def summary(parent: list, change: list, better: str, bound: float) -> dict:
@@ -147,6 +168,8 @@ def main(argv=None) -> int:
             for key in ("failed", "attempted", "correct"):
                 record[key] = {side: [r["result"][key] if r["result"] else None for r in raw[side]]
                                for side in SIDES}
+            for key in ("least_raw_pass_s", "least_speed_samples"):
+                record[key] = {side: [r[key] for r in raw[side]] for side in SIDES}
             for name, m in metrics.items():
                 values = {side: [round(r["result"]["metrics"][name]["value"], 4) if r["result"] else None
                                  for r in raw[side]] for side in SIDES}
