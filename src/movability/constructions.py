@@ -20,11 +20,11 @@ from functools import cache, cached_property
 from itertools import combinations, zip_longest
 from typing import Iterable, Mapping, Sequence
 
-from .exact import P_ONE, GaussianRational, Poly, _fraction_str, _poly, poly_gcd
+from .exact import P_ONE, GaussianRational, Poly, _fraction_str, _poly
 from .graphs import Edge, Graph, bits, component_of, edge
 from .nac import BLUE, RED, NacColoring, is_nac
 from .motion import Labeling, MotionError, ParametrizedMotion, verify_injectivity, w_function
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, over_one_denominator
 
 Triple = tuple[Fraction, Fraction, Fraction]
 
@@ -405,7 +405,10 @@ def _tree_kernel(g: Graph, classes: Mapping[Edge, int]) -> list[tuple[tuple[int,
     contributes the rows N . (p_v - p_u) = 0 for N in _NORMALS[k], over the
     scalars of the tree path from u to v.  The rows are reduced over int by
     `_insert`, kept primitive by gcd in the manner of Bareiss's fraction-free
-    elimination, and never become `Fraction`s.
+    elimination, and never become `Fraction`s.  Any fully reduced system
+    serves: each unknown that is no row's pivot gives one kernel vector, and
+    callers read twins off the kernel whatever its basis or take the unique
+    basis of `_echelon_on_last`.
     """
     masks = g.masks()
     path: list[frozenset[int] | None] = [None] * g.n  # tree scalars above each vertex
@@ -442,7 +445,7 @@ def _tree_kernel(g: Graph, classes: Mapping[Edge, int]) -> list[tuple[tuple[int,
                 row[j] = dots[direction[j]]
             for j in down:
                 row[j] = -dots[direction[j]]
-            _insert(kept, row, last=False)
+            _insert(kept, row)
     kernel = []
     for free in range(nvar):
         if free in kept:
@@ -464,17 +467,17 @@ def _tree_kernel(g: Graph, classes: Mapping[Edge, int]) -> list[tuple[tuple[int,
     return kernel
 
 
-def _insert(kept: dict[int, list[int]], vec: list[int], *, last: bool) -> None:
+def _insert(kept: dict[int, list[int]], vec: list[int]) -> None:
     """Add vec to `kept`, integer vectors keyed by pivot with a zero at every
     other vector's pivot: vec is cleared at the existing pivots, pivoted on
-    its first (or last) nonzero entry, and that column is cleared in the
-    others.  Nothing is added when vec reduces to zero."""
+    its last nonzero entry, and that column is cleared in the others.
+    Nothing is added when vec reduces to zero."""
     for col, other in kept.items():
         vec = _eliminate(vec, col, other)
     nonzero = [c for c, x in enumerate(vec) if x]
     if not nonzero:
         return
-    pivot = nonzero[-1] if last else nonzero[0]
+    pivot = nonzero[-1]
     for col, other in kept.items():
         kept[col] = _eliminate(other, pivot, vec)
     kept[pivot] = vec
@@ -503,7 +506,7 @@ def _echelon_on_last(kernel: Sequence[tuple[tuple[int, int, int], ...]]) -> list
     """
     reduced: dict[int, list[int]] = {}
     for given in kernel:
-        _insert(reduced, [c for point in given for c in point], last=True)
+        _insert(reduced, [c for point in given for c in point])
     basis = []
     for col in sorted(reduced):
         vec = [Fraction(x, reduced[col][col]) for x in reduced[col]]
@@ -617,17 +620,10 @@ class QuadMotion:
 
     @cached_property
     def _over_common_denominator(self) -> tuple[Poly, tuple[tuple[tuple[int, int], ...], ...], int]:
-        """(D, columns, e): the frames as f_k = N_k / D over their monic
-        least common denominator D, with the N_k as Gaussian-integer pairs
-        over one positive int e: columns[j][k] is e times the coefficient
-        of t^j in N_k."""
-        frames = self.frames()
-        den = P_ONE
-        for f in frames:
-            den = den * (f.den // poly_gcd(den, f.den))
-        nums = [f.num * (den // f.den) for f in frames]
-        e = math.lcm(*(n.d for n in nums))
-        rows = [[(x * (e // n.d), y * (e // n.d)) for x, y in n.z] for n in nums]
+        """(D, columns, e): `over_one_denominator` of the frames, f_k =
+        N_k / D, with its rows transposed: columns[j][k] is e times the
+        coefficient of t^j in N_k."""
+        den, rows, e = over_one_denominator(self.frames())
         columns = tuple(zip_longest(*rows, fillvalue=(0, 0)))
         return den, columns, e
 

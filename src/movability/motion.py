@@ -32,7 +32,6 @@ agree for every parameter exactly when they are equal.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,20 +39,17 @@ from itertools import combinations, zip_longest
 from typing import NoReturn
 from .exact import (
     GR_I,
-    P_ONE,
     GaussianRational,
     Poly,
     _as_fraction,
     _fraction_str,
-    _times,
     fraction_sqrt,
     gaussian_rational_roots,
     gcd_free_base,
-    poly_gcd,
 )
 from .graphs import Edge, Graph, edge, graph_of_json, json_edges
 from .nac import NacColoring, is_nac
-from .ratfunc import INFINITY, Place, RationalFunction, valuation
+from .ratfunc import INFINITY, Place, RationalFunction, over_one_denominator, valuation
 
 Labeling = dict[Edge, Fraction]
 
@@ -92,14 +88,7 @@ def _edge_labeling(g: Graph, coords: tuple[RationalFunction, ...]) -> Labeling:
     Gaussian-integer pairs over one int e, and with dN = R/e and D = P/d it
     reads R*conj(R)*d^2 = |lc R|^2 * P*conj(P), with no gcd and no tolerance.
     """
-    dens = dict.fromkeys(z.den for z in coords)
-    den = P_ONE
-    for d in dens:
-        den = den * (d // poly_gcd(den, d))
-    cofactor = {d: den // d for d in dens}
-    nums = [z.num * cofactor[z.den] for z in coords]
-    e = math.lcm(*(n.d for n in nums))
-    rows = [_times(n.z, e // n.d) for n in nums]
+    den, rows, e = over_one_denominator(coords)
     size, target, d2 = len(den.z), _norm_coeffs(den.z), den.d * den.d
     labeling: Labeling = {}
     for u, v in g.sorted_edges():

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable
 
 from .graphs import Edge, Graph, component_masks, component_of, edge, json_edges
@@ -108,19 +109,13 @@ def is_nac(g: Graph, coloring: NacColoring) -> bool:
     return _separates(coloring._sides)
 
 
-def _color_masks(g: Graph, red: Iterable[Edge]) -> tuple[list[int], list[int]]:
-    """The red and the blue adjacency masks of the coloring of g with red
-    class `red`."""
+def _sides_of(g: Graph, red: Iterable[Edge]) -> tuple[Side, Side]:
+    """The red and the blue side of the coloring of g with red class `red`."""
     red_masks = [0] * g.n
     for u, v in red:
         red_masks[u] |= 1 << v
         red_masks[v] |= 1 << u
-    return red_masks, [m ^ r for m, r in zip(g.masks(), red_masks)]
-
-
-def _sides_of(g: Graph, red: Iterable[Edge]) -> tuple[Side, Side]:
-    """The red and the blue side of the coloring of g with red class `red`."""
-    red_masks, blue_masks = _color_masks(g, red)
+    blue_masks = [m ^ r for m, r in zip(g.masks(), red_masks)]
     return (red_masks, component_of(red_masks)), (blue_masks, component_of(blue_masks))
 
 
@@ -132,16 +127,6 @@ def _separates(sides: tuple[Side, Side]) -> bool:
         if r & bc or b & rc:
             return False
     return any(red) and any(blue)
-
-
-def _red_separates(g: Graph, red: Iterable[Edge]) -> bool:
-    """`_separates` for the coloring of g with red class `red`, building the
-    blue components only when no blue edge falls inside a red component."""
-    red_masks, blue_masks = _color_masks(g, red)
-    red_comp = component_of(red_masks)
-    if any(b & rc for b, rc in zip(blue_masks, red_comp)):
-        return False
-    return _separates(((red_masks, red_comp), (blue_masks, component_of(blue_masks))))
 
 
 def _dfs_edge_order(g: Graph) -> list[Edge]:
@@ -178,11 +163,12 @@ def _triangle_classes(g: Graph, order: list[Edge]) -> list[list[Edge]]:
     Two edges share a class when a chain of triangles, consecutive ones
     sharing an edge, joins them.  Edges uv and uw share a triangle exactly
     when v and w are adjacent, so the edges at u whose far ends lie in one
-    component of G[N(u)] (u's block of v) lie in one class, and a class is
-    the union of the blocks its edges chain through.  Each class grows from
-    its first edge by listing the blocks at both ends of every member; a
-    block is grown once, and an edge in no triangle is its own block at
-    both ends.  Classes come in the order of their first edge in `order`.
+    component of G[N(u)] (u's block of v, read off `component_masks`) lie
+    in one class, and a class is the union of the blocks its edges chain
+    through.  Each class grows from its first edge by listing the blocks at
+    both ends of every member; a block is listed once, and an edge in no
+    triangle is its own block at both ends.  Classes come in the order of
+    their first edge in `order`.
     """
     masks = g.masks()
     listed = [0] * g.n  # bit w of listed[u]: the edge uw is in a class
@@ -201,14 +187,7 @@ def _triangle_classes(g: Graph, order: list[Edge]) -> list[list[Edge]]:
             for a, b in ((u, v), (v, u)):
                 if grown[a] >> b & 1:
                     continue
-                within = masks[a]
-                block = frontier = 1 << b
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    new = masks[low.bit_length() - 1] & within & ~block
-                    block |= new
-                    frontier |= new
+                block = next(c for c in component_masks(masks, masks[a]) if c >> b & 1)
                 grown[a] |= block
                 new = block & ~listed[a]
                 listed[a] |= new
@@ -376,10 +355,10 @@ def constant_distance_closure(
     take the color of the path it closes in every NAC-coloring, so NAC(G+U)
     is exactly the set of extensions of NAC(G) that are still NAC; each
     round filters the previous representatives instead of enumerating
-    again.  Once none is left, from the start or after a round, every
-    non-edge is a unicolor pair and the next round completes the graph: it
-    lists the non-edges and returns one K_n shared by all closures, with no
-    signature classes built.  The cap applies only where NAC(G) is
+    again, with the component condition `is_nac` tests.  Once none is left,
+    from the start or after a round, every non-edge is a unicolor pair and
+    the next round completes the graph: it lists the non-edges and returns
+    K_n, with no signature classes built.  The cap applies only where NAC(G) is
     enumerated: the later rounds filter, so a graph whose first round passes
     never raises, however many edges its closure gains.  The loop terminates
     because each round adds at least one of finitely many non-edges; the
@@ -409,12 +388,12 @@ def constant_distance_closure(
             red | {pair for pair, sig in closing.items() if sig >> i & 1}
             for i, red in enumerate(reds)
         )
-        reds = [red for red in extended if _red_separates(current, red)]
+        reds = [red for red in extended if _separates(_sides_of(current, red))]
     if not reds and not current.is_complete():
         # with no coloring left every non-edge is a unicolor pair, so one
         # round completes the graph
         rounds.append(tuple(current.non_edges()))
-        current = _complete_graph(g.n)
+        current = Graph(g.n, frozenset(combinations(range(g.n), 2)))
     return ClosureReport(closure=current, added=tuple(rounds))
 
 
@@ -479,14 +458,3 @@ def _triangle_across(sets: list[int]) -> tuple[int, int, int] | None:
                 if c & a and c & b and not c & ab:
                     return i, j, k
     return None
-
-
-_COMPLETE: dict[int, Graph] = {}
-
-
-def _complete_graph(n: int) -> Graph:
-    """K_n, built once per n: a `Graph` is immutable, so closures share it."""
-    k = _COMPLETE.get(n)
-    if k is None:
-        k = _COMPLETE[n] = Graph(n, frozenset((u, v) for v in range(n) for u in range(v)))
-    return k

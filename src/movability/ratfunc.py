@@ -10,7 +10,9 @@ of a motion are probed for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .exact import (
     GR_ONE,
@@ -19,6 +21,7 @@ from .exact import (
     P_ONE,
     P_ZERO,
     Poly,
+    _times,
     multiplicity,
     poly_gcd,
     root_multiplicity,
@@ -152,6 +155,22 @@ def _canonical(num: Poly, den: Poly) -> RationalFunction:
 
 
 ZERO = RationalFunction(P_ZERO, P_ONE)
+
+
+def over_one_denominator(
+    fs: Sequence[RationalFunction],
+) -> tuple[Poly, list[Sequence[tuple[int, int]]], int]:
+    """(D, rows, e): the functions as f_k = N_k / D over their monic least
+    common denominator D, with the N_k as Gaussian-integer pairs over one
+    positive int e: rows[k][j] is e times the coefficient of t^j in N_k."""
+    dens = dict.fromkeys(f.den for f in fs)
+    den = P_ONE
+    for d in dens:
+        den = den * (d // poly_gcd(den, d))
+    cofactor = {d: den // d for d in dens}
+    nums = [f.num * cofactor[f.den] for f in fs]
+    e = math.lcm(*(n.d for n in nums))
+    return den, [_times(n.z, e // n.d) for n in nums], e
 
 
 def valuation(f: RationalFunction, place: Place) -> int:
