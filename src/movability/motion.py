@@ -7,8 +7,9 @@ length.  The constructor proves the labeling over one denominator: with D
 the monic lcm of the coordinate denominators and z_v = N_v/D, an edge's
 W*Z is the constant c exactly when dN*conj(dN) = c*D*conj(D) for
 dN = N_v - N_u, an exact polynomial identity checked with no gcd.  The
-table of each edge's W is built when a query below first reads it, and a
-refix rotates its parent's table and keeps its labeling.
+table of each edge's W is built when a query below first reads it.  A
+refix moves the pin by a rotation and a translation and passes the new
+coordinates through the same constructor, so it is proved like any motion.
 The real coordinates x = (z + conj z)/2 and y = (z - conj z)/2i are derived
 only for JSON and floats.  The valuations of W at the places of the curve
 induce NAC-colorings: choosing a threshold between attained valuation
@@ -54,7 +55,6 @@ from .ratfunc import INFINITY, Place, RationalFunction, over_one_denominator, va
 Labeling = dict[Edge, Fraction]
 
 _I = RationalFunction.const(GR_I)
-_ONE = RationalFunction.const(GaussianRational.of(1))
 _HALF = RationalFunction.const(GaussianRational.of(Fraction(1, 2)))
 _HALF_OVER_I = RationalFunction.const(GaussianRational.of(0, Fraction(-1, 2)))
 
@@ -132,8 +132,8 @@ class ParametrizedMotion:
     and z_v a positive rational constant, and every edge's W*Z is a nonzero
     rational constant (the induced labeling), proved by one identity per
     edge over the coordinates' common denominator (`_edge_labeling`).  The
-    table of each edge's W is built when a query first reads it.  A refix
-    derives its labeling and table from its parent's (`_rotated`).
+    table of each edge's W is built when a query first reads it.  This is
+    the one way to build a motion: a refix is checked like any other.
     """
 
     graph: Graph
@@ -251,7 +251,7 @@ def refix_edge(m: ParametrizedMotion, u2: int, v2: int) -> ParametrizedMotion:
 
     The image of z is (z - z_u') * R with R = Z_{u',v'} / L and L the length
     of the new fixed edge, which must be rational for the result to stay
-    exact.
+    exact.  The constructor checks the result like any motion.
     """
     if edge(u2, v2) not in m.graph.edges:
         raise MotionError(f"({u2},{v2}) is not an edge")
@@ -262,34 +262,8 @@ def refix_edge(m: ParametrizedMotion, u2: int, v2: int) -> ParametrizedMotion:
             f"edge ({u2},{v2}) has irrational length sqrt({lam_sq}); exact refix impossible"
         )
     rotation = z_function(m, u2, v2) * RationalFunction.const(GaussianRational.of(1 / lam))
-    return _rotated(m, (u2, v2), rotation, lam)
-
-
-def _rotated(
-    m: ParametrizedMotion, fixed_edge: tuple[int, int], rotation: RationalFunction, lam: Fraction
-) -> ParametrizedMotion:
-    """m translated by -z_u' and rotated by R, pinned at (u', v').
-
-    Each edge's W becomes W*R and, since R*conj(R) = 1, keeps its W*Z: the
-    edge table is m's times R and the labeling is m's.  Checked exactly
-    instead of every edge's W*Z: R*conj(R) = 1, z_u' = 0 and z_v' = L.
-    """
-    u2, v2 = fixed_edge
-    if rotation * rotation.conjugate_coeffs() != _ONE:
-        raise MotionError(f"rotation {rotation} is not unimodular")
     z0 = m.coords[u2]
-    coords = tuple((z - z0) * rotation for z in m.coords)
-    if not coords[u2].is_zero():
-        raise MotionError(f"vertex {u2} of the fixed edge is not at the origin")
-    if coords[v2] != RationalFunction.const(GaussianRational.of(lam)):
-        raise MotionError(f"vertex {v2} of the fixed edge is at {coords[v2]}, expected {lam}")
-    # the checks above prove the invariants, so __post_init__ is skipped
-    out = object.__new__(ParametrizedMotion)
-    for name, value in (("graph", m.graph), ("fixed_edge", fixed_edge), ("coords", coords),
-                        ("_w", {e: w * rotation for e, w in m._w.items()}),
-                        ("_labeling", m._labeling)):
-        object.__setattr__(out, name, value)
-    return out
+    return ParametrizedMotion(m.graph, (u2, v2), tuple((z - z0) * rotation for z in m.coords))
 
 
 # -- places and active NAC-colorings ----------------------------------------
@@ -373,17 +347,16 @@ def active_nac_colorings(m: ParametrizedMotion) -> ActiveNacReport:
     the induced partition.  Every produced coloring is asserted to be a
     NAC-coloring and the set is deduplicated.
     """
-    report = candidate_places(m)
     found: set[NacColoring] = set()
-    for place in report.places:
-        vals = valuation_table(m, place).as_dict()
+    for table in all_valuation_tables(m):
+        vals = table.as_dict()
         # the top level has nothing above it, so it is no threshold
         for alpha in sorted(set(vals.values()))[:-1]:
             red = frozenset(e for e, v in vals.items() if v > alpha)
             coloring = NacColoring(m.graph, red)
             if not is_nac(m.graph, coloring):
                 raise MotionError(
-                    f"threshold {alpha} at place {place} produced a non-NAC coloring; "
+                    f"threshold {alpha} at place {table.place} produced a non-NAC coloring; "
                     "the motion data is inconsistent"
                 )
             found.add(coloring)

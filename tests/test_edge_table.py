@@ -2,10 +2,10 @@
 
 The constructor proves the labeling by one polynomial identity per edge
 over the coordinates' one denominator, and builds the table of edge
-functions W only when a query first reads it; a refix's table is its
-parent's times the rotation.  These tests compare labelings, and tables
-read after construction, with the per-edge W and W*Z of `motion_oracle`,
-and its MotionError texts on hand-built coordinates.  They rebuild the
+functions W only when a query first reads it, for a refix too.  These
+tests compare labelings, and tables read after construction, with the
+per-edge W and W*Z of `motion_oracle`, and its MotionError texts on
+hand-built coordinates.  They rebuild the
 squared distance, W and Z from the coordinates and recompute valuations
 and active colorings from the fresh W, on the bundled motions and every
 exact refix of each.  A cold `classify` of the catalog reads no grid or

@@ -1,29 +1,29 @@
 """Refixed motions against the validating constructor.
 
-`refix_edge` builds the refixed motion's edge table as the parent's W times
-the rotation R = Z_{u',v'}/L and keeps the parent's labeling, checking only
-R*conj(R) = 1, z_u' = 0 and z_v' = L.  Here every refix, and refixes of
+`refix_edge` computes the rotated coordinates (z - z_u') * R with
+R = Z_{u',v'}/L and passes them to `ParametrizedMotion`, whose checks prove
+the refix's labeling like any motion's.  Here every refix, and refixes of
 refixes, are rebuilt from coordinates computed with the one-gcd oracle
-arithmetic and passed through `ParametrizedMotion`'s full checks; the
-coordinates, W tables and labelings must be equal.  Rotations that are not
-the refix's own must be refused.  The L1-L6, Q1 and S5 refixes are
-`test_edge_table`'s cached ones.
+arithmetic and passed through the same constructor; the coordinates, W
+tables and labelings must be equal.  A fresh refix builds its W table only
+when a query first reads it, and that table is `motion_oracle`'s W.  The
+L1-L6, Q1 and S5 refixes are `test_edge_table`'s cached ones.
 """
 
 from itertools import combinations
 
 import pytest
 
+import motion_oracle
 import ratfunc_oracle as oracle
+from conftest import bundled_motion
 from movability.exact import GaussianRational, fraction_sqrt
 from movability.graphs import edge
 from movability.motion import (
     MotionError,
     ParametrizedMotion,
-    _rotated,
     refix_edge,
     w_function,
-    z_function,
 )
 from movability.ratfunc import RationalFunction
 from test_edge_table import L_GRAPHS, _motions
@@ -75,22 +75,19 @@ def test_refix_matches_the_validating_constructor(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_rotation_mutants_are_refused(name):
-    m = _motions(name)[0]
-    for u, v in m.graph.sorted_edges():
-        lam = fraction_sqrt(m.induced_labeling()[(u, v)])
-        if lam is None:
-            continue
-        rotation = z_function(m, u, v) * _const(1 / lam)
-        with pytest.raises(MotionError, match="not unimodular"):
-            _rotated(m, (u, v), rotation * _const(2), lam)
-        conjugated = rotation.conjugate_coeffs()
-        if conjugated == rotation:
-            # a real unimodular R is +1 or -1: conjugating changes nothing
-            assert rotation in (_const(1), _const(-1))
-            continue
-        with pytest.raises(MotionError, match=f"vertex {v} of the fixed edge is at"):
-            _rotated(m, (u, v), conjugated, lam)
+def test_fresh_refix_builds_the_oracle_table_when_read(name):
+    # fresh refixes: the cached ones of `_motions` have had their tables read
+    m = bundled_motion(name)
+    refixes = [refix_edge(m, *r.fixed_edge) for r in _motions(name)[1:]]
+    assert all("_w" not in vars(r) for r in refixes)
+    # refixing reads the parent's table, so the check above comes first
+    first, *_, second = (r for r in refixes if r.fixed_edge != m.fixed_edge)
+    twice = refix_edge(first, *second.fixed_edge)
+    assert "_w" not in vars(twice)
+    for r in (*refixes, twice):
+        w, lab = motion_oracle.edge_tables(r.graph, r.fixed_edge, r.coords)
+        assert r.induced_labeling() == lab
+        assert r._w == w
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -14,7 +14,10 @@ holds the construction, labeling, details, motion JSON, the axes motion
 (signed axis parameters and extension coefficients, as exact strings),
 embedding and the parent chain, so no float is rounded by the record.
 The README's 8-vertex `gen` + `census --jobs 4` pair alone takes about a
-minute on 2 cores.  Malformed-input cases live in tests/test_cli.py; the
+minute on 2 cores.  For each grid and two-NAC catalog entry, one case
+refixes the motion its `classify --out` writes to every edge, so the
+refix output of every classify-built motion is recorded, exit 2 of the
+edges of irrational length included.  Malformed-input cases live in tests/test_cli.py; the
 only ones here are `--max-n` values below 1, which trees before the bound
 accepted (exit 0 for `gen`, 4 for `census`).  `compare` (of two `run` or two `certs` outputs) prints the cases whose records differ and exits nonzero
 when any does.  Comparing the runs of two commits shows whether a refactor
@@ -72,6 +75,14 @@ def cases() -> list[tuple[str, list[list[str]]]]:
         out.append((f"classify-out-{name}", [["classify", code, "--out", "cert/"]]))
         out.append((f"nac-enum-{name}", [["nac", "enum", code], ["nac", "enum", code, "--non-conjugated"]]))
         out.append((f"cdc-{name}", [["cdc", code]]))
+    # the grid and two-NAC entries, whose classify writes a motion: it is
+    # refixed to every edge, and an edge of irrational length exits 2
+    for name in (*(f"L{i}" for i in range(1, 7)), *(f"Q{i}" for i in range(1, 7))):
+        out.append((f"refix-{name}", [
+            ["classify", g6[name], "--out", "cert/"],
+            *(["motion", "refix", "cert/motion.json", "--edge", f"{u},{v}"]
+              for u, v in catalog_graph(name).sorted_edges()),
+        ]))
     out.append(("cdc-G25-cap", [["cdc", encode_graph6(ring_of_complete_bipartite())]]))
     # 19 edges whose closure grows to K10, past the enumeration cap of 40;
     # only round one enumerates, so both commands report a complete closure
